@@ -6,25 +6,32 @@ Gaussian preimage, blend that preimage with fresh noise under a
 variance-preserving speaker weight, and integrate forward again to a
 pseudo-speaker embedding.  An embedding-pool strategy (draw a real
 embedding of a different speaker) is provided as an ablation alternative.
+
+``anonymize_speaker`` runs on an (N, D) batch: it draws each row's
+randomness in turn (``w`` then ``z_rand``, or one pool index), then runs one
+``encode``, one ``obscure`` and one ``generate`` over the whole batch, so
+row i matches what a one-row call on the same generator state would give.
+``anonymize_dataset`` keeps one identity per speaker in its mapping (or
+draws one per utterance under the ``per_utterance`` scope).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, DivergenceError, InputError
+from .errors import ConfigError, DataError, DivergenceError, InputError
 from .flowmath import IntegrationSpec, cfm_loss, integrate
 from .nets import UShapedField
 from .optim import AdamW, OneCycle
 
 from .backbone import BackboneModel, reconstruct
-from .worldgen import Dataset, Utterance
+from .worldgen import Dataset
 
 
 @dataclass
@@ -109,16 +116,17 @@ def encode(model: AnonymizerModel, s_orig, spec: IntegrationSpec) -> np.ndarray:
 class ObscurationInput:
     z_orig: np.ndarray
     z_rand: np.ndarray
-    w: float
+    w: float | np.ndarray          # scalar, or one weight per row
 
     def __post_init__(self):
-        if not (-1.0 <= self.w <= 1.0):
+        w = np.asarray(self.w)
+        if not np.all((-1.0 <= w) & (w <= 1.0)):
             raise InputError(f"speaker weight must lie in [-1, 1], got {self.w}")
 
 
 def obscure(inp: ObscurationInput) -> np.ndarray:
     """Variance-preserving blend of the encoded identity with fresh noise."""
-    w = inp.w
+    w = inp.w if np.ndim(inp.w) == 0 else np.asarray(inp.w)[:, None]
     denom = np.sqrt((1.0 - w) ** 2 + w**2)
     return ((1.0 - w) * np.asarray(inp.z_rand) + w * np.asarray(inp.z_orig)) / denom
 
@@ -171,35 +179,36 @@ class WeightStrategy:
 
 
 def anonymize_speaker(model, s_orig, strategy: WeightStrategy,
-                      rng: np.random.Generator, spec: IntegrationSpec,
-                      pool=None, speaker_id=None, memo=None):
-    """Full encode-obscure-generate (or pool draw) for one speaker embedding.
+                      rng: np.random.Generator, spec: IntegrationSpec, *,
+                      pool=None, exclude=None):
+    """Encode-obscure-generate (or pool draw) for an (N, D) embedding batch.
 
-    Returns (s_anon, w_used); w_used is None for the pool strategy.  With
-    per_speaker scope and a ``memo`` dict, the first call per speaker id
-    fixes the draw for all later calls.
+    Returns (s_anon (N, D), w (N,)); w is None for the pool strategy, which
+    draws row i uniformly from the rows of ``pool`` other than
+    ``exclude[i]`` (from all rows when ``exclude`` is None).
     """
-    key = speaker_id if (strategy.scope == "per_speaker" and memo is not None
-                         and speaker_id is not None) else None
-    if key is not None and key in memo:
-        return memo[key]
-
+    s_orig = np.asarray(s_orig, dtype=float)
+    if s_orig.ndim != 2:
+        raise InputError(f"expected an (N, D) embedding batch, got {s_orig.shape}")
+    n = s_orig.shape[0]
     if strategy.kind == "pool":
-        if pool is None or len(pool) == 0:
+        size = 0 if pool is None else len(pool) - (exclude is not None)
+        if size < 1:
             raise InputError("pool strategy requires a non-empty embedding pool")
-        s_anon = np.asarray(pool[int(rng.integers(len(pool)))], dtype=float).copy()
-        result = (s_anon, None)
-    else:
-        w = strategy.draw_w(rng)
-        back = IntegrationSpec(steps=spec.steps, t_start=1.0, t_end=0.0)
-        fwd = IntegrationSpec(steps=spec.steps, t_start=0.0, t_end=1.0)
-        z_orig = encode(model, s_orig, back)
-        z_rand = rng.standard_normal(z_orig.shape[0])
-        z_anon = obscure(ObscurationInput(z_orig=z_orig, z_rand=z_rand, w=w))
-        result = (generate(model, z_anon, fwd), w)
-    if key is not None:
-        memo[key] = result
-    return result
+        rows = [int(rng.integers(size)) for _ in range(n)]
+        if exclude is not None:
+            rows = [j + (j >= k) for j, k in zip(rows, exclude)]
+        return np.asarray(pool, dtype=float)[rows], None
+    w = np.empty(n)
+    z_rand = np.empty_like(s_orig)
+    for i in range(n):
+        w[i] = strategy.draw_w(rng)
+        z_rand[i] = rng.standard_normal(s_orig.shape[1])
+    back = IntegrationSpec(steps=spec.steps, t_start=1.0, t_end=0.0)
+    fwd = IntegrationSpec(steps=spec.steps, t_start=0.0, t_end=1.0)
+    z_orig = encode(model, s_orig, back)
+    z_anon = obscure(ObscurationInput(z_orig=z_orig, z_rand=z_rand, w=w))
+    return generate(model, z_anon, fwd), w
 
 
 def anonymize_dataset(backbone: BackboneModel, anonymizer,
@@ -210,33 +219,29 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
 
     Tokens, pitch, alignment and durations are preserved.  Returns
     (anonymized dataset, mapping) where mapping is
-    {speaker_id: (w_used, s_anon)} for the attacker simulation.
+    {speaker_id: (w_used, s_anon)} for the attacker simulation.  A speaker's
+    identity is drawn when the speaker is first seen and reused from the
+    mapping after that, unless the scope is per_utterance.
     """
     frame_spec = frame_spec or IntegrationSpec(steps=16, t_start=0.0, t_end=1.0)
-    memo = {}
+    embs = np.array([s.embedding for s in dataset.speakers], dtype=float)
+    row = {s.id: k for k, s in enumerate(dataset.speakers)}
     mapping = {}
-    speaker_embs = {s.id: s.embedding for s in dataset.speakers}
     new_utts = []
     for u in dataset.utterances:
-        if strategy.kind == "pool":
-            pool = [e for sid, e in speaker_embs.items() if sid != u.speaker_id]
-        else:
-            pool = None
+        k = row[u.speaker_id]
         try:
-            s_anon, w_used = anonymize_speaker(
-                anonymizer, speaker_embs[u.speaker_id], strategy, rng, spec,
-                pool=pool, speaker_id=u.speaker_id, memo=memo)
-            frames = reconstruct(backbone, u.frame_tokens, u.p_norm, s_anon,
-                                 frame_spec, rng)
+            if strategy.scope == "per_utterance" or u.speaker_id not in mapping:
+                s_anon, w = anonymize_speaker(anonymizer, embs[k:k + 1],
+                                              strategy, rng, spec, pool=embs,
+                                              exclude=[k])
+                mapping[u.speaker_id] = (None if w is None else float(w[0]),
+                                         s_anon[0])
+            frames = reconstruct(backbone, u.frame_tokens, u.p_norm,
+                                 mapping[u.speaker_id][1], frame_spec, rng)
         except DivergenceError as e:
             raise DivergenceError(f"utterance {u.id}: {e}", step=e.step) from e
-        mapping[u.speaker_id] = (w_used, s_anon)
-        new_utts.append(Utterance(
-            id=u.id, speaker_id=u.speaker_id, gender=u.gender,
-            duration_s=u.duration_s, tokens=list(u.tokens),
-            entity_spans=list(u.entity_spans), f0_hz=u.f0_hz.copy(),
-            p_norm=u.p_norm.copy(), frames=frames,
-            frames_per_token=u.frames_per_token))
+        new_utts.append(replace(u, frames=frames))
     anon = Dataset(params=dataset.params, speakers=dataset.speakers,
                    utterances=new_utts, pool=dataset.pool)
     return anon, mapping
@@ -254,10 +259,13 @@ def save_mapping(mapping: dict, path) -> None:
 
 def load_mapping(path) -> dict:
     out = {}
-    for line in Path(path).read_text().splitlines():
-        sid, wtxt, stxt = line.split("\t")
-        w = None if wtxt == "NA" else float(wtxt)
-        out[sid] = (w, np.array([float(v) for v in stxt.split(",")]))
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            sid, wtxt, stxt = line.split("\t")
+            w = None if wtxt == "NA" else float(wtxt)
+            out[sid] = (w, np.array([float(v) for v in stxt.split(",")]))
+        except ValueError as e:
+            raise DataError(f"{path}:{n}: bad mapping row: {e}") from e
     return out
 
 

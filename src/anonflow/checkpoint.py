@@ -40,24 +40,29 @@ def load_checkpoint(path) -> dict:
     data = path.read_bytes()
     if data[:8] != MAGIC:
         raise DataError(f"{path}: bad magic")
+    if len(data) < 16:
+        raise DataError(f"{path}: truncated header")
     version, count = struct.unpack_from("<II", data, 8)
     if version != VERSION:
         raise DataError(f"{path}: unsupported version {version}")
     off = 16
     out = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", data, off)
-        off += 4
-        name = data[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<I", data, off)
-        off += 4
-        shape = struct.unpack_from(f"<{rank}I", data, off)
-        off += 4 * rank
-        n = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(shape)
-        off += 4 * n
-        out[name] = arr.copy()
+    try:
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<I", data, off)
+            off += 4
+            name = data[off:off + nlen].decode("utf-8")
+            off += nlen
+            (rank,) = struct.unpack_from("<I", data, off)
+            off += 4
+            shape = struct.unpack_from(f"<{rank}I", data, off)
+            off += 4 * rank
+            n = int(np.prod(shape, dtype=np.int64)) if rank else 1
+            arr = np.frombuffer(data, dtype="<f4", count=n, offset=off)
+            out[name] = arr.reshape(shape).copy()
+            off += 4 * n
+    except (struct.error, ValueError) as e:
+        raise DataError(f"{path}: truncated or corrupt at byte {off}: {e}") from e
     if off != len(data):
         raise DataError(f"{path}: trailing bytes")
     return out

@@ -94,7 +94,9 @@ def write_manifest(out_dir: Path, command: str, inputs: dict,
         json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
-def _load_config(path, section: str) -> dict:
+def _load_config(path, section: str, known) -> dict:
+    """The ``section`` object of a JSON config; keys outside ``known`` are
+    rejected."""
     if path is None:
         return {}
     try:
@@ -106,6 +108,10 @@ def _load_config(path, section: str) -> dict:
     sec = doc.get(section, {})
     if not isinstance(sec, dict):
         raise ConfigError(f"config section {section!r} must be an object")
+    unknown = sorted(set(sec) - set(known))
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) in config section "
+                          f"{section!r}: {', '.join(unknown)}")
     return sec
 
 
@@ -122,19 +128,18 @@ def cmd_gen_world(args) -> int:
     cfg = {"D": 16, "F": 24, "v_common": 80, "n_speakers": 12,
            "utts_per_speaker": 8, "noise_sigma": 0.05,
            "duration_range": (6.0, 12.0), "pii_frac": 0.4}
-    cfg.update(_load_config(args.config, "world"))
-    seed = args.seed if args.seed is not None else 0
+    cfg.update(_load_config(args.config, "world", cfg))
     params = make_world_params(
         D=cfg["D"], F=cfg["F"], v_common=cfg["v_common"],
         n_speakers=cfg["n_speakers"], noise_sigma=cfg["noise_sigma"],
-        seed=seed)
+        seed=args.seed)
     ds = generate_world(params, cfg["n_speakers"], cfg["utts_per_speaker"],
-                        np.random.default_rng(seed),
+                        np.random.default_rng(args.seed),
                         duration_range=tuple(cfg["duration_range"]),
                         pii_frac=cfg["pii_frac"])
     out = _outdir(args)
     save_dataset(ds, out)
-    write_manifest(out, "gen-world", {}, {"seed": seed},
+    write_manifest(out, "gen-world", {}, {"seed": args.seed},
                    [out / n for n in ("world.json", "speakers.jsonl",
                                       "utterances.jsonl",
                                       "replacement_pool.jsonl")])
@@ -143,34 +148,35 @@ def cmd_gen_world(args) -> int:
 
 def cmd_train_backbone(args) -> int:
     ds = load_dataset(args.data)
-    cfg_dict = _load_config(args.config, "backbone")
+    cfg_dict = _load_config(args.config, "backbone",
+                            BackboneConfig().to_dict())
     cfg_dict.setdefault("codebook_size", ds.params.V + 64)
-    seed = args.seed if args.seed is not None else 0
-    cfg_dict["seed"] = seed
+    cfg_dict["seed"] = args.seed
     config = BackboneConfig.from_dict({**BackboneConfig().to_dict(),
                                        **cfg_dict})
-    model, trace = train_backbone(ds, config, np.random.default_rng(seed))
+    model, trace = train_backbone(ds, config, np.random.default_rng(args.seed))
     out = _outdir(args)
     save_backbone(model, out / "backbone")
     with open(out / "trace.jsonl", "w") as f:
         for t in trace[:: max(1, len(trace) // 200)]:
             f.write(json.dumps(t) + "\n")
     write_manifest(out, "train-backbone",
-                   {"world": Path(args.data) / "world.json"}, {"seed": seed},
+                   {"world": Path(args.data) / "world.json"},
+                   {"seed": args.seed},
                    [out / "backbone.ckpt", out / "backbone.json"])
     return 0
 
 
 def cmd_train_anonymizer(args) -> int:
     ds = load_dataset(args.data)
-    cfg_dict = _load_config(args.config, "anonymizer")
+    cfg_dict = _load_config(args.config, "anonymizer",
+                            [*AnonymizerConfig().to_dict(), "n_embeddings"])
     n_embeddings = int(cfg_dict.pop("n_embeddings", 10_000))
-    seed = args.seed if args.seed is not None else 0
-    cfg_dict["seed"] = seed
+    cfg_dict["seed"] = args.seed
     cfg_dict.setdefault("level_dims", _level_dims_for(ds.params.D))
     config = AnonymizerConfig.from_dict({**AnonymizerConfig().to_dict(),
                                          **cfg_dict})
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     genders = ["male", "female"]
     emb = np.stack([sample_speaker_embedding(ds.params, genders[i % 2], rng)
                     for i in range(n_embeddings)])
@@ -178,7 +184,8 @@ def cmd_train_anonymizer(args) -> int:
     out = _outdir(args)
     save_anonymizer(model, out / "anonymizer")
     write_manifest(out, "train-anonymizer",
-                   {"world": Path(args.data) / "world.json"}, {"seed": seed},
+                   {"world": Path(args.data) / "world.json"},
+                   {"seed": args.seed},
                    [out / "anonymizer.ckpt", out / "anonymizer.json"])
     return 0
 
@@ -195,11 +202,9 @@ def cmd_anonymize(args) -> int:
     backbone = load_backbone(Path(args.backbone))
     anonymizer = load_anonymizer(Path(args.anonymizer))
     strategy = WeightStrategy.parse(args.strategy)
-    steps = args.steps if args.steps is not None else 16
-    spec = IntegrationSpec(steps=steps, t_start=1.0, t_end=0.0)
-    seed = args.seed if args.seed is not None else 0
+    spec = IntegrationSpec(steps=args.steps, t_start=1.0, t_end=0.0)
     anon, mapping = anonymize_dataset(backbone, anonymizer, ds, strategy,
-                                      spec, np.random.default_rng(seed))
+                                      spec, np.random.default_rng(args.seed))
     out = _outdir(args)
     save_dataset(anon, out)
     save_mapping(mapping, out / "mapping.tsv")
@@ -207,7 +212,7 @@ def cmd_anonymize(args) -> int:
                    {"world": Path(args.data) / "world.json",
                     "backbone": Path(args.backbone).with_suffix(".ckpt"),
                     "anonymizer": Path(args.anonymizer).with_suffix(".ckpt")},
-                   {"seed": seed, "strategy": args.strategy},
+                   {"seed": args.seed, "strategy": args.strategy},
                    [out / "utterances.jsonl", out / "mapping.tsv"])
     return 0
 
@@ -217,13 +222,11 @@ def cmd_seca(args) -> int:
     backbone = load_backbone(Path(args.backbone))
     gaz = build_gazetteer(ds)
     pool = ReplacementPool(ds.pool)
-    steps = args.steps if args.steps is not None else 16
-    spec = IntegrationSpec(steps=steps, t_start=0.0, t_end=1.0)
-    seed = args.seed if args.seed is not None else 0
+    spec = IntegrationSpec(steps=args.steps, t_start=0.0, t_end=1.0)
     mapping = load_mapping(args.mapping) if args.mapping else None
     source = "anonymized" if mapping is not None else "original"
     edited, reports = anonymize_content(
-        backbone, ds, pool, gaz, spec, np.random.default_rng(seed),
+        backbone, ds, pool, gaz, spec, np.random.default_rng(args.seed),
         speaker_source=source, mapping=mapping, p_asr=args.p_asr)
     out = _outdir(args)
     save_dataset(edited, out)
@@ -232,20 +235,19 @@ def cmd_seca(args) -> int:
     write_manifest(out, "seca",
                    {"world": Path(args.data) / "world.json",
                     "backbone": Path(args.backbone).with_suffix(".ckpt")},
-                   {"seed": seed, "p_asr": args.p_asr},
+                   {"seed": args.seed, "p_asr": args.p_asr},
                    [out / "utterances.jsonl", out / "edits.jsonl"])
     return 0
 
 
 def cmd_build_trials(args) -> int:
     ds = load_dataset(args.data)
-    seed = args.seed if args.seed is not None else 0
-    trials = build_trials(ds, args.mode, np.random.default_rng(seed))
+    trials = build_trials(ds, args.mode, np.random.default_rng(args.seed))
     out = _outdir(args)
     save_trials(trials, out / "trials.tsv")
     write_manifest(out, "build-trials",
                    {"world": Path(args.data) / "world.json"},
-                   {"seed": seed, "mode": args.mode}, [out / "trials.tsv"])
+                   {"seed": args.seed, "mode": args.mode}, [out / "trials.tsv"])
     return 0
 
 
@@ -255,16 +257,15 @@ def cmd_evaluate(args) -> int:
     mapping = load_mapping(args.mapping) if args.mapping else None
     attacker = {"ignorant": "ignorant", "lazy": "lazy_informed",
                 "lazy_informed": "lazy_informed"}[args.attacker]
-    seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     kwargs = {}
     if attacker == "lazy_informed":
         if args.anonymizer is None or args.strategy is None:
             raise ConfigError("lazy attacker needs --anonymizer and --strategy")
         kwargs["anonymizer"] = load_anonymizer(Path(args.anonymizer))
         kwargs["strategy"] = WeightStrategy.parse(args.strategy)
-        steps = args.steps if args.steps is not None else 16
-        kwargs["spec"] = IntegrationSpec(steps=steps, t_start=1.0, t_end=0.0)
+        kwargs["spec"] = IntegrationSpec(steps=args.steps, t_start=1.0,
+                                         t_end=0.0)
     trials = load_trials(args.trials) if args.trials else None
     capture = {}
     report = run_attack(ds_orig, ds_anon, mapping, attacker, args.mode, rng,
@@ -274,7 +275,7 @@ def cmd_evaluate(args) -> int:
     save_scores(capture["trials"], capture["scores"], out / "scores.tsv")
     doc = report.to_dict()
     doc["config"] = {"attacker": args.attacker, "mode": args.mode,
-                     "seed": seed, "strategy": args.strategy}
+                     "seed": args.seed, "strategy": args.strategy}
     (out / "report.json").write_text(json.dumps(doc, indent=1, sort_keys=True)
                                      + "\n")
     inputs = {"world": Path(args.data) / "world.json",
@@ -282,7 +283,8 @@ def cmd_evaluate(args) -> int:
     if args.mapping:
         inputs["mapping"] = Path(args.mapping)
     write_manifest(out, "evaluate", inputs,
-                   {"seed": seed, "attacker": args.attacker, "mode": args.mode},
+                   {"seed": args.seed, "attacker": args.attacker,
+                    "mode": args.mode},
                    [out / "trials.tsv", out / "scores.tsv", out / "report.json"])
     return 0
 
@@ -317,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, data=True):
         p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None)
         if data:
             p.add_argument("--data", required=True,
@@ -341,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anonymizer", required=True)
     p.add_argument("--strategy", default="fixed:0",
                    help="fixed:W | range:A:B | pool")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=int, default=16)
     p.set_defaults(func=cmd_anonymize)
 
     p = sub.add_parser("seca", help="redact PII spans and regenerate them")
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mapping", default=None,
                    help="voice edits with the anonymized identities")
     p.add_argument("--p-asr", type=float, default=0.0, dest="p_asr")
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=int, default=16)
     p.set_defaults(func=cmd_seca)
 
     p = sub.add_parser("build-trials", help="write a verification trial list")
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anonymizer", default=None)
     p.add_argument("--strategy", default=None)
     p.add_argument("--trials", default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--steps", type=int, default=16)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="radar-normalize a metrics table")

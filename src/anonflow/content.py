@@ -11,7 +11,7 @@ is left bit-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -160,15 +160,10 @@ def apply_edits(backbone: BackboneModel, utt: Utterance, plan: EditPlan,
     pieces_f0.append(utt.f0_hz[cursor * fpt:])
     pieces_pn.append(utt.p_norm[cursor * fpt:])
 
-    out_tokens = [t for chunk in pieces_tokens for t in chunk]
-    return Utterance(
-        id=utt.id, speaker_id=utt.speaker_id, gender=utt.gender,
-        duration_s=utt.duration_s, tokens=out_tokens,
-        entity_spans=new_spans,
-        f0_hz=np.concatenate(pieces_f0) if pieces_f0 else utt.f0_hz.copy(),
-        p_norm=np.concatenate(pieces_pn) if pieces_pn else utt.p_norm.copy(),
-        frames=np.concatenate(pieces_frames, axis=0),
-        frames_per_token=fpt)
+    return replace(utt, tokens=[t for chunk in pieces_tokens for t in chunk],
+                   entity_spans=new_spans, f0_hz=np.concatenate(pieces_f0),
+                   p_norm=np.concatenate(pieces_pn),
+                   frames=np.concatenate(pieces_frames, axis=0))
 
 
 def corrupt_tokens(tokens, p_asr: float, vocab_size: int,
@@ -219,22 +214,15 @@ def anonymize_content(backbone: BackboneModel, dataset: Dataset,
         else:
             s = mapping[u.speaker_id][1]
         if edits:
-            base = u if p_asr == 0 else Utterance(
-                id=u.id, speaker_id=u.speaker_id, gender=u.gender,
-                duration_s=u.duration_s, tokens=observed,
-                entity_spans=u.entity_spans, f0_hz=u.f0_hz,
-                p_norm=u.p_norm, frames=u.frames,
-                frames_per_token=u.frames_per_token)
+            base = u if p_asr == 0 else replace(u, tokens=observed)
             edited = apply_edits(backbone, base,
                                  EditPlan(utterance_id=u.id, edits=edits),
                                  s, spec, rng)
         elif p_asr > 0:
-            edited = Utterance(
-                id=u.id, speaker_id=u.speaker_id, gender=u.gender,
-                duration_s=u.duration_s, tokens=observed,
-                entity_spans=list(u.entity_spans), f0_hz=u.f0_hz.copy(),
-                p_norm=u.p_norm.copy(), frames=u.frames.copy(),
-                frames_per_token=u.frames_per_token)
+            edited = replace(u, tokens=observed,
+                             entity_spans=list(u.entity_spans),
+                             f0_hz=u.f0_hz.copy(), p_norm=u.p_norm.copy(),
+                             frames=u.frames.copy())
         else:
             edited = u
         new_utts.append(edited)

@@ -184,21 +184,6 @@ class EvalReport:
                             "secs_proxy": self.secs_proxy},
                 "counts": self.counts}
 
-    def merge(self, other: "EvalReport") -> "EvalReport":
-        """Fold another mode's result for the same attacker into one report."""
-        if other.attacker != self.attacker:
-            raise InputError("cannot merge reports from different attackers")
-        return EvalReport(
-            attacker=self.attacker,
-            a_eer=self.a_eer if self.a_eer is not None else other.a_eer,
-            c_eer=self.c_eer if self.c_eer is not None else other.c_eer,
-            token_error_rate=(self.token_error_rate
-                              if self.token_error_rate is not None
-                              else other.token_error_rate),
-            secs_proxy=(self.secs_proxy if self.secs_proxy is not None
-                        else other.secs_proxy),
-            counts={**other.counts, **self.counts})
-
 
 def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
                attacker: str, mode: str, rng: np.random.Generator,
@@ -234,21 +219,19 @@ def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
                 raise InputError("lazy_informed needs the anonymization "
                                  "system (model + strategy)")
             spec = spec or IntegrationSpec(steps=16, t_start=1.0, t_end=0.0)
-            speaker_embs = {s.id: s.embedding for s in dataset_orig.speakers}
-            for sid, utts in by_spk.items():
-                re_anon = []
-                for u in utts:
-                    if strategy.kind == "pool":
-                        pool = [e for osid, e in speaker_embs.items() if osid != sid]
-                    else:
-                        pool = None
-                    # each enrollment utterance is re-anonymized
-                    # independently, regardless of the strategy's scope
-                    s_anon, _ = anonymize_speaker(
-                        anonymizer, orig_utt_embs[u.id], strategy, rng, spec,
-                        pool=pool)
-                    re_anon.append(s_anon)
-                enroll_embs[sid] = enrollment_embedding(re_anon)
+            # each enrollment utterance is re-anonymized independently,
+            # regardless of the strategy's scope; by_speaker() follows the
+            # speaker order, so speaker k's own embedding is pool row k
+            order = [(k, u) for k, utts in enumerate(by_spk.values())
+                     for u in utts]
+            s_anon, _ = anonymize_speaker(
+                anonymizer, np.array([orig_utt_embs[u.id] for _, u in order]),
+                strategy, rng, spec,
+                pool=[s.embedding for s in dataset_orig.speakers],
+                exclude=[k for k, _ in order])
+            ends = np.cumsum([len(utts) for utts in by_spk.values()])
+            for sid, chunk in zip(by_spk, np.split(s_anon, ends[:-1])):
+                enroll_embs[sid] = enrollment_embedding(chunk)
     else:
         by_spk = dataset_orig.by_speaker()
         enroll_embs = content_speaker_model(

@@ -1,6 +1,6 @@
-"""Flow-matching primitives: interpolation paths, the conditional
-flow-matching loss, and fixed-step Euler integration in either time
-direction.
+"""Flow-matching primitives: the conditional flow-matching loss over
+straight noise-to-data paths, and fixed-step Euler integration in either
+time direction.
 
 All functions are pure; randomness enters only through an explicitly
 passed ``numpy.random.Generator``.
@@ -13,17 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InputError
-
-
-@dataclass(frozen=True)
-class FlowSample:
-    """One point on a straight interpolation path between noise and data."""
-
-    x0: np.ndarray
-    x1: np.ndarray
-    t: float
-    xt: np.ndarray
-    u_target: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -41,18 +30,6 @@ class IntegrationSpec:
             raise InputError("t_start and t_end must lie in [0, 1]")
         if self.t_start == self.t_end:
             raise InputError("t_start and t_end must differ")
-
-
-def interpolate(x0, x1, t: float) -> FlowSample:
-    """Place a sample at time ``t`` on the straight path from ``x0`` to ``x1``."""
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    if x0.shape != x1.shape:
-        raise InputError(f"shape mismatch: {x0.shape} vs {x1.shape}")
-    if not (0.0 <= t <= 1.0):
-        raise InputError(f"t must lie in [0, 1], got {t}")
-    xt = (1.0 - t) * x0 + t * x1
-    return FlowSample(x0=x0, x1=x1, t=float(t), xt=xt, u_target=x1 - x0)
 
 
 def cfm_loss(field, x1: np.ndarray, cond, rng: np.random.Generator):

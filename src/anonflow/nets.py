@@ -133,10 +133,7 @@ class UShapedField:
         return g
 
     def __call__(self, x, t, cond=None):
-        single = np.asarray(x).ndim == 1
-        xb = np.atleast_2d(x)
-        y, _ = self.forward(xb, np.broadcast_to(np.atleast_1d(t), (xb.shape[0],)), cond)
-        return y[0] if single else y
+        return self.forward(x, t, cond)[0]
 
 
 class ConditionedField:
@@ -241,13 +238,4 @@ class ConditionedField:
         return g
 
     def __call__(self, x, t, cond):
-        single = np.asarray(x).ndim == 1
-        xb = np.atleast_2d(x)
-        tb = np.broadcast_to(np.atleast_1d(t), (xb.shape[0],))
-        if single and cond is not None:
-            local, glob = cond
-            if local is not None and np.asarray(local).ndim == 1:
-                local = np.atleast_2d(local)
-            cond = (local, glob)
-        y, _ = self.forward(xb, tb, cond)
-        return y[0] if single else y
+        return self.forward(x, t, cond)[0]

@@ -43,12 +43,6 @@ class OneCycle:
         return fin + (self.peak_lr - fin) * 0.5 * (1.0 + np.cos(np.pi * frac))
 
 
-def one_cycle_lr(step: int, total: int, peak_lr: float, pct_start: float = 0.1,
-                 div_factor: float = 25.0, final_div_factor: float = 1.0e4) -> float:
-    """Functional form of :class:`OneCycle`."""
-    return OneCycle(total, peak_lr, pct_start, div_factor, final_div_factor).lr(step)
-
-
 class AdamW:
     """AdamW over a named parameter dict, with lr driven by a OneCycle schedule.
 

@@ -2,13 +2,12 @@
 
 The codebook learns through the loss (no EMA): its gradient comes from the
 beta-weighted half of the commitment term.  In this package the content
-features are data, not encoder outputs, so the straight-through path to the
-features is exposed but normally unused.
+features are data, not encoder outputs, so no gradient flows back to them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +68,3 @@ def codebook_grad(f_sem, result: QuantizeResult, codebook: Codebook) -> np.ndarr
     np.add.at(g, result.indices, scale * (result.c_vq - f))
     return g
 
-
-def straight_through_grad(d_cvq: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. f_sem of anything downstream of c_vq (pass-through)."""
-    return np.asarray(d_cvq)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, DataError, InputError
 from .pitch import pitch_or_zeros
 
 PII_TYPES = ("PER", "LOC", "ORG", "MISC")
@@ -368,20 +368,28 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
                                 "length": e.length}) + "\n")
 
 
+def _read_jsonl(path: Path):
+    """Yield one dict per line; a malformed line names the file and line."""
+    for n, line in enumerate(path.read_text().splitlines(), start=1):
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}:{n}: not valid JSON: {e}") from e
+        yield d
+
+
 def load_dataset(in_dir) -> Dataset:
     src = Path(in_dir)
     params = WorldParams.from_dict(json.loads((src / "world.json").read_text()))
     speakers = []
-    for line in (src / "speakers.jsonl").read_text().splitlines():
-        d = json.loads(line)
+    for d in _read_jsonl(src / "speakers.jsonl"):
         speakers.append(Speaker(
             id=d["id"], gender=d["gender"],
             embedding=np.asarray(d["embedding"]),
             base_pitch_hz=d["base_pitch_hz"], style=np.asarray(d["style"]),
             pii_lexicon={k: list(v) for k, v in d["pii_lexicon"].items()}))
     utterances = []
-    for line in (src / "utterances.jsonl").read_text().splitlines():
-        d = json.loads(line)
+    for d in _read_jsonl(src / "utterances.jsonl"):
         utterances.append(Utterance(
             id=d["id"], speaker_id=d["speaker_id"], gender=d["gender"],
             duration_s=d["duration_s"], tokens=list(d["tokens"]),
@@ -390,7 +398,6 @@ def load_dataset(in_dir) -> Dataset:
             frames=np.asarray(d["frames"]),
             frames_per_token=d["frames_per_token"]))
     pool = []
-    for line in (src / "replacement_pool.jsonl").read_text().splitlines():
-        d = json.loads(line)
+    for d in _read_jsonl(src / "replacement_pool.jsonl"):
         pool.append(PoolEntry(type=d["type"], tokens=list(d["tokens"])))
     return Dataset(params=params, speakers=speakers, utterances=utterances, pool=pool)

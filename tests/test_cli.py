@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -168,3 +169,56 @@ class TestExitCodes:
                      "--anonymizer", str(an / "anonymizer"),
                      "--strategy", "nonsense:9",
                      "--out", str(tmp_path / "a")]) == 2
+
+
+def _short_mapping_row(tmp, world, bb, an):
+    bad = tmp / "mapping.tsv"
+    bad.write_text("spk000\t0.5\n")
+    return (["seca", "--data", world, "--backbone", bb / "backbone",
+             "--mapping", bad], "mapping.tsv:1")
+
+
+def _truncated_checkpoint(tmp, world, bb, an):
+    shutil.copy(bb / "backbone.json", tmp / "backbone.json")
+    data = (bb / "backbone.ckpt").read_bytes()
+    (tmp / "backbone.ckpt").write_bytes(data[:len(data) // 2])
+    return (["seca", "--data", world, "--backbone", tmp / "backbone"],
+            "backbone.ckpt")
+
+
+def _bad_jsonl_line(tmp, world, bb, an):
+    shutil.copytree(world, tmp / "w")
+    path = tmp / "w" / "utterances.jsonl"
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1][:40]
+    path.write_text("\n".join(lines) + "\n")
+    return (["build-trials", "--data", tmp / "w"], "utterances.jsonl:2")
+
+
+def _unknown_key(command, section):
+    def case(tmp, world, bb, an):
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps({section: {"stepz": 5}}))
+        argv = [command, "--config", cfg]
+        return (argv if command == "gen-world" else argv + ["--data", world],
+                "stepz")
+    return case
+
+
+@pytest.mark.parametrize("make_case,code", [
+    (_short_mapping_row, 4),
+    (_truncated_checkpoint, 4),
+    (_bad_jsonl_line, 4),
+    (_unknown_key("train-backbone", "backbone"), 2),
+    (_unknown_key("train-anonymizer", "anonymizer"), 2),
+    (_unknown_key("gen-world", "world"), 2),
+], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
+        "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key"])
+def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
+                                      code):
+    _, world, bb, an, _ = pipeline
+    argv, named = make_case(tmp_path, world, bb, an)
+    capsys.readouterr()
+    assert main([str(a) for a in argv] + ["--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err and named in err

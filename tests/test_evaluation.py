@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from anonflow.errors import InputError
-from anonflow.evaluation import (EvalReport, Trial, build_trials,
-                                 compute_eer, content_embedding,
-                                 content_speaker_model, cosine_score,
-                                 enrollment_embedding, load_trials,
+from anonflow.evaluation import (Trial, build_trials, compute_eer,
+                                 content_embedding, content_speaker_model,
+                                 cosine_score, enrollment_embedding, load_trials,
                                  run_attack, save_scores, save_trials,
                                  score_trials, utility_probes)
 from anonflow.worldgen import generate_world, make_world_params
@@ -207,15 +206,6 @@ class TestAttack:
         with pytest.raises(InputError):
             run_attack(ds, ds, None, "lazy_informed", "acoustic",
                        np.random.default_rng(0))
-
-    def test_report_merge(self):
-        a = EvalReport(attacker="ignorant", a_eer=10.0, counts={"x": 1})
-        c = EvalReport(attacker="ignorant", c_eer=30.0, counts={"y": 2})
-        m = a.merge(c)
-        assert m.a_eer == 10.0 and m.c_eer == 30.0
-        assert m.counts == {"x": 1, "y": 2}
-        with pytest.raises(InputError):
-            a.merge(EvalReport(attacker="lazy_informed"))
 
 
 class TestUtility:

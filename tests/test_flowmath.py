@@ -1,43 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from anonflow.errors import DivergenceError, InputError
-from anonflow.flowmath import IntegrationSpec, cfm_loss, integrate, interpolate
-
-
-class TestInterpolate:
-    def test_midpoint(self):
-        fs = interpolate([0, 0], [2, 4], 0.5)
-        assert np.array_equal(fs.xt, [1, 2])
-        assert np.array_equal(fs.u_target, [2, 4])
-
-    def test_boundary_t0(self):
-        v = np.array([3.0, -1.0, 2.0])
-        w = np.array([0.5, 0.5, 0.5])
-        assert np.array_equal(interpolate(v, w, 0.0).xt, v)
-        assert np.array_equal(interpolate(v, w, 1.0).xt, w)
-
-    def test_quarter_point(self):
-        fs = interpolate([1, -1], [3, 1], 0.25)
-        assert np.allclose(fs.xt, [1.5, -0.5])
-        assert np.array_equal(fs.u_target, [2, 2])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(InputError):
-            interpolate([1, 2], [1, 2, 3], 0.5)
-
-    def test_t_out_of_range(self):
-        with pytest.raises(InputError):
-            interpolate([1], [2], 1.5)
-
-    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8),
-           st.floats(0, 1))
-    def test_invariants(self, x0, t):
-        x1 = [v + 1.0 for v in x0]
-        fs = interpolate(x0, x1, t)
-        assert np.allclose(fs.xt, (1 - t) * np.array(x0) + t * np.array(x1))
-        assert np.allclose(fs.u_target, np.array(x1) - np.array(x0))
+from anonflow.flowmath import IntegrationSpec, cfm_loss, integrate
 
 
 class TestIntegrationSpec:

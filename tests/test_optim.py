@@ -2,23 +2,23 @@ import numpy as np
 import pytest
 
 from anonflow.errors import DivergenceError, InputError
-from anonflow.optim import AdamW, OneCycle, one_cycle_lr
+from anonflow.optim import AdamW, OneCycle
 
 
 class TestOneCycle:
     def test_junction_is_peak(self):
         total, peak = 1000, 0.3
-        assert one_cycle_lr(100, total, peak, pct_start=0.1) == pytest.approx(peak)
+        assert OneCycle(total, peak, pct_start=0.1).lr(100) == pytest.approx(peak)
 
     def test_start_is_peak_over_div(self):
-        assert one_cycle_lr(0, 1000, 0.5) == pytest.approx(0.5 / 25)
+        assert OneCycle(1000, 0.5).lr(0) == pytest.approx(0.5 / 25)
 
     def test_end_is_peak_over_final_div(self):
-        assert one_cycle_lr(1000, 1000, 0.5) == pytest.approx(0.5 / 1e4)
+        assert OneCycle(1000, 0.5).lr(1000) == pytest.approx(0.5 / 1e4)
 
     def test_step_beyond_total_rejected(self):
         with pytest.raises(InputError):
-            one_cycle_lr(1001, 1000, 0.1)
+            OneCycle(1000, 0.1).lr(1001)
 
     def test_bad_pct_start_rejected(self):
         with pytest.raises(InputError):
