@@ -282,6 +282,9 @@ def load_anonymizer(path_prefix) -> AnonymizerModel:
         meta = json.loads(prefix.with_suffix(".json").read_text())
     except FileNotFoundError as e:
         raise ConfigError(f"missing anonymizer metadata: {e}") from e
+    except json.JSONDecodeError as e:
+        raise DataError(f"{prefix.with_suffix('.json')}: not valid JSON: "
+                        f"{e}") from e
     model = AnonymizerModel(AnonymizerConfig.from_dict(meta["config"]),
                             metadata=meta.get("metadata", {}))
     model.load_tensors(load_checkpoint(prefix.with_suffix(".ckpt")))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, DivergenceError, InputError
+from .errors import ConfigError, DataError, DivergenceError, InputError
 from .flowmath import IntegrationSpec, cfm_loss, integrate
 from .nets import ConditionedField
 from .optim import AdamW, OneCycle
@@ -181,6 +181,9 @@ def load_backbone(path_prefix) -> BackboneModel:
         meta = json.loads(prefix.with_suffix(".json").read_text())
     except FileNotFoundError as e:
         raise ConfigError(f"missing backbone metadata: {e}") from e
+    except json.JSONDecodeError as e:
+        raise DataError(f"{prefix.with_suffix('.json')}: not valid JSON: "
+                        f"{e}") from e
     model = BackboneModel(frame_dim=meta["frame_dim"],
                           speaker_dim=meta["speaker_dim"],
                           vocab_size=meta["vocab_size"],

@@ -94,9 +94,19 @@ def write_manifest(out_dir: Path, command: str, inputs: dict,
         json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
-def _load_config(path, section: str, known) -> dict:
-    """The ``section`` object of a JSON config; keys outside ``known`` are
-    rejected."""
+def _fits(value, default) -> bool:
+    """``value`` has the JSON type of ``default``; an int fits a float."""
+    if isinstance(default, (list, tuple)):
+        return (isinstance(value, list)
+                and all(_fits(v, default[0]) for v in value))
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
+def _load_config(path, section: str, defaults: dict) -> dict:
+    """The ``section`` object of a JSON config; keys outside ``defaults``
+    and values whose type does not fit the key's default are rejected."""
     if path is None:
         return {}
     try:
@@ -108,10 +118,15 @@ def _load_config(path, section: str, known) -> dict:
     sec = doc.get(section, {})
     if not isinstance(sec, dict):
         raise ConfigError(f"config section {section!r} must be an object")
-    unknown = sorted(set(sec) - set(known))
+    unknown = sorted(set(sec) - set(defaults))
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) in config section "
                           f"{section!r}: {', '.join(unknown)}")
+    for key, value in sec.items():
+        if not _fits(value, defaults[key]):
+            raise ConfigError(f"{path}: config value {section}.{key} = "
+                              f"{value!r} does not have the type of its "
+                              f"default, {defaults[key]!r}")
     return sec
 
 
@@ -169,9 +184,9 @@ def cmd_train_backbone(args) -> int:
 
 def cmd_train_anonymizer(args) -> int:
     ds = load_dataset(args.data)
-    cfg_dict = _load_config(args.config, "anonymizer",
-                            [*AnonymizerConfig().to_dict(), "n_embeddings"])
-    n_embeddings = int(cfg_dict.pop("n_embeddings", 10_000))
+    defaults = {**AnonymizerConfig().to_dict(), "n_embeddings": 10_000}
+    cfg_dict = _load_config(args.config, "anonymizer", defaults)
+    n_embeddings = cfg_dict.pop("n_embeddings", defaults["n_embeddings"])
     cfg_dict["seed"] = args.seed
     cfg_dict.setdefault("level_dims", _level_dims_for(ds.params.D))
     config = AnonymizerConfig.from_dict({**AnonymizerConfig().to_dict(),

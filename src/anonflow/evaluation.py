@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .anonymizer import WeightStrategy, anonymize_speaker
-from .errors import InputError
+from .errors import DataError, InputError
 from .flowmath import IntegrationSpec
 from .worldgen import (Dataset, oracle_extract_speaker, oracle_recover_tokens,
                        token_error_rate)
@@ -51,6 +51,12 @@ def build_trials(dataset: Dataset, mode: str, rng: np.random.Generator,
     by_speaker = {}
     for u in cands:
         by_speaker.setdefault(u.speaker_id, []).append(u)
+    neg_pools = {}
+    for sid in by_speaker:
+        others = [u for u in cands if u.speaker_id != sid]
+        for gender in ("male", "female"):
+            neg_pools[sid, gender] = [u for u in others
+                                      if genders[u.speaker_id] == gender] or others
 
     trials = []
     for enroll in cands:
@@ -68,11 +74,7 @@ def build_trials(dataset: Dataset, mode: str, rng: np.random.Generator,
         for pos in positives:
             trials.append(Trial(enroll.speaker_id, pos.id, 1))
         for gender in ("male", "female"):
-            neg_pool = [u for u in cands
-                        if u.speaker_id != enroll.speaker_id
-                        and genders[u.speaker_id] == gender]
-            if not neg_pool:
-                neg_pool = [u for u in cands if u.speaker_id != enroll.speaker_id]
+            neg_pool = neg_pools[enroll.speaker_id, gender]
             if not neg_pool:
                 raise InputError("no different-speaker utterance available "
                                  "for negative trials")
@@ -97,9 +99,31 @@ def cosine_score(a, b) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def _norms(embs: dict, ids, kind: str) -> dict:
+    """Norm of each embedding named in ``ids``, computed once per id."""
+    try:
+        return {i: np.linalg.norm(embs[i]) for i in dict.fromkeys(ids)}
+    except KeyError as e:
+        raise DataError(f"trial list names unknown {kind} "
+                        f"{e.args[0]!r}") from e
+
+
 def score_trials(trials, enroll_embs: dict, test_embs: dict):
-    scores = [cosine_score(enroll_embs[t.enroll_speaker_id],
-                           test_embs[t.test_utterance_id]) for t in trials]
+    """``cosine_score`` of each trial, with each embedding's norm taken once.
+
+    The per-trial ``np.dot`` is kept on purpose: a batched einsum or GEMM
+    sums in another order and moves scores in the last bits.
+    """
+    na = _norms(enroll_embs, (t.enroll_speaker_id for t in trials), "speaker")
+    nb = _norms(test_embs, (t.test_utterance_id for t in trials), "utterance")
+    scores = []
+    for t in trials:
+        a, b = t.enroll_speaker_id, t.test_utterance_id
+        if na[a] == 0.0 or nb[b] == 0.0:
+            scores.append(0.0)
+        else:
+            scores.append(float(np.dot(enroll_embs[a], test_embs[b])
+                                / (na[a] * nb[b])))
     labels = [t.label for t in trials]
     return scores, labels
 
@@ -107,7 +131,11 @@ def score_trials(trials, enroll_embs: dict, test_embs: dict):
 def compute_eer(scores, labels) -> float:
     """EER percent: accept iff score >= threshold; sweep thresholds over the
     sorted unique scores plus the infinities and linearly interpolate the
-    FAR/FRR crossing.  Can exceed 50% when score orientation is inverted."""
+    FAR/FRR crossing.  Can exceed 50% when score orientation is inverted.
+
+    One stable sort and cumulative per-label counts give FAR and FRR at
+    every threshold as integer counts over ``n_non``/``n_tar``, so the
+    cost is O(n log n)."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if scores.shape != labels.shape or scores.ndim != 1:
@@ -116,21 +144,25 @@ def compute_eer(scores, labels) -> float:
     n_non = int(np.sum(labels == 0))
     if n_tar == 0 or n_non == 0:
         raise InputError("both target and nontarget trials are required")
-    thresholds = np.concatenate(([-np.inf], np.unique(scores), [np.inf]))
-    far = np.array([np.sum((labels == 0) & (scores >= th)) / n_non
-                    for th in thresholds])
-    frr = np.array([np.sum((labels == 1) & (scores < th)) / n_tar
-                    for th in thresholds])
+    order = np.argsort(scores, kind="stable")
+    s, lab = scores[order], labels[order]
+    first = np.unique(s, return_index=True)[1]
+    # trials strictly below each unique threshold, by label
+    non_below = np.concatenate(([0], np.cumsum(lab == 0)))[first]
+    tar_below = np.concatenate(([0], np.cumsum(lab == 1)))[first]
+    far = np.concatenate(([n_non], n_non - non_below, [0])) / n_non
+    frr = np.concatenate(([0], tar_below, [n_tar])) / n_tar
     d = far - frr   # goes from +1 at -inf to -1 at +inf
-    for k in range(len(thresholds) - 1):
-        if d[k] == 0.0:
-            return 100.0 * far[k]
-        if d[k] > 0.0 and d[k + 1] <= 0.0:
-            if d[k + 1] == 0.0:
-                return 100.0 * far[k + 1]
-            alpha = d[k] / (d[k] - d[k + 1])
-            return 100.0 * (far[k] + alpha * (far[k + 1] - far[k]))
-    return 100.0 * far[-1]
+    hit = (d[:-1] == 0.0) | ((d[:-1] > 0.0) & (d[1:] <= 0.0))
+    if not hit.any():
+        return 100.0 * far[-1]
+    k = int(np.argmax(hit))
+    if d[k] == 0.0:
+        return 100.0 * far[k]
+    if d[k + 1] == 0.0:
+        return 100.0 * far[k + 1]
+    alpha = d[k] / (d[k] - d[k + 1])
+    return 100.0 * (far[k] + alpha * (far[k + 1] - far[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +314,16 @@ def save_trials(trials, path) -> None:
 
 def load_trials(path) -> list:
     out = []
-    for line in Path(path).read_text().splitlines():
-        sid, uid, lab = line.split("\t")
-        out.append(Trial(sid, uid, int(lab)))
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            sid, uid, lab = line.split("\t")
+            label = int(lab)
+        except ValueError as e:
+            raise DataError(f"{path}:{n}: bad trial row: {e}") from e
+        if label not in (0, 1):
+            raise DataError(f"{path}:{n}: trial label must be 0 or 1, "
+                            f"got {label}")
+        out.append(Trial(sid, uid, label))
     return out
 
 

@@ -74,10 +74,12 @@ class WorldParams:
             raise ConfigError("speaker imprint C must have full column rank")
         if self.A.shape != (self.F, self.V) or self.C.shape != (self.F, self.D):
             raise ConfigError("imprint matrix shapes inconsistent with D/V/F")
+        self._c_pinv = np.linalg.pinv(self.C)
 
     @property
     def c_pinv(self) -> np.ndarray:
-        return np.linalg.pinv(self.C)
+        """Pseudo-inverse of C, computed once at construction."""
+        return self._c_pinv
 
     def to_dict(self) -> dict:
         return _round9({
@@ -321,12 +323,25 @@ def oracle_extract_speaker(utt: Utterance, params: WorldParams) -> np.ndarray:
 
 
 def oracle_recover_tokens(frames, p_norm, s, params: WorldParams) -> np.ndarray:
-    """Per-frame nearest-column token recovery (ties -> lowest token id)."""
+    """Per-frame nearest-column token recovery (ties -> lowest token id).
+
+    Distances up to a per-row constant come from one GEMM, ||a||^2 - 2 r.A.
+    Rows whose two best candidates are within rounding of each other are
+    ranked again by exact difference-based distances, so every row gets
+    the index the direct (T, V, F) form gives, ties included.
+    """
     frames = np.asarray(frames, dtype=float)
     resid = frames - np.outer(np.asarray(p_norm), params.B) - params.C @ np.asarray(s)
-    diff = resid[:, None, :] - params.A.T[None, :, :]
-    d2 = np.einsum("tvf,tvf->tv", diff, diff)
-    return np.argmin(d2, axis=1)
+    a2 = np.einsum("fv,fv->v", params.A, params.A)
+    d2 = a2 - 2.0 * (resid @ params.A)
+    best = np.argmin(d2, axis=1)
+    top2 = np.partition(d2, 1, axis=1)
+    tol = 1e-9 * (np.einsum("tf,tf->t", resid, resid) + a2.max())
+    close = np.flatnonzero(top2[:, 1] - top2[:, 0] <= tol)
+    if close.size:
+        diff = resid[close, None, :] - params.A.T[None, :, :]
+        best[close] = np.argmin(np.einsum("tvf,tvf->tv", diff, diff), axis=1)
+    return best
 
 
 def token_error_rate(recovered_frame_tokens, reference_tokens, frames_per_token: int) -> float:
@@ -380,7 +395,11 @@ def _read_jsonl(path: Path):
 
 def load_dataset(in_dir) -> Dataset:
     src = Path(in_dir)
-    params = WorldParams.from_dict(json.loads((src / "world.json").read_text()))
+    try:
+        params = WorldParams.from_dict(
+            json.loads((src / "world.json").read_text()))
+    except json.JSONDecodeError as e:
+        raise DataError(f"{src / 'world.json'}: not valid JSON: {e}") from e
     speakers = []
     for d in _read_jsonl(src / "speakers.jsonl"):
         speakers.append(Speaker(

@@ -157,6 +157,15 @@ class TestExitCodes:
         assert main(["gen-world", "--config", str(bad),
                      "--out", str(tmp_path / "w")]) == 2
 
+    def test_int_accepted_for_float_config_value(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"world": {
+            "D": 8, "F": 12, "v_common": 24, "n_speakers": 4,
+            "utts_per_speaker": 3, "noise_sigma": 0,
+            "duration_range": [6, 12]}}))
+        assert main(["gen-world", "--config", str(cfg),
+                     "--out", str(tmp_path / "w")]) == 0
+
     def test_missing_dataset_exits_4(self, tmp_path):
         assert main(["build-trials", "--data", str(tmp_path / "absent"),
                      "--mode", "acoustic",
@@ -205,6 +214,44 @@ def _unknown_key(command, section):
     return case
 
 
+def _non_numeric_value(tmp, world, bb, an):
+    cfg = tmp / "config.json"
+    cfg.write_text(json.dumps({"backbone": {"steps": "abc"}}))
+    return (["train-backbone", "--config", cfg, "--data", world], "steps")
+
+
+def _bad_trials(row, named):
+    def case(tmp, world, bb, an):
+        bad = tmp / "trials.tsv"
+        bad.write_text("spk000\tutt00001\t1\n" + row + "\n")
+        return (["evaluate", "--data", world, "--anon", world,
+                 "--trials", bad], named)
+    return case
+
+
+def _truncate(path):
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+
+
+def _truncated_world_json(tmp, world, bb, an):
+    shutil.copytree(world, tmp / "w")
+    _truncate(tmp / "w" / "world.json")
+    return (["build-trials", "--data", tmp / "w"], "world.json")
+
+
+def _truncated_model_json(name):
+    def case(tmp, world, bb, an):
+        models = {"backbone": bb / "backbone", "anonymizer": an / "anonymizer"}
+        for suffix in (".ckpt", ".json"):
+            shutil.copy(models[name].with_suffix(suffix), tmp / (name + suffix))
+        _truncate(tmp / f"{name}.json")
+        models[name] = tmp / name
+        return (["anonymize", "--data", world, "--backbone", models["backbone"],
+                 "--anonymizer", models["anonymizer"]], f"{name}.json")
+    return case
+
+
 @pytest.mark.parametrize("make_case,code", [
     (_short_mapping_row, 4),
     (_truncated_checkpoint, 4),
@@ -212,8 +259,21 @@ def _unknown_key(command, section):
     (_unknown_key("train-backbone", "backbone"), 2),
     (_unknown_key("train-anonymizer", "anonymizer"), 2),
     (_unknown_key("gen-world", "world"), 2),
+    (_non_numeric_value, 2),
+    (_bad_trials("spk001\tutt00002", "trials.tsv:2"), 4),
+    (_bad_trials("spk001\tutt00002\tyes", "trials.tsv:2"), 4),
+    (_bad_trials("spk001\tutt00002\t2", "trials.tsv:2"), 4),
+    (_bad_trials("spk999\tutt00002\t0", "spk999"), 4),
+    (_bad_trials("spk001\tutt99999\t0", "utt99999"), 4),
+    (_truncated_world_json, 4),
+    (_truncated_model_json("backbone"), 4),
+    (_truncated_model_json("anonymizer"), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
-        "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key"])
+        "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
+        "non-numeric-config-value", "two-column-trial", "non-integer-label",
+        "label-out-of-range", "unknown-trial-speaker",
+        "unknown-trial-utterance", "truncated-world-json",
+        "truncated-backbone-json", "truncated-anonymizer-json"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline

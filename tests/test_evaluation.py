@@ -71,9 +71,9 @@ class TestEER:
             labels[:k] = 1
             sep = rng.uniform(-1.0, 1.0)
             scores = rng.standard_normal(n) + sep * labels
-            got = compute_eer(scores, labels)
-            assert got == pytest.approx(brute_force_eer(scores, labels),
-                                        abs=1e-9)
+            # the same set on a coarse grid, where most scores tie
+            for s in (scores, np.round(2.0 * scores) / 2.0):
+                assert compute_eer(s, labels) == brute_force_eer(s, labels)
 
     def test_rank_invariance(self):
         rng = np.random.default_rng(1)
@@ -156,6 +156,23 @@ class TestTrials:
         assert a == b
         save_trials(a, tmp_path / "t.tsv")
         assert load_trials(tmp_path / "t.tsv") == a
+
+
+class TestScoreTrials:
+    def test_matches_cosine_score_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        enroll = {f"s{i}": rng.standard_normal(8) for i in range(6)}
+        test = {f"u{j}": rng.standard_normal(8) for j in range(20)}
+        enroll["s0"] = np.zeros(8)
+        test["u3"] = np.zeros(8)
+        trials = [Trial(f"s{i}", f"u{j}", int(j % 6 == i))
+                  for i in range(6) for j in range(20)]
+        scores, labels = score_trials(trials, enroll, test)
+        want = [cosine_score(enroll[t.enroll_speaker_id],
+                             test[t.test_utterance_id]) for t in trials]
+        assert scores == want
+        assert labels == [t.label for t in trials]
+        assert scores[3] == 0.0 and scores[20 + 3] == 0.0
 
 
 class TestContentModel:

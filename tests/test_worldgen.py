@@ -9,6 +9,14 @@ from anonflow.worldgen import (PII_TYPES, WorldParams, generate_world,
                                synth_frames, token_error_rate)
 
 
+def recover_tokens_by_difference(frames, p_norm, s, params):
+    """Reference token recovery: exact distances from the (T, V, F)
+    difference tensor, ties to the lowest token id."""
+    resid = frames - np.outer(p_norm, params.B) - params.C @ s
+    diff = resid[:, None, :] - params.A.T[None, :, :]
+    return np.argmin(np.einsum("tvf,tvf->tv", diff, diff), axis=1)
+
+
 def small_params(noise_sigma=0.05, seed=0, n_speakers=4):
     return make_world_params(D=8, F=12, v_common=24, n_speakers=n_speakers,
                              noise_sigma=noise_sigma, seed=seed)
@@ -173,6 +181,44 @@ class TestOracles:
         err = np.mean(rec != 0)  # reference irrelevant; check near-uniform picks
         counts = np.bincount(rec, minlength=p.V)
         assert counts.max() / 400 < 0.15  # no token dominates
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 5.0, 30.0])
+    def test_recovery_matches_difference_reference(self, scale):
+        p, ds = small_world(noise_sigma=0.1, seed=3, utts=6)
+        rng = np.random.default_rng(int(scale))
+        for u in ds.utterances:
+            frames = u.frames + scale * rng.standard_normal(u.frames.shape)
+            s = ds.speaker(u.speaker_id).embedding
+            assert np.array_equal(
+                oracle_recover_tokens(frames, u.p_norm, s, p),
+                recover_tokens_by_difference(frames, u.p_norm, s, p))
+
+    def test_equidistant_frames_go_to_lowest_id(self):
+        # columns at the corners of a square: each edge midpoint is exactly
+        # equidistant from two columns, the centre from all four
+        a = 2.0 * np.array([[0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 0]])
+        p = WorldParams(D=2, V=4, F=3, A=a, B=np.zeros(3),
+                        C=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                        noise_sigma=0.0, gender_means=np.zeros((2, 2)),
+                        seed=0, v_common=4)
+        frames = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 0.0],
+                           [2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 5.0]])
+        s = np.zeros(2)
+        rec = oracle_recover_tokens(frames, np.zeros(6), s, p)
+        assert rec.tolist() == [0, 2, 0, 1, 0, 0]
+        assert np.array_equal(
+            rec, recover_tokens_by_difference(frames, np.zeros(6), s, p))
+
+    def test_midpoints_of_nearest_columns_match_reference(self):
+        # ties in exact arithmetic that rounding may break either way
+        p = small_params(noise_sigma=0.0, seed=4)
+        d2 = np.sum((p.A[:, :, None] - p.A[:, None, :]) ** 2, axis=0)
+        np.fill_diagonal(d2, np.inf)
+        frames = 0.5 * (p.A + p.A[:, np.argmin(d2, axis=0)]).T
+        p_norm, s = np.zeros(p.V), np.zeros(p.D)
+        assert np.array_equal(
+            oracle_recover_tokens(frames, p_norm, s, p),
+            recover_tokens_by_difference(frames, p_norm, s, p))
 
 
 def test_speaker_prior_unit_norm():
