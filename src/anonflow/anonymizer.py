@@ -222,26 +222,53 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
     {speaker_id: (w_used, s_anon)} for the attacker simulation.  A speaker's
     identity is drawn when the speaker is first seen and reused from the
     mapping after that, unless the scope is per_utterance.
+
+    Frames are synthesized per run: the consecutive utterances voiced by
+    one identity (one speaker's adjacent utterances, or a single utterance
+    under per_utterance) share one ``reconstruct`` call.  A run is flushed
+    before the next identity draw, so the generator gives the identity and
+    frame-noise draws in the same order as one call per utterance would.
     """
     frame_spec = frame_spec or IntegrationSpec(steps=16, t_start=0.0, t_end=1.0)
     embs = np.array([s.embedding for s in dataset.speakers], dtype=float)
     row = {s.id: k for k, s in enumerate(dataset.speakers)}
     mapping = {}
     new_utts = []
+    run = []                      # utterances voiced by the current identity
+
+    def flush():
+        if not run:
+            return
+        toks = [u.frame_tokens for u in run]
+        try:
+            frames = reconstruct(backbone, np.concatenate(toks),
+                                 np.concatenate([u.p_norm for u in run]),
+                                 mapping[run[0].speaker_id][1], frame_spec, rng)
+        except DivergenceError as e:
+            raise DivergenceError(f"utterances {run[0].id}..{run[-1].id}: {e}",
+                                  step=e.step) from e
+        ends = np.cumsum([len(t) for t in toks])[:-1]
+        new_utts.extend(replace(u, frames=f)
+                        for u, f in zip(run, np.split(frames, ends)))
+        run.clear()
+
     for u in dataset.utterances:
         k = row[u.speaker_id]
-        try:
-            if strategy.scope == "per_utterance" or u.speaker_id not in mapping:
+        draw = strategy.scope == "per_utterance" or u.speaker_id not in mapping
+        if draw or run[-1].speaker_id != u.speaker_id:
+            flush()
+        if draw:
+            try:
                 s_anon, w = anonymize_speaker(anonymizer, embs[k:k + 1],
                                               strategy, rng, spec, pool=embs,
                                               exclude=[k])
-                mapping[u.speaker_id] = (None if w is None else float(w[0]),
-                                         s_anon[0])
-            frames = reconstruct(backbone, u.frame_tokens, u.p_norm,
-                                 mapping[u.speaker_id][1], frame_spec, rng)
-        except DivergenceError as e:
-            raise DivergenceError(f"utterance {u.id}: {e}", step=e.step) from e
-        new_utts.append(replace(u, frames=frames))
+            except DivergenceError as e:
+                raise DivergenceError(f"utterance {u.id}: {e}",
+                                      step=e.step) from e
+            mapping[u.speaker_id] = (None if w is None else float(w[0]),
+                                     s_anon[0])
+        run.append(u)
+    flush()
     anon = Dataset(params=dataset.params, speakers=dataset.speakers,
                    utterances=new_utts, pool=dataset.pool)
     return anon, mapping

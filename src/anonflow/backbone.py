@@ -155,12 +155,18 @@ def train_backbone(dataset: Dataset, config: BackboneConfig,
 
 def reconstruct(model: BackboneModel, frame_tokens, p_norm, s,
                 spec: IntegrationSpec, rng: np.random.Generator) -> np.ndarray:
-    """Integrate the frame flow from per-frame Gaussian noise at times 0 -> 1."""
+    """Integrate the frame flow from per-frame Gaussian noise at times 0 -> 1.
+
+    Each distinct token is quantized once and its codeword gathered per
+    frame, which gives the same channels as ``local_cond(..., rng=None)``.
+    """
     if not (spec.t_start == 0.0 and spec.t_end == 1.0):
         raise InputError("reconstruction integrates forward from t=0 to t=1")
     frame_tokens = np.asarray(frame_tokens, dtype=int)
     t_frames = frame_tokens.shape[0]
-    local, _ = model.local_cond(frame_tokens, p_norm, rng=None)
+    uniq, inv = np.unique(frame_tokens, return_inverse=True)
+    c_vq = quantize(model.f_sem(uniq), model.codebook).c_vq[inv]
+    local = np.concatenate([c_vq, np.asarray(p_norm)[:, None]], axis=1)
     s = np.asarray(s, dtype=float)
     cond = (local, np.tile(s, (t_frames, 1)))
     x0 = rng.standard_normal((t_frames, model.frame_dim))

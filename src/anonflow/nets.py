@@ -19,9 +19,19 @@ finite-difference checks).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InputError, StateError
+
+
+@functools.lru_cache(maxsize=8)
+def _frequencies(dim: int) -> np.ndarray:
+    """The dim/2 log-spaced frequencies of ``time_embed``, read-only."""
+    omegas = np.geomspace(1.0, 1.0e4, dim // 2)
+    omegas.flags.writeable = False
+    return omegas
 
 
 def time_embed(t, dim: int) -> np.ndarray:
@@ -34,8 +44,7 @@ def time_embed(t, dim: int) -> np.ndarray:
         raise InputError(f"embedding dim must be even and >= 2, got {dim}")
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    omegas = np.geomspace(1.0, 1.0e4, dim // 2)
-    arg = t[:, None] * omegas[None, :]
+    arg = t[:, None] * _frequencies(dim)[None, :]
     out = np.empty((t.shape[0], dim))
     out[:, 0::2] = np.sin(arg)
     out[:, 1::2] = np.cos(arg)
@@ -202,9 +211,9 @@ class ConditionedField:
             cache["h_in"].append(h)
             z = h @ p[f"lay{j}.W"].T + p[f"lay{j}.b"]
             gs = c @ p[f"mod{j}.M"].T + p[f"mod{j}.c"]
-            scale, shift = np.split(gs, 2, axis=1)
+            width = self.hidden[j - 1]
             a = np.tanh(z)
-            h = a * (1.0 + scale) + shift
+            h = a * (1.0 + gs[:, :width]) + gs[:, width:]
             cache["a"].append(a)
             cache["gs"].append(gs)
         cache["h_last"] = h
@@ -223,8 +232,7 @@ class ConditionedField:
         c = cache["c"]
         for j in range(len(self.hidden), 0, -1):
             a = cache["a"][j - 1]
-            gs = cache["gs"][j - 1]
-            scale, _ = np.split(gs, 2, axis=1)
+            scale = cache["gs"][j - 1][:, :self.hidden[j - 1]]
             da = dh * (1.0 + scale)
             dscale = dh * a
             dshift = dh

@@ -29,7 +29,15 @@ PII_TYPES = ("PER", "LOC", "ORG", "MISC")
 
 
 def _round9(obj):
-    """Round all floats to 9 significant digits for stable serialization."""
+    """Round all floats to 9 significant digits for stable serialization.
+
+    1-D and 2-D float arrays take a flat path that gives the same values
+    as the generic recursion over ``tolist()``.
+    """
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2):
+        if obj.ndim == 1:
+            return [float(f"{v:.9g}") for v in obj.tolist()]
+        return [[float(f"{v:.9g}") for v in row] for row in obj.tolist()]
     if isinstance(obj, float):
         return float(f"{obj:.9g}")
     if isinstance(obj, dict):
@@ -383,14 +391,46 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
                                 "length": e.length}) + "\n")
 
 
-def _read_jsonl(path: Path):
-    """Yield one dict per line; a malformed line names the file and line."""
+def _read_jsonl(path: Path, fields: tuple):
+    """Yield ("path:line", dict) per line; a malformed line names both."""
     for n, line in enumerate(path.read_text().splitlines(), start=1):
+        where = f"{path}:{n}"
         try:
             d = json.loads(line)
         except json.JSONDecodeError as e:
-            raise DataError(f"{path}:{n}: not valid JSON: {e}") from e
-        yield d
+            raise DataError(f"{where}: not valid JSON: {e}") from e
+        missing = [k for k in fields if k not in d]
+        if missing:
+            raise DataError(f"{where}: missing field(s) {', '.join(missing)}")
+        yield where, d
+
+
+_UTTERANCE_FIELDS = ("id", "speaker_id", "gender", "duration_s", "tokens",
+                     "entity_spans", "f0_hz", "p_norm", "frames",
+                     "frames_per_token")
+
+
+def _load_utterance(where: str, d: dict, params: WorldParams) -> Utterance:
+    """One utterance row; tokens must lie in [0, V) and the per-frame
+    arrays must have T = len(tokens) * frames_per_token rows."""
+    tokens = list(d["tokens"])
+    if tokens and not (0 <= min(tokens) and max(tokens) < params.V):
+        raise DataError(f"{where}: token ids must lie in [0, {params.V})")
+    t = len(tokens) * d["frames_per_token"]
+    arrays = {}
+    for k, shape in (("f0_hz", (t,)), ("p_norm", (t,)), ("frames", (t, params.F))):
+        try:
+            arrays[k] = np.asarray(d[k], dtype=float)
+        except (TypeError, ValueError) as e:
+            raise DataError(f"{where}: {k} is not a numeric array: {e}") from e
+        if arrays[k].shape != shape:
+            raise DataError(f"{where}: {k} has shape {arrays[k].shape}, "
+                            f"expected {shape}")
+    return Utterance(
+        id=d["id"], speaker_id=d["speaker_id"], gender=d["gender"],
+        duration_s=d["duration_s"], tokens=tokens,
+        entity_spans=[tuple(sp) for sp in d["entity_spans"]],
+        frames_per_token=d["frames_per_token"], **arrays)
 
 
 def load_dataset(in_dir) -> Dataset:
@@ -401,22 +441,16 @@ def load_dataset(in_dir) -> Dataset:
     except json.JSONDecodeError as e:
         raise DataError(f"{src / 'world.json'}: not valid JSON: {e}") from e
     speakers = []
-    for d in _read_jsonl(src / "speakers.jsonl"):
+    for _, d in _read_jsonl(src / "speakers.jsonl",
+                            ("id", "gender", "embedding", "base_pitch_hz",
+                             "style", "pii_lexicon")):
         speakers.append(Speaker(
             id=d["id"], gender=d["gender"],
             embedding=np.asarray(d["embedding"]),
             base_pitch_hz=d["base_pitch_hz"], style=np.asarray(d["style"]),
             pii_lexicon={k: list(v) for k, v in d["pii_lexicon"].items()}))
-    utterances = []
-    for d in _read_jsonl(src / "utterances.jsonl"):
-        utterances.append(Utterance(
-            id=d["id"], speaker_id=d["speaker_id"], gender=d["gender"],
-            duration_s=d["duration_s"], tokens=list(d["tokens"]),
-            entity_spans=[tuple(sp) for sp in d["entity_spans"]],
-            f0_hz=np.asarray(d["f0_hz"]), p_norm=np.asarray(d["p_norm"]),
-            frames=np.asarray(d["frames"]),
-            frames_per_token=d["frames_per_token"]))
-    pool = []
-    for d in _read_jsonl(src / "replacement_pool.jsonl"):
-        pool.append(PoolEntry(type=d["type"], tokens=list(d["tokens"])))
+    utterances = [_load_utterance(where, d, params) for where, d in
+                  _read_jsonl(src / "utterances.jsonl", _UTTERANCE_FIELDS)]
+    pool = [PoolEntry(type=d["type"], tokens=list(d["tokens"])) for _, d in
+            _read_jsonl(src / "replacement_pool.jsonl", ("type", "tokens"))]
     return Dataset(params=params, speakers=speakers, utterances=utterances, pool=pool)

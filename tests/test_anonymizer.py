@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 import anonflow.anonymizer as anonymizer_mod
+import anonflow.backbone as backbone_mod
 from anonflow.anonymizer import (AnonymizerConfig, ObscurationInput,
                                  WeightStrategy, anonymize_dataset,
                                  anonymize_speaker, encode, generate,
                                  load_anonymizer, load_mapping, obscure,
                                  save_anonymizer, save_mapping,
                                  train_anonymizer)
-from anonflow.errors import ConfigError, InputError
+from anonflow.backbone import BackboneConfig, BackboneModel, reconstruct
+from anonflow.errors import ConfigError, DivergenceError, InputError
 from anonflow.flowmath import IntegrationSpec
-from anonflow.worldgen import generate_world, make_world_params
+from anonflow.worldgen import Dataset, generate_world, make_world_params
 
 
 def small_config(steps=300):
@@ -121,15 +123,30 @@ def world():
 
 @pytest.fixture
 def voiced_ids(monkeypatch):
-    """Stand in for the frame flow; records the identity each utterance got."""
-    seen = []
+    """Stand in for the frame flow; records (identity, n_frames) per call.
+
+    Returns a function that expands the calls to one identity per
+    utterance, checking that each call covered whole utterances.
+    """
+    calls = []
 
     def fake_reconstruct(backbone, frame_tokens, p_norm, s, spec, rng):
-        seen.append(np.array(s))
+        calls.append((np.array(s), len(frame_tokens)))
         return np.zeros((len(frame_tokens), 12))
 
     monkeypatch.setattr(anonymizer_mod, "reconstruct", fake_reconstruct)
-    return seen
+
+    def per_utterance(utterances):
+        out, left = [], list(utterances)
+        for s, n_frames in calls:
+            while n_frames > 0:
+                n_frames -= left.pop(0).n_frames
+                out.append(s)
+            assert n_frames == 0
+        assert not left
+        return out
+
+    return per_utterance
 
 
 STRATEGIES = [WeightStrategy(kind="fixed", w=0.5),
@@ -198,7 +215,7 @@ class TestPipeline:
         _, mapping = anonymize_dataset(None, model, world, strat, spec,
                                        np.random.default_rng(3))
         assert sorted(mapping) == sorted(s.id for s in world.speakers)
-        for u, s in zip(world.utterances, voiced_ids):
+        for u, s in zip(world.utterances, voiced_ids(world.utterances)):
             assert np.array_equal(s, mapping[u.speaker_id][1])
         ids = [mapping[sid][1] for sid in mapping]
         assert not np.array_equal(ids[0], ids[1])
@@ -211,7 +228,7 @@ class TestPipeline:
         _, mapping = anonymize_dataset(None, model, world, strat, spec,
                                        np.random.default_rng(3))
         by_speaker = {}
-        for u, s in zip(world.utterances, voiced_ids):
+        for u, s in zip(world.utterances, voiced_ids(world.utterances)):
             by_speaker.setdefault(u.speaker_id, []).append(s)
         for sid, ids in by_speaker.items():
             assert not np.array_equal(ids[0], ids[1])
@@ -237,6 +254,104 @@ class TestPipeline:
             anonymize_speaker(model, emb[:1], WeightStrategy(kind="pool"),
                               np.random.default_rng(0), spec, pool=emb[:1],
                               exclude=[0])
+
+
+@pytest.fixture(scope="module")
+def frame_model(world):
+    """An untrained backbone whose speaker modulation is switched on."""
+    p = world.params
+    model = BackboneModel(frame_dim=p.F, speaker_dim=p.D, vocab_size=p.V,
+                          config=BackboneConfig(content_dim=8, hidden=(16, 16)))
+    model.codebook.entries = model.f_sem(np.arange(p.V))
+    rng = np.random.default_rng(4)
+    for k, v in model.field.params.items():
+        if k.startswith("mod"):
+            model.field.params[k] = (0.3 * rng.standard_normal(v.shape)
+                                     ).astype(v.dtype)
+    return model
+
+
+def per_utterance_reference(backbone, anonymizer, dataset, strategy, spec,
+                            rng):
+    """One identity draw and one ``reconstruct`` per utterance, in order."""
+    frame_spec = IntegrationSpec(steps=16, t_start=0.0, t_end=1.0)
+    embs = np.array([s.embedding for s in dataset.speakers])
+    row = {s.id: k for k, s in enumerate(dataset.speakers)}
+    voice, frames = {}, []
+    for u in dataset.utterances:
+        k = row[u.speaker_id]
+        if strategy.scope == "per_utterance" or u.speaker_id not in voice:
+            s_anon, _ = anonymize_speaker(anonymizer, embs[k:k + 1], strategy,
+                                          rng, spec, pool=embs, exclude=[k])
+            voice[u.speaker_id] = s_anon[0]
+        frames.append(reconstruct(backbone, u.frame_tokens, u.p_norm,
+                                  voice[u.speaker_id], frame_spec, rng))
+    return frames, voice
+
+
+def _orders(world):
+    utts = world.utterances
+    # "revisit": spk000's last utterance comes after every other speaker's
+    return {"grouped": world,
+            "revisit": Dataset(params=world.params, speakers=world.speakers,
+                               utterances=utts[:2] + utts[3:] + utts[2:3],
+                               pool=world.pool)}
+
+
+class TestFrameRuns:
+    """anonymize_dataset makes one reconstruct per identity run."""
+
+    @pytest.mark.parametrize("scope", ["per_speaker", "per_utterance"])
+    @pytest.mark.parametrize("strat", STRATEGIES, ids=lambda s: s.kind)
+    def test_noise_draws_match_per_utterance_loop(self, trained, world,
+                                                  frame_model, monkeypatch,
+                                                  strat, scope):
+        monkeypatch.setattr(backbone_mod, "integrate",
+                            lambda field, x, spec, cond=None: x)
+        model, _, _ = trained
+        strat = WeightStrategy(kind=strat.kind, w=strat.w, a=strat.a,
+                               b=strat.b, scope=scope)
+        spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
+        for ds in _orders(world).values():
+            anon, mapping = anonymize_dataset(frame_model, model, ds, strat,
+                                              spec, np.random.default_rng(3))
+            ref, voice = per_utterance_reference(frame_model, model, ds, strat,
+                                                 spec, np.random.default_rng(3))
+            for u, f in zip(anon.utterances, ref):
+                assert np.array_equal(u.frames, f)
+            for sid, (_, s_anon) in mapping.items():
+                assert np.array_equal(s_anon, voice[sid])
+
+    @pytest.mark.parametrize("scope", ["per_speaker", "per_utterance"])
+    def test_frames_close_to_per_utterance_loop(self, trained, world,
+                                                frame_model, scope):
+        model, _, _ = trained
+        strat = WeightStrategy(kind="range", a=-1.0, b=1.0, scope=scope)
+        spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
+        for ds in _orders(world).values():
+            anon, _ = anonymize_dataset(frame_model, model, ds, strat, spec,
+                                        np.random.default_rng(3))
+            ref, _ = per_utterance_reference(frame_model, model, ds, strat,
+                                             spec, np.random.default_rng(3))
+            for u, f in zip(anon.utterances, ref):
+                assert u.frames.shape == f.shape
+                assert np.allclose(u.frames, f, rtol=0, atol=1e-5)
+
+    def test_divergence_names_the_run(self, trained, world, frame_model,
+                                      monkeypatch):
+        def diverge(field, x, spec, cond=None):
+            raise DivergenceError("non-finite state at step 3", step=3)
+
+        monkeypatch.setattr(backbone_mod, "integrate", diverge)
+        model, _, _ = trained
+        spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
+        with pytest.raises(DivergenceError) as ei:
+            anonymize_dataset(frame_model, model, world,
+                              WeightStrategy(kind="fixed", w=0.5), spec,
+                              np.random.default_rng(3))
+        first, last = world.utterances[0].id, world.utterances[2].id
+        assert f"utterances {first}..{last}:" in str(ei.value)
+        assert ei.value.step == 3
 
 
 class TestPersistence:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import anonflow.backbone as backbone_mod
 from anonflow.backbone import (BackboneConfig, BackboneModel, load_backbone,
                                reconstruct, save_backbone, train_backbone)
 from anonflow.errors import InputError
@@ -69,6 +70,26 @@ class TestReconstruct:
         b = reconstruct(model, toks, pn, s, spec, np.random.default_rng(5))
         assert a.shape == (4, model.frame_dim)
         assert np.array_equal(a, b)
+
+    def test_local_cond_matches_per_frame_quantize(self, trained,
+                                                   monkeypatch):
+        model, _ = trained
+        seen = []
+
+        def capture(field, x, spec, cond=None):
+            seen.append(cond)
+            return x
+
+        monkeypatch.setattr(backbone_mod, "integrate", capture)
+        rng = np.random.default_rng(2)
+        toks = np.repeat(rng.integers(0, model.vocab_size, size=40), 4)
+        pn = rng.standard_normal(toks.size)
+        s = rng.standard_normal(model.speaker_dim)
+        spec = IntegrationSpec(steps=8, t_start=0.0, t_end=1.0)
+        reconstruct(model, toks, pn, s, spec, np.random.default_rng(5))
+        local, _ = model.local_cond(toks, pn, rng=None)
+        assert np.array_equal(seen[0][0], local)
+        assert np.array_equal(seen[0][1], np.tile(s, (toks.size, 1)))
 
     def test_backward_spec_rejected(self, trained):
         model, _ = trained

@@ -204,6 +204,19 @@ def _bad_jsonl_line(tmp, world, bb, an):
     return (["build-trials", "--data", tmp / "w"], "utterances.jsonl:2")
 
 
+def _bad_utterance(edit):
+    def case(tmp, world, bb, an):
+        shutil.copytree(world, tmp / "w")
+        path = tmp / "w" / "utterances.jsonl"
+        lines = path.read_text().splitlines()
+        d = json.loads(lines[1])
+        edit(d)
+        lines[1] = json.dumps(d)
+        path.write_text("\n".join(lines) + "\n")
+        return (["build-trials", "--data", tmp / "w"], "utterances.jsonl:2")
+    return case
+
+
 def _unknown_key(command, section):
     def case(tmp, world, bb, an):
         cfg = tmp / "config.json"
@@ -268,12 +281,20 @@ def _truncated_model_json(name):
     (_truncated_world_json, 4),
     (_truncated_model_json("backbone"), 4),
     (_truncated_model_json("anonymizer"), 4),
+    (_bad_utterance(lambda d: d.pop("frames")), 4),
+    (_bad_utterance(lambda d: d.update(p_norm=d["p_norm"][:-3])), 4),
+    (_bad_utterance(lambda d: d["tokens"].__setitem__(0, 99999)), 4),
+    (_bad_utterance(lambda d: d.update(frames=d["frames"][:-1])), 4),
+    (_bad_utterance(lambda d: d.update(
+        frames=[row[:-1] for row in d["frames"]])), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
         "label-out-of-range", "unknown-trial-speaker",
         "unknown-trial-utterance", "truncated-world-json",
-        "truncated-backbone-json", "truncated-anonymizer-json"])
+        "truncated-backbone-json", "truncated-anonymizer-json",
+        "utterance-without-frames", "short-p-norm", "token-out-of-range",
+        "frames-row-short", "frames-column-narrow"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from anonflow.errors import InputError, StateError
-from anonflow.nets import ConditionedField, UShapedField, time_embed
+from anonflow.nets import (ConditionedField, UShapedField, _frequencies,
+                           time_embed)
 
 
 class TestTimeEmbed:
@@ -26,6 +27,21 @@ class TestTimeEmbed:
     def test_batched(self):
         e = time_embed(np.array([0.0, 0.5]), 4)
         assert e.shape == (2, 4)
+
+    def test_cached_frequencies_match_geomspace_formula(self):
+        t = np.random.default_rng(0).uniform(0.0, 1.0, size=33)
+        for dim in range(2, 34, 2):
+            arg = t[:, None] * np.geomspace(1.0, 1.0e4, dim // 2)[None, :]
+            ref = np.empty((t.size, dim))
+            ref[:, 0::2], ref[:, 1::2] = np.sin(arg), np.cos(arg)
+            assert np.array_equal(time_embed(t, dim), ref)
+            assert np.array_equal(time_embed(t[3], dim), ref[3])
+
+    def test_cached_frequencies_read_only(self):
+        omegas = _frequencies(16)
+        assert omegas is _frequencies(16)
+        with pytest.raises(ValueError):
+            omegas[0] = 2.0
 
 
 def _fd_check(field, x, t, cond, rel_tol=1e-4, h=1e-3):

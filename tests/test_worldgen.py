@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from anonflow.errors import ConfigError, InputError
-from anonflow.worldgen import (PII_TYPES, WorldParams, generate_world,
+from anonflow.worldgen import (PII_TYPES, WorldParams, _round9, generate_world,
                                load_dataset, make_world_params,
                                oracle_extract_speaker, oracle_recover_tokens,
                                sample_speaker_embedding, save_dataset,
@@ -227,3 +229,17 @@ def test_speaker_prior_unit_norm():
     for g in ("male", "female"):
         e = sample_speaker_embedding(p, g, rng)
         assert np.linalg.norm(e) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("shape", [(0,), (7,), (33,), (5, 4), (1, 24), (3, 0)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_round9_array_fast_path_matches_generic_recursion(shape, dtype):
+    rng = np.random.default_rng(0)
+    special = [-0.0, 0.0, 1e-5, -1e-5, 1e9, 123456789.0, 3.0, -2.0,
+               1.0 / 3.0, 2.5e-300, 6.02214076e23]
+    scaled = rng.standard_normal(64) * 10.0 ** rng.integers(-6, 9, 64)
+    a = np.resize(np.concatenate([special, scaled]), shape).astype(dtype)
+    # a list input takes the generic per-element recursion
+    assert json.dumps(_round9(a)) == json.dumps(_round9(a.tolist()))
+    assert (json.dumps(_round9({"x": a}))
+            == json.dumps(_round9({"x": a.tolist()})))
