@@ -33,6 +33,7 @@ from .optim import AdamW, OneCycle
 from .backbone import BackboneModel, reconstruct
 from .worldgen import Dataset
 
+RUN_FRAMES = 4096   # most frames one run's reconstruct call solves at once
 
 @dataclass
 class AnonymizerConfig:
@@ -228,6 +229,9 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
     under per_utterance) share one ``reconstruct`` call.  A run is flushed
     before the next identity draw, so the generator gives the identity and
     frame-noise draws in the same order as one call per utterance would.
+    A run is also flushed before it would pass ``RUN_FRAMES`` frames, which
+    bounds one call's activations however many adjacent utterances a
+    speaker has; the noise draws keep their order across the cut.
     """
     frame_spec = frame_spec or IntegrationSpec(steps=16, t_start=0.0, t_end=1.0)
     embs = np.array([s.embedding for s in dataset.speakers], dtype=float)
@@ -255,7 +259,8 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
     for u in dataset.utterances:
         k = row[u.speaker_id]
         draw = strategy.scope == "per_utterance" or u.speaker_id not in mapping
-        if draw or run[-1].speaker_id != u.speaker_id:
+        if (draw or run[-1].speaker_id != u.speaker_id
+                or sum(v.n_frames for v in run) + u.n_frames > RUN_FRAMES):
             flush()
         if draw:
             try:

@@ -75,11 +75,10 @@ class BackboneModel:
             f = f + self.config.f_sem_noise * rng.standard_normal(f.shape)
         return f
 
-    def local_cond(self, frame_tokens, p_norm, rng=None):
+    @staticmethod
+    def local_cond(c_vq, p_norm) -> np.ndarray:
         """(c_vq, p_norm) channels concatenated for the field's local input."""
-        res = quantize(self.f_sem(frame_tokens, rng), self.codebook)
-        local = np.concatenate([res.c_vq, np.asarray(p_norm)[:, None]], axis=1)
-        return local, res
+        return np.concatenate([c_vq, np.asarray(p_norm)[:, None]], axis=1)
 
     def tensors(self) -> dict:
         out = {f"backbone/{k}": v for k, v in self.field.params.items()}
@@ -137,7 +136,8 @@ def train_backbone(dataset: Dataset, config: BackboneConfig,
     trace = []
     for step in range(config.steps):
         idx = rng.choice(n, size=min(config.batch, n), replace=False)
-        local, res = model.local_cond(toks[idx], pn[idx], rng)
+        res = quantize(model.f_sem(toks[idx], rng), model.codebook)
+        local = model.local_cond(res.c_vq, pn[idx])
         l_flow, grads = cfm_loss(model.field, x1[idx], (local, spk[idx]), rng)
         f = model.f_sem(toks[idx])  # commitment gradient w.r.t. codewords
         grads["codebook"] = config.lam * codebook_grad(f, res, model.codebook)
@@ -157,8 +157,9 @@ def reconstruct(model: BackboneModel, frame_tokens, p_norm, s,
                 spec: IntegrationSpec, rng: np.random.Generator) -> np.ndarray:
     """Integrate the frame flow from per-frame Gaussian noise at times 0 -> 1.
 
-    Each distinct token is quantized once and its codeword gathered per
-    frame, which gives the same channels as ``local_cond(..., rng=None)``.
+    Without f_sem noise a frame's codeword depends on its token alone, so
+    each distinct token is quantized once and its codeword gathered per
+    frame.
     """
     if not (spec.t_start == 0.0 and spec.t_end == 1.0):
         raise InputError("reconstruction integrates forward from t=0 to t=1")
@@ -166,7 +167,7 @@ def reconstruct(model: BackboneModel, frame_tokens, p_norm, s,
     t_frames = frame_tokens.shape[0]
     uniq, inv = np.unique(frame_tokens, return_inverse=True)
     c_vq = quantize(model.f_sem(uniq), model.codebook).c_vq[inv]
-    local = np.concatenate([c_vq, np.asarray(p_norm)[:, None]], axis=1)
+    local = model.local_cond(c_vq, p_norm)
     s = np.asarray(s, dtype=float)
     cond = (local, np.tile(s, (t_frames, 1)))
     x0 = rng.standard_normal((t_frames, model.frame_dim))

@@ -29,21 +29,16 @@ PII_TYPES = ("PER", "LOC", "ORG", "MISC")
 
 
 def _round9(obj):
-    """Round all floats to 9 significant digits for stable serialization.
-
-    1-D and 2-D float arrays take a flat path that gives the same values
-    as the generic recursion over ``tolist()``.
-    """
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2):
-        if obj.ndim == 1:
-            return [float(f"{v:.9g}") for v in obj.tolist()]
-        return [[float(f"{v:.9g}") for v in row] for row in obj.tolist()]
+    """Round all floats to 9 significant digits for stable serialization."""
     if isinstance(obj, float):
         return float(f"{obj:.9g}")
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round9(v) for v in obj]
+        # round float elements inline, not by one call each: a frame
+        # matrix holds about 1e5 of them
+        return [float(f"{v:.9g}") if type(v) is float else _round9(v)
+                for v in obj]
     if isinstance(obj, np.ndarray):
         return _round9(obj.tolist())
     if isinstance(obj, (np.floating,)):
@@ -411,12 +406,18 @@ _UTTERANCE_FIELDS = ("id", "speaker_id", "gender", "duration_s", "tokens",
 
 
 def _load_utterance(where: str, d: dict, params: WorldParams) -> Utterance:
-    """One utterance row; tokens must lie in [0, V) and the per-frame
-    arrays must have T = len(tokens) * frames_per_token rows."""
-    tokens = list(d["tokens"])
+    """One utterance row; tokens must be integer ids in [0, V) and the
+    per-frame arrays must have T = len(tokens) * frames_per_token rows."""
+    fpt = d["frames_per_token"]
+    if type(fpt) is not int or fpt < 1:
+        raise DataError(f"{where}: frames_per_token must be a positive "
+                        f"integer, got {fpt!r}")
+    tokens = d["tokens"]
+    if not (isinstance(tokens, list) and all(type(k) is int for k in tokens)):
+        raise DataError(f"{where}: tokens must be a list of integer ids")
     if tokens and not (0 <= min(tokens) and max(tokens) < params.V):
         raise DataError(f"{where}: token ids must lie in [0, {params.V})")
-    t = len(tokens) * d["frames_per_token"]
+    t = len(tokens) * fpt
     arrays = {}
     for k, shape in (("f0_hz", (t,)), ("p_norm", (t,)), ("frames", (t, params.F))):
         try:
@@ -430,7 +431,7 @@ def _load_utterance(where: str, d: dict, params: WorldParams) -> Utterance:
         id=d["id"], speaker_id=d["speaker_id"], gender=d["gender"],
         duration_s=d["duration_s"], tokens=tokens,
         entity_spans=[tuple(sp) for sp in d["entity_spans"]],
-        frames_per_token=d["frames_per_token"], **arrays)
+        frames_per_token=fpt, **arrays)
 
 
 def load_dataset(in_dir) -> Dataset:

@@ -301,20 +301,34 @@ def _orders(world):
 class TestFrameRuns:
     """anonymize_dataset makes one reconstruct per identity run."""
 
+    @pytest.mark.parametrize("cap", ["default", "cut"])
     @pytest.mark.parametrize("scope", ["per_speaker", "per_utterance"])
     @pytest.mark.parametrize("strat", STRATEGIES, ids=lambda s: s.kind)
     def test_noise_draws_match_per_utterance_loop(self, trained, world,
                                                   frame_model, monkeypatch,
-                                                  strat, scope):
-        monkeypatch.setattr(backbone_mod, "integrate",
-                            lambda field, x, spec, cond=None: x)
+                                                  strat, scope, cap):
+        rows = []
+
+        def identity(field, x, spec, cond=None):
+            rows.append(len(x))
+            return x
+
+        monkeypatch.setattr(backbone_mod, "integrate", identity)
+        if cap == "cut":
+            # every utterance fits alone, but a speaker's run must be split
+            max_rows = max(u.n_frames for u in world.utterances)
+            monkeypatch.setattr(anonymizer_mod, "RUN_FRAMES", max_rows)
         model, _, _ = trained
         strat = WeightStrategy(kind=strat.kind, w=strat.w, a=strat.a,
                                b=strat.b, scope=scope)
         spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
         for ds in _orders(world).values():
+            rows.clear()
             anon, mapping = anonymize_dataset(frame_model, model, ds, strat,
                                               spec, np.random.default_rng(3))
+            if cap == "cut":
+                assert max(rows) <= max_rows
+                assert len(rows) > len(mapping)
             ref, voice = per_utterance_reference(frame_model, model, ds, strat,
                                                  spec, np.random.default_rng(3))
             for u, f in zip(anon.utterances, ref):

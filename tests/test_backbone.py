@@ -6,6 +6,7 @@ from anonflow.backbone import (BackboneConfig, BackboneModel, load_backbone,
                                reconstruct, save_backbone, train_backbone)
 from anonflow.errors import InputError
 from anonflow.flowmath import IntegrationSpec
+from anonflow.vq import quantize
 from anonflow.worldgen import generate_world, make_world_params
 
 
@@ -87,7 +88,8 @@ class TestReconstruct:
         s = rng.standard_normal(model.speaker_dim)
         spec = IntegrationSpec(steps=8, t_start=0.0, t_end=1.0)
         reconstruct(model, toks, pn, s, spec, np.random.default_rng(5))
-        local, _ = model.local_cond(toks, pn, rng=None)
+        c_vq = quantize(model.f_sem(toks), model.codebook).c_vq
+        local = np.concatenate([c_vq, pn[:, None]], axis=1)
         assert np.array_equal(seen[0][0], local)
         assert np.array_equal(seen[0][1], np.tile(s, (toks.size, 1)))
 

@@ -287,6 +287,9 @@ def _truncated_model_json(name):
     (_bad_utterance(lambda d: d.update(frames=d["frames"][:-1])), 4),
     (_bad_utterance(lambda d: d.update(
         frames=[row[:-1] for row in d["frames"]])), 4),
+    (_bad_utterance(lambda d: d.update(
+        frames_per_token=float(d["frames_per_token"]))), 4),
+    (_bad_utterance(lambda d: d["tokens"].__setitem__(0, 1.5)), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -294,7 +297,8 @@ def _truncated_model_json(name):
         "unknown-trial-utterance", "truncated-world-json",
         "truncated-backbone-json", "truncated-anonymizer-json",
         "utterance-without-frames", "short-p-norm", "token-out-of-range",
-        "frames-row-short", "frames-column-narrow"])
+        "frames-row-short", "frames-column-narrow", "float-frames-per-token",
+        "float-token"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline

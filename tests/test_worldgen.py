@@ -231,15 +231,33 @@ def test_speaker_prior_unit_norm():
         assert np.linalg.norm(e) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("shape", [(0,), (7,), (33,), (5, 4), (1, 24), (3, 0)])
+def round9_reference(obj):
+    """One recursive call per value: the plain form of ``_round9``."""
+    if isinstance(obj, float):
+        return float(f"{obj:.9g}")
+    if isinstance(obj, dict):
+        return {k: round9_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round9_reference(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return round9_reference(obj.tolist())
+    if isinstance(obj, np.floating):
+        return round9_reference(float(obj))
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+@pytest.mark.parametrize("shape", [(0,), (7,), (33,), (5, 4), (1, 24), (3, 0),
+                                   (2, 3, 4)])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_round9_array_fast_path_matches_generic_recursion(shape, dtype):
+def test_round9_matches_per_value_recursion(shape, dtype):
     rng = np.random.default_rng(0)
     special = [-0.0, 0.0, 1e-5, -1e-5, 1e9, 123456789.0, 3.0, -2.0,
                1.0 / 3.0, 2.5e-300, 6.02214076e23]
     scaled = rng.standard_normal(64) * 10.0 ** rng.integers(-6, 9, 64)
     a = np.resize(np.concatenate([special, scaled]), shape).astype(dtype)
-    # a list input takes the generic per-element recursion
-    assert json.dumps(_round9(a)) == json.dumps(_round9(a.tolist()))
-    assert (json.dumps(_round9({"x": a}))
-            == json.dumps(_round9({"x": a.tolist()})))
+    mixed = {"x": a, "row": [1.0 / 3.0, 2, True, None, "s", np.float32(0.1),
+                             np.int64(7), (0.5, [-0.0, 1e-5])]}
+    for obj in (a, a.tolist(), mixed):
+        assert json.dumps(_round9(obj)) == json.dumps(round9_reference(obj))
