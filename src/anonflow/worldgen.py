@@ -17,6 +17,8 @@ Vocabulary layout (fixed carving of [0, V)):
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +30,55 @@ from .pitch import pitch_or_zeros
 PII_TYPES = ("PER", "LOC", "ORG", "MISC")
 
 
+# 10**k is exact in float64 for k <= 22, so one multiply or divide by it is
+# correctly rounded
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+
+
+def _exact_floats(v) -> bool:
+    """True for a float array whose values are exact in float64."""
+    return (isinstance(v, np.ndarray) and v.dtype.kind == "f"
+            and v.dtype.itemsize <= 8)
+
+
+def _scale(a, e):
+    """a * 10**(8 - e), by one exact power of ten."""
+    k = 8 - e
+    return np.where(k >= 0, a * _POW10[np.maximum(k, 0)],
+                    a / _POW10[np.maximum(-k, 0)])
+
+
+def _split9(v):
+    """Exact digit split of ``float(f"{x:.9g}")`` for a float64 array.
+
+    Returns (m, e, fast): for each value marked ``fast`` the rounded value
+    is +-m * 10**(e - 8), with m a whole float in [1e8, 1e9) (0 for zeros).
+    The scale by an exact power of ten and ``rint`` are each correctly
+    rounded, so m is exact unless the scaled fraction lies within 1e-6 of
+    .5, where the product's rounding could move a tie.  ``fast`` is false
+    for those, for non-finite values and for values that ``repr`` prints
+    in exponent form (rounded value outside 1e-4 <= |x| < 1e16); the
+    caller gives them to the per-value code.
+    """
+    a = np.abs(v)
+    live = (a >= 5e-5) & (a < 2e16)
+    a = np.where(live, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s = _scale(a, e)
+    m = np.rint(s)
+    # rounding carried into a tenth digit, or log10 was one ulp off
+    off = np.flatnonzero((m >= 1e9) | (m < 1e8))
+    if off.size:
+        e[off] += np.where(m[off] >= 1e9, 1, -1)
+        s[off] = _scale(a[off], e[off])
+        m[off] = np.rint(s[off])
+    tie = np.abs(np.abs(s - m) - 0.5) < 1e-6
+    fast = live & (e >= -4) & (e <= 15) & ~tie
+    zero = v == 0
+    m[zero], e[zero], fast[zero] = 0.0, 0, True
+    return m, e, fast
+
+
 def _round9(obj):
     """Round all floats to 9 significant digits for stable serialization."""
     if isinstance(obj, float):
@@ -35,10 +86,15 @@ def _round9(obj):
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        # round float elements inline, not by one call each: a frame
-        # matrix holds about 1e5 of them
-        return [float(f"{v:.9g}") if type(v) is float else _round9(v)
-                for v in obj]
+        return [_round9(v) for v in obj]
+    if _exact_floats(obj):
+        v = obj.astype(float).ravel()
+        m, e, fast = _split9(v)
+        r = np.where(e >= 8, m * _POW10[np.clip(e - 8, 0, 22)],
+                     m / _POW10[np.clip(8 - e, 0, 22)])
+        r = np.copysign(r, v)
+        r[~fast] = [float(f"{x:.9g}") for x in v[~fast]]
+        return r.reshape(obj.shape).tolist()
     if isinstance(obj, np.ndarray):
         return _round9(obj.tolist())
     if isinstance(obj, (np.floating,)):
@@ -123,9 +179,15 @@ def make_world_params(D: int = 16, F: int = 24, v_common: int = 80,
     gender_means = 1.5 * rng.standard_normal((2, D))
     margin = 6.0 * noise_sigma * np.sqrt(F)
     if margin > 0:
-        d2 = np.sum((A[:, :, None] - A[:, None, :]) ** 2, axis=0)
-        np.fill_diagonal(d2, np.inf)
-        dmin = np.sqrt(d2.min())
+        # closest pair of columns, against 32 columns at a time: the whole
+        # (F, V, V) difference tensor is 8*F*V^2 bytes (76 MB at V = 628)
+        d2min = np.inf
+        for j in range(0, V, 32):
+            d2 = np.sum((A[:, :, None] - A[:, None, j:j + 32]) ** 2, axis=0)
+            cols = np.arange(d2.shape[1])
+            d2[j + cols, cols] = np.inf
+            d2min = min(d2min, d2.min())
+        dmin = np.sqrt(d2min)
         if dmin <= margin:
             A *= 1.05 * margin / dmin
     return WorldParams(D=D, V=V, F=F, A=A, B=B, C=C, noise_sigma=noise_sigma,
@@ -359,31 +421,166 @@ def token_error_rate(recovered_frame_tokens, reference_tokens, frames_per_token:
 # ---------------------------------------------------------------------------
 # serialization
 
+# The text of a value rounded to 9 significant digits is built from its
+# digit split.  Three lookups of "ddd" plus a filler byte give each value
+# 12 characters: digit j at column j + j // 3, then "0", "." and NUL at
+# columns 3, 7 and 11.
+_TRIPLES = np.frombuffer(b"".join(
+    f"{i:03d}".encode() + fill for fill in (b"0", b".", b"\0")
+    for i in range(1000)), np.uint32).reshape(3, 1000)
+_TRAILING_ZEROS = np.array(
+    [3] + [len(str(i)) - len(str(i).rstrip("0")) for i in range(1, 1000)])
+_DIGIT = [j + j // 3 for j in range(9)]
+_ZERO, _DOT = 3, 7
+
+
+def _layout(e: int, k: int) -> list:
+    """Columns of ``repr`` text after the sign, for exponent e in [-4, 15]
+    and k significant digits kept."""
+    if e < 0:
+        return [_ZERO, _DOT] + [_ZERO] * (-e - 1) + _DIGIT[:k]
+    i = min(e, 8) + 1
+    return (_DIGIT[:i] + [_ZERO] * (e - 8) + [_DOT] + _DIGIT[i:k]
+            + [_ZERO] * (e >= 8))
+
+
+# layouts by key (e + 4) * 10 + k; key 0 (a value left to the per-value
+# code) writes nothing
+_LAYOUTS = [np.array(_layout(key // 10 - 4, key % 10) if key % 10 else [],
+                     dtype=np.intp) for key in range(200)]
+_TEXT_W = 19   # sign plus the widest fixed-notation repr, "1234567890123456.0"
+_ROW = np.dtype((np.void, _TEXT_W + 4))
+# what follows a value: more values, the end of a 1-D array, the end of a
+# matrix row, the end of a matrix
+_SEP, _END1, _ENDROW, _END2 = range(4)
+_SUFFIX = np.array([list(t.ljust(4, b"\0"))
+                    for t in (b", ", b"]", b"], [", b"]]")], np.uint8)
+# values formatted at once; keeps the (n, 23) text rows and the digit
+# columns at a few MB
+BATCH_VALUES = 1 << 16
+
+
+def _text_rows(v, code):
+    """(n, _TEXT_W + 4) uint8 rows: each value's ``json.dumps`` text after
+    rounding to 9 significant digits, then its suffix, NUL padded."""
+    n = v.size
+    m, e, fast = _split9(v)
+    m = m.astype(np.int32)
+    g = (m // 1000000, m // 1000 % 1000, m % 1000)
+    chars = np.stack([_TRIPLES[t, g[t]] for t in range(3)], axis=1)
+    tz = np.where(g[2] > 0, _TRAILING_ZEROS[g[2]],
+                  np.where(g[1] > 0, 3 + _TRAILING_ZEROS[g[1]],
+                           6 + _TRAILING_ZEROS[g[0]]))
+    # repr drops trailing zeros, but keeps the first fraction digit
+    k = np.clip(9 - tz, np.maximum(e, -1) + 2, 9)
+    key = np.where(fast, (np.clip(e, -4, 15) + 4) * 10 + k, 0).astype(np.uint8)
+    # sort by layout, so each layout is one column gather over a slice
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    chars = chars.view((np.void, 12)).ravel()[order]
+    chars = chars.view(np.uint8).reshape(n, 12)
+    by_layout = np.zeros((n, _TEXT_W + 4), np.uint8)
+    cuts = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), n]
+    for lo, hi in zip(cuts, cuts[1:]):
+        cols = _LAYOUTS[key[lo]]
+        by_layout[lo:hi, 1:1 + cols.size] = chars[lo:hi].take(cols, axis=1)
+    buf = np.empty_like(by_layout)
+    buf.view(_ROW).ravel()[order] = by_layout.view(_ROW).ravel()
+    buf[:, 0] = np.where(np.signbit(v), ord("-"), 0)
+    for i in np.flatnonzero(~fast):
+        text = json.dumps(float(f"{v[i]:.9g}")).encode()
+        buf[i, :_TEXT_W] = 0
+        buf[i, :len(text)] = np.frombuffer(text, np.uint8)
+    buf[:, _TEXT_W:] = _SUFFIX[code]
+    return buf
+
+
+def _json_arrays(arrays) -> list:
+    """``json.dumps(_round9(a))`` as bytes for each non-empty 1-D or 2-D
+    float array, from one text buffer over all their values."""
+    v = np.concatenate([a.ravel() for a in arrays]).astype(float, copy=False)
+    code = np.full(v.size, _SEP)
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    for a, end in zip(arrays, ends):
+        if a.ndim == 2:
+            code[end - a.size + a.shape[1] - 1:end:a.shape[1]] = _ENDROW
+        code[end - 1] = _END1 if a.ndim == 1 else _END2
+    buf = _text_rows(v, code)
+    out = []
+    for a, start, stop in zip(arrays, [0] + ends, ends):
+        rows = buf[start:stop]
+        out.append(b"[" * a.ndim + rows[rows != 0].tobytes())
+    return out
+
+
+def _batched(v) -> bool:
+    return _exact_floats(v) and v.ndim in (1, 2) and v.size > 0
+
+
+def _write_batch(f, rows) -> None:
+    arrays = [v for row in rows for v in row.values() if _batched(v)]
+    texts = iter(_json_arrays(arrays) if arrays else [])
+    for row in rows:
+        f.write(b"{" + b", ".join(
+            json.dumps(k).encode() + b": "
+            + (next(texts) if _batched(v) else json.dumps(_round9(v)).encode())
+            for k, v in row.items()) + b"}\n")
+
+
+def _write_jsonl(f, rows) -> None:
+    """Write ``json.dumps(_round9(row))`` and a newline per row dict to the
+    binary file ``f``.  Float arrays in the rows are formatted together, in
+    batches cut before they would pass BATCH_VALUES values."""
+    batch, n = [], 0
+    for row in rows:
+        size = sum(v.size for v in row.values() if _batched(v))
+        if batch and n + size > BATCH_VALUES:
+            _write_batch(f, batch)
+            batch, n = [], 0
+        batch.append(row)
+        n += size
+    _write_batch(f, batch)
+
+
+@contextmanager
+def _replacing(path: Path):
+    """A binary file whose bytes replace ``path`` only once the block
+    completes; on an error ``path`` keeps its old bytes and the temporary
+    file is removed."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(dataset: Dataset, out_dir) -> None:
+    """Write the dataset's four files, each replaced atomically.  Floats are
+    stored at 9 significant digits."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "world.json").write_text(
-        json.dumps(dataset.params.to_dict(), indent=1) + "\n")
-    with open(out / "speakers.jsonl", "w") as f:
-        for s in dataset.speakers:
-            f.write(json.dumps(_round9({
-                "id": s.id, "gender": s.gender, "embedding": s.embedding,
-                "base_pitch_hz": s.base_pitch_hz, "style": s.style,
-                "pii_lexicon": s.pii_lexicon,
-            })) + "\n")
-    with open(out / "utterances.jsonl", "w") as f:
-        for u in dataset.utterances:
-            f.write(json.dumps(_round9({
-                "id": u.id, "speaker_id": u.speaker_id, "gender": u.gender,
-                "duration_s": u.duration_s, "tokens": u.tokens,
-                "entity_spans": [[t, a, b] for t, a, b in u.entity_spans],
-                "f0_hz": u.f0_hz, "p_norm": u.p_norm, "frames": u.frames,
-                "frames_per_token": u.frames_per_token,
-            })) + "\n")
-    with open(out / "replacement_pool.jsonl", "w") as f:
-        for e in dataset.pool:
-            f.write(json.dumps({"type": e.type, "tokens": e.tokens,
-                                "length": e.length}) + "\n")
+    with _replacing(out / "world.json") as f:
+        f.write(json.dumps(dataset.params.to_dict(), indent=1).encode() + b"\n")
+    with _replacing(out / "speakers.jsonl") as f:
+        _write_jsonl(f, ({
+            "id": s.id, "gender": s.gender, "embedding": s.embedding,
+            "base_pitch_hz": s.base_pitch_hz, "style": s.style,
+            "pii_lexicon": s.pii_lexicon,
+        } for s in dataset.speakers))
+    with _replacing(out / "utterances.jsonl") as f:
+        _write_jsonl(f, ({
+            "id": u.id, "speaker_id": u.speaker_id, "gender": u.gender,
+            "duration_s": u.duration_s, "tokens": u.tokens,
+            "entity_spans": [[t, a, b] for t, a, b in u.entity_spans],
+            "f0_hz": u.f0_hz, "p_norm": u.p_norm, "frames": u.frames,
+            "frames_per_token": u.frames_per_token,
+        } for u in dataset.utterances))
+    with _replacing(out / "replacement_pool.jsonl") as f:
+        _write_jsonl(f, ({"type": e.type, "tokens": e.tokens,
+                          "length": e.length} for e in dataset.pool))
 
 
 def _read_jsonl(path: Path, fields: tuple):
@@ -405,6 +602,18 @@ _UTTERANCE_FIELDS = ("id", "speaker_id", "gender", "duration_s", "tokens",
                      "frames_per_token")
 
 
+def _float_array(where: str, d: dict, key: str, shape: tuple) -> np.ndarray:
+    """Field ``key`` of a row as a float array of the given shape."""
+    try:
+        a = np.asarray(d[key], dtype=float)
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{where}: {key} is not a numeric array: {e}") from e
+    if a.shape != shape:
+        raise DataError(f"{where}: {key} has shape {a.shape}, "
+                        f"expected {shape}")
+    return a
+
+
 def _load_utterance(where: str, d: dict, params: WorldParams) -> Utterance:
     """One utterance row; tokens must be integer ids in [0, V) and the
     per-frame arrays must have T = len(tokens) * frames_per_token rows."""
@@ -418,20 +627,14 @@ def _load_utterance(where: str, d: dict, params: WorldParams) -> Utterance:
     if tokens and not (0 <= min(tokens) and max(tokens) < params.V):
         raise DataError(f"{where}: token ids must lie in [0, {params.V})")
     t = len(tokens) * fpt
-    arrays = {}
-    for k, shape in (("f0_hz", (t,)), ("p_norm", (t,)), ("frames", (t, params.F))):
-        try:
-            arrays[k] = np.asarray(d[k], dtype=float)
-        except (TypeError, ValueError) as e:
-            raise DataError(f"{where}: {k} is not a numeric array: {e}") from e
-        if arrays[k].shape != shape:
-            raise DataError(f"{where}: {k} has shape {arrays[k].shape}, "
-                            f"expected {shape}")
     return Utterance(
         id=d["id"], speaker_id=d["speaker_id"], gender=d["gender"],
         duration_s=d["duration_s"], tokens=tokens,
         entity_spans=[tuple(sp) for sp in d["entity_spans"]],
-        frames_per_token=fpt, **arrays)
+        f0_hz=_float_array(where, d, "f0_hz", (t,)),
+        p_norm=_float_array(where, d, "p_norm", (t,)),
+        frames=_float_array(where, d, "frames", (t, params.F)),
+        frames_per_token=fpt)
 
 
 def load_dataset(in_dir) -> Dataset:
@@ -442,13 +645,14 @@ def load_dataset(in_dir) -> Dataset:
     except json.JSONDecodeError as e:
         raise DataError(f"{src / 'world.json'}: not valid JSON: {e}") from e
     speakers = []
-    for _, d in _read_jsonl(src / "speakers.jsonl",
-                            ("id", "gender", "embedding", "base_pitch_hz",
-                             "style", "pii_lexicon")):
+    for where, d in _read_jsonl(src / "speakers.jsonl",
+                                ("id", "gender", "embedding", "base_pitch_hz",
+                                 "style", "pii_lexicon")):
         speakers.append(Speaker(
             id=d["id"], gender=d["gender"],
-            embedding=np.asarray(d["embedding"]),
-            base_pitch_hz=d["base_pitch_hz"], style=np.asarray(d["style"]),
+            embedding=_float_array(where, d, "embedding", (params.D,)),
+            base_pitch_hz=d["base_pitch_hz"],
+            style=_float_array(where, d, "style", (params.V,)),
             pii_lexicon={k: list(v) for k, v in d["pii_lexicon"].items()}))
     utterances = [_load_utterance(where, d, params) for where, d in
                   _read_jsonl(src / "utterances.jsonl", _UTTERANCE_FIELDS)]

@@ -217,6 +217,21 @@ def _bad_utterance(edit):
     return case
 
 
+def _bad_speaker(edit):
+    def case(tmp, world, bb, an):
+        shutil.copytree(world, tmp / "w")
+        path = tmp / "w" / "speakers.jsonl"
+        lines = path.read_text().splitlines()
+        d = json.loads(lines[1])
+        edit(d)
+        lines[1] = json.dumps(d)
+        path.write_text("\n".join(lines) + "\n")
+        return (["anonymize", "--data", tmp / "w",
+                 "--backbone", bb / "backbone",
+                 "--anonymizer", an / "anonymizer"], "speakers.jsonl:2")
+    return case
+
+
 def _unknown_key(command, section):
     def case(tmp, world, bb, an):
         cfg = tmp / "config.json"
@@ -290,6 +305,8 @@ def _truncated_model_json(name):
     (_bad_utterance(lambda d: d.update(
         frames_per_token=float(d["frames_per_token"]))), 4),
     (_bad_utterance(lambda d: d["tokens"].__setitem__(0, 1.5)), 4),
+    (_bad_speaker(lambda d: d.update(embedding=d["embedding"][:-2])), 4),
+    (_bad_speaker(lambda d: d.update(style=d["style"] + [0.0])), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -298,7 +315,7 @@ def _truncated_model_json(name):
         "truncated-backbone-json", "truncated-anonymizer-json",
         "utterance-without-frames", "short-p-norm", "token-out-of-range",
         "frames-row-short", "frames-column-narrow", "float-frames-per-token",
-        "float-token"])
+        "float-token", "speaker-embedding-short", "speaker-style-long"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline

@@ -1,11 +1,16 @@
 import json
+import tempfile
+from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from anonflow import worldgen
 from anonflow.errors import ConfigError, InputError
-from anonflow.worldgen import (PII_TYPES, WorldParams, _round9, generate_world,
-                               load_dataset, make_world_params,
+from anonflow.worldgen import (PII_TYPES, WorldParams, _json_arrays, _round9,
+                               generate_world, load_dataset, make_world_params,
                                oracle_extract_speaker, oracle_recover_tokens,
                                sample_speaker_embedding, save_dataset,
                                synth_frames, token_error_rate)
@@ -49,6 +54,20 @@ class TestWorldParams:
         d2 = np.sum((p.A[:, :, None] - p.A[:, None, :]) ** 2, axis=0)
         np.fill_diagonal(d2, np.inf)
         assert np.sqrt(d2.min()) > 6 * 0.4 * np.sqrt(12)
+
+    @pytest.mark.parametrize("noise_sigma,seed", [(0.05, 0), (0.4, 0),
+                                                  (0.4, 3), (0.6, 5)])
+    def test_margin_rescale_matches_full_difference_tensor(self, noise_sigma,
+                                                           seed):
+        p = make_world_params(D=8, F=12, v_common=24, n_speakers=4,
+                              noise_sigma=noise_sigma, seed=seed)
+        a = np.random.default_rng(seed).standard_normal((12, p.V))
+        d2 = np.sum((a[:, :, None] - a[:, None, :]) ** 2, axis=0)
+        np.fill_diagonal(d2, np.inf)
+        dmin, margin = np.sqrt(d2.min()), 6.0 * noise_sigma * np.sqrt(12)
+        if dmin <= margin:
+            a *= 1.05 * margin / dmin
+        assert np.array_equal(p.A, a)
 
     def test_round_trip_dict(self):
         p = small_params()
@@ -261,3 +280,73 @@ def test_round9_matches_per_value_recursion(shape, dtype):
                              np.int64(7), (0.5, [-0.0, 1e-5])]}
     for obj in (a, a.tolist(), mixed):
         assert json.dumps(_round9(obj)) == json.dumps(round9_reference(obj))
+    if a.ndim in (1, 2) and a.size:
+        assert _json_arrays([a])[0].decode() == json.dumps(round9_reference(a))
+
+
+def _edges(x):
+    return [x, -x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+
+
+# values where the digit split could go wrong: signed zeros, subnormals,
+# both sides of the fixed-notation range of repr (1e-4 <= |x| < 1e16, also
+# after rounding), exact 9-digit ties, a carry into a tenth digit, non-finite
+EDGE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, *_edges(1e-4),
+               *_edges(1e16), 9.9999999995e-5, 9.99999999949e-5,
+               9999999995000000.0, 9999999994999999.0, 100000002.5,
+               100000003.5, 0.1000000025, 2.5, 999999999.5, 9.999999999,
+               123456789.0, 1e22, 1e23, float("nan"), float("inf"),
+               float("-inf")]
+float_values = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e3, 1e3),
+    st.builds(lambda m, e: m * 10.0 ** e, st.integers(-10 ** 9, 10 ** 9),
+              st.integers(-14, 8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                               max_side=12),
+                  elements=float_values))
+def test_encoder_matches_per_value_reference(a):
+    ref = json.dumps(round9_reference(a.tolist()))
+    assert _json_arrays([a])[0].decode() == ref
+    assert json.dumps(_round9(a)) == ref
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 16), st.sampled_from([2, 4]), st.integers(2, 3))
+def test_save_load_save_is_byte_identical(seed, n_speakers, utts):
+    _, ds = small_world(seed=seed, n_speakers=n_speakers, utts=utts)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a", Path(tmp) / "b"
+        save_dataset(ds, first)
+        save_dataset(load_dataset(first), second)
+        for name in ("world.json", "speakers.jsonl", "utterances.jsonl",
+                     "replacement_pool.jsonl"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    out = tmp_path / "d"
+    save_dataset(small_world(seed=1)[1], out)
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    encode, utterance_batches = worldgen._json_arrays, []
+
+    def failing(arrays):
+        # frames are the only 2-D arrays: fail on the third utterance batch
+        if any(a.ndim == 2 for a in arrays):
+            utterance_batches.append(arrays)
+            if len(utterance_batches) == 3:
+                raise RuntimeError("encoder failed")
+        return encode(arrays)
+
+    monkeypatch.setattr(worldgen, "_json_arrays", failing)
+    monkeypatch.setattr(worldgen, "BATCH_VALUES", 1)  # one row per batch
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        save_dataset(small_world(seed=2)[1], out)
+    assert len(utterance_batches) == 3
+    assert sorted(f.name for f in out.iterdir()) == sorted(before)
+    for name in ("utterances.jsonl", "replacement_pool.jsonl"):
+        assert (out / name).read_bytes() == before[name]
