@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,55 +29,6 @@ from .pitch import pitch_or_zeros
 PII_TYPES = ("PER", "LOC", "ORG", "MISC")
 
 
-# 10**k is exact in float64 for k <= 22, so one multiply or divide by it is
-# correctly rounded
-_POW10 = np.array([float(10 ** k) for k in range(23)])
-
-
-def _exact_floats(v) -> bool:
-    """True for a float array whose values are exact in float64."""
-    return (isinstance(v, np.ndarray) and v.dtype.kind == "f"
-            and v.dtype.itemsize <= 8)
-
-
-def _scale(a, e):
-    """a * 10**(8 - e), by one exact power of ten."""
-    k = 8 - e
-    return np.where(k >= 0, a * _POW10[np.maximum(k, 0)],
-                    a / _POW10[np.maximum(-k, 0)])
-
-
-def _split9(v):
-    """Exact digit split of ``float(f"{x:.9g}")`` for a float64 array.
-
-    Returns (m, e, fast): for each value marked ``fast`` the rounded value
-    is +-m * 10**(e - 8), with m a whole float in [1e8, 1e9) (0 for zeros).
-    The scale by an exact power of ten and ``rint`` are each correctly
-    rounded, so m is exact unless the scaled fraction lies within 1e-6 of
-    .5, where the product's rounding could move a tie.  ``fast`` is false
-    for those, for non-finite values and for values that ``repr`` prints
-    in exponent form (rounded value outside 1e-4 <= |x| < 1e16); the
-    caller gives them to the per-value code.
-    """
-    a = np.abs(v)
-    live = (a >= 5e-5) & (a < 2e16)
-    a = np.where(live, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    s = _scale(a, e)
-    m = np.rint(s)
-    # rounding carried into a tenth digit, or log10 was one ulp off
-    off = np.flatnonzero((m >= 1e9) | (m < 1e8))
-    if off.size:
-        e[off] += np.where(m[off] >= 1e9, 1, -1)
-        s[off] = _scale(a[off], e[off])
-        m[off] = np.rint(s[off])
-    tie = np.abs(np.abs(s - m) - 0.5) < 1e-6
-    fast = live & (e >= -4) & (e <= 15) & ~tie
-    zero = v == 0
-    m[zero], e[zero], fast[zero] = 0.0, 0, True
-    return m, e, fast
-
-
 def _round9(obj):
     """Round all floats to 9 significant digits for stable serialization."""
     if isinstance(obj, float):
@@ -87,14 +37,6 @@ def _round9(obj):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round9(v) for v in obj]
-    if _exact_floats(obj):
-        v = obj.astype(float).ravel()
-        m, e, fast = _split9(v)
-        r = np.where(e >= 8, m * _POW10[np.clip(e - 8, 0, 22)],
-                     m / _POW10[np.clip(8 - e, 0, 22)])
-        r = np.copysign(r, v)
-        r[~fast] = [float(f"{x:.9g}") for x in v[~fast]]
-        return r.reshape(obj.shape).tolist()
     if isinstance(obj, np.ndarray):
         return _round9(obj.tolist())
     if isinstance(obj, (np.floating,)):
@@ -421,6 +363,49 @@ def token_error_rate(recovered_frame_tokens, reference_tokens, frames_per_token:
 # ---------------------------------------------------------------------------
 # serialization
 
+# 10**k is exact in float64 for k <= 22, so one multiply or divide by it is
+# correctly rounded
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+
+
+def _scale(a, e):
+    """a * 10**(8 - e), by one exact power of ten."""
+    k = 8 - e
+    return np.where(k >= 0, a * _POW10[np.maximum(k, 0)],
+                    a / _POW10[np.maximum(-k, 0)])
+
+
+def _split9(v):
+    """Exact digit split of ``float(f"{x:.9g}")`` for a float64 array.
+
+    Returns (m, e, fast): for each value marked ``fast`` the rounded value
+    is +-m * 10**(e - 8), with m a whole float in [1e8, 1e9) (0 for zeros).
+    The scale by an exact power of ten and ``rint`` are each correctly
+    rounded, so m is exact unless the scaled fraction lies within 1e-6 of
+    .5, where the product's rounding could move a tie.  ``fast`` is false
+    for those, for non-finite values and for values that ``repr`` prints
+    in exponent form (rounded value outside 1e-4 <= |x| < 1e16); the
+    caller gives them to the per-value code.
+    """
+    a = np.abs(v)
+    live = (a >= 5e-5) & (a < 2e16)
+    a = np.where(live, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s = _scale(a, e)
+    m = np.rint(s)
+    # rounding carried into a tenth digit, or log10 was one ulp off
+    off = np.flatnonzero((m >= 1e9) | (m < 1e8))
+    if off.size:
+        e[off] += np.where(m[off] >= 1e9, 1, -1)
+        s[off] = _scale(a[off], e[off])
+        m[off] = np.rint(s[off])
+    tie = np.abs(np.abs(s - m) - 0.5) < 1e-6
+    fast = live & (e >= -4) & (e <= 15) & ~tie
+    zero = v == 0
+    m[zero], e[zero], fast[zero] = 0.0, 0, True
+    return m, e, fast
+
+
 # The text of a value rounded to 9 significant digits is built from its
 # digit split.  Three lookups of "ddd" plus a filler byte give each value
 # 12 characters: digit j at column j + j // 3, then "0", "." and NUL at
@@ -514,7 +499,10 @@ def _json_arrays(arrays) -> list:
 
 
 def _batched(v) -> bool:
-    return _exact_floats(v) and v.ndim in (1, 2) and v.size > 0
+    """A non-empty 1-D or 2-D float array whose values are exact in
+    float64."""
+    return (isinstance(v, np.ndarray) and v.dtype.kind == "f"
+            and v.dtype.itemsize <= 8 and v.ndim in (1, 2) and v.size > 0)
 
 
 def _write_batch(f, rows) -> None:
@@ -542,45 +530,44 @@ def _write_jsonl(f, rows) -> None:
     _write_batch(f, batch)
 
 
-@contextmanager
-def _replacing(path: Path):
-    """A binary file whose bytes replace ``path`` only once the block
-    completes; on an error ``path`` keeps its old bytes and the temporary
-    file is removed."""
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+DATASET_FILES = ("world.json", "speakers.jsonl", "utterances.jsonl",
+                 "replacement_pool.jsonl")
 
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
-    """Write the dataset's four files, each replaced atomically.  Floats are
-    stored at 9 significant digits."""
+    """Write the dataset's four files.  Each is written to a temporary file
+    first, and they replace the old files only once all four are written;
+    on an error the temporary files are removed.  Floats are stored at 9
+    significant digits."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with _replacing(out / "world.json") as f:
-        f.write(json.dumps(dataset.params.to_dict(), indent=1).encode() + b"\n")
-    with _replacing(out / "speakers.jsonl") as f:
-        _write_jsonl(f, ({
-            "id": s.id, "gender": s.gender, "embedding": s.embedding,
-            "base_pitch_hz": s.base_pitch_hz, "style": s.style,
-            "pii_lexicon": s.pii_lexicon,
-        } for s in dataset.speakers))
-    with _replacing(out / "utterances.jsonl") as f:
-        _write_jsonl(f, ({
-            "id": u.id, "speaker_id": u.speaker_id, "gender": u.gender,
-            "duration_s": u.duration_s, "tokens": u.tokens,
-            "entity_spans": [[t, a, b] for t, a, b in u.entity_spans],
-            "f0_hz": u.f0_hz, "p_norm": u.p_norm, "frames": u.frames,
-            "frames_per_token": u.frames_per_token,
-        } for u in dataset.utterances))
-    with _replacing(out / "replacement_pool.jsonl") as f:
-        _write_jsonl(f, ({"type": e.type, "tokens": e.tokens,
-                          "length": e.length} for e in dataset.pool))
+    tmp = {name: out / f".{name}.tmp" for name in DATASET_FILES}
+    try:
+        tmp["world.json"].write_bytes(
+            json.dumps(dataset.params.to_dict(), indent=1).encode() + b"\n")
+        with open(tmp["speakers.jsonl"], "wb") as f:
+            _write_jsonl(f, ({
+                "id": s.id, "gender": s.gender, "embedding": s.embedding,
+                "base_pitch_hz": s.base_pitch_hz, "style": s.style,
+                "pii_lexicon": s.pii_lexicon,
+            } for s in dataset.speakers))
+        with open(tmp["utterances.jsonl"], "wb") as f:
+            _write_jsonl(f, ({
+                "id": u.id, "speaker_id": u.speaker_id, "gender": u.gender,
+                "duration_s": u.duration_s, "tokens": u.tokens,
+                "entity_spans": [[t, a, b] for t, a, b in u.entity_spans],
+                "f0_hz": u.f0_hz, "p_norm": u.p_norm, "frames": u.frames,
+                "frames_per_token": u.frames_per_token,
+            } for u in dataset.utterances))
+        with open(tmp["replacement_pool.jsonl"], "wb") as f:
+            _write_jsonl(f, ({"type": e.type, "tokens": e.tokens,
+                              "length": e.length} for e in dataset.pool))
+        for name in DATASET_FILES:
+            os.replace(tmp[name], out / name)
+    except BaseException:
+        for path in tmp.values():
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _read_jsonl(path: Path, fields: tuple):
@@ -605,9 +592,13 @@ _UTTERANCE_FIELDS = ("id", "speaker_id", "gender", "duration_s", "tokens",
 def _float_array(where: str, d: dict, key: str, shape: tuple) -> np.ndarray:
     """Field ``key`` of a row as a float array of the given shape."""
     try:
-        a = np.asarray(d[key], dtype=float)
+        a = np.asarray(d[key])
     except (TypeError, ValueError) as e:
         raise DataError(f"{where}: {key} is not a numeric array: {e}") from e
+    # no dtype in asarray: it would read a JSON null as NaN
+    if a.dtype.kind not in "iuf":
+        raise DataError(f"{where}: {key} is not a numeric array")
+    a = a.astype(float, copy=False)
     if a.shape != shape:
         raise DataError(f"{where}: {key} has shape {a.shape}, "
                         f"expected {shape}")

@@ -307,6 +307,8 @@ def _truncated_model_json(name):
     (_bad_utterance(lambda d: d["tokens"].__setitem__(0, 1.5)), 4),
     (_bad_speaker(lambda d: d.update(embedding=d["embedding"][:-2])), 4),
     (_bad_speaker(lambda d: d.update(style=d["style"] + [0.0])), 4),
+    (_bad_speaker(lambda d: d["embedding"].__setitem__(0, None)), 4),
+    (_bad_utterance(lambda d: d["frames"][0].__setitem__(0, None)), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -315,7 +317,8 @@ def _truncated_model_json(name):
         "truncated-backbone-json", "truncated-anonymizer-json",
         "utterance-without-frames", "short-p-norm", "token-out-of-range",
         "frames-row-short", "frames-column-narrow", "float-frames-per-token",
-        "float-token", "speaker-embedding-short", "speaker-style-long"])
+        "float-token", "speaker-embedding-short", "speaker-style-long",
+        "speaker-embedding-null", "frames-null"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline

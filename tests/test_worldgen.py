@@ -1,3 +1,4 @@
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from anonflow import worldgen
 from anonflow.errors import ConfigError, InputError
-from anonflow.worldgen import (PII_TYPES, WorldParams, _json_arrays, _round9,
+from anonflow.worldgen import (PII_TYPES, WorldParams, _round9,
                                generate_world, load_dataset, make_world_params,
                                oracle_extract_speaker, oracle_recover_tokens,
                                sample_speaker_embedding, save_dataset,
@@ -267,6 +268,17 @@ def round9_reference(obj):
     return obj
 
 
+def encoded(rows) -> str:
+    """The dataset writer's text for a list of row dicts."""
+    f = io.BytesIO()
+    worldgen._write_jsonl(f, rows)
+    return f.getvalue().decode()
+
+
+def reference_text(rows) -> str:
+    return "".join(json.dumps(round9_reference(r)) + "\n" for r in rows)
+
+
 @pytest.mark.parametrize("shape", [(0,), (7,), (33,), (5, 4), (1, 24), (3, 0),
                                    (2, 3, 4)])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -280,8 +292,7 @@ def test_round9_matches_per_value_recursion(shape, dtype):
                              np.int64(7), (0.5, [-0.0, 1e-5])]}
     for obj in (a, a.tolist(), mixed):
         assert json.dumps(_round9(obj)) == json.dumps(round9_reference(obj))
-    if a.ndim in (1, 2) and a.size:
-        assert _json_arrays([a])[0].decode() == json.dumps(round9_reference(a))
+    assert encoded([mixed]) == reference_text([mixed])
 
 
 def _edges(x):
@@ -310,9 +321,9 @@ float_values = st.one_of(
                                                max_side=12),
                   elements=float_values))
 def test_encoder_matches_per_value_reference(a):
-    ref = json.dumps(round9_reference(a.tolist()))
-    assert _json_arrays([a])[0].decode() == ref
-    assert json.dumps(_round9(a)) == ref
+    # two rows, so the batch is split back into arrays
+    rows = [{"a": a, "x": 1.0 / 3.0}, {"b": a[::-1], "n": 2}]
+    assert encoded(rows) == reference_text(rows)
 
 
 @settings(max_examples=10, deadline=None)
@@ -328,25 +339,25 @@ def test_save_load_save_is_byte_identical(seed, n_speakers, utts):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+def test_failed_write_keeps_previous_files(tmp_path, monkeypatch):
     out = tmp_path / "d"
     save_dataset(small_world(seed=1)[1], out)
     before = {f.name: f.read_bytes() for f in out.iterdir()}
-    encode, utterance_batches = worldgen._json_arrays, []
+    encode, calls = worldgen._json_arrays, []
 
     def failing(arrays):
-        # frames are the only 2-D arrays: fail on the third utterance batch
-        if any(a.ndim == 2 for a in arrays):
-            utterance_batches.append(arrays)
-            if len(utterance_batches) == 3:
-                raise RuntimeError("encoder failed")
+        # one row per batch: four speaker rows, then the third utterance
+        calls.append(arrays)
+        if len(calls) == 7:
+            raise RuntimeError("encoder failed")
         return encode(arrays)
 
     monkeypatch.setattr(worldgen, "_json_arrays", failing)
-    monkeypatch.setattr(worldgen, "BATCH_VALUES", 1)  # one row per batch
+    monkeypatch.setattr(worldgen, "BATCH_VALUES", 1)
     with pytest.raises(RuntimeError, match="encoder failed"):
         save_dataset(small_world(seed=2)[1], out)
-    assert len(utterance_batches) == 3
+    assert len(calls) == 7 and any(a.ndim == 2 for a in calls[-1])
+    assert sorted(before) == sorted(worldgen.DATASET_FILES)
     assert sorted(f.name for f in out.iterdir()) == sorted(before)
-    for name in ("utterances.jsonl", "replacement_pool.jsonl"):
-        assert (out / name).read_bytes() == before[name]
+    for name, data in before.items():
+        assert (out / name).read_bytes() == data, name
