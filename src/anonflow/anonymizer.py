@@ -18,13 +18,12 @@ draws one per utterance under the ``per_utterance`` scope).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_model, save_model
 from .errors import ConfigError, DataError, DivergenceError, InputError
 from .flowmath import IntegrationSpec, cfm_loss, integrate
 from .nets import UShapedField
@@ -168,14 +167,19 @@ class WeightStrategy:
 
     @classmethod
     def parse(cls, text: str, scope: str = "per_speaker") -> "WeightStrategy":
-        """Parse 'fixed:W', 'range:A:B' or 'pool'."""
+        """Parse 'fixed:W', 'range:A:B' or 'pool'; anything else, a number
+        that does not parse or one out of range is a ConfigError."""
         parts = text.split(":")
-        if parts[0] == "fixed" and len(parts) == 2:
-            return cls(kind="fixed", w=float(parts[1]), scope=scope)
-        if parts[0] == "range" and len(parts) == 3:
-            return cls(kind="range", a=float(parts[1]), b=float(parts[2]), scope=scope)
-        if parts[0] == "pool" and len(parts) == 1:
-            return cls(kind="pool", scope=scope)
+        try:
+            if parts[0] == "fixed" and len(parts) == 2:
+                return cls(kind="fixed", w=float(parts[1]), scope=scope)
+            if parts[0] == "range" and len(parts) == 3:
+                return cls(kind="range", a=float(parts[1]), b=float(parts[2]),
+                           scope=scope)
+            if parts[0] == "pool" and len(parts) == 1:
+                return cls(kind="pool", scope=scope)
+        except ValueError as e:
+            raise ConfigError(f"bad strategy {text!r}: {e}") from e
         raise ConfigError(f"cannot parse strategy {text!r}")
 
 
@@ -289,35 +293,38 @@ def save_mapping(mapping: dict, path) -> None:
             f.write(f"{sid}\t{wtxt}\t{stxt}\n")
 
 
-def load_mapping(path) -> dict:
+def load_mapping(path, dataset: Dataset | None = None) -> dict:
+    """Read ``save_mapping``'s TSV.  Given the dataset it voices, every
+    speaker with an utterance needs a row and every identity D values."""
+    dim = None if dataset is None else dataset.params.D
     out = {}
     for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         try:
             sid, wtxt, stxt = line.split("\t")
             w = None if wtxt == "NA" else float(wtxt)
-            out[sid] = (w, np.array([float(v) for v in stxt.split(",")]))
+            s_anon = np.array([float(v) for v in stxt.split(",")])
         except ValueError as e:
             raise DataError(f"{path}:{n}: bad mapping row: {e}") from e
+        if dim is not None and len(s_anon) != dim:
+            raise DataError(f"{path}:{n}: identity of {sid} has "
+                            f"{len(s_anon)} values, expected {dim}")
+        out[sid] = (w, s_anon)
+    if dataset is not None:
+        missing = sorted({u.speaker_id for u in dataset.utterances} - set(out))
+        if missing:
+            raise DataError(f"{path}: no row for speaker(s) "
+                            f"{', '.join(missing)}")
     return out
 
 
 def save_anonymizer(model: AnonymizerModel, path_prefix) -> None:
-    prefix = Path(path_prefix)
-    save_checkpoint(prefix.with_suffix(".ckpt"), model.tensors())
-    meta = {"config": model.config.to_dict(), "metadata": model.metadata}
-    prefix.with_suffix(".json").write_text(json.dumps(meta, indent=1) + "\n")
+    save_model(path_prefix, model.tensors(),
+               {"config": model.config.to_dict(), "metadata": model.metadata})
 
 
 def load_anonymizer(path_prefix) -> AnonymizerModel:
-    prefix = Path(path_prefix)
-    try:
-        meta = json.loads(prefix.with_suffix(".json").read_text())
-    except FileNotFoundError as e:
-        raise ConfigError(f"missing anonymizer metadata: {e}") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"{prefix.with_suffix('.json')}: not valid JSON: "
-                        f"{e}") from e
+    meta, tensors = load_model(path_prefix)
     model = AnonymizerModel(AnonymizerConfig.from_dict(meta["config"]),
                             metadata=meta.get("metadata", {}))
-    model.load_tensors(load_checkpoint(prefix.with_suffix(".ckpt")))
+    model.load_tensors(tensors)
     return model

@@ -8,14 +8,12 @@ are modeled independently: each one is a separate flow-matching sample.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, DataError, DivergenceError, InputError
+from .checkpoint import load_model, save_model
+from .errors import DivergenceError, InputError
 from .flowmath import IntegrationSpec, cfm_loss, integrate
 from .nets import ConditionedField
 from .optim import AdamW, OneCycle
@@ -175,25 +173,16 @@ def reconstruct(model: BackboneModel, frame_tokens, p_norm, s,
 
 
 def save_backbone(model: BackboneModel, path_prefix) -> None:
-    prefix = Path(path_prefix)
-    save_checkpoint(prefix.with_suffix(".ckpt"), model.tensors())
-    meta = {"frame_dim": model.frame_dim, "speaker_dim": model.speaker_dim,
-            "vocab_size": model.vocab_size, "config": model.config.to_dict()}
-    prefix.with_suffix(".json").write_text(json.dumps(meta, indent=1) + "\n")
+    save_model(path_prefix, model.tensors(), {
+        "frame_dim": model.frame_dim, "speaker_dim": model.speaker_dim,
+        "vocab_size": model.vocab_size, "config": model.config.to_dict()})
 
 
 def load_backbone(path_prefix) -> BackboneModel:
-    prefix = Path(path_prefix)
-    try:
-        meta = json.loads(prefix.with_suffix(".json").read_text())
-    except FileNotFoundError as e:
-        raise ConfigError(f"missing backbone metadata: {e}") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"{prefix.with_suffix('.json')}: not valid JSON: "
-                        f"{e}") from e
+    meta, tensors = load_model(path_prefix)
     model = BackboneModel(frame_dim=meta["frame_dim"],
                           speaker_dim=meta["speaker_dim"],
                           vocab_size=meta["vocab_size"],
                           config=BackboneConfig.from_dict(meta["config"]))
-    model.load_tensors(load_checkpoint(prefix.with_suffix(".ckpt")))
+    model.load_tensors(tensors)
     return model

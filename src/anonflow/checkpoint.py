@@ -8,12 +8,13 @@ the file is a deterministic function of its contents.
 
 from __future__ import annotations
 
+import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 MAGIC = b"F3VACKPT"
 VERSION = 1
@@ -66,3 +67,23 @@ def load_checkpoint(path) -> dict:
     if off != len(data):
         raise DataError(f"{path}: trailing bytes")
     return out
+
+
+def save_model(prefix, tensors: dict, meta: dict) -> None:
+    """Write ``<prefix>.ckpt`` (tensors) and ``<prefix>.json`` (meta)."""
+    prefix = Path(prefix)
+    save_checkpoint(prefix.with_suffix(".ckpt"), tensors)
+    prefix.with_suffix(".json").write_text(json.dumps(meta, indent=1) + "\n")
+
+
+def load_model(prefix) -> tuple:
+    """(meta, tensors) of a ``save_model`` pair; a missing sidecar is a
+    ConfigError, a malformed one a DataError."""
+    path = Path(prefix).with_suffix(".json")
+    try:
+        meta = json.loads(path.read_text())
+    except FileNotFoundError as e:
+        raise ConfigError(f"missing model metadata: {e}") from e
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: not valid JSON: {e}") from e
+    return meta, load_checkpoint(path.with_suffix(".ckpt"))

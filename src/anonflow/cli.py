@@ -29,8 +29,9 @@ from .errors import ConfigError, DataError, DivergenceError, InputError
 from .evaluation import (build_trials, load_trials, run_attack, save_scores,
                          save_trials)
 from .flowmath import IntegrationSpec
-from .worldgen import (generate_world, load_dataset, make_world_params,
-                       sample_speaker_embedding, save_dataset)
+from .worldgen import (DATASET_FILES, generate_world, load_dataset,
+                       make_world_params, sample_speaker_embedding,
+                       save_dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +156,7 @@ def cmd_gen_world(args) -> int:
     out = _outdir(args)
     save_dataset(ds, out)
     write_manifest(out, "gen-world", {}, {"seed": args.seed},
-                   [out / n for n in ("world.json", "speakers.jsonl",
-                                      "utterances.jsonl",
-                                      "replacement_pool.jsonl")])
+                   [out / n for n in DATASET_FILES])
     return 0
 
 
@@ -238,7 +237,7 @@ def cmd_seca(args) -> int:
     gaz = build_gazetteer(ds)
     pool = ReplacementPool(ds.pool)
     spec = IntegrationSpec(steps=args.steps, t_start=0.0, t_end=1.0)
-    mapping = load_mapping(args.mapping) if args.mapping else None
+    mapping = load_mapping(args.mapping, ds) if args.mapping else None
     source = "anonymized" if mapping is not None else "original"
     edited, reports = anonymize_content(
         backbone, ds, pool, gaz, spec, np.random.default_rng(args.seed),
@@ -269,7 +268,7 @@ def cmd_build_trials(args) -> int:
 def cmd_evaluate(args) -> int:
     ds_orig = load_dataset(args.data)
     ds_anon = load_dataset(args.anon)
-    mapping = load_mapping(args.mapping) if args.mapping else None
+    mapping = load_mapping(args.mapping, ds_anon) if args.mapping else None
     attacker = {"ignorant": "ignorant", "lazy": "lazy_informed",
                 "lazy_informed": "lazy_informed"}[args.attacker]
     rng = np.random.default_rng(args.seed)

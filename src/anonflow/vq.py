@@ -38,6 +38,26 @@ class QuantizeResult:
     commit_loss: float
 
 
+def nearest(rows, centers) -> np.ndarray:
+    """Index of each row's nearest center (ties -> lowest index).
+
+    Distances up to a per-row constant come from one GEMM, ||c||^2 - 2 r.c.
+    Rows whose two best candidates are within rounding of each other are
+    ranked again by exact difference-based distances, so every row gets
+    the index the direct (N, K, E) form gives, ties included.
+    """
+    c2 = np.einsum("ke,ke->k", centers, centers)
+    d2 = c2 - 2.0 * (rows @ centers.T)
+    best = np.argmin(d2, axis=1)
+    top2 = np.partition(d2, 1, axis=1)
+    tol = 1e-9 * (np.einsum("ne,ne->n", rows, rows) + c2.max())
+    close = np.flatnonzero(top2[:, 1] - top2[:, 0] <= tol)
+    if close.size:
+        diff = rows[close, None, :] - centers[None, :, :]
+        best[close] = np.argmin(np.einsum("nke,nke->nk", diff, diff), axis=1)
+    return best
+
+
 def quantize(f_sem, codebook: Codebook) -> QuantizeResult:
     """Nearest-codeword assignment (ties break to the lowest index).
 
@@ -50,10 +70,7 @@ def quantize(f_sem, codebook: Codebook) -> QuantizeResult:
     if f.shape[1] != codebook.entries.shape[1]:
         raise InputError(f"feature dim {f.shape[1]} != codebook dim "
                          f"{codebook.entries.shape[1]}")
-    # exact squared distances via differences so ties stay exact
-    diff = f[:, None, :] - codebook.entries[None, :, :]
-    d2 = np.einsum("tke,tke->tk", diff, diff)
-    indices = np.argmin(d2, axis=1)
+    indices = nearest(f, codebook.entries)
     c_vq = codebook.entries[indices]
     mse = float(np.mean((f - c_vq) ** 2))
     return QuantizeResult(c_vq=c_vq, indices=indices,

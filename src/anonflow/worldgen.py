@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InputError
 from .pitch import pitch_or_zeros
+from .vq import nearest
 
 PII_TYPES = ("PER", "LOC", "ORG", "MISC")
 
@@ -169,9 +170,6 @@ class Utterance:
     def frame_tokens(self) -> np.ndarray:
         """Token id of each frame under the exact alignment."""
         return np.repeat(np.asarray(self.tokens, dtype=int), self.frames_per_token)
-
-    def token_to_frames(self, i: int) -> tuple:
-        return (i * self.frames_per_token, (i + 1) * self.frames_per_token)
 
     @property
     def has_pii(self) -> bool:
@@ -330,25 +328,10 @@ def oracle_extract_speaker(utt: Utterance, params: WorldParams) -> np.ndarray:
 
 
 def oracle_recover_tokens(frames, p_norm, s, params: WorldParams) -> np.ndarray:
-    """Per-frame nearest-column token recovery (ties -> lowest token id).
-
-    Distances up to a per-row constant come from one GEMM, ||a||^2 - 2 r.A.
-    Rows whose two best candidates are within rounding of each other are
-    ranked again by exact difference-based distances, so every row gets
-    the index the direct (T, V, F) form gives, ties included.
-    """
+    """Per-frame nearest-column token recovery (ties -> lowest token id)."""
     frames = np.asarray(frames, dtype=float)
     resid = frames - np.outer(np.asarray(p_norm), params.B) - params.C @ np.asarray(s)
-    a2 = np.einsum("fv,fv->v", params.A, params.A)
-    d2 = a2 - 2.0 * (resid @ params.A)
-    best = np.argmin(d2, axis=1)
-    top2 = np.partition(d2, 1, axis=1)
-    tol = 1e-9 * (np.einsum("tf,tf->t", resid, resid) + a2.max())
-    close = np.flatnonzero(top2[:, 1] - top2[:, 0] <= tol)
-    if close.size:
-        diff = resid[close, None, :] - params.A.T[None, :, :]
-        best[close] = np.argmin(np.einsum("tvf,tvf->tv", diff, diff), axis=1)
-    return best
+    return nearest(resid, params.A.T)
 
 
 def token_error_rate(recovered_frame_tokens, reference_tokens, frames_per_token: int) -> float:

@@ -171,13 +171,18 @@ class TestExitCodes:
                      "--mode", "acoustic",
                      "--out", str(tmp_path / "t")]) == 4
 
-    def test_bad_strategy_exits_2(self, pipeline, tmp_path):
+    def test_bad_strategy_exits_2(self, pipeline, tmp_path, capsys):
         _, world, bb, an, _ = pipeline
-        assert main(["anonymize", "--data", str(world),
-                     "--backbone", str(bb / "backbone"),
-                     "--anonymizer", str(an / "anonymizer"),
-                     "--strategy", "nonsense:9",
-                     "--out", str(tmp_path / "a")]) == 2
+        for text in ("nonsense:9", "fixed:abc", "fixed:2", "range:0.5:0.1"):
+            capsys.readouterr()
+            assert main(["anonymize", "--data", str(world),
+                         "--backbone", str(bb / "backbone"),
+                         "--anonymizer", str(an / "anonymizer"),
+                         "--strategy", text,
+                         "--out", str(tmp_path / "a")]) == 2, text
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("error: ") and "\n" not in err
+            assert repr(text) in err
 
 
 def _short_mapping_row(tmp, world, bb, an):
@@ -185,6 +190,24 @@ def _short_mapping_row(tmp, world, bb, an):
     bad.write_text("spk000\t0.5\n")
     return (["seca", "--data", world, "--backbone", bb / "backbone",
              "--mapping", bad], "mapping.tsv:1")
+
+
+def _mapping(dims, command, named):
+    """A mapping.tsv with one row of ``dims[i]`` values for speaker i."""
+    def case(tmp, world, bb, an):
+        path = tmp / "mapping.tsv"
+        path.write_text("".join(f"spk{i:03d}\t0.5\t{','.join(['0.1'] * d)}\n"
+                                for i, d in enumerate(dims)))
+        argv = {"seca": ["seca", "--data", world, "--backbone", bb / "backbone"],
+                "evaluate": ["evaluate", "--data", world, "--anon", world]}
+        return argv[command] + ["--mapping", path], named
+    return case
+
+
+def _missing_model_json(tmp, world, bb, an):
+    shutil.copy(bb / "backbone.ckpt", tmp / "backbone.ckpt")
+    return (["anonymize", "--data", world, "--backbone", tmp / "backbone",
+             "--anonymizer", an / "anonymizer"], "backbone.json")
 
 
 def _truncated_checkpoint(tmp, world, bb, an):
@@ -309,6 +332,9 @@ def _truncated_model_json(name):
     (_bad_speaker(lambda d: d.update(style=d["style"] + [0.0])), 4),
     (_bad_speaker(lambda d: d["embedding"].__setitem__(0, None)), 4),
     (_bad_utterance(lambda d: d["frames"][0].__setitem__(0, None)), 4),
+    (_missing_model_json, 2),
+    (_mapping([8, 8, 8], "seca", "spk003"), 4),
+    (_mapping([8, 6, 8, 8], "evaluate", "mapping.tsv:2"), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -318,7 +344,8 @@ def _truncated_model_json(name):
         "utterance-without-frames", "short-p-norm", "token-out-of-range",
         "frames-row-short", "frames-column-narrow", "float-frames-per-token",
         "float-token", "speaker-embedding-short", "speaker-style-long",
-        "speaker-embedding-null", "frames-null"])
+        "speaker-embedding-null", "frames-null", "missing-backbone-json",
+        "mapping-missing-speaker", "mapping-short-identity"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline

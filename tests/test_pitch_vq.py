@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from anonflow.errors import EmptyVoicedError, InputError
 from anonflow.pitch import normalize_pitch, pitch_or_zeros
-from anonflow.vq import Codebook, QuantizeResult, codebook_grad, quantize
+from anonflow.vq import (Codebook, QuantizeResult, codebook_grad, nearest,
+                         quantize)
 
 
 class TestNormalizePitch:
@@ -133,3 +134,71 @@ class TestQuantize:
                 book.entries[k, e] += h
                 fd = (lp - lm) / (2 * h)
                 assert g[k, e] == pytest.approx(fd, abs=1e-6)
+
+
+def nearest_by_difference(rows, centers):
+    """The direct (N, K, E) form nearest() replaces: exact difference-based
+    distances, argmin ties to the lowest index."""
+    diff = rows[:, None, :] - centers[None, :, :]
+    return np.argmin(np.einsum("nke,nke->nk", diff, diff), axis=1)
+
+
+def assert_matches_reference(rows, centers):
+    got = nearest(rows, centers)
+    assert np.array_equal(got, nearest_by_difference(rows, centers))
+    return got
+
+
+class TestNearest:
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 5.0, 30.0])
+    def test_random_batches_match_reference(self, scale):
+        rng = np.random.default_rng(int(scale))
+        for _ in range(25):
+            k, e = int(rng.integers(2, 60)), int(rng.integers(1, 17))
+            centers = rng.standard_normal((k, e))
+            rows = (centers[rng.integers(k, size=300)]
+                    + scale * rng.standard_normal((300, e)))
+            assert_matches_reference(rows, centers)
+
+    def test_training_shaped_batches_match_reference(self):
+        # B=256 content features against a K=692 codebook (V=628 clean token
+        # embeddings plus 64 noisy samples), E=16, as in backbone training
+        rng = np.random.default_rng(11)
+        embed = rng.standard_normal((628, 16))
+        extra = embed[rng.integers(628, size=64)]
+        centers = np.concatenate(
+            [embed, extra + 0.05 * rng.standard_normal(extra.shape)])
+        for noise in (0.0, 0.05, 0.05, 0.05, 0.5):
+            rows = embed[rng.integers(628, size=256)]
+            rows = rows + noise * rng.standard_normal(rows.shape)
+            assert_matches_reference(rows, centers)
+
+    def test_exact_ties_go_to_lowest_index(self):
+        # centers at the corners of a square: each edge midpoint is exactly
+        # equidistant from two centers, the centre from all four
+        centers = 2.0 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                                  [1.0, 1.0]]) + 3.0
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0], [1.0, 2.0],
+                         [1.0, 1.0]]) + 3.0
+        assert assert_matches_reference(rows, centers).tolist() == [
+            0, 0, 1, 2, 0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_midpoints_of_nearest_centers_match_reference(self, seed):
+        # ties in exact arithmetic that rounding may break either way
+        rng = np.random.default_rng(seed)
+        centers = rng.standard_normal((200, 16)) * rng.uniform(0.1, 10.0)
+        d2 = np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        np.fill_diagonal(d2, np.inf)
+        rows = 0.5 * (centers + centers[np.argmin(d2, axis=1)])
+        assert_matches_reference(rows, centers)
+
+    def test_duplicated_centers_go_to_first_copy(self):
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((12, 4))
+        centers = np.concatenate([base, base[::3], base[1::4]])
+        rows = (centers[rng.integers(len(centers), size=400)]
+                + 0.01 * rng.standard_normal((400, 4)))
+        rows[:len(centers)] = centers
+        got = assert_matches_reference(rows, centers)
+        assert np.all(got < len(base))
