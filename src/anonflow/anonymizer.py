@@ -323,8 +323,7 @@ def save_anonymizer(model: AnonymizerModel, path_prefix) -> None:
 
 
 def load_anonymizer(path_prefix) -> AnonymizerModel:
-    meta, tensors = load_model(path_prefix)
-    model = AnonymizerModel(AnonymizerConfig.from_dict(meta["config"]),
-                            metadata=meta.get("metadata", {}))
-    model.load_tensors(tensors)
-    return model
+    return load_model(
+        path_prefix, AnonymizerConfig,
+        lambda meta, config: AnonymizerModel(
+            config, metadata=meta.get("metadata", {})))

@@ -179,10 +179,9 @@ def save_backbone(model: BackboneModel, path_prefix) -> None:
 
 
 def load_backbone(path_prefix) -> BackboneModel:
-    meta, tensors = load_model(path_prefix)
-    model = BackboneModel(frame_dim=meta["frame_dim"],
-                          speaker_dim=meta["speaker_dim"],
-                          vocab_size=meta["vocab_size"],
-                          config=BackboneConfig.from_dict(meta["config"]))
-    model.load_tensors(tensors)
-    return model
+    return load_model(
+        path_prefix, BackboneConfig,
+        lambda meta, config: BackboneModel(
+            frame_dim=meta["frame_dim"], speaker_dim=meta["speaker_dim"],
+            vocab_size=meta["vocab_size"], config=config),
+        keys=("frame_dim", "speaker_dim", "vocab_size"))

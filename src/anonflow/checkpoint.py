@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -76,9 +77,15 @@ def save_model(prefix, tensors: dict, meta: dict) -> None:
     prefix.with_suffix(".json").write_text(json.dumps(meta, indent=1) + "\n")
 
 
-def load_model(prefix) -> tuple:
-    """(meta, tensors) of a ``save_model`` pair; a missing sidecar is a
-    ConfigError, a malformed one a DataError."""
+def load_model(prefix, config_cls, build, keys: tuple = ()):
+    """The model of a ``save_model`` pair.
+
+    The sidecar must hold a ``config`` object with fields of
+    ``config_cls`` only, and each of ``keys`` as a positive integer;
+    ``build(meta, config)`` makes the model, and the checkpoint must hold
+    each of its tensors at its shape.  A missing sidecar is a ConfigError;
+    a malformed sidecar or checkpoint is a DataError naming the file.
+    """
     path = Path(prefix).with_suffix(".json")
     try:
         meta = json.loads(path.read_text())
@@ -86,4 +93,28 @@ def load_model(prefix) -> tuple:
         raise ConfigError(f"missing model metadata: {e}") from e
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: not valid JSON: {e}") from e
-    return meta, load_checkpoint(path.with_suffix(".ckpt"))
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: not a JSON object")
+    missing = [k for k in (*keys, "config") if k not in meta]
+    if missing:
+        raise DataError(f"{path}: missing key(s) {', '.join(missing)}")
+    for k in keys:
+        if type(meta[k]) is not int or meta[k] < 1:
+            raise DataError(f"{path}: {k} must be a positive integer, "
+                            f"got {meta[k]!r}")
+    if not isinstance(meta["config"], dict):
+        raise DataError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(meta["config"]) - {f.name for f in fields(config_cls)})
+    if unknown:
+        raise DataError(f"{path}: unknown config key(s) {', '.join(unknown)}")
+    model = build(meta, config_cls.from_dict(meta["config"]))
+    ckpt = path.with_suffix(".ckpt")
+    tensors = load_checkpoint(ckpt)
+    for name, t in model.tensors().items():
+        if name not in tensors:
+            raise DataError(f"{ckpt}: missing tensor {name}")
+        if tensors[name].shape != t.shape:
+            raise DataError(f"{ckpt}: tensor {name} has shape "
+                            f"{tensors[name].shape}, expected {t.shape}")
+    model.load_tensors(tensors)
+    return model

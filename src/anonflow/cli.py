@@ -10,10 +10,9 @@ rerun with identical inputs produces identical bytes.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +28,8 @@ from .errors import ConfigError, DataError, DivergenceError, InputError
 from .evaluation import (build_trials, load_trials, run_attack, save_scores,
                          save_trials)
 from .flowmath import IntegrationSpec
-from .worldgen import (DATASET_FILES, generate_world, load_dataset,
-                       make_world_params, sample_speaker_embedding,
-                       save_dataset)
+from .worldgen import (DATASET_FILES, WorldConfig, load_dataset, load_params,
+                       sample_speaker_embedding, save_dataset, sha256_file)
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +70,6 @@ def radar_normalize(v_raw: float, entry: RadarEntry) -> float:
 # ---------------------------------------------------------------------------
 # manifest plumbing
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def write_manifest(out_dir: Path, command: str, inputs: dict,
                    seeds: dict, outputs) -> None:
     """inputs: name -> existing path (hashed); outputs: paths inside out_dir."""
@@ -87,9 +77,9 @@ def write_manifest(out_dir: Path, command: str, inputs: dict,
         "command": command,
         "version": __version__,
         "seeds": seeds,
-        "inputs": {k: {"file": Path(p).name, "sha256": _sha256_file(Path(p))}
+        "inputs": {k: {"file": Path(p).name, "sha256": sha256_file(p)}
                    for k, p in inputs.items()},
-        "outputs": {Path(p).name: _sha256_file(Path(p)) for p in outputs},
+        "outputs": {Path(p).name: sha256_file(p) for p in outputs},
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=1, sort_keys=True) + "\n")
@@ -141,18 +131,10 @@ def _outdir(args) -> Path:
 # subcommands
 
 def cmd_gen_world(args) -> int:
-    cfg = {"D": 16, "F": 24, "v_common": 80, "n_speakers": 12,
-           "utts_per_speaker": 8, "noise_sigma": 0.05,
-           "duration_range": (6.0, 12.0), "pii_frac": 0.4}
-    cfg.update(_load_config(args.config, "world", cfg))
-    params = make_world_params(
-        D=cfg["D"], F=cfg["F"], v_common=cfg["v_common"],
-        n_speakers=cfg["n_speakers"], noise_sigma=cfg["noise_sigma"],
-        seed=args.seed)
-    ds = generate_world(params, cfg["n_speakers"], cfg["utts_per_speaker"],
-                        np.random.default_rng(args.seed),
-                        duration_range=tuple(cfg["duration_range"]),
-                        pii_frac=cfg["pii_frac"])
+    defaults = asdict(WorldConfig())
+    config = WorldConfig(**{**defaults,
+                            **_load_config(args.config, "world", defaults)})
+    ds = config.generate(args.seed)
     out = _outdir(args)
     save_dataset(ds, out)
     write_manifest(out, "gen-world", {}, {"seed": args.seed},
@@ -182,17 +164,17 @@ def cmd_train_backbone(args) -> int:
 
 
 def cmd_train_anonymizer(args) -> int:
-    ds = load_dataset(args.data)
+    params = load_params(args.data)
     defaults = {**AnonymizerConfig().to_dict(), "n_embeddings": 10_000}
     cfg_dict = _load_config(args.config, "anonymizer", defaults)
     n_embeddings = cfg_dict.pop("n_embeddings", defaults["n_embeddings"])
     cfg_dict["seed"] = args.seed
-    cfg_dict.setdefault("level_dims", _level_dims_for(ds.params.D))
+    cfg_dict.setdefault("level_dims", _level_dims_for(params.D))
     config = AnonymizerConfig.from_dict({**AnonymizerConfig().to_dict(),
                                          **cfg_dict})
     rng = np.random.default_rng(args.seed)
     genders = ["male", "female"]
-    emb = np.stack([sample_speaker_embedding(ds.params, genders[i % 2], rng)
+    emb = np.stack([sample_speaker_embedding(params, genders[i % 2], rng)
                     for i in range(n_embeddings)])
     model, _ = train_anonymizer(emb, config, rng)
     out = _outdir(args)

@@ -16,7 +16,10 @@ Vocabulary layout (fixed carving of [0, V)):
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -311,6 +314,46 @@ def generate_world(params: WorldParams, n_speakers: int, utts_per_speaker: int,
     return Dataset(params=params, speakers=speakers, utterances=utterances, pool=pool)
 
 
+@dataclass
+class WorldConfig:
+    """The knobs of a generated world; an out-of-range value raises
+    ConfigError naming its key."""
+    D: int = 16
+    F: int = 24
+    v_common: int = 80
+    n_speakers: int = 12
+    utts_per_speaker: int = 8
+    noise_sigma: float = 0.05
+    duration_range: tuple = (6.0, 12.0)
+    pii_frac: float = 0.4
+
+    def __post_init__(self):
+        self.duration_range = tuple(self.duration_range)
+        for key in ("D", "F", "v_common", "n_speakers", "utts_per_speaker"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"world.{key} must be >= 1, "
+                                  f"got {getattr(self, key)!r}")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"world.noise_sigma must be finite and >= 0, "
+                              f"got {self.noise_sigma!r}")
+        if not 0.0 <= self.pii_frac <= 1.0:
+            raise ConfigError(f"world.pii_frac must lie in [0, 1], "
+                              f"got {self.pii_frac!r}")
+        lo_hi = self.duration_range
+        if not (len(lo_hi) == 2 and 0.0 < lo_hi[0] <= lo_hi[1] < math.inf):
+            raise ConfigError(f"world.duration_range must be [lo, hi] with "
+                              f"0 < lo <= hi, got {list(lo_hi)!r}")
+
+    def generate(self, seed: int) -> Dataset:
+        params = make_world_params(D=self.D, F=self.F, v_common=self.v_common,
+                                   n_speakers=self.n_speakers,
+                                   noise_sigma=self.noise_sigma, seed=seed)
+        return generate_world(params, self.n_speakers, self.utts_per_speaker,
+                              np.random.default_rng(seed),
+                              duration_range=self.duration_range,
+                              pii_frac=self.pii_frac)
+
+
 # ---------------------------------------------------------------------------
 # analytic oracles
 
@@ -354,8 +397,8 @@ _POW10 = np.array([float(10 ** k) for k in range(23)])
 def _scale(a, e):
     """a * 10**(8 - e), by one exact power of ten."""
     k = 8 - e
-    return np.where(k >= 0, a * _POW10[np.maximum(k, 0)],
-                    a / _POW10[np.maximum(-k, 0)])
+    p = _POW10[np.abs(k)]
+    return np.divide(a, p, out=a * p, where=k < 0)
 
 
 def _split9(v):
@@ -430,9 +473,14 @@ BATCH_VALUES = 1 << 16
 
 def _text_rows(v, code):
     """(n, _TEXT_W + 4) uint8 rows: each value's ``json.dumps`` text after
-    rounding to 9 significant digits, then its suffix, NUL padded."""
+    rounding to 9 significant digits, then its suffix, NUL padded; and the
+    float64 values that these texts parse back to."""
     n = v.size
     m, e, fast = _split9(v)
+    # +-m * 10**(e - 8), by one exact power of ten: correctly rounded, as
+    # parsing the text is
+    r = _scale(m, 16 - e)
+    np.copysign(r, v, out=r)
     m = m.astype(np.int32)
     g = (m // 1000000, m // 1000 % 1000, m % 1000)
     chars = np.stack([_TRIPLES[t, g[t]] for t in range(3)], axis=1)
@@ -456,16 +504,18 @@ def _text_rows(v, code):
     buf.view(_ROW).ravel()[order] = by_layout.view(_ROW).ravel()
     buf[:, 0] = np.where(np.signbit(v), ord("-"), 0)
     for i in np.flatnonzero(~fast):
-        text = json.dumps(float(f"{v[i]:.9g}")).encode()
+        text = json.dumps(float(f"{v[i]:.9g}"))
+        r[i] = float(text)
         buf[i, :_TEXT_W] = 0
-        buf[i, :len(text)] = np.frombuffer(text, np.uint8)
+        buf[i, :len(text)] = np.frombuffer(text.encode(), np.uint8)
     buf[:, _TEXT_W:] = _SUFFIX[code]
-    return buf
+    return buf, r
 
 
-def _json_arrays(arrays) -> list:
+def _json_arrays(arrays) -> tuple:
     """``json.dumps(_round9(a))`` as bytes for each non-empty 1-D or 2-D
-    float array, from one text buffer over all their values."""
+    float array, from one text buffer over all their values; and all their
+    values as the texts give them back, in order."""
     v = np.concatenate([a.ravel() for a in arrays]).astype(float, copy=False)
     code = np.full(v.size, _SEP)
     ends = np.cumsum([a.size for a in arrays]).tolist()
@@ -473,12 +523,12 @@ def _json_arrays(arrays) -> list:
         if a.ndim == 2:
             code[end - a.size + a.shape[1] - 1:end:a.shape[1]] = _ENDROW
         code[end - 1] = _END1 if a.ndim == 1 else _END2
-    buf = _text_rows(v, code)
+    buf, values = _text_rows(v, code)
     out = []
     for a, start, stop in zip(arrays, [0] + ends, ends):
         rows = buf[start:stop]
         out.append(b"[" * a.ndim + rows[rows != 0].tobytes())
-    return out
+    return out, values
 
 
 def _batched(v) -> bool:
@@ -488,85 +538,183 @@ def _batched(v) -> bool:
             and v.dtype.itemsize <= 8 and v.ndim in (1, 2) and v.size > 0)
 
 
-def _write_batch(f, rows) -> None:
-    arrays = [v for row in rows for v in row.values() if _batched(v)]
-    texts = iter(_json_arrays(arrays) if arrays else [])
-    for row in rows:
-        f.write(b"{" + b", ".join(
-            json.dumps(k).encode() + b": "
-            + (next(texts) if _batched(v) else json.dumps(_round9(v)).encode())
-            for k, v in row.items()) + b"}\n")
+@functools.lru_cache(maxsize=64)
+def _key_text(key: str) -> bytes:
+    return json.dumps(key).encode() + b": "
 
 
-def _write_jsonl(f, rows) -> None:
+def _object_text(parts: dict) -> bytes:
+    """``json.dumps`` of a dict, from the JSON text of each value."""
+    return b"{" + b", ".join(_key_text(k) + text
+                             for k, text in parts.items()) + b"}"
+
+
+def _write_batch(f, rows, stream=None) -> list:
+    streamed = [[k for k, v in row.items() if _batched(v)] for row in rows]
+    arrays = [row[k] for row, keys in zip(rows, streamed) for k in keys]
+    texts, values = _json_arrays(arrays) if arrays else ([], np.empty(0))
+    texts = iter(texts)
+    shaped = []
+    for row, keys in zip(rows, streamed):
+        parts = {k: next(texts) if k in keys else json.dumps(_round9(v)).encode()
+                 for k, v in row.items()}
+        f.write(_object_text(parts) + b"\n")
+        shapes = {k: str(list(row[k].shape)).encode() for k in keys}
+        shaped.append((tuple(keys), _object_text({**parts, **shapes})))
+    if stream is not None:
+        stream.write(values.astype("<f8", copy=False))
+    return shaped
+
+
+def _write_jsonl(f, rows, stream=None) -> list:
     """Write ``json.dumps(_round9(row))`` and a newline per row dict to the
     binary file ``f``.  Float arrays in the rows are formatted together, in
-    batches cut before they would pass BATCH_VALUES values."""
-    batch, n = [], 0
+    batches cut before they would pass BATCH_VALUES values; with a binary
+    file ``stream``, their values as the text gives them back are appended
+    to it as little-endian float64, in order.  Returns, per row, the keys
+    of its float arrays and the row's JSON text with each of those arrays
+    replaced by its shape."""
+    batch, n, shaped = [], 0, []
     for row in rows:
         size = sum(v.size for v in row.values() if _batched(v))
         if batch and n + size > BATCH_VALUES:
-            _write_batch(f, batch)
+            shaped += _write_batch(f, batch, stream)
             batch, n = [], 0
         batch.append(row)
         n += size
-    _write_batch(f, batch)
+    return shaped + _write_batch(f, batch, stream)
 
 
+# The array cache: ``arrays.f64`` holds the float arrays of these fields of
+# every row of these files, in order, as the text gives them back;
+# ``arrays.json`` holds the rows with each of those arrays replaced by its
+# shape, and the sha256 of both JSONL files, of the stream and of the rows.
+ARRAY_FIELDS = {"speakers.jsonl": ("embedding", "style"),
+                "utterances.jsonl": ("f0_hz", "p_norm", "frames")}
+CACHE_FILES = ("arrays.f64", "arrays.json")
 DATASET_FILES = ("world.json", "speakers.jsonl", "utterances.jsonl",
-                 "replacement_pool.jsonl")
+                 "replacement_pool.jsonl", *CACHE_FILES)
+
+
+def sha256_file(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
-    """Write the dataset's four files.  Each is written to a temporary file
-    first, and they replace the old files only once all four are written;
-    on an error the temporary files are removed.  Floats are stored at 9
-    significant digits."""
+    """Write the dataset's files.  Each is written to a temporary file
+    first, and they replace the old files only once all are written; on an
+    error the temporary files are removed.  Floats are stored at 9
+    significant digits.  The array cache is left out when some row's float
+    arrays are not the fields it stores."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tmp = {name: out / f".{name}.tmp" for name in DATASET_FILES}
+    rows = {
+        "speakers.jsonl": ({
+            "id": s.id, "gender": s.gender, "embedding": s.embedding,
+            "base_pitch_hz": s.base_pitch_hz, "style": s.style,
+            "pii_lexicon": s.pii_lexicon,
+        } for s in dataset.speakers),
+        "utterances.jsonl": ({
+            "id": u.id, "speaker_id": u.speaker_id, "gender": u.gender,
+            "duration_s": u.duration_s, "tokens": u.tokens,
+            "entity_spans": [[t, a, b] for t, a, b in u.entity_spans],
+            "f0_hz": u.f0_hz, "p_norm": u.p_norm, "frames": u.frames,
+            "frames_per_token": u.frames_per_token,
+        } for u in dataset.utterances)}
+    shaped = {}
     try:
         tmp["world.json"].write_bytes(
             json.dumps(dataset.params.to_dict(), indent=1).encode() + b"\n")
-        with open(tmp["speakers.jsonl"], "wb") as f:
-            _write_jsonl(f, ({
-                "id": s.id, "gender": s.gender, "embedding": s.embedding,
-                "base_pitch_hz": s.base_pitch_hz, "style": s.style,
-                "pii_lexicon": s.pii_lexicon,
-            } for s in dataset.speakers))
-        with open(tmp["utterances.jsonl"], "wb") as f:
-            _write_jsonl(f, ({
-                "id": u.id, "speaker_id": u.speaker_id, "gender": u.gender,
-                "duration_s": u.duration_s, "tokens": u.tokens,
-                "entity_spans": [[t, a, b] for t, a, b in u.entity_spans],
-                "f0_hz": u.f0_hz, "p_norm": u.p_norm, "frames": u.frames,
-                "frames_per_token": u.frames_per_token,
-            } for u in dataset.utterances))
+        with open(tmp["arrays.f64"], "wb") as stream:
+            for name in ARRAY_FIELDS:
+                with open(tmp[name], "wb") as f:
+                    shaped[name] = _write_jsonl(f, rows[name], stream)
         with open(tmp["replacement_pool.jsonl"], "wb") as f:
             _write_jsonl(f, ({"type": e.type, "tokens": e.tokens,
                               "length": e.length} for e in dataset.pool))
+        whole = all(keys == fields for name, fields in ARRAY_FIELDS.items()
+                    for keys, _ in shaped[name])
+        if whole:
+            # json.dumps of the rows, as the loader checks it
+            text = _object_text({
+                name: b"[" + b", ".join(t for _, t in shaped[name]) + b"]"
+                for name in ARRAY_FIELDS})
+            digests = {name: sha256_file(tmp[name])
+                       for name in ("arrays.f64", *ARRAY_FIELDS)}
+            digests["rows"] = hashlib.sha256(text).hexdigest()
+            tmp["arrays.json"].write_bytes(_object_text({
+                "sha256": json.dumps(digests).encode(), "rows": text}) + b"\n")
         for name in DATASET_FILES:
-            os.replace(tmp[name], out / name)
+            if whole or name not in CACHE_FILES:
+                os.replace(tmp[name], out / name)
+            else:
+                tmp[name].unlink(missing_ok=True)
+                (out / name).unlink(missing_ok=True)
     except BaseException:
         for path in tmp.values():
             path.unlink(missing_ok=True)
         raise
 
 
-def _read_jsonl(path: Path, fields: tuple):
-    """Yield ("path:line", dict) per line; a malformed line names both."""
+def _parse_jsonl(path: Path):
+    """The row of each line of a JSONL file; a malformed line names the
+    path and line."""
     for n, line in enumerate(path.read_text().splitlines(), start=1):
-        where = f"{path}:{n}"
         try:
-            d = json.loads(line)
+            yield json.loads(line)
         except json.JSONDecodeError as e:
-            raise DataError(f"{where}: not valid JSON: {e}") from e
+            raise DataError(f"{path}:{n}: not valid JSON: {e}") from e
+
+
+def _cached_rows(src: Path) -> dict:
+    """The rows of the files of ARRAY_FIELDS, with their arrays, from the
+    array cache in ``src``; or {} unless the cache is whole and its digests
+    match the files beside it."""
+    try:
+        doc = json.loads((src / "arrays.json").read_bytes())
+        digests, rows = doc["sha256"], doc["rows"]
+        if (hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+                != digests["rows"]):
+            return {}
+        # each (row, field) holds the shape of its array
+        cells = [(row, k) for name, fields in ARRAY_FIELDS.items()
+                 for row in rows[name] for k in fields]
+        cuts = np.cumsum([0] + [math.prod(row[k]) for row, k in cells]).tolist()
+        stream = src / "arrays.f64"
+        if (stream.stat().st_size != 8 * cuts[-1]
+                or any(sha256_file(src / name) != digests[name]
+                       for name in ARRAY_FIELDS)):
+            return {}
+        values = np.fromfile(stream, "<f8")
+        if hashlib.sha256(values).hexdigest() != digests["arrays.f64"]:
+            return {}
+        arrays = [values[a:b].reshape(row[k])
+                  for (row, k), a, b in zip(cells, cuts, cuts[1:])]
+    except (OSError, ValueError, KeyError, TypeError):
+        return {}
+    for (row, k), a in zip(cells, arrays):
+        row[k] = a
+    return rows
+
+
+def _checked_rows(path: Path, rows, fields: tuple):
+    """Yield ("path:line", dict) per row; a row without one of ``fields``
+    names both."""
+    for n, d in enumerate(rows, start=1):
+        where = f"{path}:{n}"
         missing = [k for k in fields if k not in d]
         if missing:
             raise DataError(f"{where}: missing field(s) {', '.join(missing)}")
         yield where, d
 
 
+_SPEAKER_FIELDS = ("id", "gender", "embedding", "base_pitch_hz", "style",
+                   "pii_lexicon")
 _UTTERANCE_FIELDS = ("id", "speaker_id", "gender", "duration_s", "tokens",
                      "entity_spans", "f0_hz", "p_norm", "frames",
                      "frames_per_token")
@@ -611,25 +759,37 @@ def _load_utterance(where: str, d: dict, params: WorldParams) -> Utterance:
         frames_per_token=fpt)
 
 
-def load_dataset(in_dir) -> Dataset:
-    src = Path(in_dir)
+def load_params(in_dir) -> WorldParams:
+    """The world parameters of a dataset directory, from its world.json."""
+    path = Path(in_dir) / "world.json"
     try:
-        params = WorldParams.from_dict(
-            json.loads((src / "world.json").read_text()))
+        return WorldParams.from_dict(json.loads(path.read_text()))
     except json.JSONDecodeError as e:
-        raise DataError(f"{src / 'world.json'}: not valid JSON: {e}") from e
-    speakers = []
-    for where, d in _read_jsonl(src / "speakers.jsonl",
-                                ("id", "gender", "embedding", "base_pitch_hz",
-                                 "style", "pii_lexicon")):
-        speakers.append(Speaker(
-            id=d["id"], gender=d["gender"],
-            embedding=_float_array(where, d, "embedding", (params.D,)),
-            base_pitch_hz=d["base_pitch_hz"],
-            style=_float_array(where, d, "style", (params.V,)),
-            pii_lexicon={k: list(v) for k, v in d["pii_lexicon"].items()}))
+        raise DataError(f"{path}: not valid JSON: {e}") from e
+
+
+def load_dataset(in_dir) -> Dataset:
+    """Read a dataset directory.  Speaker and utterance rows come from the
+    array cache when its digests match the JSONL files, and are parsed
+    from the text otherwise; either way they get the same checks."""
+    src = Path(in_dir)
+    params = load_params(src)
+    cached = _cached_rows(src)
+
+    def rows(name, fields):
+        path = src / name
+        return _checked_rows(path, cached[name] if name in cached
+                             else _parse_jsonl(path), fields)
+
+    speakers = [Speaker(
+        id=d["id"], gender=d["gender"],
+        embedding=_float_array(where, d, "embedding", (params.D,)),
+        base_pitch_hz=d["base_pitch_hz"],
+        style=_float_array(where, d, "style", (params.V,)),
+        pii_lexicon={k: list(v) for k, v in d["pii_lexicon"].items()})
+        for where, d in rows("speakers.jsonl", _SPEAKER_FIELDS)]
     utterances = [_load_utterance(where, d, params) for where, d in
-                  _read_jsonl(src / "utterances.jsonl", _UTTERANCE_FIELDS)]
+                  rows("utterances.jsonl", _UTTERANCE_FIELDS)]
     pool = [PoolEntry(type=d["type"], tokens=list(d["tokens"])) for _, d in
-            _read_jsonl(src / "replacement_pool.jsonl", ("type", "tokens"))]
+            rows("replacement_pool.jsonl", ("type", "tokens"))]
     return Dataset(params=params, speakers=speakers, utterances=utterances, pool=pool)

@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from anonflow.checkpoint import load_checkpoint, save_checkpoint
 from anonflow.cli import (RADAR_DEFAULTS, RadarEntry, main, radar_normalize)
 from anonflow.errors import ConfigError
 
@@ -116,6 +117,17 @@ class TestPipeline:
         reports = [json.loads(l)
                    for l in (out / "edits.jsonl").read_text().splitlines()]
         assert any(r["replacements"] for r in reports)
+
+    def test_train_anonymizer_reads_world_json_only(self, pipeline, tmp_path):
+        _, world, _, an, cfg = pipeline
+        (tmp_path / "w").mkdir()
+        shutil.copy(world / "world.json", tmp_path / "w" / "world.json")
+        assert main(["train-anonymizer", "--config", cfg, "--seed", "1",
+                     "--data", str(tmp_path / "w"),
+                     "--out", str(tmp_path / "an")]) == 0
+        for name in ("anonymizer.ckpt", "anonymizer.json", "manifest.json"):
+            assert (tmp_path / "an" / name).read_bytes() == \
+                   (an / name).read_bytes(), name
 
     def test_build_trials(self, pipeline, tmp_path):
         _, world, _, _, _ = pipeline
@@ -303,6 +315,32 @@ def _truncated_model_json(name):
     return case
 
 
+def _model_copy(name, edit_meta=None, edit_tensors=None):
+    """The model pair ``name`` copied, with its sidecar dict or its tensor
+    dict edited in place; the command loads it with the other model."""
+    def case(tmp, world, bb, an):
+        models = {"backbone": bb / "backbone", "anonymizer": an / "anonymizer"}
+        meta = json.loads(models[name].with_suffix(".json").read_text())
+        tensors = load_checkpoint(models[name].with_suffix(".ckpt"))
+        (edit_meta or (lambda d: None))(meta)
+        (edit_tensors or (lambda d: None))(tensors)
+        (tmp / f"{name}.json").write_text(json.dumps(meta))
+        save_checkpoint(tmp / f"{name}.ckpt", tensors)
+        models[name] = tmp / name
+        suffix = ".ckpt" if edit_tensors else ".json"
+        return (["anonymize", "--data", world, "--backbone", models["backbone"],
+                 "--anonymizer", models["anonymizer"]], name + suffix)
+    return case
+
+
+def _world_value(key, value):
+    def case(tmp, world, bb, an):
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps({"world": {key: value}}))
+        return (["gen-world", "--config", cfg], f"world.{key}")
+    return case
+
+
 @pytest.mark.parametrize("make_case,code", [
     (_short_mapping_row, 4),
     (_truncated_checkpoint, 4),
@@ -335,6 +373,29 @@ def _truncated_model_json(name):
     (_missing_model_json, 2),
     (_mapping([8, 8, 8], "seca", "spk003"), 4),
     (_mapping([8, 6, 8, 8], "evaluate", "mapping.tsv:2"), 4),
+    (_model_copy("backbone", lambda d: d.pop("frame_dim")), 4),
+    (_model_copy("backbone", lambda d: d.pop("speaker_dim")), 4),
+    (_model_copy("backbone", lambda d: d.pop("vocab_size")), 4),
+    (_model_copy("backbone", lambda d: d.pop("config")), 4),
+    (_model_copy("anonymizer", lambda d: d.pop("config")), 4),
+    (_model_copy("backbone", lambda d: d["config"].update(stepz=5)), 4),
+    (_model_copy("anonymizer", lambda d: d["config"].update(stepz=5)), 4),
+    (_model_copy("backbone", edit_tensors=lambda t: t.pop("backbone/codebook")), 4),
+    (_model_copy("anonymizer", edit_tensors=lambda t: t.pop("anonymizer/lin1.W")), 4),
+    (_model_copy("backbone", edit_tensors=lambda t: t.update(
+        {"backbone/codebook": t["backbone/codebook"][:-1]})), 4),
+    (_model_copy("anonymizer", edit_tensors=lambda t: t.update(
+        {"anonymizer/lin1.W": t["anonymizer/lin1.W"].T})), 4),
+    (_world_value("duration_range", [5.0]), 2),
+    (_world_value("duration_range", [12.0, 6.0]), 2),
+    (_world_value("pii_frac", 2.0), 2),
+    (_world_value("noise_sigma", -0.1), 2),
+    (_world_value("noise_sigma", float("nan")), 2),
+    (_world_value("D", 0), 2),
+    (_world_value("F", 0), 2),
+    (_world_value("v_common", 0), 2),
+    (_world_value("n_speakers", 0), 2),
+    (_world_value("utts_per_speaker", 0), 2),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -345,7 +406,17 @@ def _truncated_model_json(name):
         "frames-row-short", "frames-column-narrow", "float-frames-per-token",
         "float-token", "speaker-embedding-short", "speaker-style-long",
         "speaker-embedding-null", "frames-null", "missing-backbone-json",
-        "mapping-missing-speaker", "mapping-short-identity"])
+        "mapping-missing-speaker", "mapping-short-identity",
+        "backbone-json-without-frame-dim", "backbone-json-without-speaker-dim",
+        "backbone-json-without-vocab-size", "backbone-json-without-config",
+        "anonymizer-json-without-config", "backbone-config-unknown-key",
+        "anonymizer-config-unknown-key", "backbone-ckpt-without-codebook",
+        "anonymizer-ckpt-without-tensor", "backbone-codebook-short",
+        "anonymizer-tensor-transposed", "world-duration-range-one-value",
+        "world-duration-range-reversed", "world-pii-frac-above-1",
+        "world-noise-sigma-negative", "world-noise-sigma-nan", "world-D-0",
+        "world-F-0", "world-v-common-0", "world-n-speakers-0",
+        "world-utts-per-speaker-0"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline

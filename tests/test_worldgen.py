@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from anonflow import worldgen
 from anonflow.errors import ConfigError, InputError
-from anonflow.worldgen import (PII_TYPES, WorldParams, _round9,
-                               generate_world, load_dataset, make_world_params,
-                               oracle_extract_speaker, oracle_recover_tokens,
-                               sample_speaker_embedding, save_dataset,
-                               synth_frames, token_error_rate)
+from anonflow.worldgen import (ARRAY_FIELDS, CACHE_FILES, DATASET_FILES,
+                               PII_TYPES, WorldConfig, WorldParams, _round9,
+                               generate_world, load_dataset,
+                               make_world_params, oracle_extract_speaker,
+                               oracle_recover_tokens, sample_speaker_embedding,
+                               save_dataset, synth_frames, token_error_rate)
 
 
 def recover_tokens_by_difference(frames, p_norm, s, params):
@@ -326,17 +327,185 @@ def test_encoder_matches_per_value_reference(a):
     assert encoded(rows) == reference_text(rows)
 
 
+# ---------------------------------------------------------------------------
+# the array cache beside the JSONL text
+
+def assert_same_dataset(a, b):
+    """Equal rows, and float arrays equal bit for bit (NaN and -0.0 too)."""
+    assert a.params.to_dict() == b.params.to_dict()
+    for xs, ys in ((a.speakers, b.speakers), (a.utterances, b.utterances),
+                   (a.pool, b.pool)):
+        assert len(xs) == len(ys)
+        for x, y in zip(xs, ys):
+            for k, v in vars(x).items():
+                w = getattr(y, k)
+                if isinstance(v, np.ndarray):
+                    assert (v.dtype, v.shape, v.tobytes()) == \
+                           (w.dtype, w.shape, w.tobytes()), k
+                else:
+                    assert (type(v), v) == (type(w), w), k
+
+
+def text_only():
+    """A ``_parse_jsonl`` that refuses the files the cache stores."""
+    parse = worldgen._parse_jsonl
+
+    def refusing(path):
+        if path.name in ARRAY_FIELDS:
+            raise AssertionError(f"parsed {path.name}")
+        return parse(path)
+    return refusing
+
+
+def load_both(d):
+    """(the dataset from the cache, the dataset from the text) of ``d``;
+    the first load must not parse the JSONL files that the cache holds."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(worldgen, "_parse_jsonl", text_only())
+        hit = load_dataset(d)
+    for name in CACHE_FILES:
+        (d / name).unlink()
+    return hit, load_dataset(d)
+
+
+def plant(ds, values):
+    """Write ``values`` (cycled) into every float array of the first
+    speaker and the first utterance."""
+    u, s = ds.utterances[0], ds.speakers[0]
+    for a in (u.f0_hz, u.p_norm, u.frames, s.embedding, s.style):
+        a.flat[:] = np.resize(np.asarray(values, dtype=float), a.size)
+
+
+def test_cache_hit_matches_text_on_desk_world(tmp_path):
+    ds = WorldConfig(n_speakers=64, utts_per_speaker=12, noise_sigma=0.1,
+                     duration_range=(6.0, 12.0), pii_frac=0.4).generate(1)
+    save_dataset(ds, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(DATASET_FILES)
+    hit, text = load_both(tmp_path)
+    assert_same_dataset(hit, text)
+
+
+def test_cache_hit_matches_text_on_edge_values(tmp_path):
+    _, ds = small_world(seed=3)
+    plant(ds, EDGE_VALUES)
+    save_dataset(ds, tmp_path)
+    hit, text = load_both(tmp_path)
+    assert_same_dataset(hit, text)
+    frames = hit.utterances[0].frames.ravel()
+    assert np.signbit(frames[1]) and frames[1] == 0.0
+    assert np.isnan(frames).any() and np.isinf(frames).any()
+
+
+def test_edited_jsonl_loads_the_edit(tmp_path):
+    _, ds = small_world(seed=4)
+    save_dataset(ds, tmp_path)
+    path = tmp_path / "utterances.jsonl"
+    lines = path.read_text().splitlines()
+    start = lines[0].index('"frames": [[') + len('"frames": [[')
+    end = lines[0].index(",", start)
+    digit = lines[0][end - 1]
+    edited = lines[0][start:end - 1] + ("1" if digit == "0" else "0")
+    lines[0] = lines[0][:start] + edited + lines[0][end:]
+    path.write_text("\n".join(lines) + "\n")
+    frames = load_dataset(tmp_path).utterances[0].frames
+    assert frames[0, 0] == float(edited) != ds.utterances[0].frames[0, 0]
+
+
+def _flip(at):
+    def corrupt(path):
+        data = bytearray(path.read_bytes())
+        data[at(len(data))] ^= 1
+        path.write_bytes(bytes(data))
+    return corrupt
+
+
+@pytest.mark.parametrize("name", CACHE_FILES)
+@pytest.mark.parametrize("corrupt", [
+    lambda p: p.unlink(),
+    lambda p: p.write_bytes(p.read_bytes()[:len(p.read_bytes()) // 2]),
+    lambda p: p.write_bytes(p.read_bytes()[:-1]),
+    _flip(lambda n: 0), _flip(lambda n: n // 2), _flip(lambda n: n - 2),
+], ids=["missing", "half", "one-byte-short", "flip-first", "flip-middle",
+        "flip-last"])
+def test_damaged_cache_falls_back_to_text(tmp_path, name, corrupt):
+    _, ds = small_world(seed=5)
+    save_dataset(ds, tmp_path / "d")
+    corrupt(tmp_path / "d" / name)
+    loaded = load_dataset(tmp_path / "d")
+    for n in CACHE_FILES:
+        (tmp_path / "d" / n).unlink(missing_ok=True)
+    assert_same_dataset(loaded, load_dataset(tmp_path / "d"))
+
+
+def test_flipped_row_value_in_index_falls_back(tmp_path):
+    _, ds = small_world(seed=5)
+    save_dataset(ds, tmp_path)
+    path = tmp_path / "arrays.json"
+    doc = path.read_text()
+    at = doc.index('"duration_s": ') + len('"duration_s": ')
+    path.write_text(doc[:at] + ("2" if doc[at] == "1" else "1") + doc[at + 1:])
+    assert (load_dataset(tmp_path).utterances[0].duration_s
+            == _round9(ds.utterances[0].duration_s))
+
+
+def test_hit_reads_no_jsonl_text_that_cache_holds(tmp_path, monkeypatch):
+    save_dataset(small_world(seed=6)[1], tmp_path)
+    monkeypatch.setattr(worldgen, "_parse_jsonl", text_only())
+    load_dataset(tmp_path)
+    (tmp_path / "arrays.f64").unlink()
+    with pytest.raises(AssertionError, match="parsed speakers.jsonl"):
+        load_dataset(tmp_path)
+
+
+def test_cache_left_out_for_rows_it_cannot_hold(tmp_path):
+    _, ds = small_world(seed=7)
+    save_dataset(ds, tmp_path)
+    ds.utterances[1].p_norm = ds.utterances[1].p_norm.tolist()
+    save_dataset(ds, tmp_path)
+    assert not any((tmp_path / n).exists() for n in CACHE_FILES)
+    assert load_dataset(tmp_path).utterances[1].p_norm.tolist() == \
+           [float(f"{x:.9g}") for x in ds.utterances[1].p_norm]
+
+
 @settings(max_examples=10, deadline=None)
-@given(st.integers(0, 2 ** 16), st.sampled_from([2, 4]), st.integers(2, 3))
-def test_save_load_save_is_byte_identical(seed, n_speakers, utts):
+@given(st.integers(0, 2 ** 16), st.sampled_from([2, 4]), st.integers(2, 3),
+       st.lists(float_values, min_size=1, max_size=30))
+def test_save_load_save_is_byte_identical(seed, n_speakers, utts, values):
     _, ds = small_world(seed=seed, n_speakers=n_speakers, utts=utts)
+    plant(ds, values)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a", Path(tmp) / "b"
         save_dataset(ds, first)
         save_dataset(load_dataset(first), second)
-        for name in ("world.json", "speakers.jsonl", "utterances.jsonl",
-                     "replacement_pool.jsonl"):
+        for name in DATASET_FILES:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert_same_dataset(*load_both(first))
+
+
+# ---------------------------------------------------------------------------
+# world config
+
+@pytest.mark.parametrize("key,value", [
+    ("D", 0), ("F", 0), ("v_common", 0), ("n_speakers", 0),
+    ("utts_per_speaker", 0), ("noise_sigma", -0.1),
+    ("noise_sigma", float("nan")), ("pii_frac", 2.0), ("pii_frac", -0.5),
+    ("duration_range", (5.0,)), ("duration_range", (12.0, 6.0)),
+    ("duration_range", (0.0, 6.0)),
+])
+def test_world_config_rejects_out_of_range(key, value):
+    with pytest.raises(ConfigError, match=f"world.{key} "):
+        WorldConfig(**{key: value})
+
+
+def test_world_config_generates_what_the_functions_do():
+    cfg = WorldConfig(D=8, F=12, v_common=24, n_speakers=4,
+                      utts_per_speaker=3, duration_range=[6, 12])
+    assert cfg.duration_range == (6, 12)
+    params = make_world_params(D=8, F=12, v_common=24, n_speakers=4,
+                               noise_sigma=0.05, seed=2)
+    ref = generate_world(params, 4, 3, np.random.default_rng(2),
+                         duration_range=(6, 12), pii_frac=0.4)
+    assert_same_dataset(cfg.generate(2), ref)
 
 
 def test_failed_write_keeps_previous_files(tmp_path, monkeypatch):
