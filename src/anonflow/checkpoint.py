@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +69,16 @@ def load_checkpoint(path) -> dict:
     return out
 
 
+def fits(value, default) -> bool:
+    """``value`` has the JSON type of ``default``; an int fits a float."""
+    if isinstance(default, (list, tuple)):
+        return (isinstance(value, list)
+                and all(fits(v, default[0]) for v in value))
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
+
+
 def save_model(prefix, tensors: dict, meta: dict) -> None:
     """Write ``<prefix>.ckpt`` (tensors) and ``<prefix>.json`` (meta)."""
     prefix = Path(prefix)
@@ -81,7 +90,8 @@ def load_model(prefix, config_cls, build, keys: tuple = ()):
     """The model of a ``save_model`` pair.
 
     The sidecar must hold a ``config`` object with fields of
-    ``config_cls`` only, and each of ``keys`` as a positive integer;
+    ``config_cls`` only, each of the JSON type of its default (see
+    ``fits``), and each of ``keys`` as a positive integer;
     ``build(meta, config)`` makes the model, and the checkpoint must hold
     each of its tensors at its shape.  A missing sidecar is a ConfigError;
     a malformed sidecar or checkpoint is a DataError naming the file.
@@ -104,9 +114,14 @@ def load_model(prefix, config_cls, build, keys: tuple = ()):
                             f"got {meta[k]!r}")
     if not isinstance(meta["config"], dict):
         raise DataError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(meta["config"]) - {f.name for f in fields(config_cls)})
+    defaults = config_cls().to_dict()
+    unknown = sorted(set(meta["config"]) - set(defaults))
     if unknown:
         raise DataError(f"{path}: unknown config key(s) {', '.join(unknown)}")
+    for k, v in meta["config"].items():
+        if not fits(v, defaults[k]):
+            raise DataError(f"{path}: config.{k} = {v!r} does not have the "
+                            f"type of its default, {defaults[k]!r}")
     model = build(meta, config_cls.from_dict(meta["config"]))
     ckpt = path.with_suffix(".ckpt")
     tensors = load_checkpoint(ckpt)

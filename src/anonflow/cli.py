@@ -22,6 +22,7 @@ from .anonymizer import (AnonymizerConfig, WeightStrategy, anonymize_dataset,
                          load_anonymizer, load_mapping, save_anonymizer,
                          save_mapping, train_anonymizer)
 from .backbone import BackboneConfig, load_backbone, save_backbone, train_backbone
+from .checkpoint import fits
 from .content import (ReplacementPool, anonymize_content, build_gazetteer,
                       save_edit_reports, save_gazetteer)
 from .errors import ConfigError, DataError, DivergenceError, InputError
@@ -85,16 +86,6 @@ def write_manifest(out_dir: Path, command: str, inputs: dict,
         json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
-def _fits(value, default) -> bool:
-    """``value`` has the JSON type of ``default``; an int fits a float."""
-    if isinstance(default, (list, tuple)):
-        return (isinstance(value, list)
-                and all(_fits(v, default[0]) for v in value))
-    if isinstance(default, float):
-        return type(value) in (int, float)
-    return type(value) is type(default)
-
-
 def _load_config(path, section: str, defaults: dict) -> dict:
     """The ``section`` object of a JSON config; keys outside ``defaults``
     and values whose type does not fit the key's default are rejected."""
@@ -114,7 +105,7 @@ def _load_config(path, section: str, defaults: dict) -> dict:
         raise ConfigError(f"{path}: unknown key(s) in config section "
                           f"{section!r}: {', '.join(unknown)}")
     for key, value in sec.items():
-        if not _fits(value, defaults[key]):
+        if not fits(value, defaults[key]):
             raise ConfigError(f"{path}: config value {section}.{key} = "
                               f"{value!r} does not have the type of its "
                               f"default, {defaults[key]!r}")

@@ -118,6 +118,8 @@ def apply_edits(backbone: BackboneModel, utt: Utterance, plan: EditPlan,
     Equal-length replacements reuse the span's own pitch slice; a
     length-mismatched fallback resamples the slice to the new length and
     shifts the alignment.  Frames outside all spans stay bit-identical.
+    All spans are regenerated by one ``reconstruct`` call; its frame noise
+    is drawn in span order, as one call per span would draw it.
     """
     fpt = utt.frames_per_token
     tokens = list(utt.tokens)
@@ -126,6 +128,7 @@ def apply_edits(backbone: BackboneModel, utt: Utterance, plan: EditPlan,
     pieces_f0 = []
     pieces_pn = []
     new_spans = []
+    gen_tokens = []             # frame tokens of each span's replacement
     cursor = 0
     offset = 0  # token-index shift accumulated from length-mismatched edits
     for span, repl in plan.edits:
@@ -145,13 +148,12 @@ def apply_edits(backbone: BackboneModel, utt: Utterance, plan: EditPlan,
             pos = np.linspace(0, len(src_pn) - 1, n_new)
             new_pn = np.interp(pos, np.arange(len(src_pn)), src_pn)
             new_f0 = np.interp(pos, np.arange(len(src_f0)), src_f0)
-        frame_toks = np.repeat(repl, fpt)
-        gen = reconstruct(backbone, frame_toks, new_pn, s, spec, rng)
+        gen_tokens.append(np.repeat(repl, fpt))
         start = span.token_start + offset
         new_spans.append((span.type, start, start + len(repl)))
         offset += len(repl) - span.length
         pieces_tokens.append(list(repl))
-        pieces_frames.append(gen)
+        pieces_frames.append(None)          # filled from the one solve below
         pieces_f0.append(np.asarray(new_f0, dtype=float))
         pieces_pn.append(np.asarray(new_pn, dtype=float))
         cursor = span.token_end
@@ -159,6 +161,11 @@ def apply_edits(backbone: BackboneModel, utt: Utterance, plan: EditPlan,
     pieces_frames.append(utt.frames[cursor * fpt:])
     pieces_f0.append(utt.f0_hz[cursor * fpt:])
     pieces_pn.append(utt.p_norm[cursor * fpt:])
+    if gen_tokens:
+        gen = reconstruct(backbone, np.concatenate(gen_tokens),
+                          np.concatenate(pieces_pn[1::2]), s, spec, rng)
+        ends = np.cumsum([len(t) for t in gen_tokens])[:-1]
+        pieces_frames[1::2] = np.split(gen, ends)
 
     return replace(utt, tokens=[t for chunk in pieces_tokens for t in chunk],
                    entity_spans=new_spans, f0_hz=np.concatenate(pieces_f0),

@@ -68,17 +68,23 @@ def integrate(field, x_init: np.ndarray, spec: IntegrationSpec, cond=None) -> np
 
     ``x_init`` may be a single vector or a (B, d) batch; the result has the
     same shape.  A negative step (``t_end < t_start``) realizes backward
-    integration.
+    integration.  A field with a ``velocity(cond, batch)`` method is set up
+    once for the solve and then called as ``f(x, t)`` with the scalar step
+    time; any other field is called as ``field(x, full(B, t), cond)``.
     """
     x = np.asarray(x_init, dtype=float)
     single = x.ndim == 1
     if single:
         x = x[None, :]
+    if hasattr(field, "velocity"):
+        step = field.velocity(cond, x.shape[0])
+    else:
+        def step(x, t):
+            return field(x, np.full(x.shape[0], t), cond)
     h = (spec.t_end - spec.t_start) / spec.steps
     t = spec.t_start
     for k in range(spec.steps):
-        tb = np.full(x.shape[0], t)
-        v = np.asarray(field(x, tb, cond))
+        v = np.asarray(step(x, t))
         x = x + h * v
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"non-finite state at step {k}", step=k)

@@ -12,7 +12,9 @@ of the same dimension as x:
   embedding), so conditioning is exactly the identity at initialization.
 
 Forward passes record the activations needed for reverse mode; ``backward``
-consumes that cache and returns a parameter-gradient dict.  Everything is
+consumes that cache and returns a parameter-gradient dict.
+``ConditionedField.velocity`` is the cache-free inference form, set up once
+per ODE solve and kept apart from the training passes.  Everything is
 plain numpy; dtype is fixed per instance (float32 for training, float64 for
 finite-difference checks).
 """
@@ -219,6 +221,56 @@ class ConditionedField:
         cache["h_last"] = h
         out = h @ p["out.W"].T + p["out.b"]
         return out, cache
+
+    def velocity(self, cond, batch: int):
+        """The inference form of ``forward`` for one ODE solve.
+
+        Returns ``f(x, t)`` with ``t`` the one scalar time of a step, equal
+        to ``forward(x, full(batch, t), cond)[0]`` up to float rounding.
+        What does not change between steps is computed here once: the
+        local half of the first layer and the speaker half of each
+        modulation head, as one row when every row of the global cond is
+        the same.  Each step computes the time embedding and its half of
+        the heads as one row that broadcasts over the batch.  No
+        reverse-mode cache is kept; training uses ``forward``/``backward``.
+        """
+        local, glob = self._split_cond(cond, batch)
+        if glob is not None and len(glob) > 1 and (glob == glob[0]).all():
+            glob = glob[:1]       # one speaker: its half of the heads is one row
+        p = self.params
+        mats = [(p[f"lay{j}.W"], p[f"lay{j}.b"])
+                for j in range(1, len(self.hidden) + 1)]
+        mats.append((p["out.W"], p["out.b"]))
+        w_in, b_in = mats[0]
+        # weights stay (out, in) and are used as ``.T`` views, the GEMM layout
+        # of ``forward``; at small batches it rounds closer than a transposed copy
+        w_x = np.ascontiguousarray(w_in[:, :self.dim])
+        z_fixed = b_in if local is None else local @ w_in[:, self.dim:].T + b_in
+        heads = []                # (scale, shift, time half of M) per block
+        for j, width in enumerate(self.hidden, start=1):
+            m, c = p[f"mod{j}.M"], p[f"mod{j}.c"]
+            gs = c if glob is None else glob @ m[:, :self.cond_dim].T + c
+            heads.append((gs[..., :width], gs[..., width:],
+                          np.ascontiguousarray(m[:, self.cond_dim:])))
+
+        def f(x, t):
+            x = np.asarray(x, dtype=self.dtype)
+            if x.shape != (batch, self.dim):
+                raise InputError(f"expected ({batch}, {self.dim}) input, "
+                                 f"got {x.shape}")
+            emb = time_embed(float(t), self.time_dim).astype(self.dtype)
+            z = x @ w_x.T
+            z += z_fixed
+            for (scale, shift, m_t), (w, b) in zip(heads, mats[1:]):
+                gt = emb @ m_t.T
+                width = scale.shape[-1]
+                np.tanh(z, out=z)
+                z *= 1.0 + (scale + gt[:width])
+                z += shift + gt[width:]
+                z = z @ w.T
+                z += b
+            return z
+        return f
 
     def backward(self, cache, d_out):
         if cache is None or "h_last" not in cache:

@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -763,9 +763,22 @@ def load_params(in_dir) -> WorldParams:
     """The world parameters of a dataset directory, from its world.json."""
     path = Path(in_dir) / "world.json"
     try:
-        return WorldParams.from_dict(json.loads(path.read_text()))
+        d = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: not valid JSON: {e}") from e
+    if not isinstance(d, dict):
+        raise DataError(f"{path}: not a JSON object")
+    names = {f.name for f in fields(WorldParams)}
+    missing = sorted(names - set(d))
+    if missing:
+        raise DataError(f"{path}: missing key(s) {', '.join(missing)}")
+    unknown = sorted(set(d) - names)
+    if unknown:
+        raise DataError(f"{path}: unknown key(s) {', '.join(unknown)}")
+    try:
+        return WorldParams.from_dict(d)
+    except (TypeError, ValueError) as e:     # ConfigError is a ValueError
+        raise DataError(f"{path}: {e}") from e
 
 
 def load_dataset(in_dir) -> Dataset:

@@ -303,6 +303,17 @@ def _truncated_world_json(tmp, world, bb, an):
     return (["build-trials", "--data", tmp / "w"], "world.json")
 
 
+def _world_json(edit, named):
+    def case(tmp, world, bb, an):
+        shutil.copytree(world, tmp / "w")
+        path = tmp / "w" / "world.json"
+        d = json.loads(path.read_text())
+        edit(d)
+        path.write_text(json.dumps(d))
+        return (["build-trials", "--data", tmp / "w"], f"world.json: {named}")
+    return case
+
+
 def _truncated_model_json(name):
     def case(tmp, world, bb, an):
         models = {"backbone": bb / "backbone", "anonymizer": an / "anonymizer"}
@@ -315,9 +326,10 @@ def _truncated_model_json(name):
     return case
 
 
-def _model_copy(name, edit_meta=None, edit_tensors=None):
+def _model_copy(name, edit_meta=None, edit_tensors=None, named=""):
     """The model pair ``name`` copied, with its sidecar dict or its tensor
-    dict edited in place; the command loads it with the other model."""
+    dict edited in place; the command loads it with the other model.  The
+    error must name the edited file, followed by ``named``."""
     def case(tmp, world, bb, an):
         models = {"backbone": bb / "backbone", "anonymizer": an / "anonymizer"}
         meta = json.loads(models[name].with_suffix(".json").read_text())
@@ -329,7 +341,7 @@ def _model_copy(name, edit_meta=None, edit_tensors=None):
         models[name] = tmp / name
         suffix = ".ckpt" if edit_tensors else ".json"
         return (["anonymize", "--data", world, "--backbone", models["backbone"],
-                 "--anonymizer", models["anonymizer"]], name + suffix)
+                 "--anonymizer", models["anonymizer"]], name + suffix + named)
     return case
 
 
@@ -355,6 +367,10 @@ def _world_value(key, value):
     (_bad_trials("spk999\tutt00002\t0", "spk999"), 4),
     (_bad_trials("spk001\tutt99999\t0", "utt99999"), 4),
     (_truncated_world_json, 4),
+    (_world_json(lambda d: d.pop("v_common"), "missing key(s) v_common"), 4),
+    (_world_json(lambda d: d.update(vcommon=80), "unknown key(s) vcommon"), 4),
+    (_world_json(lambda d: d.update(D="16"), ""), 4),
+    (_world_json(lambda d: d.update(C=d["C"][:-1]), "imprint matrix"), 4),
     (_truncated_model_json("backbone"), 4),
     (_truncated_model_json("anonymizer"), 4),
     (_bad_utterance(lambda d: d.pop("frames")), 4),
@@ -380,6 +396,10 @@ def _world_value(key, value):
     (_model_copy("anonymizer", lambda d: d.pop("config")), 4),
     (_model_copy("backbone", lambda d: d["config"].update(stepz=5)), 4),
     (_model_copy("anonymizer", lambda d: d["config"].update(stepz=5)), 4),
+    (_model_copy("backbone", lambda d: d["config"].update(hidden="ab"),
+                 named=": config.hidden"), 4),
+    (_model_copy("anonymizer", lambda d: d["config"].update(steps=1.5),
+                 named=": config.steps"), 4),
     (_model_copy("backbone", edit_tensors=lambda t: t.pop("backbone/codebook")), 4),
     (_model_copy("anonymizer", edit_tensors=lambda t: t.pop("anonymizer/lin1.W")), 4),
     (_model_copy("backbone", edit_tensors=lambda t: t.update(
@@ -401,6 +421,8 @@ def _world_value(key, value):
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
         "label-out-of-range", "unknown-trial-speaker",
         "unknown-trial-utterance", "truncated-world-json",
+        "world-json-without-v-common", "world-json-unknown-key",
+        "world-json-string-D", "world-json-C-row-short",
         "truncated-backbone-json", "truncated-anonymizer-json",
         "utterance-without-frames", "short-p-norm", "token-out-of-range",
         "frames-row-short", "frames-column-narrow", "float-frames-per-token",
@@ -410,7 +432,8 @@ def _world_value(key, value):
         "backbone-json-without-frame-dim", "backbone-json-without-speaker-dim",
         "backbone-json-without-vocab-size", "backbone-json-without-config",
         "anonymizer-json-without-config", "backbone-config-unknown-key",
-        "anonymizer-config-unknown-key", "backbone-ckpt-without-codebook",
+        "anonymizer-config-unknown-key", "backbone-config-hidden-string",
+        "anonymizer-config-float-steps", "backbone-ckpt-without-codebook",
         "anonymizer-ckpt-without-tensor", "backbone-codebook-short",
         "anonymizer-tensor-transposed", "world-duration-range-one-value",
         "world-duration-range-reversed", "world-pii-frac-above-1",

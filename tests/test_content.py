@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from anonflow.backbone import BackboneConfig, BackboneModel, train_backbone
+from anonflow import content as content_mod
+from anonflow.backbone import (BackboneConfig, BackboneModel, reconstruct,
+                               train_backbone)
 from anonflow.content import (EditPlan, EntitySpan, ReplacementPool,
                               anonymize_content, apply_edits, build_gazetteer,
                               corrupt_tokens, detect_pii, load_gazetteer,
@@ -129,6 +131,40 @@ class TestApplyEdits:
         assert out.tokens[1:3] == [5, 6]
         assert out.tokens[3:] == utt.tokens[2:]
         assert out.entity_spans == [("PER", 1, 3)]
+
+    def test_one_solve_per_utterance(self, world, backbone, monkeypatch):
+        # one reconstruct call for all spans, giving the frames of one call
+        # per span in span order with the same generator
+        _, ds = world
+        utt = next(u for u in ds.utterances if len(u.tokens) >= 6)
+        spans = [EntitySpan(type="PER", token_start=1, token_end=2,
+                            source_text=(utt.tokens[1],)),
+                 EntitySpan(type="LOC", token_start=3, token_end=5,
+                            source_text=tuple(utt.tokens[3:5]))]
+        edits = [(spans[0], [5, 6]), (spans[1], [7, 8])]
+        s_emb = ds.speaker(utt.speaker_id).embedding
+        spec = IntegrationSpec(steps=4, t_start=0.0, t_end=1.0)
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return reconstruct(*args)
+
+        monkeypatch.setattr(content_mod, "reconstruct", counted)
+        out = apply_edits(backbone, utt, EditPlan(utt.id, edits), s_emb,
+                          spec, np.random.default_rng(3))
+        fpt = utt.frames_per_token
+        assert calls == [4 * fpt]
+        rng = np.random.default_rng(3)
+        for start, end in ((1, 3), (4, 6)):
+            sl = slice(start * fpt, end * fpt)
+            ref = reconstruct(backbone, np.repeat(out.tokens[start:end], fpt),
+                              out.p_norm[sl], s_emb, spec, rng)
+            assert np.max(np.abs(out.frames[sl] - ref)) <= 1e-6
+        assert out.entity_spans == [("PER", 1, 3), ("LOC", 4, 6)]
+        assert np.array_equal(out.frames[3 * fpt:4 * fpt],
+                              utt.frames[2 * fpt:3 * fpt])
+        assert np.array_equal(out.frames[6 * fpt:], utt.frames[5 * fpt:])
 
     def test_overlapping_edits_rejected(self):
         a = EntitySpan(type="PER", token_start=0, token_end=2)

@@ -3,6 +3,7 @@ import pytest
 
 from anonflow.errors import DivergenceError, InputError
 from anonflow.flowmath import IntegrationSpec, cfm_loss, integrate
+from anonflow.nets import ConditionedField
 
 
 class TestIntegrationSpec:
@@ -89,6 +90,67 @@ class TestIntegrate:
         with pytest.raises(DivergenceError) as ei:
             integrate(bad, np.ones(2), IntegrationSpec(steps=4))
         assert ei.value.step == 0
+
+
+def _drawn_field(hidden, scale=0.5, seed=0):
+    """A float32 ConditionedField with every weight drawn non-zero."""
+    rng = np.random.default_rng(seed)
+    f = ConditionedField(dim=4, local_dim=3, cond_dim=5, hidden=hidden,
+                         time_dim=8, rng=rng)
+    for k, v in f.params.items():
+        f.params[k] = (scale * rng.standard_normal(v.shape)).astype(np.float32)
+    return f
+
+
+class TestIntegrateVelocity:
+    """A field with ``velocity`` is solved through it; the result is that of
+    calling ``forward`` with the step time at every step."""
+
+    def _cond(self, b, rng):
+        return (rng.standard_normal((b, 3)),
+                np.tile(rng.standard_normal(5), (b, 1)))
+
+    @pytest.mark.parametrize("hidden", [(16,), (16, 12, 8)])
+    def test_matches_per_step_forward(self, hidden):
+        f = _drawn_field(hidden)
+        rng = np.random.default_rng(3)
+        x0 = rng.standard_normal((11, 4))
+        cond = self._cond(11, rng)
+        spec = IntegrationSpec(steps=16)
+        got = integrate(f, x0, spec, cond)
+        x, t, h = x0, 0.0, 1.0 / 16
+        for _ in range(16):
+            x = x + h * f.forward(x, np.full(11, t), cond)[0]
+            t += h
+        assert np.max(np.abs(got - x)) <= 1e-5 * np.max(np.abs(x))
+        assert not np.allclose(got, x0)
+
+    def test_single_vector(self):
+        f = _drawn_field((16,))
+        rng = np.random.default_rng(4)
+        x0 = rng.standard_normal(4)
+        cond = self._cond(1, rng)
+        spec = IntegrationSpec(steps=5)
+        got = integrate(f, x0, spec, cond)
+        ref = integrate(lambda x, t, c: f(x, t, c), x0[None], spec, cond)[0]
+        assert got.shape == (4,)
+        assert np.allclose(got, ref, rtol=1e-5, atol=1e-6)
+
+    def test_divergence_at_same_step(self):
+        # no hidden layer: the field is linear in x, so the state grows by
+        # a large factor per step until float32 overflows
+        f = _drawn_field((), scale=300.0)
+        rng = np.random.default_rng(5)
+        x0 = rng.standard_normal((6, 4))
+        cond = self._cond(6, rng)
+        spec = IntegrationSpec(steps=64)
+        steps = []
+        for field in (f, lambda x, t, c: f(x, t, c)):
+            with pytest.raises(DivergenceError) as ei, \
+                    np.errstate(over="ignore", invalid="ignore"):
+                integrate(field, x0, spec, cond)
+            steps.append(ei.value.step)
+        assert steps[0] == steps[1] and steps[0] > 0
 
 
 class TestCfmLoss:

@@ -217,3 +217,66 @@ class TestConditionedField:
         f = self._make()
         with pytest.raises(StateError):
             f.backward(None, np.zeros((1, 3)))
+
+
+class TestConditionedVelocity:
+    """``velocity(cond, B)(x, t)`` is ``forward(x, full(B, t), cond)[0]``.
+
+    Every weight is drawn non-zero: the modulation heads of a fresh field
+    are zero, which would hide a wrong split of their inputs.
+    """
+
+    def _field(self, hidden, local_dim, cond_dim, dtype, seed=0):
+        rng = np.random.default_rng(seed)
+        f = ConditionedField(dim=5, local_dim=local_dim, cond_dim=cond_dim,
+                             hidden=hidden, time_dim=6, rng=rng, dtype=dtype)
+        for k, v in f.params.items():
+            f.params[k] = (0.5 * rng.standard_normal(v.shape)).astype(dtype)
+        return f
+
+    @pytest.mark.parametrize("hidden", [(7,), (7, 6, 4)])
+    @pytest.mark.parametrize("local_dim,cond_dim", [(3, 4), (0, 4), (3, 0)])
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5),
+                                           (np.float64, 1e-12)])
+    def test_matches_forward(self, hidden, local_dim, cond_dim, dtype, tol):
+        f = self._field(hidden, local_dim, cond_dim, dtype)
+        rng = np.random.default_rng(1)
+        b = 9
+        x = rng.standard_normal((b, 5))
+        local = rng.standard_normal((b, local_dim)) if local_dim else None
+        globs = ([np.tile(rng.standard_normal(cond_dim), (b, 1)),
+                  rng.standard_normal((b, cond_dim)),
+                  rng.standard_normal(cond_dim)] if cond_dim else [None])
+        for glob in globs:
+            v = f.velocity((local, glob), b)
+            for t in (0.0, 0.37, 1.0):
+                got = v(x, t)
+                ref = f.forward(x, np.full(b, t), (local, glob))[0]
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+                assert not np.allclose(ref, f.forward(
+                    x, np.full(b, 0.5 * t + 0.2), (local, glob))[0])
+
+    def test_no_hidden_layer(self):
+        f = self._field((), 3, 4, np.float64)
+        rng = np.random.default_rng(2)
+        x, local = rng.standard_normal((4, 5)), rng.standard_normal((4, 3))
+        glob = rng.standard_normal((4, 4))
+        ref = f.forward(x, np.full(4, 0.5), (local, glob))[0]
+        assert np.allclose(f.velocity((local, glob), 4)(x, 0.5), ref,
+                           rtol=0, atol=1e-12)
+
+    def test_empty_batch(self):
+        f = self._field((7,), 3, 4, np.float32)
+        v = f.velocity((np.zeros((0, 3)), np.zeros(4)), 0)
+        assert v(np.zeros((0, 5)), 0.5).shape == (0, 5)
+
+    def test_cond_and_state_shapes_checked(self):
+        f = self._field((7,), 3, 4, np.float32)
+        with pytest.raises(InputError):
+            f.velocity((np.zeros((2, 9)), np.zeros((2, 4))), 2)
+        with pytest.raises(InputError):
+            f.velocity((np.zeros((2, 3)), np.zeros((3, 4))), 2)
+        v = f.velocity((np.zeros((2, 3)), np.zeros((2, 4))), 2)
+        with pytest.raises(InputError):
+            v(np.zeros((3, 5)), 0.5)
