@@ -10,6 +10,8 @@ rerun with identical inputs produces identical bytes.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -370,10 +372,47 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+try:        # glibc's malloc_trim; other C libraries have none
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
+# numpy's switch for asking the kernel for huge pages on large arrays
+_SET_MADVISE_HUGEPAGE = getattr(getattr(getattr(np, "_core", None),
+                                        "multiarray", None),
+                                "_set_madvise_hugepage", None)
+
+
+@contextlib.contextmanager
+def steady_memory():
+    """Run a command so that its resident size depends on its own
+    allocations only.
+
+    numpy asks for transparent huge pages on arrays of 4 MB and more, and
+    whether the kernel grants them depends on the memory of the whole
+    host; a granted page counts 2 MB resident however little of it is
+    used.  The command runs without that request, which is restored after.
+    Multi-MB temporaries can also land on the malloc heap, and how much of
+    it a command leaves resident depends on what it allocated last; the
+    pages of freed heap are given back to the OS when the command ends, so
+    that when ``main`` runs several commands in one process each starts on
+    the memory its live objects hold.
+    """
+    huge = _SET_MADVISE_HUGEPAGE(False) if _SET_MADVISE_HUGEPAGE else None
+    try:
+        yield
+    finally:
+        if huge is not None:
+            _SET_MADVISE_HUGEPAGE(huge)
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
+
+
 def main(argv=None) -> int:
+    """Run one command under ``steady_memory``; its exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with steady_memory():
+            return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

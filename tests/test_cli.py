@@ -448,3 +448,24 @@ def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
     assert main([str(a) for a in argv] + ["--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "\n" not in err and named in err
+
+
+def test_main_runs_each_command_under_steady_memory(tmp_path, small_config,
+                                                    monkeypatch):
+    import anonflow.cli as cli
+    calls, huge = [], [True]
+
+    def set_huge(on):
+        calls.append(("huge", on))
+        old, huge[0] = huge[0], on
+        return old
+
+    monkeypatch.setattr(cli, "_SET_MADVISE_HUGEPAGE", set_huge)
+    monkeypatch.setattr(cli, "_MALLOC_TRIM", lambda pad: calls.append(("trim", pad)))
+    assert main(["gen-world", "--config", small_config, "--seed", "1",
+                 "--out", str(tmp_path / "w")]) == 0
+    assert main(["gen-world", "--config", str(tmp_path / "none.json"),
+                 "--seed", "1", "--out", str(tmp_path / "x")]) == 2
+    # huge pages off for the command, restored after; freed heap returned
+    assert calls == [("huge", False), ("huge", True), ("trim", 0)] * 2
+    assert huge == [True]
