@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_model, save_model
+from .checkpoint import (TRAINING_RANGES, WIDTHS, check_ranges, load_model,
+                         save_model)
 from .errors import ConfigError, DataError, DivergenceError, InputError
 from .flowmath import IntegrationSpec, cfm_loss, integrate
 from .nets import UShapedField
@@ -44,6 +45,10 @@ class AnonymizerConfig:
     pct_start: float = 0.1
     weight_decay: float = 1.0e-4
     seed: int = 0
+
+    def __post_init__(self):
+        check_ranges("anonymizer", self,
+                     {"level_dims": WIDTHS, **TRAINING_RANGES})
 
     def to_dict(self):
         d = asdict(self)

@@ -12,7 +12,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checkpoint import load_model, save_model
+from .checkpoint import (AT_LEAST_1, NON_NEGATIVE, TRAINING_RANGES, WIDTHS,
+                         check_ranges, load_model, save_model)
 from .errors import DivergenceError, InputError
 from .flowmath import IntegrationSpec, cfm_loss, integrate
 from .nets import ConditionedField
@@ -36,6 +37,13 @@ class BackboneConfig:
     weight_decay: float = 1.0e-4
     f_sem_noise: float = 0.05
     seed: int = 0
+
+    def __post_init__(self):
+        check_ranges("backbone", self, {
+            "content_dim": AT_LEAST_1, "hidden": WIDTHS,
+            "codebook_size": (lambda v: v >= 2, ">= 2"),
+            "beta": NON_NEGATIVE, "lam": NON_NEGATIVE,
+            "f_sem_noise": NON_NEGATIVE, **TRAINING_RANGES})
 
     def to_dict(self):
         d = asdict(self)
@@ -130,6 +138,9 @@ def train_backbone(dataset: Dataset, config: BackboneConfig,
     params["codebook"] = model.codebook.entries
     sched = OneCycle(config.steps, config.peak_lr, config.pct_start)
     opt = AdamW(params, sched, weight_decay=config.weight_decay)
+    # the optimizer holds the tensors now: read them through its views
+    model.field.params = {k: v for k, v in params.items() if k != "codebook"}
+    model.codebook.entries = params["codebook"]
 
     trace = []
     for step in range(config.steps):
@@ -146,8 +157,6 @@ def train_backbone(dataset: Dataset, config: BackboneConfig,
         opt.step(grads)
         trace.append({"step": step, "l_flow": l_flow, "l_commit": l_commit,
                       "lr": opt.lr})
-    model.field.params = {k: v for k, v in params.items() if k != "codebook"}
-    model.codebook.entries = params["codebook"]
     return model, trace
 
 

@@ -4,11 +4,18 @@ Layout: 8-byte magic "F3VACKPT", u32 version, u32 tensor count, then per
 tensor: u32 name length, UTF-8 name, u32 rank, u32 dims, row-major
 little-endian float32 data.  Tensors are written in sorted name order so
 the file is a deterministic function of its contents.
+
+Also here: the ``.ckpt``/``.json`` model pair, the type (``fits``) and
+range (``check_ranges``) rules for config values, and ``replacing``, the
+temp-file-then-rename writer of model pairs, datasets and manifests.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -79,11 +86,63 @@ def fits(value, default) -> bool:
     return type(value) is type(default)
 
 
+# config value rules for ``check_ranges``: (test, what it asks)
+AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+WIDTHS = (lambda v: len(v) > 0 and min(v) >= 1,
+          "a non-empty list of sizes >= 1")
+# the fields that both trainers' configs give the schedule and optimizer
+TRAINING_RANGES = {
+    "time_dim": (lambda v: v >= 2 and v % 2 == 0, "even and >= 2"),
+    "steps": AT_LEAST_1,
+    "batch": AT_LEAST_1,
+    "peak_lr": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "pct_start": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "weight_decay": NON_NEGATIVE,
+    "seed": (lambda v: v >= 0, ">= 0"),
+}
+
+
+def check_ranges(section: str, config, ranges: dict) -> None:
+    """Raise ConfigError naming ``section.key`` for the first field of
+    ``config`` whose value fails its ``ranges[key]`` test."""
+    for key, (ok, rule) in ranges.items():
+        value = getattr(config, key)
+        if not ok(value):
+            raise ConfigError(f"{section}.{key} must be {rule}, "
+                              f"got {value!r}")
+
+
+@contextlib.contextmanager
+def replacing(paths):
+    """Write ``paths`` as one: yield a temporary path beside each, in the
+    same order.  When the block ends, each temporary file replaces its
+    path, and a path whose temporary file the block did not write is
+    removed.  On an error the temporary files are removed and the old
+    files stay as they were."""
+    paths = [Path(p) for p in paths]
+    tmp = [p.with_name(f".{p.name}.tmp") for p in paths]
+    try:
+        yield tmp
+        for t, p in zip(tmp, paths):
+            if t.exists():
+                os.replace(t, p)
+            else:
+                p.unlink(missing_ok=True)
+    except BaseException:
+        for t in tmp:
+            t.unlink(missing_ok=True)
+        raise
+
+
 def save_model(prefix, tensors: dict, meta: dict) -> None:
-    """Write ``<prefix>.ckpt`` (tensors) and ``<prefix>.json`` (meta)."""
+    """Write ``<prefix>.ckpt`` (tensors) and ``<prefix>.json`` (meta); the
+    pair replaces an old one only once both files are written."""
     prefix = Path(prefix)
-    save_checkpoint(prefix.with_suffix(".ckpt"), tensors)
-    prefix.with_suffix(".json").write_text(json.dumps(meta, indent=1) + "\n")
+    with replacing([prefix.with_suffix(".ckpt"),
+                    prefix.with_suffix(".json")]) as (ckpt, sidecar):
+        save_checkpoint(ckpt, tensors)
+        sidecar.write_text(json.dumps(meta, indent=1) + "\n")
 
 
 def load_model(prefix, config_cls, build, keys: tuple = ()):
@@ -91,10 +150,11 @@ def load_model(prefix, config_cls, build, keys: tuple = ()):
 
     The sidecar must hold a ``config`` object with fields of
     ``config_cls`` only, each of the JSON type of its default (see
-    ``fits``), and each of ``keys`` as a positive integer;
-    ``build(meta, config)`` makes the model, and the checkpoint must hold
-    each of its tensors at its shape.  A missing sidecar is a ConfigError;
-    a malformed sidecar or checkpoint is a DataError naming the file.
+    ``fits``), each of ``keys`` as a positive integer, and the values
+    the config's own range checks accept; ``build(meta, config)`` makes
+    the model, and the checkpoint must hold each of its tensors at its
+    shape.  A missing sidecar is a ConfigError; a malformed sidecar or
+    checkpoint is a DataError naming the file.
     """
     path = Path(prefix).with_suffix(".json")
     try:
@@ -122,7 +182,11 @@ def load_model(prefix, config_cls, build, keys: tuple = ()):
         if not fits(v, defaults[k]):
             raise DataError(f"{path}: config.{k} = {v!r} does not have the "
                             f"type of its default, {defaults[k]!r}")
-    model = build(meta, config_cls.from_dict(meta["config"]))
+    try:
+        config = config_cls.from_dict(meta["config"])
+    except ConfigError as e:
+        raise DataError(f"{path}: {e}") from e
+    model = build(meta, config)
     ckpt = path.with_suffix(".ckpt")
     tensors = load_checkpoint(ckpt)
     for name, t in model.tensors().items():

@@ -24,7 +24,7 @@ from .anonymizer import (AnonymizerConfig, WeightStrategy, anonymize_dataset,
                          load_anonymizer, load_mapping, save_anonymizer,
                          save_mapping, train_anonymizer)
 from .backbone import BackboneConfig, load_backbone, save_backbone, train_backbone
-from .checkpoint import fits
+from .checkpoint import fits, replacing
 from .content import (ReplacementPool, anonymize_content, build_gazetteer,
                       save_edit_reports, save_gazetteer)
 from .errors import ConfigError, DataError, DivergenceError, InputError
@@ -32,7 +32,7 @@ from .evaluation import (build_trials, load_trials, run_attack, save_scores,
                          save_trials)
 from .flowmath import IntegrationSpec
 from .worldgen import (DATASET_FILES, WorldConfig, load_dataset, load_params,
-                       sample_speaker_embedding, save_dataset, sha256_file)
+                       sample_speaker_embeddings, save_dataset, sha256_file)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,10 @@ def radar_normalize(v_raw: float, entry: RadarEntry) -> float:
 
 def write_manifest(out_dir: Path, command: str, inputs: dict,
                    seeds: dict, outputs) -> None:
-    """inputs: name -> existing path (hashed); outputs: paths inside out_dir."""
+    """inputs: name -> existing path (hashed); outputs: paths inside out_dir.
+
+    Each command calls this last, once its outputs are in place; the
+    manifest replaces an old one only once it is written."""
     manifest = {
         "command": command,
         "version": __version__,
@@ -84,8 +87,8 @@ def write_manifest(out_dir: Path, command: str, inputs: dict,
                    for k, p in inputs.items()},
         "outputs": {Path(p).name: sha256_file(p) for p in outputs},
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    with replacing([out_dir / "manifest.json"]) as (tmp,):
+        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
 def _load_config(path, section: str, defaults: dict) -> dict:
@@ -161,14 +164,15 @@ def cmd_train_anonymizer(args) -> int:
     defaults = {**AnonymizerConfig().to_dict(), "n_embeddings": 10_000}
     cfg_dict = _load_config(args.config, "anonymizer", defaults)
     n_embeddings = cfg_dict.pop("n_embeddings", defaults["n_embeddings"])
+    if n_embeddings < 2:
+        raise ConfigError(f"anonymizer.n_embeddings must be >= 2, "
+                          f"got {n_embeddings!r}")
     cfg_dict["seed"] = args.seed
     cfg_dict.setdefault("level_dims", _level_dims_for(params.D))
     config = AnonymizerConfig.from_dict({**AnonymizerConfig().to_dict(),
                                          **cfg_dict})
     rng = np.random.default_rng(args.seed)
-    genders = ["male", "female"]
-    emb = np.stack([sample_speaker_embedding(params, genders[i % 2], rng)
-                    for i in range(n_embeddings)])
+    emb = sample_speaker_embeddings(params, n_embeddings, rng)
     model, _ = train_anonymizer(emb, config, rng)
     out = _outdir(args)
     save_anonymizer(model, out / "anonymizer")

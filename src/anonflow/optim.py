@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,14 @@ class AdamW:
 
     Weight decay is decoupled: applied directly to parameters, never to the
     moment accumulators.
+
+    The parameters and both moments live in one flat buffer per parameter
+    dtype.  Construction copies each tensor into its dtype's buffer and
+    rebinds ``params[k]``, ``m[k]`` and ``v[k]`` to views of it: a caller
+    that reads its tensors through the dict it passed in sees every update,
+    one that kept the old arrays does not.  A step runs each element-wise
+    operation once per buffer, in the per-element order of a per-tensor
+    update, so the result is bit-identical to updating each tensor in turn.
     """
 
     def __init__(self, params: dict, schedule, beta1: float = 0.9,
@@ -58,8 +67,25 @@ class AdamW:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        by_dtype = {}
+        for k, p in params.items():
+            by_dtype.setdefault(np.asarray(p).dtype, []).append(k)
+        self._groups = []         # (keys, shapes, flat params, flat m, flat v)
+        views = {}
+        for dtype, keys in by_dtype.items():
+            shapes = [np.shape(params[k]) for k in keys]
+            flat = np.concatenate([params[k] for k in keys], axis=None,
+                                  dtype=dtype)
+            bufs = (flat, np.zeros_like(flat), np.zeros_like(flat))
+            self._groups.append((keys, shapes, *bufs))
+            lo = 0
+            for k, shape in zip(keys, shapes):
+                hi = lo + math.prod(shape)
+                views[k] = [b[lo:hi].reshape(shape) for b in bufs]
+                lo = hi
+        self.m, self.v = {}, {}
+        for k in params:
+            params[k], self.m[k], self.v[k] = views[k]
 
     @property
     def lr(self) -> float:
@@ -68,23 +94,40 @@ class AdamW:
         return self.schedule.lr(min(self.step_count, self.schedule.total_steps))
 
     def step(self, grads: dict) -> None:
+        """Update every parameter from ``grads`` (one array per key, at the
+        parameter's shape).  A non-finite gradient raises DivergenceError
+        and a misshapen one InputError, naming the first such key in
+        parameter order; either way no parameter changes."""
+        t = self.step_count + 1
+        flat_grads = []
+        for keys, shapes, *_ in self._groups:
+            g = [grads[k] for k in keys]
+            ok = all(gk.shape == s for gk, s in zip(g, shapes))
+            if ok:
+                g = np.concatenate(g, axis=None)
+                ok = np.isfinite(g).all()
+            if not ok:
+                self._reject(grads, t)
+            flat_grads.append(g)
         lr = self.lr
-        self.step_count += 1
-        t = self.step_count
+        self.step_count = t
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for k, p in self.params.items():
-            g = grads[k]
-            if not np.all(np.isfinite(g)):
-                raise DivergenceError(f"non-finite gradient for {k}", step=t)
-            if g.shape != p.shape:
-                raise InputError(f"gradient shape {g.shape} != param shape {p.shape} for {k}")
+        for (_, _, p, m, v), g in zip(self._groups, flat_grads):
             if self.weight_decay:
                 p *= 1.0 - lr * self.weight_decay
-            m = self.m[k]
-            v = self.v[k]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p -= (lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)).astype(p.dtype)
+
+    def _reject(self, grads: dict, t: int) -> None:
+        """Raise for the first key whose gradient is non-finite or
+        misshapen, checking each key's finiteness before its shape."""
+        for k, m in self.m.items():       # m[k] has the shape of params[k]
+            g = grads[k]
+            if not np.all(np.isfinite(g)):
+                raise DivergenceError(f"non-finite gradient for {k}", step=t)
+            if g.shape != m.shape:
+                raise InputError(f"gradient shape {g.shape} != param shape {m.shape} for {k}")

@@ -20,12 +20,12 @@ import functools
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import AT_LEAST_1, NON_NEGATIVE, check_ranges, replacing
 from .errors import ConfigError, DataError, InputError
 from .pitch import pitch_or_zeros
 from .vq import nearest
@@ -227,6 +227,15 @@ def sample_speaker_embedding(params: WorldParams, gender: str, rng) -> np.ndarra
     return e / np.linalg.norm(e)
 
 
+def sample_speaker_embeddings(params: WorldParams, n: int, rng) -> np.ndarray:
+    """(n, D) draws from the speaker prior, genders alternating from male:
+    bit for bit the rows of n ``sample_speaker_embedding`` calls, from one
+    draw of the same stream."""
+    e = params.gender_means[np.arange(n) % 2] + rng.standard_normal((n, params.D))
+    # each row's dot product with itself, as the 1-D np.linalg.norm takes it
+    return e / np.sqrt(np.matmul(e[:, None, :], e[:, :, None]))[:, 0]
+
+
 def _lexicon_layout(params: WorldParams, n_speakers: int):
     """Carve PII lexicon and pool token ids out of the vocabulary."""
     lex = params.lexicon_per_type
@@ -329,20 +338,14 @@ class WorldConfig:
 
     def __post_init__(self):
         self.duration_range = tuple(self.duration_range)
-        for key in ("D", "F", "v_common", "n_speakers", "utts_per_speaker"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"world.{key} must be >= 1, "
-                                  f"got {getattr(self, key)!r}")
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ConfigError(f"world.noise_sigma must be finite and >= 0, "
-                              f"got {self.noise_sigma!r}")
-        if not 0.0 <= self.pii_frac <= 1.0:
-            raise ConfigError(f"world.pii_frac must lie in [0, 1], "
-                              f"got {self.pii_frac!r}")
-        lo_hi = self.duration_range
-        if not (len(lo_hi) == 2 and 0.0 < lo_hi[0] <= lo_hi[1] < math.inf):
-            raise ConfigError(f"world.duration_range must be [lo, hi] with "
-                              f"0 < lo <= hi, got {list(lo_hi)!r}")
+        check_ranges("world", self, {
+            **dict.fromkeys(("D", "F", "v_common", "n_speakers",
+                             "utts_per_speaker"), AT_LEAST_1),
+            "noise_sigma": NON_NEGATIVE,
+            "pii_frac": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+            "duration_range": (
+                lambda v: len(v) == 2 and 0.0 < v[0] <= v[1] < math.inf,
+                "[lo, hi] with 0 < lo <= hi")})
 
     def generate(self, seed: int) -> Dataset:
         params = make_world_params(D=self.D, F=self.F, v_common=self.v_common,
@@ -605,14 +608,12 @@ def sha256_file(path) -> str:
 
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
-    """Write the dataset's files.  Each is written to a temporary file
-    first, and they replace the old files only once all are written; on an
-    error the temporary files are removed.  Floats are stored at 9
-    significant digits.  The array cache is left out when some row's float
-    arrays are not the fields it stores."""
+    """Write the dataset's files.  They replace the old files only once
+    all are written (see ``checkpoint.replacing``).  Floats are stored at 9
+    significant digits.  The array cache is left out, and an old one
+    removed, when some row's float arrays are not the fields it stores."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tmp = {name: out / f".{name}.tmp" for name in DATASET_FILES}
     rows = {
         "speakers.jsonl": ({
             "id": s.id, "gender": s.gender, "embedding": s.embedding,
@@ -627,7 +628,8 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
             "frames_per_token": u.frames_per_token,
         } for u in dataset.utterances)}
     shaped = {}
-    try:
+    with replacing([out / name for name in DATASET_FILES]) as paths:
+        tmp = dict(zip(DATASET_FILES, paths))
         tmp["world.json"].write_bytes(
             json.dumps(dataset.params.to_dict(), indent=1).encode() + b"\n")
         with open(tmp["arrays.f64"], "wb") as stream:
@@ -649,16 +651,8 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
             digests["rows"] = hashlib.sha256(text).hexdigest()
             tmp["arrays.json"].write_bytes(_object_text({
                 "sha256": json.dumps(digests).encode(), "rows": text}) + b"\n")
-        for name in DATASET_FILES:
-            if whole or name not in CACHE_FILES:
-                os.replace(tmp[name], out / name)
-            else:
-                tmp[name].unlink(missing_ok=True)
-                (out / name).unlink(missing_ok=True)
-    except BaseException:
-        for path in tmp.values():
-            path.unlink(missing_ok=True)
-        raise
+        else:
+            tmp["arrays.f64"].unlink()
 
 
 def _parse_jsonl(path: Path):

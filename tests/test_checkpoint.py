@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from anonflow.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from anonflow.checkpoint import (MAGIC, load_checkpoint, save_checkpoint,
+                                 save_model)
 from anonflow.errors import DataError
 
 
@@ -53,3 +54,20 @@ def test_float64_saved_as_float32(tmp_path):
     out = load_checkpoint(path)
     assert out["x"].dtype == np.float32
     assert out["x"][0] == np.float32(1.0 / 3.0)
+
+
+def test_failed_model_write_keeps_previous_pair(tmp_path, torn_write_text):
+    tensors = {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}
+    save_model(tmp_path / "model", tensors, {"config": {"steps": 1}})
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    assert sorted(before) == ["model.ckpt", "model.json"]
+    # the new checkpoint is written in full, then its sidecar write fails
+    with torn_write_text(), pytest.raises(OSError, match="disk full"):
+        save_model(tmp_path / "model", {"w": -tensors["w"]},
+                   {"config": {"steps": 2}})
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+    save_model(tmp_path / "model", {"w": -tensors["w"]},
+               {"config": {"steps": 2}})
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(before)
+    assert np.array_equal(load_checkpoint(tmp_path / "model.ckpt")["w"],
+                          -tensors["w"])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from anonflow.checkpoint import load_checkpoint, save_checkpoint
-from anonflow.cli import (RADAR_DEFAULTS, RadarEntry, main, radar_normalize)
+from anonflow.cli import (RADAR_DEFAULTS, RadarEntry, main, radar_normalize,
+                          write_manifest)
 from anonflow.errors import ConfigError
 
 
@@ -345,11 +346,16 @@ def _model_copy(name, edit_meta=None, edit_tensors=None, named=""):
     return case
 
 
-def _world_value(key, value):
+def _config_value(section, key, value):
+    """A ``--config`` whose ``section.key`` is ``value``, given to the
+    command that reads the section."""
     def case(tmp, world, bb, an):
         cfg = tmp / "config.json"
-        cfg.write_text(json.dumps({"world": {key: value}}))
-        return (["gen-world", "--config", cfg], f"world.{key}")
+        cfg.write_text(json.dumps({section: {key: value}}))
+        if section == "world":
+            return (["gen-world", "--config", cfg], f"world.{key}")
+        return ([f"train-{section}", "--config", cfg, "--data", world],
+                f"{section}.{key}")
     return case
 
 
@@ -406,16 +412,33 @@ def _world_value(key, value):
         {"backbone/codebook": t["backbone/codebook"][:-1]})), 4),
     (_model_copy("anonymizer", edit_tensors=lambda t: t.update(
         {"anonymizer/lin1.W": t["anonymizer/lin1.W"].T})), 4),
-    (_world_value("duration_range", [5.0]), 2),
-    (_world_value("duration_range", [12.0, 6.0]), 2),
-    (_world_value("pii_frac", 2.0), 2),
-    (_world_value("noise_sigma", -0.1), 2),
-    (_world_value("noise_sigma", float("nan")), 2),
-    (_world_value("D", 0), 2),
-    (_world_value("F", 0), 2),
-    (_world_value("v_common", 0), 2),
-    (_world_value("n_speakers", 0), 2),
-    (_world_value("utts_per_speaker", 0), 2),
+    (_config_value("world", "duration_range", [5.0]), 2),
+    (_config_value("world", "duration_range", [12.0, 6.0]), 2),
+    (_config_value("world", "pii_frac", 2.0), 2),
+    (_config_value("world", "noise_sigma", -0.1), 2),
+    (_config_value("world", "noise_sigma", float("nan")), 2),
+    (_config_value("world", "D", 0), 2),
+    (_config_value("world", "F", 0), 2),
+    (_config_value("world", "v_common", 0), 2),
+    (_config_value("world", "n_speakers", 0), 2),
+    (_config_value("world", "utts_per_speaker", 0), 2),
+    (_config_value("backbone", "hidden", []), 2),
+    (_config_value("backbone", "hidden", [48, 0]), 2),
+    (_config_value("backbone", "peak_lr", -1.0), 2),
+    (_config_value("backbone", "batch", 0), 2),
+    (_config_value("backbone", "steps", 0), 2),
+    (_config_value("backbone", "pct_start", 1.5), 2),
+    (_config_value("backbone", "codebook_size", 1), 2),
+    (_config_value("backbone", "time_dim", 0), 2),
+    (_config_value("anonymizer", "batch", 0), 2),
+    (_config_value("anonymizer", "steps", 0), 2),
+    (_config_value("anonymizer", "time_dim", 3), 2),
+    (_config_value("anonymizer", "weight_decay", -0.5), 2),
+    (_config_value("anonymizer", "n_embeddings", 1), 2),
+    (_model_copy("backbone", lambda d: d["config"].update(hidden=[]),
+                 named=": backbone.hidden"), 4),
+    (_model_copy("anonymizer", lambda d: d["config"].update(time_dim=0),
+                 named=": anonymizer.time_dim"), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -439,7 +462,13 @@ def _world_value(key, value):
         "world-duration-range-reversed", "world-pii-frac-above-1",
         "world-noise-sigma-negative", "world-noise-sigma-nan", "world-D-0",
         "world-F-0", "world-v-common-0", "world-n-speakers-0",
-        "world-utts-per-speaker-0"])
+        "world-utts-per-speaker-0", "backbone-hidden-empty",
+        "backbone-hidden-width-0", "backbone-peak-lr-negative",
+        "backbone-batch-0", "backbone-steps-0", "backbone-pct-start-1.5",
+        "backbone-codebook-size-1", "backbone-time-dim-0",
+        "anonymizer-batch-0", "anonymizer-steps-0", "anonymizer-time-dim-3",
+        "anonymizer-weight-decay-negative", "anonymizer-n-embeddings-1",
+        "backbone-json-hidden-empty", "anonymizer-json-time-dim-0"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline
@@ -469,3 +498,18 @@ def test_main_runs_each_command_under_steady_memory(tmp_path, small_config,
     # huge pages off for the command, restored after; freed heap returned
     assert calls == [("huge", False), ("huge", True), ("trim", 0)] * 2
     assert huge == [True]
+
+
+def test_failed_manifest_write_keeps_previous_manifest(tmp_path,
+                                                      torn_write_text):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "radar.csv").write_text("a\n")
+    write_manifest(out, "report", {}, {}, [out / "radar.csv"])
+    before = (out / "manifest.json").read_bytes()
+    (out / "radar.csv").write_text("b\n")
+    with torn_write_text(), pytest.raises(OSError, match="disk full"):
+        write_manifest(out, "report", {}, {}, [out / "radar.csv"])
+    assert (out / "manifest.json").read_bytes() == before
+    assert sorted(f.name for f in out.iterdir()) == ["manifest.json",
+                                                     "radar.csv"]

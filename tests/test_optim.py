@@ -1,8 +1,59 @@
 import numpy as np
 import pytest
 
+import anonflow.anonymizer as anonymizer_mod
+import anonflow.backbone as backbone_mod
+from anonflow.anonymizer import AnonymizerConfig, train_anonymizer
+from anonflow.backbone import BackboneConfig, train_backbone
 from anonflow.errors import DivergenceError, InputError
 from anonflow.optim import AdamW, OneCycle
+from anonflow.worldgen import generate_world, make_world_params
+
+
+class ReferenceAdamW(AdamW):
+    """The per-tensor AdamW that the flat-buffer one replaced: it updates
+    each caller's array in place, one tensor after another."""
+
+    def __init__(self, params, schedule, beta1=0.9, beta2=0.999, eps=1.0e-8,
+                 weight_decay=0.01):
+        self.params = params
+        self.schedule = schedule
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.weight_decay = weight_decay
+        self.step_count = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, grads):
+        lr = self.lr
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1**t
+        bc2 = 1.0 - self.beta2**t
+        for k, p in self.params.items():
+            g = grads[k]
+            if not np.all(np.isfinite(g)):
+                raise DivergenceError(f"non-finite gradient for {k}", step=t)
+            if g.shape != p.shape:
+                raise InputError(f"gradient shape {g.shape} != param shape {p.shape} for {k}")
+            if self.weight_decay:
+                p *= 1.0 - lr * self.weight_decay
+            m = self.m[k]
+            v = self.v[k]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= (lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)).astype(p.dtype)
+
+
+def mixed_params(rng):
+    """float32 and float64 tensors interleaved, with a one-element one."""
+    return {"w1": rng.standard_normal((3, 4)).astype(np.float32),
+            "cb": rng.standard_normal((5, 2)),
+            "b1": rng.standard_normal(4).astype(np.float32),
+            "one": rng.standard_normal(1).astype(np.float32),
+            "s": rng.standard_normal(3)}
 
 
 class TestOneCycle:
@@ -80,3 +131,124 @@ class TestAdamW:
         opt = AdamW(p, schedule=0.01)
         assert opt.m["a"].shape == (3, 2)
         assert opt.v["b"].shape == (5,)
+
+
+class TestFlatBuffers:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("schedule", [OneCycle(50, 0.05), 0.01])
+    def test_matches_per_tensor_reference(self, weight_decay, schedule):
+        rng = np.random.default_rng(7)
+        p_fused, p_ref = mixed_params(rng), mixed_params(np.random.default_rng(7))
+        fused = AdamW(p_fused, schedule, weight_decay=weight_decay)
+        ref = ReferenceAdamW(p_ref, schedule, weight_decay=weight_decay)
+        for _ in range(50):
+            grads = {k: rng.standard_normal(v.shape).astype(v.dtype)
+                     for k, v in p_ref.items()}
+            fused.step(grads)
+            ref.step(grads)
+        for k in p_ref:
+            assert p_fused[k].dtype == p_ref[k].dtype
+            assert p_fused[k].shape == p_ref[k].shape
+            assert np.array_equal(p_fused[k], p_ref[k])
+            assert np.array_equal(fused.m[k], ref.m[k])
+            assert np.array_equal(fused.v[k], ref.v[k])
+
+    def test_views_share_one_buffer_per_dtype(self):
+        p = mixed_params(np.random.default_rng(0))
+        before = {k: v.copy() for k, v in p.items()}
+        originals = dict(p)
+        opt = AdamW(p, 0.01)
+        assert list(p) == list(before) == list(opt.m) == list(opt.v)
+        f32, f64 = p["w1"].base, p["cb"].base
+        for k, v in p.items():
+            assert np.array_equal(v, before[k]) and v.dtype == before[k].dtype
+            assert not np.shares_memory(v, originals[k])
+            assert np.shares_memory(v, f32 if v.dtype == np.float32 else f64)
+            assert opt.m[k].shape == opt.v[k].shape == v.shape
+            assert not np.shares_memory(opt.m[k], v)
+        opt.step({k: np.ones_like(v) for k, v in p.items()})
+        assert all(not np.array_equal(v, before[k]) for k, v in p.items())
+
+    def test_nonfinite_gradient_names_key_and_changes_nothing(self):
+        p = mixed_params(np.random.default_rng(1))
+        opt = AdamW(p, 0.01)
+        grads = {k: np.ones_like(v) for k, v in p.items()}
+        opt.step(grads)
+        before = {k: v.copy() for k, v in p.items()}
+        moments = {k: (opt.m[k].copy(), opt.v[k].copy()) for k in p}
+        grads["cb"] = grads["cb"].copy()
+        grads["cb"][1, 0] = np.inf
+        with pytest.raises(DivergenceError, match="for cb") as e:
+            opt.step(grads)
+        assert e.value.step == 2
+        for k, v in p.items():
+            assert np.array_equal(v, before[k])
+            assert np.array_equal(opt.m[k], moments[k][0])
+            assert np.array_equal(opt.v[k], moments[k][1])
+        assert opt.step_count == 1
+
+    def test_shape_mismatch_rejected_and_changes_nothing(self):
+        p = mixed_params(np.random.default_rng(2))
+        opt = AdamW(p, 0.01)
+        before = {k: v.copy() for k, v in p.items()}
+        grads = {k: np.ones_like(v) for k, v in p.items()}
+        grads["b1"] = np.ones((2, 2), dtype=np.float32)   # same size, new shape
+        with pytest.raises(InputError, match="for b1"):
+            opt.step(grads)
+        assert all(np.array_equal(v, before[k]) for k, v in p.items())
+
+    def test_first_bad_key_in_parameter_order(self):
+        # w1 (float32 buffer) is misshapen, cb (float64 buffer) non-finite:
+        # w1 comes first, as in the per-tensor order
+        p = mixed_params(np.random.default_rng(3))
+        opt = AdamW(p, 0.01)
+        grads = {k: np.ones_like(v) for k, v in p.items()}
+        grads["w1"] = np.ones((4, 3), dtype=np.float32)
+        grads["cb"] = np.full((5, 2), np.nan)
+        with pytest.raises(InputError, match="for w1"):
+            opt.step(grads)
+
+
+@pytest.fixture(scope="module")
+def small_world():
+    p = make_world_params(D=8, F=12, v_common=24, n_speakers=4,
+                          noise_sigma=0.05, seed=5)
+    return generate_world(p, 4, 3, np.random.default_rng(5),
+                          duration_range=(4.0, 8.0))
+
+
+class TestTrainersMatchReference:
+    """The trainers give the same bits with the per-tensor optimizer."""
+
+    def _both(self, monkeypatch, module, train):
+        fused = train()
+        monkeypatch.setattr(module, "AdamW", ReferenceAdamW)
+        return fused, train()
+
+    def test_backbone(self, monkeypatch, small_world):
+        p = small_world.params
+        config = BackboneConfig(content_dim=8, hidden=(24, 24),
+                                codebook_size=p.V + 8, steps=40, batch=64,
+                                seed=2)
+        (m1, t1), (m2, t2) = self._both(
+            monkeypatch, backbone_mod,
+            lambda: train_backbone(small_world, config,
+                                   np.random.default_rng(4)))
+        assert t1 == t2
+        a, b = m1.tensors(), m2.tensors()
+        assert list(a) == list(b)
+        for k in a:
+            assert a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k])
+
+    def test_anonymizer(self, monkeypatch):
+        emb = np.random.default_rng(6).standard_normal((64, 8))
+        config = AnonymizerConfig(level_dims=(8, 4, 2, 4, 8), steps=60,
+                                  batch=16, seed=3)
+        (m1, t1), (m2, t2) = self._both(
+            monkeypatch, anonymizer_mod,
+            lambda: train_anonymizer(emb, config, np.random.default_rng(8)))
+        assert t1 == t2
+        a, b = m1.tensors(), m2.tensors()
+        assert list(a) == list(b)
+        for k in a:
+            assert a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k])

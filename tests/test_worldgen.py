@@ -15,7 +15,8 @@ from anonflow.worldgen import (ARRAY_FIELDS, CACHE_FILES, DATASET_FILES,
                                generate_world, load_dataset,
                                make_world_params, oracle_extract_speaker,
                                oracle_recover_tokens, sample_speaker_embedding,
-                               save_dataset, synth_frames, token_error_rate)
+                               sample_speaker_embeddings, save_dataset,
+                               synth_frames, token_error_rate)
 
 
 def recover_tokens_by_difference(frames, p_norm, s, params):
@@ -250,6 +251,19 @@ def test_speaker_prior_unit_norm():
     for g in ("male", "female"):
         e = sample_speaker_embedding(p, g, rng)
         assert np.linalg.norm(e) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("D,n", [(8, 1001), (16, 10_000), (3, 7), (16, 0)])
+def test_speaker_prior_batch_matches_per_row_draws(D, n):
+    p = make_world_params(D=D, F=D + 4, v_common=24, n_speakers=4, seed=D)
+    loop_rng, batch_rng = np.random.default_rng(5), np.random.default_rng(5)
+    rows = [sample_speaker_embedding(p, ("male", "female")[i % 2], loop_rng)
+            for i in range(n)]
+    batch = sample_speaker_embeddings(p, n, batch_rng)
+    assert batch.shape == (n, D)
+    assert np.array_equal(batch, np.reshape(rows, (n, D)))
+    # the stream goes on where n one-row draws leave it
+    assert loop_rng.random() == batch_rng.random()
 
 
 def round9_reference(obj):
