@@ -26,14 +26,20 @@ import numpy as np
 from .checkpoint import (TRAINING_RANGES, WIDTHS, check_ranges, load_model,
                          save_model)
 from .errors import ConfigError, DataError, DivergenceError, InputError
-from .flowmath import IntegrationSpec, cfm_loss, integrate
-from .nets import UShapedField
+from .flowmath import cfm_loss, integrate
+from .nets import UShapedField, u_shaped
 from .optim import AdamW, OneCycle
 
 from .backbone import BackboneModel, reconstruct
 from .worldgen import Dataset
 
 RUN_FRAMES = 4096   # most frames one run's reconstruct call solves at once
+FRAME_STEPS = 16    # Euler steps of anonymize_dataset's frame-flow solves
+
+# the level_dims rule: sizes as in WIDTHS, in the shape UShapedField takes
+U_SHAPE = (lambda v: WIDTHS[0](v) and u_shaped(v),
+           "a palindrome of sizes >= 1 with a single minimum at the center")
+
 
 @dataclass
 class AnonymizerConfig:
@@ -47,8 +53,8 @@ class AnonymizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_ranges("anonymizer", self,
-                     {"level_dims": WIDTHS, **TRAINING_RANGES})
+        check_ranges("anonymizer", self, {"level_dims": U_SHAPE,
+                                          **TRAINING_RANGES})
 
     def to_dict(self):
         d = asdict(self)
@@ -110,11 +116,10 @@ def train_anonymizer(embeddings, config: AnonymizerConfig,
     return model, trace
 
 
-def encode(model: AnonymizerModel, s_orig, spec: IntegrationSpec) -> np.ndarray:
+def encode(model: AnonymizerModel, s_orig, steps: int) -> np.ndarray:
     """ODE-1: carry an embedding backward from t=1 to its Gaussian preimage."""
-    if not (spec.t_start == 1.0 and spec.t_end == 0.0):
-        raise InputError("encode integrates backward from t=1 to t=0")
-    return integrate(model.field, np.asarray(s_orig, dtype=float), spec)
+    return integrate(model.field, np.asarray(s_orig, dtype=float), steps,
+                     backward=True)
 
 
 @dataclass(frozen=True)
@@ -136,11 +141,9 @@ def obscure(inp: ObscurationInput) -> np.ndarray:
     return ((1.0 - w) * np.asarray(inp.z_rand) + w * np.asarray(inp.z_orig)) / denom
 
 
-def generate(model: AnonymizerModel, z_anon, spec: IntegrationSpec) -> np.ndarray:
+def generate(model: AnonymizerModel, z_anon, steps: int) -> np.ndarray:
     """ODE-2: carry a Gaussian point forward to the embedding distribution."""
-    if not (spec.t_start == 0.0 and spec.t_end == 1.0):
-        raise InputError("generate integrates forward from t=0 to t=1")
-    return integrate(model.field, np.asarray(z_anon, dtype=float), spec)
+    return integrate(model.field, np.asarray(z_anon, dtype=float), steps)
 
 
 @dataclass(frozen=True)
@@ -189,9 +192,10 @@ class WeightStrategy:
 
 
 def anonymize_speaker(model, s_orig, strategy: WeightStrategy,
-                      rng: np.random.Generator, spec: IntegrationSpec, *,
+                      rng: np.random.Generator, steps: int, *,
                       pool=None, exclude=None):
-    """Encode-obscure-generate (or pool draw) for an (N, D) embedding batch.
+    """Encode-obscure-generate (or pool draw) for an (N, D) embedding batch,
+    each ODE in ``steps`` Euler steps.
 
     Returns (s_anon (N, D), w (N,)); w is None for the pool strategy, which
     draws row i uniformly from the rows of ``pool`` other than
@@ -214,18 +218,17 @@ def anonymize_speaker(model, s_orig, strategy: WeightStrategy,
     for i in range(n):
         w[i] = strategy.draw_w(rng)
         z_rand[i] = rng.standard_normal(s_orig.shape[1])
-    back = IntegrationSpec(steps=spec.steps, t_start=1.0, t_end=0.0)
-    fwd = IntegrationSpec(steps=spec.steps, t_start=0.0, t_end=1.0)
-    z_orig = encode(model, s_orig, back)
+    z_orig = encode(model, s_orig, steps)
     z_anon = obscure(ObscurationInput(z_orig=z_orig, z_rand=z_rand, w=w))
-    return generate(model, z_anon, fwd), w
+    return generate(model, z_anon, steps), w
 
 
 def anonymize_dataset(backbone: BackboneModel, anonymizer,
                       dataset: Dataset, strategy: WeightStrategy,
-                      spec: IntegrationSpec, rng: np.random.Generator,
-                      frame_spec: IntegrationSpec | None = None):
-    """Regenerate every utterance's frames under a pseudo-speaker identity.
+                      steps: int, rng: np.random.Generator):
+    """Regenerate every utterance's frames under a pseudo-speaker identity
+    drawn with ``steps``-step identity ODEs; each frame-flow solve takes
+    ``FRAME_STEPS`` steps.
 
     Tokens, pitch, alignment and durations are preserved.  Returns
     (anonymized dataset, mapping) where mapping is
@@ -242,7 +245,6 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
     bounds one call's activations however many adjacent utterances a
     speaker has; the noise draws keep their order across the cut.
     """
-    frame_spec = frame_spec or IntegrationSpec(steps=16, t_start=0.0, t_end=1.0)
     embs = np.array([s.embedding for s in dataset.speakers], dtype=float)
     row = {s.id: k for k, s in enumerate(dataset.speakers)}
     mapping = {}
@@ -256,7 +258,7 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
         try:
             frames = reconstruct(backbone, np.concatenate(toks),
                                  np.concatenate([u.p_norm for u in run]),
-                                 mapping[run[0].speaker_id][1], frame_spec, rng)
+                                 mapping[run[0].speaker_id][1], FRAME_STEPS, rng)
         except DivergenceError as e:
             raise DivergenceError(f"utterances {run[0].id}..{run[-1].id}: {e}",
                                   step=e.step) from e
@@ -274,7 +276,7 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
         if draw:
             try:
                 s_anon, w = anonymize_speaker(anonymizer, embs[k:k + 1],
-                                              strategy, rng, spec, pool=embs,
+                                              strategy, rng, steps, pool=embs,
                                               exclude=[k])
             except DivergenceError as e:
                 raise DivergenceError(f"utterance {u.id}: {e}",

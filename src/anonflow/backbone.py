@@ -14,8 +14,8 @@ import numpy as np
 
 from .checkpoint import (AT_LEAST_1, NON_NEGATIVE, TRAINING_RANGES, WIDTHS,
                          check_ranges, load_model, save_model)
-from .errors import DivergenceError, InputError
-from .flowmath import IntegrationSpec, cfm_loss, integrate
+from .errors import DivergenceError
+from .flowmath import cfm_loss, integrate
 from .nets import ConditionedField
 from .optim import AdamW, OneCycle
 from .vq import Codebook, codebook_grad, quantize
@@ -160,16 +160,15 @@ def train_backbone(dataset: Dataset, config: BackboneConfig,
     return model, trace
 
 
-def reconstruct(model: BackboneModel, frame_tokens, p_norm, s,
-                spec: IntegrationSpec, rng: np.random.Generator) -> np.ndarray:
-    """Integrate the frame flow from per-frame Gaussian noise at times 0 -> 1.
+def reconstruct(model: BackboneModel, frame_tokens, p_norm, s, steps: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """Integrate the frame flow from per-frame Gaussian noise at times 0 -> 1
+    in ``steps`` Euler steps.
 
     Without f_sem noise a frame's codeword depends on its token alone, so
     each distinct token is quantized once and its codeword gathered per
     frame.
     """
-    if not (spec.t_start == 0.0 and spec.t_end == 1.0):
-        raise InputError("reconstruction integrates forward from t=0 to t=1")
     frame_tokens = np.asarray(frame_tokens, dtype=int)
     t_frames = frame_tokens.shape[0]
     uniq, inv = np.unique(frame_tokens, return_inverse=True)
@@ -178,7 +177,7 @@ def reconstruct(model: BackboneModel, frame_tokens, p_norm, s,
     s = np.asarray(s, dtype=float)
     cond = (local, np.tile(s, (t_frames, 1)))
     x0 = rng.standard_normal((t_frames, model.frame_dim))
-    return integrate(model.field, x0, spec, cond)
+    return integrate(model.field, x0, steps, cond)
 
 
 def save_backbone(model: BackboneModel, path_prefix) -> None:

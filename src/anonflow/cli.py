@@ -24,13 +24,12 @@ from .anonymizer import (AnonymizerConfig, WeightStrategy, anonymize_dataset,
                          load_anonymizer, load_mapping, save_anonymizer,
                          save_mapping, train_anonymizer)
 from .backbone import BackboneConfig, load_backbone, save_backbone, train_backbone
-from .checkpoint import fits, replacing
+from .checkpoint import AT_LEAST_1, TRAINING_RANGES, fits, replacing
 from .content import (ReplacementPool, anonymize_content, build_gazetteer,
                       save_edit_reports, save_gazetteer)
 from .errors import ConfigError, DataError, DivergenceError, InputError
 from .evaluation import (build_trials, load_trials, run_attack, save_scores,
                          save_trials)
-from .flowmath import IntegrationSpec
 from .worldgen import (DATASET_FILES, WorldConfig, load_dataset, load_params,
                        sample_speaker_embeddings, save_dataset, sha256_file)
 
@@ -117,6 +116,21 @@ def _load_config(path, section: str, defaults: dict) -> dict:
     return sec
 
 
+# range rules of the command-line values: dest -> (test, what it asks)
+ARG_RANGES = {"seed": TRAINING_RANGES["seed"], "steps": AT_LEAST_1,
+              "p_asr": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")}
+
+
+def check_args(args) -> None:
+    """Raise ConfigError naming the flag of the first value out of range;
+    the flags a command does not have are skipped."""
+    for dest, (ok, rule) in ARG_RANGES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not ok(value):
+            raise ConfigError(f"--{dest.replace('_', '-')} must be {rule}, "
+                              f"got {value!r}")
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -191,13 +205,13 @@ def _level_dims_for(d: int) -> tuple:
 
 
 def cmd_anonymize(args) -> int:
+    strategy = WeightStrategy.parse(args.strategy)
     ds = load_dataset(args.data)
     backbone = load_backbone(Path(args.backbone))
     anonymizer = load_anonymizer(Path(args.anonymizer))
-    strategy = WeightStrategy.parse(args.strategy)
-    spec = IntegrationSpec(steps=args.steps, t_start=1.0, t_end=0.0)
     anon, mapping = anonymize_dataset(backbone, anonymizer, ds, strategy,
-                                      spec, np.random.default_rng(args.seed))
+                                      args.steps,
+                                      np.random.default_rng(args.seed))
     out = _outdir(args)
     save_dataset(anon, out)
     save_mapping(mapping, out / "mapping.tsv")
@@ -215,12 +229,10 @@ def cmd_seca(args) -> int:
     backbone = load_backbone(Path(args.backbone))
     gaz = build_gazetteer(ds)
     pool = ReplacementPool(ds.pool)
-    spec = IntegrationSpec(steps=args.steps, t_start=0.0, t_end=1.0)
     mapping = load_mapping(args.mapping, ds) if args.mapping else None
-    source = "anonymized" if mapping is not None else "original"
     edited, reports = anonymize_content(
-        backbone, ds, pool, gaz, spec, np.random.default_rng(args.seed),
-        speaker_source=source, mapping=mapping, p_asr=args.p_asr)
+        backbone, ds, pool, gaz, args.steps, np.random.default_rng(args.seed),
+        mapping=mapping, p_asr=args.p_asr)
     out = _outdir(args)
     save_dataset(edited, out)
     save_gazetteer(gaz, out / "gazetteer.jsonl")
@@ -257,15 +269,12 @@ def cmd_evaluate(args) -> int:
             raise ConfigError("lazy attacker needs --anonymizer and --strategy")
         kwargs["anonymizer"] = load_anonymizer(Path(args.anonymizer))
         kwargs["strategy"] = WeightStrategy.parse(args.strategy)
-        kwargs["spec"] = IntegrationSpec(steps=args.steps, t_start=1.0,
-                                         t_end=0.0)
     trials = load_trials(args.trials) if args.trials else None
-    capture = {}
     report = run_attack(ds_orig, ds_anon, mapping, attacker, args.mode, rng,
-                        trials=trials, capture=capture, **kwargs)
+                        steps=args.steps, trials=trials, **kwargs)
     out = _outdir(args)
-    save_trials(capture["trials"], out / "trials.tsv")
-    save_scores(capture["trials"], capture["scores"], out / "scores.tsv")
+    save_trials(report.trials, out / "trials.tsv")
+    save_scores(report.trials, report.scores, out / "scores.tsv")
     doc = report.to_dict()
     doc["config"] = {"attacker": args.attacker, "mode": args.mode,
                      "seed": args.seed, "strategy": args.strategy}
@@ -412,9 +421,11 @@ def steady_memory():
 
 
 def main(argv=None) -> int:
-    """Run one command under ``steady_memory``; its exit code."""
+    """Check the arguments, then run one command under ``steady_memory``;
+    its exit code."""
     args = build_parser().parse_args(argv)
     try:
+        check_args(args)
         with steady_memory():
             return args.func(args)
     except ConfigError as e:

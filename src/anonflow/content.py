@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .backbone import BackboneModel, reconstruct
 from .errors import InputError, UnmatchedEntityError
-from .flowmath import IntegrationSpec
 from .worldgen import PII_TYPES, Dataset, PoolEntry, Utterance
 
 
@@ -112,8 +110,9 @@ def match_replacement(span: EntitySpan, pool: ReplacementPool,
 
 
 def apply_edits(backbone: BackboneModel, utt: Utterance, plan: EditPlan,
-                s, spec: IntegrationSpec, rng: np.random.Generator) -> Utterance:
-    """Replace tokens and regenerate only the affected frames.
+                s, steps: int, rng: np.random.Generator) -> Utterance:
+    """Replace tokens and regenerate only the affected frames, voiced with
+    identity ``s`` in ``steps``-step frame-flow solves.
 
     Equal-length replacements reuse the span's own pitch slice; a
     length-mismatched fallback resamples the slice to the new length and
@@ -163,7 +162,7 @@ def apply_edits(backbone: BackboneModel, utt: Utterance, plan: EditPlan,
     pieces_pn.append(utt.p_norm[cursor * fpt:])
     if gen_tokens:
         gen = reconstruct(backbone, np.concatenate(gen_tokens),
-                          np.concatenate(pieces_pn[1::2]), s, spec, rng)
+                          np.concatenate(pieces_pn[1::2]), s, steps, rng)
         ends = np.cumsum([len(t) for t in gen_tokens])[:-1]
         pieces_frames[1::2] = np.split(gen, ends)
 
@@ -185,23 +184,18 @@ def corrupt_tokens(tokens, p_asr: float, vocab_size: int,
 
 def anonymize_content(backbone: BackboneModel, dataset: Dataset,
                       pool: ReplacementPool, gazetteer: dict,
-                      spec: IntegrationSpec, rng: np.random.Generator,
-                      speaker_source: str = "original",
+                      steps: int, rng: np.random.Generator,
                       mapping: dict | None = None,
                       p_asr: float = 0.0):
     """detect -> match -> plan -> apply over every utterance.
 
-    ``speaker_source`` selects the identity used to voice the edits:
-    "original" uses each utterance's ground-truth speaker embedding,
-    "anonymized" the pseudo-identity from ``mapping``.  With ``p_asr > 0``
-    detection and the output transcript run on a corrupted transcript,
-    modeling an upstream recognizer in the cascade.  Unmatched entities
-    are reported and left unedited; the run continues.
+    The edits are voiced with each speaker's pseudo-identity from
+    ``mapping`` when one is given, else with the ground-truth speaker
+    embedding.  With ``p_asr > 0`` detection and the output transcript run
+    on a corrupted transcript, modeling an upstream recognizer in the
+    cascade.  Unmatched entities are reported and left unedited; the run
+    continues.
     """
-    if speaker_source not in ("original", "anonymized"):
-        raise InputError(f"unknown speaker_source {speaker_source!r}")
-    if speaker_source == "anonymized" and mapping is None:
-        raise InputError("speaker_source='anonymized' requires a mapping table")
     reports = []
     new_utts = []
     for u in dataset.utterances:
@@ -216,7 +210,7 @@ def anonymize_content(backbone: BackboneModel, dataset: Dataset,
             except UnmatchedEntityError as e:
                 errors.append({"span": [span.type, span.token_start,
                                         span.token_end], "error": str(e)})
-        if speaker_source == "original":
+        if mapping is None:
             s = dataset.speaker(u.speaker_id).embedding
         else:
             s = mapping[u.speaker_id][1]
@@ -224,7 +218,7 @@ def anonymize_content(backbone: BackboneModel, dataset: Dataset,
             base = u if p_asr == 0 else replace(u, tokens=observed)
             edited = apply_edits(backbone, base,
                                  EditPlan(utterance_id=u.id, edits=edits),
-                                 s, spec, rng)
+                                 s, steps, rng)
         elif p_asr > 0:
             edited = replace(u, tokens=observed,
                              entity_spans=list(u.entity_spans),
@@ -263,14 +257,6 @@ def save_gazetteer(gaz: dict, path) -> None:
     with open(path, "w") as f:
         for tok in sorted(gaz):
             f.write(json.dumps({"token": int(tok), "type": gaz[tok]}) + "\n")
-
-
-def load_gazetteer(path) -> dict:
-    gaz = {}
-    for line in Path(path).read_text().splitlines():
-        d = json.loads(line)
-        gaz[int(d["token"])] = d["type"]
-    return gaz
 
 
 def save_edit_reports(reports, path) -> None:

@@ -11,7 +11,6 @@ import numpy as np
 
 from .anonymizer import WeightStrategy, anonymize_speaker
 from .errors import DataError, InputError
-from .flowmath import IntegrationSpec
 from .worldgen import (Dataset, oracle_extract_speaker, oracle_recover_tokens,
                        token_error_rate)
 
@@ -200,7 +199,9 @@ def content_speaker_model(transcripts_by_speaker: dict, vocab_size: int) -> dict
 
 @dataclass
 class EvalReport:
-    """One attacker's results; a_eer/c_eer is None for the mode not run."""
+    """One attacker's results; a_eer/c_eer is None for the mode not run.
+    ``trials`` and their ``scores`` are kept for the trial and score
+    files; ``to_dict`` leaves them out."""
 
     attacker: str
     a_eer: float | None = None
@@ -208,6 +209,8 @@ class EvalReport:
     token_error_rate: float | None = None
     secs_proxy: float | None = None
     counts: dict = field(default_factory=dict)
+    trials: list = field(default_factory=list)
+    scores: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {"attacker": self.attacker, "a_eer": self.a_eer,
@@ -220,14 +223,14 @@ class EvalReport:
 def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
                attacker: str, mode: str, rng: np.random.Generator,
                anonymizer=None, strategy: WeightStrategy | None = None,
-               spec: IntegrationSpec | None = None,
-               trials=None, with_utility: bool = True,
-               capture: dict | None = None) -> EvalReport:
+               steps: int = 16, trials=None) -> EvalReport:
     """Score a trial list under one attacker model.
 
     ignorant: enrollment from original-domain embeddings, test on the
     anonymized side.  lazy_informed: enrollment re-anonymized with the same
-    strategy under fresh randomness, then enrolled.
+    strategy (identity ODEs of ``steps`` steps) under fresh randomness,
+    then enrolled.  The utility probes run in acoustic mode when a
+    ``mapping`` is given.
     """
     if attacker not in ("ignorant", "lazy_informed"):
         raise InputError(f"unknown attacker {attacker!r}")
@@ -250,7 +253,6 @@ def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
             if anonymizer is None or strategy is None:
                 raise InputError("lazy_informed needs the anonymization "
                                  "system (model + strategy)")
-            spec = spec or IntegrationSpec(steps=16, t_start=1.0, t_end=0.0)
             # each enrollment utterance is re-anonymized independently,
             # regardless of the strategy's scope; by_speaker() follows the
             # speaker order, so speaker k's own embedding is pool row k
@@ -258,7 +260,7 @@ def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
                      for u in utts]
             s_anon, _ = anonymize_speaker(
                 anonymizer, np.array([orig_utt_embs[u.id] for _, u in order]),
-                strategy, rng, spec,
+                strategy, rng, steps,
                 pool=[s.embedding for s in dataset_orig.speakers],
                 exclude=[k for k, _ in order])
             ends = np.cumsum([len(utts) for utts in by_spk.values()])
@@ -273,17 +275,15 @@ def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
                      for u in dataset_anon.utterances}
 
     scores, labels = score_trials(trials, enroll_embs, test_embs)
-    if capture is not None:
-        capture["trials"] = trials
-        capture["scores"] = scores
     eer = compute_eer(scores, labels)
     report = EvalReport(attacker=attacker,
                         a_eer=eer if mode == "acoustic" else None,
                         c_eer=eer if mode == "content" else None,
                         counts={f"{mode}_trials": len(trials),
                                 f"{mode}_targets": int(sum(labels)),
-                                "speakers": len(dataset_orig.speakers)})
-    if with_utility and mode == "acoustic" and mapping is not None:
+                                "speakers": len(dataset_orig.speakers)},
+                        trials=trials, scores=scores)
+    if mode == "acoustic" and mapping is not None:
         ter, secs = utility_probes(dataset_anon, dataset_anon.params, mapping)
         report.token_error_rate = ter
         report.secs_proxy = secs

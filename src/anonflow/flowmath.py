@@ -1,6 +1,6 @@
 """Flow-matching primitives: the conditional flow-matching loss over
-straight noise-to-data paths, and fixed-step Euler integration in either
-time direction.
+straight noise-to-data paths, and fixed-step Euler integration forward
+(t = 0 -> 1) or backward (t = 1 -> 0).
 
 All functions are pure; randomness enters only through an explicitly
 passed ``numpy.random.Generator``.
@@ -8,28 +8,9 @@ passed ``numpy.random.Generator``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DivergenceError, InputError
-
-
-@dataclass(frozen=True)
-class IntegrationSpec:
-    """Fixed-step Euler integration plan. ``t_end < t_start`` integrates backward."""
-
-    steps: int = 16
-    t_start: float = 0.0
-    t_end: float = 1.0
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise InputError(f"steps must be >= 1, got {self.steps}")
-        if not (0.0 <= self.t_start <= 1.0 and 0.0 <= self.t_end <= 1.0):
-            raise InputError("t_start and t_end must lie in [0, 1]")
-        if self.t_start == self.t_end:
-            raise InputError("t_start and t_end must differ")
 
 
 def cfm_loss(field, x1: np.ndarray, cond, rng: np.random.Generator):
@@ -63,15 +44,19 @@ def cfm_loss(field, x1: np.ndarray, cond, rng: np.random.Generator):
     return float(np.mean(resid**2)), None
 
 
-def integrate(field, x_init: np.ndarray, spec: IntegrationSpec, cond=None) -> np.ndarray:
-    """Explicit Euler integration of ``dx/dt = field(x, t, cond)``.
+def integrate(field, x_init: np.ndarray, steps: int, cond=None, *,
+              backward: bool = False) -> np.ndarray:
+    """Explicit Euler integration of ``dx/dt = field(x, t, cond)`` in
+    ``steps`` equal steps from t = 0 to 1, or from t = 1 to 0 if
+    ``backward``.
 
     ``x_init`` may be a single vector or a (B, d) batch; the result has the
-    same shape.  A negative step (``t_end < t_start``) realizes backward
-    integration.  A field with a ``velocity(cond, batch)`` method is set up
+    same shape.  A field with a ``velocity(cond, batch)`` method is set up
     once for the solve and then called as ``f(x, t)`` with the scalar step
     time; any other field is called as ``field(x, full(B, t), cond)``.
     """
+    if steps < 1:
+        raise InputError(f"steps must be >= 1, got {steps}")
     x = np.asarray(x_init, dtype=float)
     single = x.ndim == 1
     if single:
@@ -81,9 +66,9 @@ def integrate(field, x_init: np.ndarray, spec: IntegrationSpec, cond=None) -> np
     else:
         def step(x, t):
             return field(x, np.full(x.shape[0], t), cond)
-    h = (spec.t_end - spec.t_start) / spec.steps
-    t = spec.t_start
-    for k in range(spec.steps):
+    h = (-1.0 if backward else 1.0) / steps
+    t = 1.0 if backward else 0.0
+    for k in range(steps):
         v = np.asarray(step(x, t))
         x = x + h * v
         if not np.all(np.isfinite(x)):

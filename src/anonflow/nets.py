@@ -58,6 +58,12 @@ def _init_linear(rng, n_out, n_in, dtype):
     return w.astype(dtype), np.zeros(n_out, dtype=dtype)
 
 
+def u_shaped(level_dims) -> bool:
+    """``level_dims`` is palindromic with a single minimum at the center."""
+    dims = list(level_dims)
+    return dims == dims[::-1] and (len(dims) < 3 or dims.count(min(dims)) == 1)
+
+
 class UShapedField:
     """Symmetric U-shaped MLP field over fixed-dimension vectors.
 
@@ -71,10 +77,9 @@ class UShapedField:
 
     def __init__(self, level_dims, time_dim: int = 16, rng=None, dtype=np.float32):
         dims = list(level_dims)
-        if dims != dims[::-1]:
-            raise InputError(f"level_dims must be palindromic, got {dims}")
-        if len(dims) >= 3 and dims.count(min(dims)) != 1:
-            raise InputError("level_dims must have a single minimum at the center")
+        if not u_shaped(dims):
+            raise InputError("level_dims must be palindromic with a single "
+                             f"minimum at the center, got {dims}")
         if time_dim % 2 != 0:
             raise InputError("time_dim must be even")
         self.level_dims = dims

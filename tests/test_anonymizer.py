@@ -3,15 +3,15 @@ import pytest
 
 import anonflow.anonymizer as anonymizer_mod
 import anonflow.backbone as backbone_mod
-from anonflow.anonymizer import (AnonymizerConfig, ObscurationInput,
-                                 WeightStrategy, anonymize_dataset,
-                                 anonymize_speaker, encode, generate,
+from anonflow.anonymizer import (FRAME_STEPS, AnonymizerConfig,
+                                 ObscurationInput, WeightStrategy, anonymize_dataset,
+                                 anonymize_speaker, encode,
                                  load_anonymizer, load_mapping, obscure,
                                  save_anonymizer, save_mapping,
                                  train_anonymizer)
 from anonflow.backbone import BackboneConfig, BackboneModel, reconstruct
 from anonflow.errors import ConfigError, DivergenceError, InputError
-from anonflow.flowmath import IntegrationSpec
+from anonflow.nets import UShapedField
 from anonflow.worldgen import Dataset, generate_world, make_world_params
 
 
@@ -104,6 +104,17 @@ class TestTraining:
         late = np.mean([t["l_flow"] for t in trace[-10:]])
         assert late < early
 
+    @pytest.mark.parametrize("dims", [(16, 8), (8, 4, 8, 4), (8, 4, 4, 8)])
+    def test_level_dims_shape_rejected(self, dims):
+        with pytest.raises(ConfigError, match="anonymizer.level_dims"):
+            AnonymizerConfig(level_dims=dims)
+
+    @pytest.mark.parametrize("dims", [(8,), (8, 8), (8, 4, 8),
+                                      (8, 4, 2, 4, 8)])
+    def test_level_dims_the_field_takes_accepted(self, dims):
+        assert AnonymizerConfig(level_dims=dims).level_dims == dims
+        UShapedField(dims)
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             train_anonymizer(np.zeros((4, 5)), small_config(),
@@ -130,7 +141,7 @@ def voiced_ids(monkeypatch):
     """
     calls = []
 
-    def fake_reconstruct(backbone, frame_tokens, p_norm, s, spec, rng):
+    def fake_reconstruct(backbone, frame_tokens, p_norm, s, steps, rng):
         calls.append((np.array(s), len(frame_tokens)))
         return np.zeros((len(frame_tokens), 12))
 
@@ -155,21 +166,12 @@ STRATEGIES = [WeightStrategy(kind="fixed", w=0.5),
 
 
 class TestPipeline:
-    def test_encode_direction_enforced(self, trained):
-        model, _, _ = trained
-        fwd = IntegrationSpec(steps=4, t_start=0.0, t_end=1.0)
-        with pytest.raises(InputError):
-            encode(model, np.zeros(8), fwd)
-        with pytest.raises(InputError):
-            generate(model, np.zeros(8), IntegrationSpec(steps=4, t_start=1.0,
-                                                         t_end=0.0))
-
     def test_fixed_one_round_trip_close(self, trained):
         model, _, emb = trained
-        spec = IntegrationSpec(steps=64, t_start=1.0, t_end=0.0)
+        steps = 64
         strat = WeightStrategy(kind="fixed", w=1.0)
         s_anon, w = anonymize_speaker(model, emb[:10], strat,
-                                      np.random.default_rng(0), spec)
+                                      np.random.default_rng(0), steps)
         assert np.all(w == 1.0)
         coss = np.sum(s_anon * emb[:10], axis=1) / (
             np.linalg.norm(s_anon, axis=1) * np.linalg.norm(emb[:10], axis=1))
@@ -179,13 +181,13 @@ class TestPipeline:
     @pytest.mark.parametrize("strat", STRATEGIES, ids=lambda s: s.kind)
     def test_batch_matches_one_row_calls(self, trained, strat, exclude):
         model, _, emb = trained
-        spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
+        steps = 8
         batch, pool = emb[:5], emb[10:13]
         s_b, w_b = anonymize_speaker(model, batch, strat,
-                                     np.random.default_rng(3), spec,
+                                     np.random.default_rng(3), steps,
                                      pool=pool, exclude=exclude)
         rng = np.random.default_rng(3)
-        rows = [anonymize_speaker(model, batch[i:i + 1], strat, rng, spec,
+        rows = [anonymize_speaker(model, batch[i:i + 1], strat, rng, steps,
                                   pool=pool,
                                   exclude=None if exclude is None else exclude[i:i + 1])
                 for i in range(5)]
@@ -203,16 +205,16 @@ class TestPipeline:
 
     def test_single_vector_rejected(self, trained):
         model, _, emb = trained
-        spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
+        steps = 8
         with pytest.raises(InputError):
             anonymize_speaker(model, emb[0], WeightStrategy(kind="fixed"),
-                              np.random.default_rng(0), spec)
+                              np.random.default_rng(0), steps)
 
     def test_per_speaker_memoization(self, trained, world, voiced_ids):
         model, _, _ = trained
-        spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
+        steps = 8
         strat = WeightStrategy(kind="range", a=-1.0, b=1.0, scope="per_speaker")
-        _, mapping = anonymize_dataset(None, model, world, strat, spec,
+        _, mapping = anonymize_dataset(None, model, world, strat, steps,
                                        np.random.default_rng(3))
         assert sorted(mapping) == sorted(s.id for s in world.speakers)
         for u, s in zip(world.utterances, voiced_ids(world.utterances)):
@@ -222,10 +224,10 @@ class TestPipeline:
 
     def test_per_utterance_varies(self, trained, world, voiced_ids):
         model, _, _ = trained
-        spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
+        steps = 8
         strat = WeightStrategy(kind="range", a=-1.0, b=1.0,
                                scope="per_utterance")
-        _, mapping = anonymize_dataset(None, model, world, strat, spec,
+        _, mapping = anonymize_dataset(None, model, world, strat, steps,
                                        np.random.default_rng(3))
         by_speaker = {}
         for u, s in zip(world.utterances, voiced_ids(world.utterances)):
@@ -236,23 +238,23 @@ class TestPipeline:
 
     def test_pool_draws_from_pool(self, trained):
         model, _, emb = trained
-        spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
+        steps = 8
         strat = WeightStrategy(kind="pool")
         pool = [emb[1], emb[2]]
         s_anon, w = anonymize_speaker(model, emb[:1], strat,
-                                      np.random.default_rng(0), spec, pool=pool)
+                                      np.random.default_rng(0), steps, pool=pool)
         assert w is None
         assert any(np.array_equal(s_anon[0], p) for p in pool)
 
     def test_pool_requires_pool(self, trained):
         model, _, emb = trained
-        spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
+        steps = 8
         with pytest.raises(InputError):
             anonymize_speaker(model, emb[:1], WeightStrategy(kind="pool"),
-                              np.random.default_rng(0), spec, pool=[])
+                              np.random.default_rng(0), steps, pool=[])
         with pytest.raises(InputError):   # excluding the only row leaves none
             anonymize_speaker(model, emb[:1], WeightStrategy(kind="pool"),
-                              np.random.default_rng(0), spec, pool=emb[:1],
+                              np.random.default_rng(0), steps, pool=emb[:1],
                               exclude=[0])
 
 
@@ -271,10 +273,9 @@ def frame_model(world):
     return model
 
 
-def per_utterance_reference(backbone, anonymizer, dataset, strategy, spec,
+def per_utterance_reference(backbone, anonymizer, dataset, strategy, steps,
                             rng):
     """One identity draw and one ``reconstruct`` per utterance, in order."""
-    frame_spec = IntegrationSpec(steps=16, t_start=0.0, t_end=1.0)
     embs = np.array([s.embedding for s in dataset.speakers])
     row = {s.id: k for k, s in enumerate(dataset.speakers)}
     voice, frames = {}, []
@@ -282,10 +283,10 @@ def per_utterance_reference(backbone, anonymizer, dataset, strategy, spec,
         k = row[u.speaker_id]
         if strategy.scope == "per_utterance" or u.speaker_id not in voice:
             s_anon, _ = anonymize_speaker(anonymizer, embs[k:k + 1], strategy,
-                                          rng, spec, pool=embs, exclude=[k])
+                                          rng, steps, pool=embs, exclude=[k])
             voice[u.speaker_id] = s_anon[0]
         frames.append(reconstruct(backbone, u.frame_tokens, u.p_norm,
-                                  voice[u.speaker_id], frame_spec, rng))
+                                  voice[u.speaker_id], FRAME_STEPS, rng))
     return frames, voice
 
 
@@ -309,7 +310,7 @@ class TestFrameRuns:
                                                   strat, scope, cap):
         rows = []
 
-        def identity(field, x, spec, cond=None):
+        def identity(field, x, steps, cond=None):
             rows.append(len(x))
             return x
 
@@ -321,16 +322,16 @@ class TestFrameRuns:
         model, _, _ = trained
         strat = WeightStrategy(kind=strat.kind, w=strat.w, a=strat.a,
                                b=strat.b, scope=scope)
-        spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
+        steps = 8
         for ds in _orders(world).values():
             rows.clear()
             anon, mapping = anonymize_dataset(frame_model, model, ds, strat,
-                                              spec, np.random.default_rng(3))
+                                              steps, np.random.default_rng(3))
             if cap == "cut":
                 assert max(rows) <= max_rows
                 assert len(rows) > len(mapping)
             ref, voice = per_utterance_reference(frame_model, model, ds, strat,
-                                                 spec, np.random.default_rng(3))
+                                                 steps, np.random.default_rng(3))
             for u, f in zip(anon.utterances, ref):
                 assert np.array_equal(u.frames, f)
             for sid, (_, s_anon) in mapping.items():
@@ -341,27 +342,27 @@ class TestFrameRuns:
                                                 frame_model, scope):
         model, _, _ = trained
         strat = WeightStrategy(kind="range", a=-1.0, b=1.0, scope=scope)
-        spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
+        steps = 8
         for ds in _orders(world).values():
-            anon, _ = anonymize_dataset(frame_model, model, ds, strat, spec,
+            anon, _ = anonymize_dataset(frame_model, model, ds, strat, steps,
                                         np.random.default_rng(3))
             ref, _ = per_utterance_reference(frame_model, model, ds, strat,
-                                             spec, np.random.default_rng(3))
+                                             steps, np.random.default_rng(3))
             for u, f in zip(anon.utterances, ref):
                 assert u.frames.shape == f.shape
                 assert np.allclose(u.frames, f, rtol=0, atol=1e-5)
 
     def test_divergence_names_the_run(self, trained, world, frame_model,
                                       monkeypatch):
-        def diverge(field, x, spec, cond=None):
+        def diverge(field, x, steps, cond=None):
             raise DivergenceError("non-finite state at step 3", step=3)
 
         monkeypatch.setattr(backbone_mod, "integrate", diverge)
         model, _, _ = trained
-        spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
+        steps = 8
         with pytest.raises(DivergenceError) as ei:
             anonymize_dataset(frame_model, model, world,
-                              WeightStrategy(kind="fixed", w=0.5), spec,
+                              WeightStrategy(kind="fixed", w=0.5), steps,
                               np.random.default_rng(3))
         first, last = world.utterances[0].id, world.utterances[2].id
         assert f"utterances {first}..{last}:" in str(ei.value)
@@ -373,9 +374,9 @@ class TestPersistence:
         model, _, emb = trained
         save_anonymizer(model, tmp_path / "anon")
         model2 = load_anonymizer(tmp_path / "anon")
-        spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
-        assert np.allclose(encode(model, emb[0], spec),
-                           encode(model2, emb[0], spec), atol=1e-6)
+        steps = 8
+        assert np.allclose(encode(model, emb[0], steps),
+                           encode(model2, emb[0], steps), atol=1e-6)
         assert model2.metadata["data_hash"] == model.metadata["data_hash"]
 
     def test_mapping_round_trip(self, tmp_path):

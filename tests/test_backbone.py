@@ -4,8 +4,6 @@ import pytest
 import anonflow.backbone as backbone_mod
 from anonflow.backbone import (BackboneConfig, BackboneModel, load_backbone,
                                reconstruct, save_backbone, train_backbone)
-from anonflow.errors import InputError
-from anonflow.flowmath import IntegrationSpec
 from anonflow.vq import quantize
 from anonflow.worldgen import generate_world, make_world_params
 
@@ -66,9 +64,9 @@ class TestReconstruct:
         toks = np.array([1, 1, 2, 2])
         pn = np.zeros(4)
         s = np.ones(model.speaker_dim) / np.sqrt(model.speaker_dim)
-        spec = IntegrationSpec(steps=8, t_start=0.0, t_end=1.0)
-        a = reconstruct(model, toks, pn, s, spec, np.random.default_rng(5))
-        b = reconstruct(model, toks, pn, s, spec, np.random.default_rng(5))
+        steps = 8
+        a = reconstruct(model, toks, pn, s, steps, np.random.default_rng(5))
+        b = reconstruct(model, toks, pn, s, steps, np.random.default_rng(5))
         assert a.shape == (4, model.frame_dim)
         assert np.array_equal(a, b)
 
@@ -77,7 +75,7 @@ class TestReconstruct:
         model, _ = trained
         seen = []
 
-        def capture(field, x, spec, cond=None):
+        def capture(field, x, steps, cond=None):
             seen.append(cond)
             return x
 
@@ -86,19 +84,12 @@ class TestReconstruct:
         toks = np.repeat(rng.integers(0, model.vocab_size, size=40), 4)
         pn = rng.standard_normal(toks.size)
         s = rng.standard_normal(model.speaker_dim)
-        spec = IntegrationSpec(steps=8, t_start=0.0, t_end=1.0)
-        reconstruct(model, toks, pn, s, spec, np.random.default_rng(5))
+        steps = 8
+        reconstruct(model, toks, pn, s, steps, np.random.default_rng(5))
         c_vq = quantize(model.f_sem(toks), model.codebook).c_vq
         local = np.concatenate([c_vq, pn[:, None]], axis=1)
         assert np.array_equal(seen[0][0], local)
         assert np.array_equal(seen[0][1], np.tile(s, (toks.size, 1)))
-
-    def test_backward_spec_rejected(self, trained):
-        model, _ = trained
-        spec = IntegrationSpec(steps=8, t_start=1.0, t_end=0.0)
-        with pytest.raises(InputError):
-            reconstruct(model, [0], [0.0], np.zeros(model.speaker_dim),
-                        spec, np.random.default_rng(0))
 
 
 class TestPersistence:
@@ -110,9 +101,9 @@ class TestPersistence:
         pn = 0.3 * np.ones(6)
         s = np.zeros(model.speaker_dim)
         s[0] = 1.0
-        spec = IntegrationSpec(steps=6, t_start=0.0, t_end=1.0)
-        a = reconstruct(model, toks, pn, s, spec, np.random.default_rng(9))
-        b = reconstruct(model2, toks, pn, s, spec, np.random.default_rng(9))
+        steps = 6
+        a = reconstruct(model, toks, pn, s, steps, np.random.default_rng(9))
+        b = reconstruct(model2, toks, pn, s, steps, np.random.default_rng(9))
         assert np.allclose(a, b, atol=1e-6)
 
     def test_tensor_names_prefixed(self, trained):

@@ -1,8 +1,11 @@
 import json
 import shutil
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from anonflow.checkpoint import load_checkpoint, save_checkpoint
 from anonflow.cli import (RADAR_DEFAULTS, RadarEntry, main, radar_normalize,
@@ -359,6 +362,26 @@ def _config_value(section, key, value):
     return case
 
 
+def _command(command, world, bb, an):
+    """argv that runs ``command`` on the pipeline's world and models."""
+    return {"gen-world": ["gen-world"],
+            "build-trials": ["build-trials", "--data", world],
+            "anonymize": ["anonymize", "--data", world,
+                          "--backbone", bb / "backbone",
+                          "--anonymizer", an / "anonymizer"],
+            "seca": ["seca", "--data", world, "--backbone", bb / "backbone"],
+            "evaluate": ["evaluate", "--data", world, "--anon", world,
+                         "--attacker", "lazy", "--strategy", "fixed:0",
+                         "--anonymizer", an / "anonymizer"]}[command]
+
+
+def _argument(command, flag, value):
+    """``command`` given ``flag=value``; the error must name the flag."""
+    def case(tmp, world, bb, an):
+        return _command(command, world, bb, an) + [f"{flag}={value}"], flag
+    return case
+
+
 @pytest.mark.parametrize("make_case,code", [
     (_short_mapping_row, 4),
     (_truncated_checkpoint, 4),
@@ -439,6 +462,20 @@ def _config_value(section, key, value):
                  named=": backbone.hidden"), 4),
     (_model_copy("anonymizer", lambda d: d["config"].update(time_dim=0),
                  named=": anonymizer.time_dim"), 4),
+    (_argument("anonymize", "--steps", 0), 2),
+    (_argument("seca", "--steps", -1), 2),
+    (_argument("evaluate", "--steps", 0), 2),
+    (_argument("gen-world", "--seed", -1), 2),
+    (_argument("build-trials", "--seed", -1), 2),
+    (_argument("anonymize", "--seed", -1), 2),
+    (_argument("seca", "--seed", -1), 2),
+    (_argument("evaluate", "--seed", -1), 2),
+    (_argument("seca", "--p-asr", 2.0), 2),
+    (_argument("seca", "--p-asr", -0.5), 2),
+    (_argument("seca", "--p-asr", "nan"), 2),
+    (_config_value("anonymizer", "level_dims", [16, 8]), 2),
+    (_model_copy("anonymizer", lambda d: d["config"].update(level_dims=[8, 4]),
+                 named=": anonymizer.level_dims"), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -468,7 +505,13 @@ def _config_value(section, key, value):
         "backbone-codebook-size-1", "backbone-time-dim-0",
         "anonymizer-batch-0", "anonymizer-steps-0", "anonymizer-time-dim-3",
         "anonymizer-weight-decay-negative", "anonymizer-n-embeddings-1",
-        "backbone-json-hidden-empty", "anonymizer-json-time-dim-0"])
+        "backbone-json-hidden-empty", "anonymizer-json-time-dim-0",
+        "anonymize-steps-0", "seca-steps-negative", "evaluate-steps-0",
+        "gen-world-seed-negative", "build-trials-seed-negative",
+        "anonymize-seed-negative", "seca-seed-negative",
+        "evaluate-seed-negative", "seca-p-asr-2", "seca-p-asr-negative",
+        "seca-p-asr-nan", "anonymizer-level-dims-not-u-shaped",
+        "anonymizer-json-level-dims-not-u-shaped"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline
@@ -477,6 +520,54 @@ def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
     assert main([str(a) for a in argv] + ["--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "\n" not in err and named in err
+
+
+_WEIGHT = st.floats().map(repr)     # any float, nan and the infinities too
+# flag -> (values of its type, in range and out of it; the commands that
+# take it; its range, or None where the command itself parses the value)
+ARGUMENTS = {
+    "--steps": (st.integers(-3, 24), ("anonymize", "seca", "evaluate"),
+                lambda v: v >= 1),
+    "--seed": (st.integers(-2 ** 40, 2 ** 40),
+               ("gen-world", "build-trials", "anonymize", "seca", "evaluate"),
+               lambda v: v >= 0),
+    "--p-asr": (st.floats(), ("seca",), lambda v: 0.0 <= v <= 1.0),
+    "--strategy": (st.one_of(st.just("pool"),
+                             st.builds("fixed:{}".format, _WEIGHT),
+                             st.builds("range:{}:{}".format, _WEIGHT, _WEIGHT),
+                             st.text(max_size=12)),
+                   ("anonymize", "evaluate"), None),
+}
+
+
+@st.composite
+def _argument_draw(draw):
+    flag = draw(st.sampled_from(sorted(ARGUMENTS)))
+    values, commands, _ = ARGUMENTS[flag]
+    return flag, draw(st.sampled_from(commands)), draw(values)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argument_draw())
+def test_argument_contract(pipeline, tmp_path, capsys, drawn):
+    """One argument at a time, in range or out of it: the exit code is
+    0, 2, 3 or 4 with at most one stderr line, and a number out of its
+    flag's range exits 2 naming the flag."""
+    _, world, bb, an, cfg = pipeline
+    flag, command, value = drawn
+    argv = _command(command, world, bb, an) + [f"{flag}={value}",
+                                               "--out", tmp_path / "o"]
+    if command == "gen-world":
+        argv += ["--config", cfg]
+    capsys.readouterr()
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    assert len(err.splitlines()) <= 1, err
+    in_range = ARGUMENTS[flag][2]
+    if in_range is not None and not in_range(value):
+        assert code == 2 and flag in err, (code, err)
 
 
 def test_main_runs_each_command_under_steady_memory(tmp_path, small_config,

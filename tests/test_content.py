@@ -6,10 +6,8 @@ from anonflow.backbone import (BackboneConfig, BackboneModel, reconstruct,
                                train_backbone)
 from anonflow.content import (EditPlan, EntitySpan, ReplacementPool,
                               anonymize_content, apply_edits, build_gazetteer,
-                              corrupt_tokens, detect_pii, load_gazetteer,
-                              match_replacement, save_gazetteer)
+                              corrupt_tokens, detect_pii, match_replacement)
 from anonflow.errors import InputError, UnmatchedEntityError
-from anonflow.flowmath import IntegrationSpec
 from anonflow.worldgen import PoolEntry, generate_world, make_world_params
 
 
@@ -106,8 +104,8 @@ class TestApplyEdits:
         if not edits:
             pytest.skip("no equal-length replacement drawn for this utterance")
         s_emb = ds.speaker(utt.speaker_id).embedding
-        spec = IntegrationSpec(steps=6, t_start=0.0, t_end=1.0)
-        out = apply_edits(backbone, utt, EditPlan(utt.id, edits), s_emb, spec,
+        steps = 6
+        out = apply_edits(backbone, utt, EditPlan(utt.id, edits), s_emb, steps,
                           np.random.default_rng(2))
         fpt = utt.frames_per_token
         mask = np.ones(utt.n_frames, dtype=bool)
@@ -123,9 +121,9 @@ class TestApplyEdits:
                           source_text=(utt.tokens[1],))
         repl = [5, 6]   # one token replaced by two
         s_emb = ds.speaker(utt.speaker_id).embedding
-        spec = IntegrationSpec(steps=4, t_start=0.0, t_end=1.0)
+        steps = 4
         out = apply_edits(backbone, utt, EditPlan(utt.id, [(span, repl)]),
-                          s_emb, spec, np.random.default_rng(0))
+                          s_emb, steps, np.random.default_rng(0))
         assert len(out.tokens) == len(utt.tokens) + 1
         assert out.n_frames == utt.n_frames + utt.frames_per_token
         assert out.tokens[1:3] == [5, 6]
@@ -143,7 +141,7 @@ class TestApplyEdits:
                             source_text=tuple(utt.tokens[3:5]))]
         edits = [(spans[0], [5, 6]), (spans[1], [7, 8])]
         s_emb = ds.speaker(utt.speaker_id).embedding
-        spec = IntegrationSpec(steps=4, t_start=0.0, t_end=1.0)
+        steps = 4
         calls = []
 
         def counted(*args):
@@ -152,14 +150,14 @@ class TestApplyEdits:
 
         monkeypatch.setattr(content_mod, "reconstruct", counted)
         out = apply_edits(backbone, utt, EditPlan(utt.id, edits), s_emb,
-                          spec, np.random.default_rng(3))
+                          steps, np.random.default_rng(3))
         fpt = utt.frames_per_token
         assert calls == [4 * fpt]
         rng = np.random.default_rng(3)
         for start, end in ((1, 3), (4, 6)):
             sl = slice(start * fpt, end * fpt)
             ref = reconstruct(backbone, np.repeat(out.tokens[start:end], fpt),
-                              out.p_norm[sl], s_emb, spec, rng)
+                              out.p_norm[sl], s_emb, steps, rng)
             assert np.max(np.abs(out.frames[sl] - ref)) <= 1e-6
         assert out.entity_spans == [("PER", 1, 3), ("LOC", 4, 6)]
         assert np.array_equal(out.frames[3 * fpt:4 * fpt],
@@ -196,18 +194,12 @@ class TestPipeline:
             for tok in e.tokens:
                 assert gaz[tok] == e.type
 
-    def test_gazetteer_round_trip(self, world, tmp_path):
-        _, ds = world
-        gaz = build_gazetteer(ds)
-        save_gazetteer(gaz, tmp_path / "gaz.jsonl")
-        assert load_gazetteer(tmp_path / "gaz.jsonl") == gaz
-
     def test_full_run_type_match_audit(self, world, backbone):
         _, ds = world
         gaz = build_gazetteer(ds)
         pool = ReplacementPool(ds.pool)
-        spec = IntegrationSpec(steps=6, t_start=0.0, t_end=1.0)
-        out, reports = anonymize_content(backbone, ds, pool, gaz, spec,
+        steps = 6
+        out, reports = anonymize_content(backbone, ds, pool, gaz, steps,
                                          np.random.default_rng(3))
         assert len(out.utterances) == len(ds.utterances)
         by_id = {u.id: u for u in out.utterances}
@@ -220,17 +212,44 @@ class TestPipeline:
         edited = [r for r in reports if r["replacements"]]
         assert edited   # the world guarantees PII utterances exist
 
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_edits_voiced_from_mapping_when_given(self, world, backbone,
+                                                  monkeypatch, mapped):
+        _, ds = world
+        rng = np.random.default_rng(8)
+        mapping = ({s.id: (0.5, rng.standard_normal(ds.params.D))
+                    for s in ds.speakers} if mapped else None)
+        voiced = []
+
+        def fake_reconstruct(backbone, frame_tokens, p_norm, s, steps, rng):
+            voiced.append(np.array(s))
+            return np.zeros((len(frame_tokens), ds.params.F))
+
+        monkeypatch.setattr(content_mod, "reconstruct", fake_reconstruct)
+        _, reports = anonymize_content(backbone, ds, ReplacementPool(ds.pool),
+                                       build_gazetteer(ds), 4,
+                                       np.random.default_rng(3),
+                                       mapping=mapping)
+        speaker_of = {u.id: u.speaker_id for u in ds.utterances}
+        edited = [speaker_of[r["utterance_id"]] for r in reports
+                  if r["replacements"]]
+        assert edited and len(voiced) == len(edited)
+        for sid, s in zip(edited, voiced):   # one reconstruct per utterance
+            want = (ds.speaker(sid).embedding if mapping is None
+                    else mapping[sid][1])
+            assert np.array_equal(s, want)
+
     def test_unmatched_entity_reported_not_fatal(self, world, backbone):
         _, ds = world
         gaz = build_gazetteer(ds)
         # a pool with no PER entries at all forces partial status on
         # utterances whose spans are PER
         thin = ReplacementPool([e for e in ds.pool if e.type != "PER"])
-        spec = IntegrationSpec(steps=4, t_start=0.0, t_end=1.0)
+        steps = 4
         has_per = any(
             sp[0] == "PER" for u in ds.utterances for sp in u.entity_spans)
         assert has_per
-        out, reports = anonymize_content(backbone, ds, thin, gaz, spec,
+        out, reports = anonymize_content(backbone, ds, thin, gaz, steps,
                                          np.random.default_rng(0))
         assert any(r["status"] == "partial" for r in reports)
 
@@ -238,8 +257,8 @@ class TestPipeline:
         _, ds = world
         gaz = build_gazetteer(ds)
         pool = ReplacementPool(ds.pool)
-        spec = IntegrationSpec(steps=4, t_start=0.0, t_end=1.0)
-        out, _ = anonymize_content(backbone, ds, pool, gaz, spec,
+        steps = 4
+        out, _ = anonymize_content(backbone, ds, pool, gaz, steps,
                                    np.random.default_rng(5), p_asr=0.3)
         changed = sum(
             a.tokens != b.tokens

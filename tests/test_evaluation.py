@@ -211,6 +211,16 @@ class TestAttack:
         assert rep.a_eer < 5.0
         assert rep.token_error_rate <= 1.0
         assert rep.secs_proxy >= 0.99
+        assert len(rep.trials) == len(rep.scores) == \
+            rep.counts["acoustic_trials"]
+        assert "trials" not in rep.to_dict() and "scores" not in rep.to_dict()
+
+    def test_utility_only_with_mapping(self, world):
+        _, ds = world
+        rep = run_attack(ds, ds, None, "ignorant", "acoustic",
+                         np.random.default_rng(0))
+        assert rep.a_eer is not None
+        assert rep.token_error_rate is None and rep.secs_proxy is None
 
     def test_unknown_attacker_rejected(self, world):
         _, ds = world

@@ -2,58 +2,44 @@ import numpy as np
 import pytest
 
 from anonflow.errors import DivergenceError, InputError
-from anonflow.flowmath import IntegrationSpec, cfm_loss, integrate
+from anonflow.flowmath import cfm_loss, integrate
 from anonflow.nets import ConditionedField
-
-
-class TestIntegrationSpec:
-    def test_defaults(self):
-        spec = IntegrationSpec()
-        assert spec.steps == 16
-
-    def test_rejects_equal_endpoints(self):
-        with pytest.raises(InputError):
-            IntegrationSpec(steps=4, t_start=0.5, t_end=0.5)
-
-    def test_rejects_zero_steps(self):
-        with pytest.raises(InputError):
-            IntegrationSpec(steps=0)
 
 
 class TestIntegrate:
     def test_zero_field_identity(self):
         x = np.array([1.0, -2.0, 3.0])
-        out = integrate(lambda x, t, c: np.zeros_like(x), x, IntegrationSpec(steps=7))
+        out = integrate(lambda x, t, c: np.zeros_like(x), x, 7)
         assert np.array_equal(out, x)
 
     def test_constant_field_exact(self):
         c = np.array([0.5, -1.5])
         for steps in (1, 3, 16):
             out = integrate(lambda x, t, _: np.broadcast_to(c, x.shape),
-                            np.zeros(2), IntegrationSpec(steps=steps))
+                            np.zeros(2), steps)
             assert np.allclose(out, c)
 
     def test_linear_field_closed_form(self):
         # x' = x over [0,1]: Euler gives (1+h)^steps * x_init
         x = np.array([2.0, -1.0])
-        out1 = integrate(lambda x, t, _: x, x, IntegrationSpec(steps=1))
+        out1 = integrate(lambda x, t, _: x, x, 1)
         assert np.allclose(out1, 2.0 * x)
-        out2 = integrate(lambda x, t, _: x, x, IntegrationSpec(steps=2))
+        out2 = integrate(lambda x, t, _: x, x, 2)
         assert np.allclose(out2, 2.25 * x)
 
     def test_backward_integration(self):
         # x' = c backward from 1 to 0 subtracts c
         c = np.array([1.0, 1.0])
         out = integrate(lambda x, t, _: np.broadcast_to(c, x.shape),
-                        c, IntegrationSpec(steps=4, t_start=1.0, t_end=0.0))
+                        c, 4, backward=True)
         assert np.allclose(out, np.zeros(2))
 
     def test_forward_backward_constant_field_exact(self):
         c = np.array([0.3, 0.7, -0.2])
         f = lambda x, t, _: np.broadcast_to(c, x.shape)
         x = np.array([1.0, 2.0, 3.0])
-        fwd = integrate(f, x, IntegrationSpec(steps=8, t_start=0, t_end=1))
-        back = integrate(f, fwd, IntegrationSpec(steps=8, t_start=1, t_end=0))
+        fwd = integrate(f, x, 8)
+        back = integrate(f, fwd, 8, backward=True)
         assert np.allclose(back, x)
 
     def test_forward_backward_linear_field_order_h(self):
@@ -62,8 +48,8 @@ class TestIntegrate:
         h = 1.0 / n
         x = np.array([1.0, -1.0])
         f = lambda x, t, _: x
-        fwd = integrate(f, x, IntegrationSpec(steps=n, t_start=0, t_end=1))
-        back = integrate(f, fwd, IntegrationSpec(steps=n, t_start=1, t_end=0))
+        fwd = integrate(f, x, n)
+        back = integrate(f, fwd, n, backward=True)
         factor = (1 - h**2) ** n
         assert np.allclose(back, factor * x)
         assert np.linalg.norm(back - x) <= 1.5 * h * np.linalg.norm(x)
@@ -72,23 +58,45 @@ class TestIntegrate:
         # on x' = x the global error halves (to first order) when steps double
         x = np.ones(3)
         exact = np.e * x
-        e1 = np.linalg.norm(integrate(lambda x, t, _: x, x,
-                                      IntegrationSpec(steps=16)) - exact)
-        e2 = np.linalg.norm(integrate(lambda x, t, _: x, x,
-                                      IntegrationSpec(steps=32)) - exact)
+        e1 = np.linalg.norm(integrate(lambda x, t, _: x, x, 16) - exact)
+        e2 = np.linalg.norm(integrate(lambda x, t, _: x, x, 32) - exact)
         assert 0.4 < e2 / e1 < 0.6
 
     def test_batched_input(self):
         xb = np.arange(6.0).reshape(3, 2)
-        out = integrate(lambda x, t, _: x, xb, IntegrationSpec(steps=1))
+        out = integrate(lambda x, t, _: x, xb, 1)
         assert out.shape == (3, 2)
         assert np.allclose(out, 2 * xb)
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_rejects_steps_below_one(self, steps):
+        with pytest.raises(InputError, match="steps must be >= 1"):
+            integrate(lambda x, t, _: x, np.ones(2), steps)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_step_times(self, backward):
+        # forward visits t = k/n from 0, backward t = 1 - k/n from 1, with
+        # the step and time sums of an Euler loop over [0, 1] or [1, 0]
+        seen = []
+
+        def field(x, t, _):
+            seen.append(t[0])
+            return np.ones_like(x)
+
+        out = integrate(field, np.zeros(1), 3, backward=backward)
+        h = (-1.0 if backward else 1.0) / 3
+        t, want = (1.0 if backward else 0.0), []
+        for _ in range(3):
+            want.append(t)
+            t += h
+        assert seen == want
+        assert out[0] == h + h + h
 
     def test_divergence_carries_step(self):
         def bad(x, t, _):
             return np.full_like(x, np.inf)
         with pytest.raises(DivergenceError) as ei:
-            integrate(bad, np.ones(2), IntegrationSpec(steps=4))
+            integrate(bad, np.ones(2), 4)
         assert ei.value.step == 0
 
 
@@ -116,8 +124,7 @@ class TestIntegrateVelocity:
         rng = np.random.default_rng(3)
         x0 = rng.standard_normal((11, 4))
         cond = self._cond(11, rng)
-        spec = IntegrationSpec(steps=16)
-        got = integrate(f, x0, spec, cond)
+        got = integrate(f, x0, 16, cond)
         x, t, h = x0, 0.0, 1.0 / 16
         for _ in range(16):
             x = x + h * f.forward(x, np.full(11, t), cond)[0]
@@ -130,9 +137,8 @@ class TestIntegrateVelocity:
         rng = np.random.default_rng(4)
         x0 = rng.standard_normal(4)
         cond = self._cond(1, rng)
-        spec = IntegrationSpec(steps=5)
-        got = integrate(f, x0, spec, cond)
-        ref = integrate(lambda x, t, c: f(x, t, c), x0[None], spec, cond)[0]
+        got = integrate(f, x0, 5, cond)
+        ref = integrate(lambda x, t, c: f(x, t, c), x0[None], 5, cond)[0]
         assert got.shape == (4,)
         assert np.allclose(got, ref, rtol=1e-5, atol=1e-6)
 
@@ -143,12 +149,11 @@ class TestIntegrateVelocity:
         rng = np.random.default_rng(5)
         x0 = rng.standard_normal((6, 4))
         cond = self._cond(6, rng)
-        spec = IntegrationSpec(steps=64)
         steps = []
         for field in (f, lambda x, t, c: f(x, t, c)):
             with pytest.raises(DivergenceError) as ei, \
                     np.errstate(over="ignore", invalid="ignore"):
-                integrate(field, x0, spec, cond)
+                integrate(field, x0, 64, cond)
             steps.append(ei.value.step)
         assert steps[0] == steps[1] and steps[0] > 0
 
