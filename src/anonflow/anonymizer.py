@@ -11,8 +11,8 @@ embedding of a different speaker) is provided as an ablation alternative.
 randomness in turn (``w`` then ``z_rand``, or one pool index), then runs one
 ``encode``, one ``obscure`` and one ``generate`` over the whole batch, so
 row i matches what a one-row call on the same generator state would give.
-``anonymize_dataset`` keeps one identity per speaker in its mapping (or
-draws one per utterance under the ``per_utterance`` scope).
+``anonymize_dataset`` draws one identity per speaker, when the speaker is
+first seen, and voices all of the speaker's utterances with it.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .checkpoint import (TRAINING_RANGES, WIDTHS, check_ranges, load_model,
-                         save_model)
+                         replace_text, save_model)
 from .errors import ConfigError, DataError, DivergenceError, InputError
 from .flowmath import cfm_loss, integrate
 from .nets import UShapedField, u_shaped
@@ -53,19 +54,9 @@ class AnonymizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.level_dims = tuple(self.level_dims)
         check_ranges("anonymizer", self, {"level_dims": U_SHAPE,
                                           **TRAINING_RANGES})
-
-    def to_dict(self):
-        d = asdict(self)
-        d["level_dims"] = list(self.level_dims)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["level_dims"] = tuple(d.get("level_dims", (16, 8, 4, 2, 4, 8, 16)))
-        return cls(**d)
 
 
 class AnonymizerModel:
@@ -148,19 +139,19 @@ def generate(model: AnonymizerModel, z_anon, steps: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightStrategy:
-    """Speaker-weight policy: fixed value, uniform range, or pool selection."""
+    """Speaker-weight policy: fixed value, uniform range, or pool selection,
+    drawn once per speaker."""
 
     kind: str                      # "fixed" | "range" | "pool"
     w: float = 0.0                 # fixed value
     a: float = -1.0                # range bounds
     b: float = 1.0
-    scope: str = "per_speaker"     # or "per_utterance"
+    # read by the benchmark's span counters; not a field
+    scope: ClassVar[str] = "per_speaker"
 
     def __post_init__(self):
         if self.kind not in ("fixed", "range", "pool"):
             raise InputError(f"unknown strategy kind {self.kind!r}")
-        if self.scope not in ("per_speaker", "per_utterance"):
-            raise InputError(f"unknown scope {self.scope!r}")
         if self.kind == "fixed" and not (-1.0 <= self.w <= 1.0):
             raise InputError("fixed weight must lie in [-1, 1]")
         if self.kind == "range" and not (-1.0 <= self.a < self.b <= 1.0):
@@ -174,18 +165,17 @@ class WeightStrategy:
         raise InputError("pool strategy has no speaker weight")
 
     @classmethod
-    def parse(cls, text: str, scope: str = "per_speaker") -> "WeightStrategy":
+    def parse(cls, text: str) -> "WeightStrategy":
         """Parse 'fixed:W', 'range:A:B' or 'pool'; anything else, a number
         that does not parse or one out of range is a ConfigError."""
         parts = text.split(":")
         try:
             if parts[0] == "fixed" and len(parts) == 2:
-                return cls(kind="fixed", w=float(parts[1]), scope=scope)
+                return cls(kind="fixed", w=float(parts[1]))
             if parts[0] == "range" and len(parts) == 3:
-                return cls(kind="range", a=float(parts[1]), b=float(parts[2]),
-                           scope=scope)
+                return cls(kind="range", a=float(parts[1]), b=float(parts[2]))
             if parts[0] == "pool" and len(parts) == 1:
-                return cls(kind="pool", scope=scope)
+                return cls(kind="pool")
         except ValueError as e:
             raise ConfigError(f"bad strategy {text!r}: {e}") from e
         raise ConfigError(f"cannot parse strategy {text!r}")
@@ -234,13 +224,12 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
     (anonymized dataset, mapping) where mapping is
     {speaker_id: (w_used, s_anon)} for the attacker simulation.  A speaker's
     identity is drawn when the speaker is first seen and reused from the
-    mapping after that, unless the scope is per_utterance.
+    mapping after that.
 
-    Frames are synthesized per run: the consecutive utterances voiced by
-    one identity (one speaker's adjacent utterances, or a single utterance
-    under per_utterance) share one ``reconstruct`` call.  A run is flushed
-    before the next identity draw, so the generator gives the identity and
-    frame-noise draws in the same order as one call per utterance would.
+    Frames are synthesized per run: one speaker's adjacent utterances share
+    one ``reconstruct`` call.  A run is flushed before the next identity
+    draw, so the generator gives the identity and frame-noise draws in the
+    same order as one call per utterance would.
     A run is also flushed before it would pass ``RUN_FRAMES`` frames, which
     bounds one call's activations however many adjacent utterances a
     speaker has; the noise draws keep their order across the cut.
@@ -268,12 +257,12 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
         run.clear()
 
     for u in dataset.utterances:
-        k = row[u.speaker_id]
-        draw = strategy.scope == "per_utterance" or u.speaker_id not in mapping
+        draw = u.speaker_id not in mapping
         if (draw or run[-1].speaker_id != u.speaker_id
                 or sum(v.n_frames for v in run) + u.n_frames > RUN_FRAMES):
             flush()
         if draw:
+            k = row[u.speaker_id]
             try:
                 s_anon, w = anonymize_speaker(anonymizer, embs[k:k + 1],
                                               strategy, rng, steps, pool=embs,
@@ -292,18 +281,20 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
 
 def save_mapping(mapping: dict, path) -> None:
     """TSV: speaker_id, w_used (NA for pool), comma-separated s_anon."""
-    with open(path, "w") as f:
-        for sid in sorted(mapping):
-            w, s_anon = mapping[sid]
-            wtxt = "NA" if w is None else f"{w:.9g}"
-            stxt = ",".join(f"{v:.9g}" for v in np.asarray(s_anon))
-            f.write(f"{sid}\t{wtxt}\t{stxt}\n")
+    rows = []
+    for sid in sorted(mapping):
+        w, s_anon = mapping[sid]
+        wtxt = "NA" if w is None else f"{w:.9g}"
+        stxt = ",".join(f"{v:.9g}" for v in np.asarray(s_anon))
+        rows.append(f"{sid}\t{wtxt}\t{stxt}\n")
+    replace_text(path, "".join(rows))
 
 
-def load_mapping(path, dataset: Dataset | None = None) -> dict:
-    """Read ``save_mapping``'s TSV.  Given the dataset it voices, every
-    speaker with an utterance needs a row and every identity D values."""
-    dim = None if dataset is None else dataset.params.D
+def load_mapping(path, dataset: Dataset) -> dict:
+    """Read ``save_mapping``'s TSV for the dataset it voices: one row for
+    each speaker with an utterance, with an identity of D values.  A second
+    row for the same speaker is a DataError."""
+    dim = dataset.params.D
     out = {}
     for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         try:
@@ -312,21 +303,21 @@ def load_mapping(path, dataset: Dataset | None = None) -> dict:
             s_anon = np.array([float(v) for v in stxt.split(",")])
         except ValueError as e:
             raise DataError(f"{path}:{n}: bad mapping row: {e}") from e
-        if dim is not None and len(s_anon) != dim:
+        if sid in out:
+            raise DataError(f"{path}:{n}: second row for speaker {sid}")
+        if len(s_anon) != dim:
             raise DataError(f"{path}:{n}: identity of {sid} has "
                             f"{len(s_anon)} values, expected {dim}")
         out[sid] = (w, s_anon)
-    if dataset is not None:
-        missing = sorted({u.speaker_id for u in dataset.utterances} - set(out))
-        if missing:
-            raise DataError(f"{path}: no row for speaker(s) "
-                            f"{', '.join(missing)}")
+    missing = sorted({u.speaker_id for u in dataset.utterances} - set(out))
+    if missing:
+        raise DataError(f"{path}: no row for speaker(s) {', '.join(missing)}")
     return out
 
 
 def save_anonymizer(model: AnonymizerModel, path_prefix) -> None:
     save_model(path_prefix, model.tensors(),
-               {"config": model.config.to_dict(), "metadata": model.metadata})
+               {"config": asdict(model.config), "metadata": model.metadata})
 
 
 def load_anonymizer(path_prefix) -> AnonymizerModel:

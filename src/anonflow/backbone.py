@@ -39,22 +39,12 @@ class BackboneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.hidden = tuple(self.hidden)
         check_ranges("backbone", self, {
             "content_dim": AT_LEAST_1, "hidden": WIDTHS,
             "codebook_size": (lambda v: v >= 2, ">= 2"),
             "beta": NON_NEGATIVE, "lam": NON_NEGATIVE,
             "f_sem_noise": NON_NEGATIVE, **TRAINING_RANGES})
-
-    def to_dict(self):
-        d = asdict(self)
-        d["hidden"] = list(self.hidden)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["hidden"] = tuple(d.get("hidden", (96, 96)))
-        return cls(**d)
 
 
 class BackboneModel:
@@ -163,7 +153,7 @@ def train_backbone(dataset: Dataset, config: BackboneConfig,
 def reconstruct(model: BackboneModel, frame_tokens, p_norm, s, steps: int,
                 rng: np.random.Generator) -> np.ndarray:
     """Integrate the frame flow from per-frame Gaussian noise at times 0 -> 1
-    in ``steps`` Euler steps.
+    in ``steps`` Euler steps, every frame voiced by the one identity ``s``.
 
     Without f_sem noise a frame's codeword depends on its token alone, so
     each distinct token is quantized once and its codeword gathered per
@@ -174,16 +164,15 @@ def reconstruct(model: BackboneModel, frame_tokens, p_norm, s, steps: int,
     uniq, inv = np.unique(frame_tokens, return_inverse=True)
     c_vq = quantize(model.f_sem(uniq), model.codebook).c_vq[inv]
     local = model.local_cond(c_vq, p_norm)
-    s = np.asarray(s, dtype=float)
-    cond = (local, np.tile(s, (t_frames, 1)))
     x0 = rng.standard_normal((t_frames, model.frame_dim))
-    return integrate(model.field, x0, steps, cond)
+    return integrate(model.field, x0, steps,
+                     (local, np.asarray(s, dtype=float)[None]))
 
 
 def save_backbone(model: BackboneModel, path_prefix) -> None:
     save_model(path_prefix, model.tensors(), {
         "frame_dim": model.frame_dim, "speaker_dim": model.speaker_dim,
-        "vocab_size": model.vocab_size, "config": model.config.to_dict()})
+        "vocab_size": model.vocab_size, "config": asdict(model.config)})
 
 
 def load_backbone(path_prefix) -> BackboneModel:

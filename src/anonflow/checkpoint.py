@@ -7,7 +7,7 @@ the file is a deterministic function of its contents.
 
 Also here: the ``.ckpt``/``.json`` model pair, the type (``fits``) and
 range (``check_ranges``) rules for config values, and ``replacing``, the
-temp-file-then-rename writer of model pairs, datasets and manifests.
+temp-file-then-rename writer of every file the commands write.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import math
 import os
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,12 @@ def replacing(paths):
         raise
 
 
+def replace_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through ``replacing``."""
+    with replacing([path]) as (tmp,):
+        tmp.write_text(text)
+
+
 def save_model(prefix, tensors: dict, meta: dict) -> None:
     """Write ``<prefix>.ckpt`` (tensors) and ``<prefix>.json`` (meta); the
     pair replaces an old one only once both files are written."""
@@ -174,16 +181,16 @@ def load_model(prefix, config_cls, build, keys: tuple = ()):
                             f"got {meta[k]!r}")
     if not isinstance(meta["config"], dict):
         raise DataError(f"{path}: config must be a JSON object")
-    defaults = config_cls().to_dict()
+    defaults = asdict(config_cls())
     unknown = sorted(set(meta["config"]) - set(defaults))
     if unknown:
         raise DataError(f"{path}: unknown config key(s) {', '.join(unknown)}")
     for k, v in meta["config"].items():
         if not fits(v, defaults[k]):
             raise DataError(f"{path}: config.{k} = {v!r} does not have the "
-                            f"type of its default, {defaults[k]!r}")
+                            f"type of its default, {json.dumps(defaults[k])}")
     try:
-        config = config_cls.from_dict(meta["config"])
+        config = config_cls(**meta["config"])
     except ConfigError as e:
         raise DataError(f"{path}: {e}") from e
     model = build(meta, config)

@@ -24,7 +24,7 @@ from .anonymizer import (AnonymizerConfig, WeightStrategy, anonymize_dataset,
                          load_anonymizer, load_mapping, save_anonymizer,
                          save_mapping, train_anonymizer)
 from .backbone import BackboneConfig, load_backbone, save_backbone, train_backbone
-from .checkpoint import AT_LEAST_1, TRAINING_RANGES, fits, replacing
+from .checkpoint import AT_LEAST_1, TRAINING_RANGES, fits, replace_text
 from .content import (ReplacementPool, anonymize_content, build_gazetteer,
                       save_edit_reports, save_gazetteer)
 from .errors import ConfigError, DataError, DivergenceError, InputError
@@ -86,8 +86,8 @@ def write_manifest(out_dir: Path, command: str, inputs: dict,
                    for k, p in inputs.items()},
         "outputs": {Path(p).name: sha256_file(p) for p in outputs},
     }
-    with replacing([out_dir / "manifest.json"]) as (tmp,):
-        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    replace_text(out_dir / "manifest.json",
+                 json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
 
 def _load_config(path, section: str, defaults: dict) -> dict:
@@ -112,7 +112,7 @@ def _load_config(path, section: str, defaults: dict) -> dict:
         if not fits(value, defaults[key]):
             raise ConfigError(f"{path}: config value {section}.{key} = "
                               f"{value!r} does not have the type of its "
-                              f"default, {defaults[key]!r}")
+                              f"default, {json.dumps(defaults[key])}")
     return sec
 
 
@@ -141,9 +141,8 @@ def _outdir(args) -> Path:
 # subcommands
 
 def cmd_gen_world(args) -> int:
-    defaults = asdict(WorldConfig())
-    config = WorldConfig(**{**defaults,
-                            **_load_config(args.config, "world", defaults)})
+    config = WorldConfig(**_load_config(args.config, "world",
+                                        asdict(WorldConfig())))
     ds = config.generate(args.seed)
     out = _outdir(args)
     save_dataset(ds, out)
@@ -154,18 +153,14 @@ def cmd_gen_world(args) -> int:
 
 def cmd_train_backbone(args) -> int:
     ds = load_dataset(args.data)
-    cfg_dict = _load_config(args.config, "backbone",
-                            BackboneConfig().to_dict())
+    cfg_dict = _load_config(args.config, "backbone", asdict(BackboneConfig()))
     cfg_dict.setdefault("codebook_size", ds.params.V + 64)
-    cfg_dict["seed"] = args.seed
-    config = BackboneConfig.from_dict({**BackboneConfig().to_dict(),
-                                       **cfg_dict})
+    config = BackboneConfig(**{**cfg_dict, "seed": args.seed})
     model, trace = train_backbone(ds, config, np.random.default_rng(args.seed))
     out = _outdir(args)
     save_backbone(model, out / "backbone")
-    with open(out / "trace.jsonl", "w") as f:
-        for t in trace[:: max(1, len(trace) // 200)]:
-            f.write(json.dumps(t) + "\n")
+    replace_text(out / "trace.jsonl", "".join(
+        json.dumps(t) + "\n" for t in trace[:: max(1, len(trace) // 200)]))
     write_manifest(out, "train-backbone",
                    {"world": Path(args.data) / "world.json"},
                    {"seed": args.seed},
@@ -175,16 +170,14 @@ def cmd_train_backbone(args) -> int:
 
 def cmd_train_anonymizer(args) -> int:
     params = load_params(args.data)
-    defaults = {**AnonymizerConfig().to_dict(), "n_embeddings": 10_000}
+    defaults = {**asdict(AnonymizerConfig()), "n_embeddings": 10_000}
     cfg_dict = _load_config(args.config, "anonymizer", defaults)
     n_embeddings = cfg_dict.pop("n_embeddings", defaults["n_embeddings"])
     if n_embeddings < 2:
         raise ConfigError(f"anonymizer.n_embeddings must be >= 2, "
                           f"got {n_embeddings!r}")
-    cfg_dict["seed"] = args.seed
     cfg_dict.setdefault("level_dims", _level_dims_for(params.D))
-    config = AnonymizerConfig.from_dict({**AnonymizerConfig().to_dict(),
-                                         **cfg_dict})
+    config = AnonymizerConfig(**{**cfg_dict, "seed": args.seed})
     rng = np.random.default_rng(args.seed)
     emb = sample_speaker_embeddings(params, n_embeddings, rng)
     model, _ = train_anonymizer(emb, config, rng)
@@ -257,29 +250,32 @@ def cmd_build_trials(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    """Score one attacker; ``--strategy`` and ``--anonymizer`` are checked
+    whenever they are given, though only the lazy attacker uses them."""
+    attacker = {"ignorant": "ignorant", "lazy": "lazy_informed",
+                "lazy_informed": "lazy_informed"}[args.attacker]
+    strategy = (None if args.strategy is None
+                else WeightStrategy.parse(args.strategy))
+    if attacker == "lazy_informed" and (args.anonymizer is None
+                                        or strategy is None):
+        raise ConfigError("lazy attacker needs --anonymizer and --strategy")
+    anonymizer = (None if args.anonymizer is None
+                  else load_anonymizer(Path(args.anonymizer)))
     ds_orig = load_dataset(args.data)
     ds_anon = load_dataset(args.anon)
     mapping = load_mapping(args.mapping, ds_anon) if args.mapping else None
-    attacker = {"ignorant": "ignorant", "lazy": "lazy_informed",
-                "lazy_informed": "lazy_informed"}[args.attacker]
-    rng = np.random.default_rng(args.seed)
-    kwargs = {}
-    if attacker == "lazy_informed":
-        if args.anonymizer is None or args.strategy is None:
-            raise ConfigError("lazy attacker needs --anonymizer and --strategy")
-        kwargs["anonymizer"] = load_anonymizer(Path(args.anonymizer))
-        kwargs["strategy"] = WeightStrategy.parse(args.strategy)
     trials = load_trials(args.trials) if args.trials else None
-    report = run_attack(ds_orig, ds_anon, mapping, attacker, args.mode, rng,
-                        steps=args.steps, trials=trials, **kwargs)
+    report = run_attack(ds_orig, ds_anon, mapping, attacker, args.mode,
+                        np.random.default_rng(args.seed), anonymizer=anonymizer,
+                        strategy=strategy, steps=args.steps, trials=trials)
     out = _outdir(args)
     save_trials(report.trials, out / "trials.tsv")
     save_scores(report.trials, report.scores, out / "scores.tsv")
     doc = report.to_dict()
     doc["config"] = {"attacker": args.attacker, "mode": args.mode,
                      "seed": args.seed, "strategy": args.strategy}
-    (out / "report.json").write_text(json.dumps(doc, indent=1, sort_keys=True)
-                                     + "\n")
+    replace_text(out / "report.json",
+                 json.dumps(doc, indent=1, sort_keys=True) + "\n")
     inputs = {"world": Path(args.data) / "world.json",
               "anon": Path(args.anon) / "utterances.jsonl"}
     if args.mapping:
@@ -307,7 +303,7 @@ def cmd_report(args) -> int:
             raise ConfigError(f"no radar range declared for metric {name!r}")
         v = float(metrics[name])
         lines.append(f"{name},{v:.9g},{radar_normalize(v, spec[name]):.4f}")
-    (out / "radar.csv").write_text("\n".join(lines) + "\n")
+    replace_text(out / "radar.csv", "\n".join(lines) + "\n")
     write_manifest(out, "report", {"metrics": Path(args.metrics)}, {},
                    [out / "radar.csv"])
     return 0
@@ -422,11 +418,13 @@ def steady_memory():
 
 def main(argv=None) -> int:
     """Check the arguments, then run one command under ``steady_memory``;
-    its exit code."""
+    its exit code.  numpy's floating-point warnings are off, so stderr
+    holds the one error line only: the trainers and ``integrate`` check
+    for non-finite values themselves and raise DivergenceError (exit 3)."""
     args = build_parser().parse_args(argv)
     try:
         check_args(args)
-        with steady_memory():
+        with steady_memory(), np.errstate(all="ignore"):
             return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

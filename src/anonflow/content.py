@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .backbone import BackboneModel, reconstruct
+from .checkpoint import replace_text
 from .errors import InputError, UnmatchedEntityError
 from .worldgen import PII_TYPES, Dataset, PoolEntry, Utterance
 
@@ -254,12 +255,10 @@ def build_gazetteer(dataset: Dataset) -> dict:
 
 
 def save_gazetteer(gaz: dict, path) -> None:
-    with open(path, "w") as f:
-        for tok in sorted(gaz):
-            f.write(json.dumps({"token": int(tok), "type": gaz[tok]}) + "\n")
+    replace_text(path, "".join(
+        json.dumps({"token": int(tok), "type": gaz[tok]}) + "\n"
+        for tok in sorted(gaz)))
 
 
 def save_edit_reports(reports, path) -> None:
-    with open(path, "w") as f:
-        for r in reports:
-            f.write(json.dumps(r) + "\n")
+    replace_text(path, "".join(json.dumps(r) + "\n" for r in reports))

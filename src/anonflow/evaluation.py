@@ -10,11 +10,14 @@ from pathlib import Path
 import numpy as np
 
 from .anonymizer import WeightStrategy, anonymize_speaker
+from .checkpoint import replace_text
 from .errors import DataError, InputError
 from .worldgen import (Dataset, oracle_extract_speaker, oracle_recover_tokens,
                        token_error_rate)
 
 log = logging.getLogger(__name__)
+
+DURATION_WINDOW = (5.0, 15.0)   # seconds; acoustic trials' utterance lengths
 
 
 @dataclass(frozen=True)
@@ -24,19 +27,19 @@ class Trial:
     label: int   # 1 = target, 0 = nontarget
 
 
-def build_trials(dataset: Dataset, mode: str, rng: np.random.Generator,
-                 duration_window=(5.0, 15.0)) -> list:
+def build_trials(dataset: Dataset, mode: str, rng: np.random.Generator) -> list:
     """Per enrollment utterance: two positives (same speaker) and two
     negatives (one sourced from a male, one from a female speaker).
 
-    Acoustic mode keeps utterances with duration in the window; content
-    mode keeps PII-bearing utterances.  Negative sourcing falls back to
-    any different speaker when the requested gender has no other speaker.
+    Acoustic mode keeps utterances with duration in ``DURATION_WINDOW``;
+    content mode keeps PII-bearing utterances.  Negative sourcing falls
+    back to any different speaker when the requested gender has no other
+    speaker.
     """
     if mode not in ("acoustic", "content"):
         raise InputError(f"unknown trial mode {mode!r}")
     if mode == "acoustic":
-        lo, hi = duration_window
+        lo, hi = DURATION_WINDOW
         cands = [u for u in dataset.utterances if lo <= u.duration_s <= hi]
     else:
         cands = [u for u in dataset.utterances if u.has_pii]
@@ -253,9 +256,9 @@ def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
             if anonymizer is None or strategy is None:
                 raise InputError("lazy_informed needs the anonymization "
                                  "system (model + strategy)")
-            # each enrollment utterance is re-anonymized independently,
-            # regardless of the strategy's scope; by_speaker() follows the
-            # speaker order, so speaker k's own embedding is pool row k
+            # each enrollment utterance is re-anonymized independently;
+            # by_speaker() follows the speaker order, so speaker k's own
+            # embedding is pool row k
             order = [(k, u) for k, utts in enumerate(by_spk.values())
                      for u in utts]
             s_anon, _ = anonymize_speaker(
@@ -307,9 +310,9 @@ def utility_probes(dataset_anon: Dataset, params, mapping) -> tuple:
 # trial / score file formats
 
 def save_trials(trials, path) -> None:
-    with open(path, "w") as f:
-        for t in trials:
-            f.write(f"{t.enroll_speaker_id}\t{t.test_utterance_id}\t{t.label}\n")
+    replace_text(path, "".join(
+        f"{t.enroll_speaker_id}\t{t.test_utterance_id}\t{t.label}\n"
+        for t in trials))
 
 
 def load_trials(path) -> list:
@@ -328,7 +331,6 @@ def load_trials(path) -> list:
 
 
 def save_scores(trials, scores, path) -> None:
-    with open(path, "w") as f:
-        for t, s in zip(trials, scores):
-            f.write(f"{t.enroll_speaker_id}\t{t.test_utterance_id}\t"
-                    f"{t.label}\t{s:.9g}\n")
+    replace_text(path, "".join(
+        f"{t.enroll_speaker_id}\t{t.test_utterance_id}\t{t.label}\t{s:.9g}\n"
+        for t, s in zip(trials, scores)))

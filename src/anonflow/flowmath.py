@@ -14,15 +14,15 @@ from .errors import DivergenceError, InputError
 
 
 def cfm_loss(field, x1: np.ndarray, cond, rng: np.random.Generator):
-    """Conditional flow-matching loss on one batch.
+    """Conditional flow-matching loss on one batch of a field with
+    ``forward``/``backward``.
 
     ``x1`` is (B, d); ``cond`` is forwarded to the field unchanged (may be
     None or a batched array / tuple of arrays).  Noise endpoints are drawn
     standard normal and times uniform on [0, 1), in that order, so a test
     with the same generator state can reproduce the draws.
 
-    Returns ``(loss, grads)`` where grads is a parameter-gradient dict when
-    the field supports reverse mode (has ``forward``/``backward``), else None.
+    Returns ``(loss, grads)``, grads the field's parameter-gradient dict.
     """
     x1 = np.asarray(x1, dtype=float)
     if x1.ndim != 2 or x1.shape[0] == 0:
@@ -32,16 +32,10 @@ def cfm_loss(field, x1: np.ndarray, cond, rng: np.random.Generator):
     t = rng.uniform(0.0, 1.0, size=b)
     xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
     u = x1 - x0
-
-    if hasattr(field, "forward") and hasattr(field, "backward"):
-        pred, cache = field.forward(xt, t, cond)
-        resid = pred - u
-        loss = float(np.mean(resid**2))
-        grads = field.backward(cache, (2.0 / resid.size) * resid)
-        return loss, grads
-    pred = field(xt, t, cond)
-    resid = np.asarray(pred) - u
-    return float(np.mean(resid**2)), None
+    pred, cache = field.forward(xt, t, cond)
+    resid = pred - u
+    grads = field.backward(cache, (2.0 / resid.size) * resid)
+    return float(np.mean(resid**2)), grads
 
 
 def integrate(field, x_init: np.ndarray, steps: int, cond=None, *,

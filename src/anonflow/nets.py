@@ -185,21 +185,13 @@ class ConditionedField:
         p["out.W"], p["out.b"] = _init_linear(rng, dim, prev, dtype)
         self.params = p
 
-    def _split_cond(self, cond, batch):
-        """cond is (local, global): local (B, local_dim) or None, global (B, cond_dim)."""
-        local, glob = cond if cond is not None else (None, None)
-        if self.local_dim:
-            local = np.asarray(local, dtype=self.dtype)
-            if local.shape != (batch, self.local_dim):
-                raise InputError(f"expected local cond {(batch, self.local_dim)}, got "
-                                 f"{None if local is None else local.shape}")
-        if self.cond_dim:
-            glob = np.asarray(glob, dtype=self.dtype)
-            if glob.ndim == 1:
-                glob = np.broadcast_to(glob, (batch, self.cond_dim))
-            if glob.shape != (batch, self.cond_dim):
-                raise InputError(f"expected global cond {(batch, self.cond_dim)}, got "
-                                 f"{None if glob is None else glob.shape}")
+    def _split_cond(self, cond, batch, rows):
+        """cond is (local (batch, local_dim), global (rows, cond_dim))."""
+        local, glob = (np.asarray(c, dtype=self.dtype) for c in cond)
+        for name, a, shape in (("local", local, (batch, self.local_dim)),
+                               ("global", glob, (rows, self.cond_dim))):
+            if a.shape != shape:
+                raise InputError(f"expected {name} cond {shape}, got {a.shape}")
         return local, glob
 
     def forward(self, x, t, cond):
@@ -207,11 +199,10 @@ class ConditionedField:
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise InputError(f"expected (B, {self.dim}) input, got {x.shape}")
         b = x.shape[0]
-        local, glob = self._split_cond(cond, b)
+        local, glob = self._split_cond(cond, b, b)
         emb = time_embed(np.asarray(t, dtype=float), self.time_dim).astype(self.dtype)
-        parts = [emb] if glob is None else [glob.astype(self.dtype), emb]
-        c = np.concatenate(parts, axis=1)
-        h = x if local is None else np.concatenate([x, local], axis=1)
+        c = np.concatenate([glob, emb], axis=1)
+        h = np.concatenate([x, local], axis=1)
         p = self.params
         cache = {"c": c, "h_in": [], "a": [], "gs": []}
         for j in range(1, len(self.hidden) + 1):
@@ -228,20 +219,20 @@ class ConditionedField:
         return out, cache
 
     def velocity(self, cond, batch: int):
-        """The inference form of ``forward`` for one ODE solve.
+        """The inference form of ``forward`` for one ODE solve, in which
+        every row has the same global cond: ``cond`` is (local (batch,
+        local_dim), global (1, cond_dim)).
 
         Returns ``f(x, t)`` with ``t`` the one scalar time of a step, equal
-        to ``forward(x, full(batch, t), cond)[0]`` up to float rounding.
-        What does not change between steps is computed here once: the
-        local half of the first layer and the speaker half of each
-        modulation head, as one row when every row of the global cond is
-        the same.  Each step computes the time embedding and its half of
-        the heads as one row that broadcasts over the batch.  No
-        reverse-mode cache is kept; training uses ``forward``/``backward``.
+        to ``forward`` of ``x`` at time ``t`` with the global row repeated
+        over the batch, up to float rounding.  What does not change
+        between steps is computed here once: the local half of the first
+        layer and the global half of each modulation head, as one row.
+        Each step computes the time embedding and its half of the heads as
+        one row too; both broadcast over the batch.  No reverse-mode cache
+        is kept; training uses ``forward``/``backward``.
         """
-        local, glob = self._split_cond(cond, batch)
-        if glob is not None and len(glob) > 1 and (glob == glob[0]).all():
-            glob = glob[:1]       # one speaker: its half of the heads is one row
+        local, glob = self._split_cond(cond, batch, 1)
         p = self.params
         mats = [(p[f"lay{j}.W"], p[f"lay{j}.b"])
                 for j in range(1, len(self.hidden) + 1)]
@@ -250,12 +241,12 @@ class ConditionedField:
         # weights stay (out, in) and are used as ``.T`` views, the GEMM layout
         # of ``forward``; at small batches it rounds closer than a transposed copy
         w_x = np.ascontiguousarray(w_in[:, :self.dim])
-        z_fixed = b_in if local is None else local @ w_in[:, self.dim:].T + b_in
+        z_fixed = local @ w_in[:, self.dim:].T + b_in
         heads = []                # (scale, shift, time half of M) per block
         for j, width in enumerate(self.hidden, start=1):
             m, c = p[f"mod{j}.M"], p[f"mod{j}.c"]
-            gs = c if glob is None else glob @ m[:, :self.cond_dim].T + c
-            heads.append((gs[..., :width], gs[..., width:],
+            gs = glob @ m[:, :self.cond_dim].T + c
+            heads.append((gs[:, :width], gs[:, width:],
                           np.ascontiguousarray(m[:, self.cond_dim:])))
 
         def f(x, t):
@@ -301,6 +292,3 @@ class ConditionedField:
             g[f"lay{j}.b"] += dz.sum(axis=0)
             dh = dz @ p[f"lay{j}.W"]
         return g
-
-    def __call__(self, x, t, cond):
-        return self.forward(x, t, cond)[0]

@@ -9,21 +9,23 @@ import numpy as np
 
 from .errors import DivergenceError, InputError
 
+DIV_FACTOR = 25.0           # OneCycle starts at peak / DIV_FACTOR
+FINAL_DIV_FACTOR = 1.0e4    # and ends at peak / FINAL_DIV_FACTOR
+BETA1, BETA2, EPS = 0.9, 0.999, 1.0e-8   # AdamW moment decays and eps
+
 
 @dataclass(frozen=True)
 class OneCycle:
     """One-cycle learning-rate schedule.
 
-    Cosine warmup from peak/div_factor to peak over the first
+    Cosine warmup from peak/DIV_FACTOR to peak over the first
     pct_start * total steps, then cosine anneal down to
-    peak/final_div_factor; continuous at the junction.
+    peak/FINAL_DIV_FACTOR; continuous at the junction.
     """
 
     total_steps: int
     peak_lr: float
     pct_start: float = 0.1
-    div_factor: float = 25.0
-    final_div_factor: float = 1.0e4
 
     def __post_init__(self):
         if not (0.0 < self.pct_start < 1.0):
@@ -35,8 +37,8 @@ class OneCycle:
         if not (0 <= step <= self.total_steps):
             raise InputError(f"step {step} outside [0, {self.total_steps}]")
         warm = self.pct_start * self.total_steps
-        lo = self.peak_lr / self.div_factor
-        fin = self.peak_lr / self.final_div_factor
+        lo = self.peak_lr / DIV_FACTOR
+        fin = self.peak_lr / FINAL_DIV_FACTOR
         if step <= warm:
             frac = step / warm
             return lo + (self.peak_lr - lo) * 0.5 * (1.0 - np.cos(np.pi * frac))
@@ -59,12 +61,10 @@ class AdamW:
     update, so the result is bit-identical to updating each tensor in turn.
     """
 
-    def __init__(self, params: dict, schedule, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1.0e-8, weight_decay: float = 0.01):
-        # schedule: a OneCycle, or a plain float for a constant rate
+    def __init__(self, params: dict, schedule: OneCycle,
+                 weight_decay: float = 0.01):
         self.params = params
         self.schedule = schedule
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.step_count = 0
         by_dtype = {}
@@ -89,8 +89,6 @@ class AdamW:
 
     @property
     def lr(self) -> float:
-        if isinstance(self.schedule, (int, float)):
-            return float(self.schedule)
         return self.schedule.lr(min(self.step_count, self.schedule.total_steps))
 
     def step(self, grads: dict) -> None:
@@ -111,16 +109,16 @@ class AdamW:
             flat_grads.append(g)
         lr = self.lr
         self.step_count = t
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         for (_, _, p, m, v), g in zip(self._groups, flat_grads):
             if self.weight_decay:
                 p *= 1.0 - lr * self.weight_decay
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= (lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)).astype(p.dtype)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p -= (lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)).astype(p.dtype)
 
     def _reject(self, grads: dict, t: int) -> None:
         """Raise for the first key whose gradient is non-finite or

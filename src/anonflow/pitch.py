@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import EmptyVoicedError, InputError
 
+F_REF = 440.0   # Hz; semitones are counted from it before median-centering
+
 
 @dataclass(frozen=True)
 class NormalizedPitch:
@@ -17,10 +19,10 @@ class NormalizedPitch:
     voiced_mask: np.ndarray
 
 
-def normalize_pitch(f0_hz, f_ref: float = 440.0) -> NormalizedPitch:
+def normalize_pitch(f0_hz) -> NormalizedPitch:
     """Convert an F0 contour (Hz, 0 = unvoiced) to median-centered semitones.
 
-    Voiced frames map to 12*log2(f0/f_ref) minus the median over voiced
+    Voiced frames map to 12*log2(f0/F_REF) minus the median over voiced
     frames (even counts use the mean of the two central values); unvoiced
     frames are excluded from the median and set to 0.
     """
@@ -30,7 +32,7 @@ def normalize_pitch(f0_hz, f_ref: float = 440.0) -> NormalizedPitch:
     voiced = f0 > 0
     if not np.any(voiced):
         raise EmptyVoicedError("contour has no voiced frames")
-    s = 12.0 * np.log2(f0[voiced] / f_ref)
+    s = 12.0 * np.log2(f0[voiced] / F_REF)
     s -= np.median(s)
     # one rounding of the median can leave the centered median a few ulps
     # off zero for even counts; iterate until it is exactly zero
@@ -44,9 +46,9 @@ def normalize_pitch(f0_hz, f_ref: float = 440.0) -> NormalizedPitch:
     return NormalizedPitch(p_norm=p_norm, voiced_mask=voiced)
 
 
-def pitch_or_zeros(f0_hz, f_ref: float = 440.0) -> np.ndarray:
+def pitch_or_zeros(f0_hz) -> np.ndarray:
     """normalize_pitch with the caller-side fallback: all-unvoiced -> zeros."""
     try:
-        return normalize_pitch(f0_hz, f_ref).p_norm
+        return normalize_pitch(f0_hz).p_norm
     except EmptyVoicedError:
         return np.zeros(len(np.atleast_1d(f0_hz)))

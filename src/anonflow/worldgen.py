@@ -31,6 +31,13 @@ from .pitch import pitch_or_zeros
 from .vq import nearest
 
 PII_TYPES = ("PER", "LOC", "ORG", "MISC")
+LEXICON_PER_TYPE = 2                       # PII tokens per speaker and type
+POOL_LENGTHS_PER_TYPE = (1, 1, 1, 2, 2, 2)  # replacement entity lengths
+FRAME_RATE = 4.0             # frames per second of duration
+FRAMES_PER_TOKEN = 4
+UNVOICED_PROB = 0.2          # chance that a frame (but the first) is unvoiced
+PITCH_SD_SEMITONES = 2.0     # frame pitch spread around the speaker's base
+STYLE_ALPHA = 0.3            # Dirichlet concentration of speaker token styles
 
 
 def _round9(obj):
@@ -62,8 +69,8 @@ class WorldParams:
     gender_means: np.ndarray   # (2, D): male, female
     seed: int
     v_common: int
-    lexicon_per_type: int = 2
-    pool_lengths_per_type: tuple = (1, 1, 1, 2, 2, 2)
+    lexicon_per_type: int = LEXICON_PER_TYPE
+    pool_lengths_per_type: tuple = POOL_LENGTHS_PER_TYPE
     n_pii_types: int = 4
 
     def __post_init__(self):
@@ -106,17 +113,16 @@ class WorldParams:
 
 
 def make_world_params(D: int = 16, F: int = 24, v_common: int = 80,
-                      n_speakers: int = 10, lexicon_per_type: int = 2,
-                      pool_lengths_per_type=(1, 1, 1, 2, 2, 2),
-                      noise_sigma: float = 0.05, seed: int = 0) -> WorldParams:
+                      n_speakers: int = 10, noise_sigma: float = 0.05,
+                      seed: int = 0) -> WorldParams:
     """Draw imprint matrices sized for the given vocabulary layout.
 
     A's columns are rescaled if needed so their minimum pairwise distance
     exceeds 6 * noise_sigma * sqrt(F), which makes clean-token recovery
     error-free by a comfortable margin.
     """
-    n_lex = n_speakers * len(PII_TYPES) * lexicon_per_type
-    n_pool = len(PII_TYPES) * int(sum(pool_lengths_per_type))
+    n_lex = n_speakers * len(PII_TYPES) * LEXICON_PER_TYPE
+    n_pool = len(PII_TYPES) * sum(POOL_LENGTHS_PER_TYPE)
     V = v_common + n_lex + n_pool
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((F, V))
@@ -137,9 +143,7 @@ def make_world_params(D: int = 16, F: int = 24, v_common: int = 80,
         if dmin <= margin:
             A *= 1.05 * margin / dmin
     return WorldParams(D=D, V=V, F=F, A=A, B=B, C=C, noise_sigma=noise_sigma,
-                       gender_means=gender_means, seed=seed, v_common=v_common,
-                       lexicon_per_type=lexicon_per_type,
-                       pool_lengths_per_type=tuple(pool_lengths_per_type))
+                       gender_means=gender_means, seed=seed, v_common=v_common)
 
 
 @dataclass
@@ -211,11 +215,11 @@ class Dataset:
         return out
 
 
-def synth_frames(params: WorldParams, frame_tokens, p_norm, s, rng=None) -> np.ndarray:
-    """Clean linear synthesis plus optional observation noise."""
+def synth_frames(params: WorldParams, frame_tokens, p_norm, s, rng) -> np.ndarray:
+    """Linear synthesis plus observation noise of sd ``noise_sigma``."""
     frame_tokens = np.asarray(frame_tokens, dtype=int)
     x = params.A[:, frame_tokens].T + np.outer(p_norm, params.B) + params.C @ np.asarray(s)
-    if rng is not None and params.noise_sigma > 0:
+    if params.noise_sigma > 0:
         x = x + params.noise_sigma * rng.standard_normal(x.shape)
     return x
 
@@ -259,10 +263,7 @@ def _lexicon_layout(params: WorldParams, n_speakers: int):
 
 def generate_world(params: WorldParams, n_speakers: int, utts_per_speaker: int,
                    rng: np.random.Generator, duration_range=(3.0, 18.0),
-                   frame_rate: float = 4.0, frames_per_token: int = 4,
-                   pii_frac: float = 0.3, unvoiced_prob: float = 0.2,
-                   pitch_sd_semitones: float = 2.0,
-                   style_alpha: float = 0.3) -> Dataset:
+                   pii_frac: float = 0.3) -> Dataset:
     """Generate a gender-balanced dataset from the linear world model."""
     if n_speakers % 2 != 0:
         raise InputError("n_speakers must be even for gender balance")
@@ -277,7 +278,7 @@ def generate_world(params: WorldParams, n_speakers: int, utts_per_speaker: int,
         base = rng.uniform(100.0, 140.0) if gender == "male" else rng.uniform(180.0, 240.0)
         style = np.zeros(params.V)
         style[:params.v_common] = rng.dirichlet(
-            np.full(params.v_common, style_alpha))
+            np.full(params.v_common, STYLE_ALPHA))
         style[:params.v_common] /= style[:params.v_common].sum()
         speakers.append(Speaker(id=f"spk{i:03d}", gender=gender, embedding=emb,
                                 base_pitch_hz=float(base), style=style,
@@ -290,8 +291,8 @@ def generate_world(params: WorldParams, n_speakers: int, utts_per_speaker: int,
         pii_slots = set(rng.choice(utts_per_speaker, size=n_pii, replace=False).tolist())
         for k in range(utts_per_speaker):
             duration = float(rng.uniform(*duration_range))
-            n_tok = max(3, int(duration * frame_rate) // frames_per_token)
-            t_frames = n_tok * frames_per_token
+            n_tok = max(3, int(duration * FRAME_RATE) // FRAMES_PER_TOKEN)
+            t_frames = n_tok * FRAMES_PER_TOKEN
             probs = spk.style[:params.v_common]
             tokens = rng.choice(params.v_common, size=n_tok, p=probs).astype(int).tolist()
             spans = []
@@ -306,19 +307,19 @@ def generate_world(params: WorldParams, n_speakers: int, utts_per_speaker: int,
                     tokens[start:start + length] = ent
                     spans.append((typ, start, start + length))
                 spans.sort(key=lambda sp: sp[1])
-            voiced = rng.random(t_frames) >= unvoiced_prob
+            voiced = rng.random(t_frames) >= UNVOICED_PROB
             voiced[0] = True
             f0 = np.zeros(t_frames)
-            offs = rng.normal(0.0, pitch_sd_semitones, size=t_frames)
+            offs = rng.normal(0.0, PITCH_SD_SEMITONES, size=t_frames)
             f0[voiced] = spk.base_pitch_hz * 2.0 ** (offs[voiced] / 12.0)
             p_norm = pitch_or_zeros(f0)
-            frame_tokens = np.repeat(tokens, frames_per_token)
+            frame_tokens = np.repeat(tokens, FRAMES_PER_TOKEN)
             frames = synth_frames(params, frame_tokens, p_norm, spk.embedding, rng)
             utterances.append(Utterance(
                 id=f"utt{uid:05d}", speaker_id=spk.id, gender=spk.gender,
                 duration_s=duration, tokens=tokens, entity_spans=spans,
                 f0_hz=f0, p_norm=p_norm, frames=frames,
-                frames_per_token=frames_per_token))
+                frames_per_token=FRAMES_PER_TOKEN))
             uid += 1
     return Dataset(params=params, speakers=speakers, utterances=utterances, pool=pool)
 

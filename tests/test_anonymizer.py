@@ -213,7 +213,7 @@ class TestPipeline:
     def test_per_speaker_memoization(self, trained, world, voiced_ids):
         model, _, _ = trained
         steps = 8
-        strat = WeightStrategy(kind="range", a=-1.0, b=1.0, scope="per_speaker")
+        strat = WeightStrategy(kind="range", a=-1.0, b=1.0)
         _, mapping = anonymize_dataset(None, model, world, strat, steps,
                                        np.random.default_rng(3))
         assert sorted(mapping) == sorted(s.id for s in world.speakers)
@@ -221,20 +221,6 @@ class TestPipeline:
             assert np.array_equal(s, mapping[u.speaker_id][1])
         ids = [mapping[sid][1] for sid in mapping]
         assert not np.array_equal(ids[0], ids[1])
-
-    def test_per_utterance_varies(self, trained, world, voiced_ids):
-        model, _, _ = trained
-        steps = 8
-        strat = WeightStrategy(kind="range", a=-1.0, b=1.0,
-                               scope="per_utterance")
-        _, mapping = anonymize_dataset(None, model, world, strat, steps,
-                                       np.random.default_rng(3))
-        by_speaker = {}
-        for u, s in zip(world.utterances, voiced_ids(world.utterances)):
-            by_speaker.setdefault(u.speaker_id, []).append(s)
-        for sid, ids in by_speaker.items():
-            assert not np.array_equal(ids[0], ids[1])
-            assert np.array_equal(ids[-1], mapping[sid][1])
 
     def test_pool_draws_from_pool(self, trained):
         model, _, emb = trained
@@ -281,7 +267,7 @@ def per_utterance_reference(backbone, anonymizer, dataset, strategy, steps,
     voice, frames = {}, []
     for u in dataset.utterances:
         k = row[u.speaker_id]
-        if strategy.scope == "per_utterance" or u.speaker_id not in voice:
+        if u.speaker_id not in voice:
             s_anon, _ = anonymize_speaker(anonymizer, embs[k:k + 1], strategy,
                                           rng, steps, pool=embs, exclude=[k])
             voice[u.speaker_id] = s_anon[0]
@@ -303,11 +289,10 @@ class TestFrameRuns:
     """anonymize_dataset makes one reconstruct per identity run."""
 
     @pytest.mark.parametrize("cap", ["default", "cut"])
-    @pytest.mark.parametrize("scope", ["per_speaker", "per_utterance"])
     @pytest.mark.parametrize("strat", STRATEGIES, ids=lambda s: s.kind)
     def test_noise_draws_match_per_utterance_loop(self, trained, world,
                                                   frame_model, monkeypatch,
-                                                  strat, scope, cap):
+                                                  strat, cap):
         rows = []
 
         def identity(field, x, steps, cond=None):
@@ -320,8 +305,6 @@ class TestFrameRuns:
             max_rows = max(u.n_frames for u in world.utterances)
             monkeypatch.setattr(anonymizer_mod, "RUN_FRAMES", max_rows)
         model, _, _ = trained
-        strat = WeightStrategy(kind=strat.kind, w=strat.w, a=strat.a,
-                               b=strat.b, scope=scope)
         steps = 8
         for ds in _orders(world).values():
             rows.clear()
@@ -337,11 +320,10 @@ class TestFrameRuns:
             for sid, (_, s_anon) in mapping.items():
                 assert np.array_equal(s_anon, voice[sid])
 
-    @pytest.mark.parametrize("scope", ["per_speaker", "per_utterance"])
     def test_frames_close_to_per_utterance_loop(self, trained, world,
-                                                frame_model, scope):
+                                                frame_model):
         model, _, _ = trained
-        strat = WeightStrategy(kind="range", a=-1.0, b=1.0, scope=scope)
+        strat = WeightStrategy(kind="range", a=-1.0, b=1.0)
         steps = 8
         for ds in _orders(world).values():
             anon, _ = anonymize_dataset(frame_model, model, ds, strat, steps,
@@ -379,11 +361,13 @@ class TestPersistence:
                            encode(model2, emb[0], steps), atol=1e-6)
         assert model2.metadata["data_hash"] == model.metadata["data_hash"]
 
-    def test_mapping_round_trip(self, tmp_path):
-        mapping = {"spk1": (0.5, np.array([1.0, -2.25, 3.5])),
-                   "spk0": (None, np.array([0.125, 0.0, -1.0]))}
+    def test_mapping_round_trip(self, world, tmp_path):
+        ids = 0.25 * np.arange(8) - 1.0     # exact in 9 digits
+        mapping = {s.id: (None if k % 2 else 0.5, ids + k)
+                   for k, s in enumerate(world.speakers)}
         save_mapping(mapping, tmp_path / "map.tsv")
-        back = load_mapping(tmp_path / "map.tsv")
-        assert back["spk0"][0] is None
-        assert back["spk1"][0] == 0.5
-        assert np.array_equal(back["spk1"][1], mapping["spk1"][1])
+        back = load_mapping(tmp_path / "map.tsv", world)
+        assert back["spk001"][0] is None
+        assert back["spk000"][0] == 0.5
+        for sid, (_, s_anon) in mapping.items():
+            assert np.array_equal(back[sid][1], s_anon)

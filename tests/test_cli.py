@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import math
 
@@ -218,6 +219,30 @@ def _mapping(dims, command, named):
                 "evaluate": ["evaluate", "--data", world, "--anon", world]}
         return argv[command] + ["--mapping", path], named
     return case
+
+
+def _duplicate_mapping_row(tmp, world, bb, an):
+    path = tmp / "mapping.tsv"
+    path.write_text("".join(f"spk{i:03d}\t0.5\t{','.join(['0.1'] * 8)}\n"
+                            for i in (0, 1, 2, 3, 1)))
+    return (["seca", "--data", world, "--backbone", bb / "backbone",
+             "--mapping", path], "mapping.tsv:5")
+
+
+def _ignorant_with(flag, value, named):
+    """The ignorant attacker, which does not use ``flag``, given it anyway;
+    ``value(tmp, an)`` is the flag's value."""
+    def case(tmp, world, bb, an):
+        return (["evaluate", "--data", world, "--anon", world,
+                 "--attacker", "ignorant", flag, value(tmp, an)], named)
+    return case
+
+
+def _truncated_anonymizer(tmp, an):
+    for suffix in (".ckpt", ".json"):
+        shutil.copy(an / f"anonymizer{suffix}", tmp / f"anonymizer{suffix}")
+    _truncate(tmp / "anonymizer.json")
+    return tmp / "anonymizer"
 
 
 def _missing_model_json(tmp, world, bb, an):
@@ -476,6 +501,13 @@ def _argument(command, flag, value):
     (_config_value("anonymizer", "level_dims", [16, 8]), 2),
     (_model_copy("anonymizer", lambda d: d["config"].update(level_dims=[8, 4]),
                  named=": anonymizer.level_dims"), 4),
+    (_duplicate_mapping_row, 4),
+    (_ignorant_with("--strategy", lambda tmp, an: "fixed:9", "'fixed:9'"), 2),
+    (_ignorant_with("--strategy", lambda tmp, an: "gauss:1", "'gauss:1'"), 2),
+    (_ignorant_with("--anonymizer", lambda tmp, an: tmp / "absent",
+                    "absent.json"), 2),
+    (_ignorant_with("--anonymizer", _truncated_anonymizer,
+                    "anonymizer.json"), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -511,7 +543,9 @@ def _argument(command, flag, value):
         "anonymize-seed-negative", "seca-seed-negative",
         "evaluate-seed-negative", "seca-p-asr-2", "seca-p-asr-negative",
         "seca-p-asr-nan", "anonymizer-level-dims-not-u-shaped",
-        "anonymizer-json-level-dims-not-u-shaped"])
+        "anonymizer-json-level-dims-not-u-shaped", "mapping-duplicate-speaker",
+        "ignorant-strategy-out-of-range", "ignorant-strategy-unknown",
+        "ignorant-anonymizer-missing", "ignorant-anonymizer-truncated"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline
@@ -604,3 +638,101 @@ def test_failed_manifest_write_keeps_previous_manifest(tmp_path,
     assert (out / "manifest.json").read_bytes() == before
     assert sorted(f.name for f in out.iterdir()) == ["manifest.json",
                                                      "radar.csv"]
+
+
+# each output file outside the datasets and model pairs, and the command
+# that writes it
+TORN_OUTPUTS = [("trace.jsonl", "train-backbone"), ("mapping.tsv", "anonymize"),
+                ("gazetteer.jsonl", "seca"), ("edits.jsonl", "seca"),
+                ("trials.tsv", "build-trials"), ("scores.tsv", "evaluate"),
+                ("report.json", "evaluate"), ("radar.csv", "report")]
+
+
+@pytest.mark.parametrize("name,command", TORN_OUTPUTS,
+                         ids=[n for n, _ in TORN_OUTPUTS])
+def test_torn_output_write_keeps_previous_file(pipeline, tmp_path,
+                                               torn_write_text, name, command):
+    """A command whose write of ``name`` fails part-way leaves the file of
+    the previous run as it was, and no temporary file."""
+    _, world, bb, an, cfg = pipeline
+    out = tmp_path / "o"
+    if command == "report":
+        runs = []
+        for v in (2.46, 7.5):
+            metrics = tmp_path / f"metrics{len(runs)}.json"
+            metrics.write_text(json.dumps({"WER": v}))
+            runs.append(["report", "--metrics", metrics])
+    else:
+        argv = (["train-backbone", "--config", cfg, "--data", world]
+                if command == "train-backbone"
+                else _command(command, world, bb, an))
+        runs = [argv + ["--seed", seed] for seed in ("1", "2")]
+    first, second = ([str(a) for a in run + ["--out", out]] for run in runs)
+    assert main(first) == 0
+    before = (out / name).read_bytes()
+    with torn_write_text(name), pytest.raises(OSError, match="disk full"):
+        main(second)
+    assert (out / name).read_bytes() == before
+    assert not [f.name for f in out.iterdir() if f.name.endswith(".tmp")]
+
+
+def _sizes(lo, hi):
+    return st.lists(st.integers(lo, hi), max_size=8)
+
+
+# config key -> values of its type, in range and out of it; bounded above so
+# that every accepted value still makes a small, fast run
+CONFIG_KEYS = {
+    "world": {"D": st.integers(-2, 12), "F": st.integers(-2, 16),
+              "v_common": st.integers(-2, 40), "n_speakers": st.integers(-2, 6),
+              "utts_per_speaker": st.integers(-2, 4),
+              "noise_sigma": st.floats(max_value=10.0),
+              "duration_range": st.lists(st.floats(-5.0, 30.0), max_size=3),
+              "pii_frac": st.floats()},
+    "backbone": {"content_dim": st.integers(-2, 12), "hidden": _sizes(-1, 32),
+                 "time_dim": st.integers(-2, 12),
+                 "codebook_size": st.integers(-2, 200), "beta": st.floats(),
+                 "lam": st.floats(), "steps": st.integers(-2, 20),
+                 "batch": st.integers(-2, 300), "peak_lr": st.floats(),
+                 "pct_start": st.floats(), "weight_decay": st.floats(),
+                 "f_sem_noise": st.floats(), "seed": st.integers(-2, 9)},
+    "anonymizer": {"level_dims": _sizes(-1, 10), "time_dim": st.integers(-2, 12),
+                   "steps": st.integers(-2, 20), "batch": st.integers(-2, 300),
+                   "peak_lr": st.floats(), "pct_start": st.floats(),
+                   "weight_decay": st.floats(), "seed": st.integers(-2, 9),
+                   "n_embeddings": st.integers(-2, 300)},
+}
+# the rest of each section: a small, fast run on the pipeline's world
+CONFIG_BASE = {"backbone": {"content_dim": 8, "hidden": [16], "steps": 10,
+                            "batch": 32},
+               "anonymizer": {"steps": 10, "batch": 16, "n_embeddings": 40}}
+
+
+@st.composite
+def _config_draw(draw):
+    section = draw(st.sampled_from(sorted(CONFIG_KEYS)))
+    key = draw(st.sampled_from(sorted(CONFIG_KEYS[section])))
+    return section, key, draw(CONFIG_KEYS[section][key])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_config_draw())
+def test_config_key_contract(pipeline, tmp_path, capsys, drawn):
+    """One config key at a time, in range or out of it: the exit code is
+    0, 2, 3 or 4 with at most one stderr line."""
+    _, world, _, _, cfg = pipeline
+    section, key, value = drawn
+    doc = json.loads(Path(cfg).read_text())
+    doc.update(CONFIG_BASE)
+    doc[section] = {**doc[section], key: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    argv = (["gen-world"] if section == "world"
+            else [f"train-{section}", "--data", world])
+    capsys.readouterr()
+    code = main([str(a) for a in argv + ["--config", path,
+                                         "--out", tmp_path / "o"]])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (code, err)
+    assert len(err.splitlines()) <= 1, err

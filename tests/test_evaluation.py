@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from anonflow.errors import InputError
-from anonflow.evaluation import (Trial, build_trials, compute_eer,
+from anonflow.evaluation import (DURATION_WINDOW, Trial, build_trials,
+                                 compute_eer,
                                  content_embedding, content_speaker_model,
                                  cosine_score, enrollment_embedding, load_trials,
                                  run_attack, save_scores, save_trials,
@@ -116,10 +117,14 @@ class TestTrials:
         assert sum(t.label for t in trials) == 8
 
     def test_duration_filter_empties(self, world):
-        _, ds = world
-        trials = build_trials(ds, "acoustic", np.random.default_rng(0),
-                              duration_window=(100.0, 200.0))
-        assert trials == []
+        p, _ = world
+        lo, hi = DURATION_WINDOW
+        # every utterance shorter, then every one longer, than the window
+        for span in ((lo / 4, lo / 2), (2 * hi, 3 * hi)):
+            ds = generate_world(p, 4, 4, np.random.default_rng(9),
+                                duration_range=span)
+            assert not any(lo <= u.duration_s <= hi for u in ds.utterances)
+            assert build_trials(ds, "acoustic", np.random.default_rng(0)) == []
 
     def test_negatives_are_different_speaker(self, world):
         _, ds = world

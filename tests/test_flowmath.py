@@ -115,19 +115,20 @@ class TestIntegrateVelocity:
     calling ``forward`` with the step time at every step."""
 
     def _cond(self, b, rng):
-        return (rng.standard_normal((b, 3)),
-                np.tile(rng.standard_normal(5), (b, 1)))
+        """(velocity's cond: one (1, 5) identity row, forward's: tiled)."""
+        local, glob = rng.standard_normal((b, 3)), rng.standard_normal((1, 5))
+        return (local, glob), (local, np.tile(glob, (b, 1)))
 
     @pytest.mark.parametrize("hidden", [(16,), (16, 12, 8)])
     def test_matches_per_step_forward(self, hidden):
         f = _drawn_field(hidden)
         rng = np.random.default_rng(3)
         x0 = rng.standard_normal((11, 4))
-        cond = self._cond(11, rng)
+        cond, tiled = self._cond(11, rng)
         got = integrate(f, x0, 16, cond)
         x, t, h = x0, 0.0, 1.0 / 16
         for _ in range(16):
-            x = x + h * f.forward(x, np.full(11, t), cond)[0]
+            x = x + h * f.forward(x, np.full(11, t), tiled)[0]
             t += h
         assert np.max(np.abs(got - x)) <= 1e-5 * np.max(np.abs(x))
         assert not np.allclose(got, x0)
@@ -136,9 +137,10 @@ class TestIntegrateVelocity:
         f = _drawn_field((16,))
         rng = np.random.default_rng(4)
         x0 = rng.standard_normal(4)
-        cond = self._cond(1, rng)
+        cond, tiled = self._cond(1, rng)
         got = integrate(f, x0, 5, cond)
-        ref = integrate(lambda x, t, c: f(x, t, c), x0[None], 5, cond)[0]
+        ref = integrate(lambda x, t, c: f.forward(x, t, c)[0], x0[None], 5,
+                        tiled)[0]
         assert got.shape == (4,)
         assert np.allclose(got, ref, rtol=1e-5, atol=1e-6)
 
@@ -148,14 +150,28 @@ class TestIntegrateVelocity:
         f = _drawn_field((), scale=300.0)
         rng = np.random.default_rng(5)
         x0 = rng.standard_normal((6, 4))
-        cond = self._cond(6, rng)
+        cond, tiled = self._cond(6, rng)
         steps = []
-        for field in (f, lambda x, t, c: f(x, t, c)):
+        for field, c in ((f, cond),
+                         (lambda x, t, c: f.forward(x, t, c)[0], tiled)):
             with pytest.raises(DivergenceError) as ei, \
                     np.errstate(over="ignore", invalid="ignore"):
-                integrate(field, x0, 64, cond)
+                integrate(field, x0, 64, c)
             steps.append(ei.value.step)
         assert steps[0] == steps[1] and steps[0] > 0
+
+
+class _Fixed:
+    """A parameter-free field for ``cfm_loss``: ``fn(x, t, cond)``."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def forward(self, x, t, cond):
+        return self.fn(x, t, cond), None
+
+    def backward(self, cache, d_out):
+        return {}
 
 
 class TestCfmLoss:
@@ -164,13 +180,13 @@ class TestCfmLoss:
         def oracle(xt, t, cond):
             return (cond - xt) / (1.0 - t)[:, None]
         x1 = np.random.default_rng(1).standard_normal((8, 4))
-        loss, _ = cfm_loss(oracle, x1, x1, np.random.default_rng(2))
+        loss, _ = cfm_loss(_Fixed(oracle), x1, x1, np.random.default_rng(2))
         assert loss < 1e-20
 
     def test_zero_field_loss_matches_drawn_noise(self):
         rng = np.random.default_rng(7)
         x1 = np.array([[1.0, 2.0, 3.0]])
-        loss, _ = cfm_loss(lambda x, t, c: np.zeros_like(x), x1,
+        loss, _ = cfm_loss(_Fixed(lambda x, t, c: np.zeros_like(x)), x1,
                            None, np.random.default_rng(7))
         # replicate the documented draw order
         rep = np.random.default_rng(7)
@@ -180,18 +196,18 @@ class TestCfmLoss:
 
     def test_determinism(self):
         x1 = np.random.default_rng(3).standard_normal((5, 2))
-        f = lambda x, t, c: np.zeros_like(x)
+        f = _Fixed(lambda x, t, c: np.zeros_like(x))
         l1, _ = cfm_loss(f, x1, None, np.random.default_rng(11))
         l2, _ = cfm_loss(f, x1, None, np.random.default_rng(11))
         assert l1 == l2
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InputError):
-            cfm_loss(lambda x, t, c: x, np.empty((0, 3)), None,
+            cfm_loss(_Fixed(lambda x, t, c: x), np.empty((0, 3)), None,
                      np.random.default_rng(0))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         x1 = rng.standard_normal((16, 3))
-        loss, _ = cfm_loss(lambda x, t, c: x, x1, None, rng)
+        loss, _ = cfm_loss(_Fixed(lambda x, t, c: x), x1, None, rng)
         assert loss >= 0.0

@@ -220,10 +220,12 @@ class TestConditionedField:
 
 
 class TestConditionedVelocity:
-    """``velocity(cond, B)(x, t)`` is ``forward(x, full(B, t), cond)[0]``.
+    """``velocity((local, glob), B)(x, t)``, with ``glob`` one (1, D) row,
+    is ``forward`` at times ``full(B, t)`` with that row repeated B times.
 
     Every weight is drawn non-zero: the modulation heads of a fresh field
-    are zero, which would hide a wrong split of their inputs.
+    are zero, which would hide a wrong split of their inputs.  A zero
+    ``local_dim`` or ``cond_dim`` takes a zero-width array.
     """
 
     def _field(self, hidden, local_dim, cond_dim, dtype, seed=0):
@@ -243,40 +245,39 @@ class TestConditionedVelocity:
         rng = np.random.default_rng(1)
         b = 9
         x = rng.standard_normal((b, 5))
-        local = rng.standard_normal((b, local_dim)) if local_dim else None
-        globs = ([np.tile(rng.standard_normal(cond_dim), (b, 1)),
-                  rng.standard_normal((b, cond_dim)),
-                  rng.standard_normal(cond_dim)] if cond_dim else [None])
-        for glob in globs:
-            v = f.velocity((local, glob), b)
-            for t in (0.0, 0.37, 1.0):
-                got = v(x, t)
-                ref = f.forward(x, np.full(b, t), (local, glob))[0]
-                assert got.dtype == ref.dtype and got.shape == ref.shape
-                assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
-                assert not np.allclose(ref, f.forward(
-                    x, np.full(b, 0.5 * t + 0.2), (local, glob))[0])
+        local = rng.standard_normal((b, local_dim))
+        glob = rng.standard_normal((1, cond_dim))
+        cond = (local, np.tile(glob, (b, 1)))
+        v = f.velocity((local, glob), b)
+        for t in (0.0, 0.37, 1.0):
+            got = v(x, t)
+            ref = f.forward(x, np.full(b, t), cond)[0]
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+            assert not np.allclose(ref, f.forward(
+                x, np.full(b, 0.5 * t + 0.2), cond)[0])
 
     def test_no_hidden_layer(self):
         f = self._field((), 3, 4, np.float64)
         rng = np.random.default_rng(2)
         x, local = rng.standard_normal((4, 5)), rng.standard_normal((4, 3))
-        glob = rng.standard_normal((4, 4))
-        ref = f.forward(x, np.full(4, 0.5), (local, glob))[0]
+        glob = rng.standard_normal((1, 4))
+        ref = f.forward(x, np.full(4, 0.5), (local, np.tile(glob, (4, 1))))[0]
         assert np.allclose(f.velocity((local, glob), 4)(x, 0.5), ref,
                            rtol=0, atol=1e-12)
 
     def test_empty_batch(self):
         f = self._field((7,), 3, 4, np.float32)
-        v = f.velocity((np.zeros((0, 3)), np.zeros(4)), 0)
+        v = f.velocity((np.zeros((0, 3)), np.zeros((1, 4))), 0)
         assert v(np.zeros((0, 5)), 0.5).shape == (0, 5)
 
     def test_cond_and_state_shapes_checked(self):
         f = self._field((7,), 3, 4, np.float32)
         with pytest.raises(InputError):
-            f.velocity((np.zeros((2, 9)), np.zeros((2, 4))), 2)
-        with pytest.raises(InputError):
-            f.velocity((np.zeros((2, 3)), np.zeros((3, 4))), 2)
-        v = f.velocity((np.zeros((2, 3)), np.zeros((2, 4))), 2)
+            f.velocity((np.zeros((2, 9)), np.zeros((1, 4))), 2)
+        for glob in (np.zeros((2, 4)), np.zeros(4), np.zeros((1, 5))):
+            with pytest.raises(InputError):   # one (1, D) identity row only
+                f.velocity((np.zeros((2, 3)), glob), 2)
+        v = f.velocity((np.zeros((2, 3)), np.zeros((1, 4))), 2)
         with pytest.raises(InputError):
             v(np.zeros((3, 5)), 0.5)

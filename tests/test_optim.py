@@ -10,6 +10,18 @@ from anonflow.optim import AdamW, OneCycle
 from anonflow.worldgen import generate_world, make_world_params
 
 
+class ConstantRate:
+    """A schedule, in ``OneCycle``'s interface, at one rate for every step."""
+
+    total_steps = float("inf")
+
+    def __init__(self, rate):
+        self.rate = rate
+
+    def lr(self, step):
+        return self.rate
+
+
 class ReferenceAdamW(AdamW):
     """The per-tensor AdamW that the flat-buffer one replaced: it updates
     each caller's array in place, one tensor after another."""
@@ -93,26 +105,26 @@ class TestOneCycle:
 class TestAdamW:
     def test_zero_grad_no_decay_unchanged(self):
         p = {"w": np.array([1.0, -2.0])}
-        opt = AdamW(p, schedule=0.1, weight_decay=0.0)
+        opt = AdamW(p, schedule=ConstantRate(0.1), weight_decay=0.0)
         opt.step({"w": np.zeros(2)})
         assert np.array_equal(p["w"], [1.0, -2.0])
 
     def test_single_step_bias_corrected_unit_direction(self):
         p = {"w": np.array([1.0])}
-        opt = AdamW(p, schedule=0.1, weight_decay=0.0)
+        opt = AdamW(p, schedule=ConstantRate(0.1), weight_decay=0.0)
         opt.step({"w": np.array([1.0])})
         # m_hat = 1, v_hat = 1 after bias correction: p <- 1 - 0.1/(1 + eps)
         assert p["w"][0] == pytest.approx(0.9, abs=1e-6)
 
     def test_decoupled_decay_zero_grad(self):
         p = {"w": np.array([1.0])}
-        opt = AdamW(p, schedule=0.1, weight_decay=0.1)
+        opt = AdamW(p, schedule=ConstantRate(0.1), weight_decay=0.1)
         opt.step({"w": np.array([0.0])})
         assert p["w"][0] == pytest.approx(1.0 * (1 - 0.01))
 
     def test_nonfinite_gradient_rejected(self):
         p = {"w": np.array([1.0])}
-        opt = AdamW(p, schedule=0.1)
+        opt = AdamW(p, schedule=ConstantRate(0.1))
         with pytest.raises(DivergenceError):
             opt.step({"w": np.array([np.nan])})
 
@@ -128,14 +140,15 @@ class TestAdamW:
 
     def test_moments_match_param_shape(self):
         p = {"a": np.zeros((3, 2)), "b": np.zeros(5)}
-        opt = AdamW(p, schedule=0.01)
+        opt = AdamW(p, schedule=ConstantRate(0.01))
         assert opt.m["a"].shape == (3, 2)
         assert opt.v["b"].shape == (5,)
 
 
 class TestFlatBuffers:
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
-    @pytest.mark.parametrize("schedule", [OneCycle(50, 0.05), 0.01])
+    @pytest.mark.parametrize("schedule", [
+        OneCycle(50, 0.05), pytest.param(ConstantRate(0.01), id="0.01")])
     def test_matches_per_tensor_reference(self, weight_decay, schedule):
         rng = np.random.default_rng(7)
         p_fused, p_ref = mixed_params(rng), mixed_params(np.random.default_rng(7))
@@ -157,7 +170,7 @@ class TestFlatBuffers:
         p = mixed_params(np.random.default_rng(0))
         before = {k: v.copy() for k, v in p.items()}
         originals = dict(p)
-        opt = AdamW(p, 0.01)
+        opt = AdamW(p, ConstantRate(0.01))
         assert list(p) == list(before) == list(opt.m) == list(opt.v)
         f32, f64 = p["w1"].base, p["cb"].base
         for k, v in p.items():
@@ -171,7 +184,7 @@ class TestFlatBuffers:
 
     def test_nonfinite_gradient_names_key_and_changes_nothing(self):
         p = mixed_params(np.random.default_rng(1))
-        opt = AdamW(p, 0.01)
+        opt = AdamW(p, ConstantRate(0.01))
         grads = {k: np.ones_like(v) for k, v in p.items()}
         opt.step(grads)
         before = {k: v.copy() for k, v in p.items()}
@@ -189,7 +202,7 @@ class TestFlatBuffers:
 
     def test_shape_mismatch_rejected_and_changes_nothing(self):
         p = mixed_params(np.random.default_rng(2))
-        opt = AdamW(p, 0.01)
+        opt = AdamW(p, ConstantRate(0.01))
         before = {k: v.copy() for k, v in p.items()}
         grads = {k: np.ones_like(v) for k, v in p.items()}
         grads["b1"] = np.ones((2, 2), dtype=np.float32)   # same size, new shape
@@ -201,7 +214,7 @@ class TestFlatBuffers:
         # w1 (float32 buffer) is misshapen, cb (float64 buffer) non-finite:
         # w1 comes first, as in the per-tensor order
         p = mixed_params(np.random.default_rng(3))
-        opt = AdamW(p, 0.01)
+        opt = AdamW(p, ConstantRate(0.01))
         grads = {k: np.ones_like(v) for k, v in p.items()}
         grads["w1"] = np.ones((4, 3), dtype=np.float32)
         grads["cb"] = np.full((5, 2), np.nan)

@@ -141,7 +141,7 @@ class TestGenerateWorld:
         p = small_params(noise_sigma=0.0)
         s = np.ones(8) / np.sqrt(8)
         tok = np.full(12, 3)
-        frames = synth_frames(p, tok, np.zeros(12), s)
+        frames = synth_frames(p, tok, np.zeros(12), s, np.random.default_rng(0))
         expected = p.A[:, 3] + p.C @ s
         assert np.allclose(frames, np.tile(expected, (12, 1)))
 
@@ -165,8 +165,10 @@ class TestOracles:
     def test_noisy_extraction_high_cosine(self):
         p = make_world_params(D=8, F=12, v_common=24, n_speakers=4,
                               noise_sigma=0.1, seed=2)
+        # 48-52 s at 4 frames per second: 192-208 frames per utterance
         ds = generate_world(p, 4, 2, np.random.default_rng(2),
-                            duration_range=(12.0, 13.0), frame_rate=16.0)
+                            duration_range=(48.0, 52.0))
+        assert all(u.n_frames >= 192 for u in ds.utterances)
         for u in ds.utterances:
             s = ds.speaker(u.speaker_id).embedding
             e = oracle_extract_speaker(u, p)
