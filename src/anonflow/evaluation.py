@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -18,16 +19,25 @@ from .worldgen import (Dataset, oracle_extract_speaker, oracle_recover_tokens,
 log = logging.getLogger(__name__)
 
 DURATION_WINDOW = (5.0, 15.0)   # seconds; acoustic trials' utterance lengths
+GATHER_VALUES = 1 << 16         # embedding values one scoring gather holds
 
 
-@dataclass(frozen=True)
-class Trial:
-    enroll_speaker_id: str
-    test_utterance_id: str
-    label: int   # 1 = target, 0 = nontarget
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """A trial list as three columns, one entry per trial: enrollment
+    speaker ids, test utterance ids and labels (1 = target, 0 =
+    nontarget)."""
+
+    enroll: list = field(default_factory=list)
+    test: list = field(default_factory=list)
+    label: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.label)
 
 
-def build_trials(dataset: Dataset, mode: str, rng: np.random.Generator) -> list:
+def build_trials(dataset: Dataset, mode: str, rng: np.random.Generator) -> Trials:
     """Per enrollment utterance: two positives (same speaker) and two
     negatives (one sourced from a male, one from a female speaker).
 
@@ -46,21 +56,25 @@ def build_trials(dataset: Dataset, mode: str, rng: np.random.Generator) -> list:
     if not cands:
         log.warning("trial construction: no candidate utterances after "
                     "%s filtering", mode)
-        return []
+        return Trials()
     genders = {s.id: s.gender for s in dataset.speakers}
     if len(set(genders.values())) < 2:
         raise InputError("dataset must contain both genders")
     by_speaker = {}
     for u in cands:
         by_speaker.setdefault(u.speaker_id, []).append(u)
+    by_gender = {g: [u for u in cands if genders[u.speaker_id] == g]
+                 for g in ("male", "female")}
     neg_pools = {}
     for sid in by_speaker:
-        others = [u for u in cands if u.speaker_id != sid]
-        for gender in ("male", "female"):
-            neg_pools[sid, gender] = [u for u in others
-                                      if genders[u.speaker_id] == gender] or others
+        for gender, pool in by_gender.items():
+            # only the speaker's own gender list holds its utterances
+            if gender == genders[sid]:
+                pool = [u for u in pool if u.speaker_id != sid]
+            neg_pools[sid, gender] = pool or [u for u in cands
+                                              if u.speaker_id != sid]
 
-    trials = []
+    enroll_ids, test_ids, labels = [], [], []
     for enroll in cands:
         same = [u for u in by_speaker[enroll.speaker_id] if u.id != enroll.id]
         if not same:
@@ -73,16 +87,17 @@ def build_trials(dataset: Dataset, mode: str, rng: np.random.Generator) -> list:
             positives = [same[int(i)] for i in picks]
         else:
             positives = [same[0], same[0]]
-        for pos in positives:
-            trials.append(Trial(enroll.speaker_id, pos.id, 1))
+        negatives = []
         for gender in ("male", "female"):
             neg_pool = neg_pools[enroll.speaker_id, gender]
             if not neg_pool:
                 raise InputError("no different-speaker utterance available "
                                  "for negative trials")
-            neg = neg_pool[int(rng.integers(len(neg_pool)))]
-            trials.append(Trial(enroll.speaker_id, neg.id, 0))
-    return trials
+            negatives.append(neg_pool[int(rng.integers(len(neg_pool)))])
+        enroll_ids += [enroll.speaker_id] * 4
+        test_ids += [u.id for u in positives + negatives]
+        labels += [1, 1, 0, 0]
+    return Trials(enroll_ids, test_ids, np.array(labels, dtype=np.int64))
 
 
 def enrollment_embedding(utterance_embeddings) -> np.ndarray:
@@ -101,33 +116,45 @@ def cosine_score(a, b) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _norms(embs: dict, ids, kind: str) -> dict:
-    """Norm of each embedding named in ``ids``, computed once per id."""
+def _rows(embs: dict, ids, kind: str) -> tuple:
+    """The embeddings of ``embs`` stacked as rows, and the row of each id
+    in ``ids``; an id ``embs`` lacks is a DataError."""
+    index = {k: i for i, k in enumerate(embs)}
     try:
-        return {i: np.linalg.norm(embs[i]) for i in dict.fromkeys(ids)}
+        at = np.fromiter(map(index.__getitem__, ids), dtype=np.intp,
+                         count=len(ids))
     except KeyError as e:
         raise DataError(f"trial list names unknown {kind} "
                         f"{e.args[0]!r}") from e
+    return np.stack(list(embs.values())), at
 
 
-def score_trials(trials, enroll_embs: dict, test_embs: dict):
-    """``cosine_score`` of each trial, with each embedding's norm taken once.
+def _dots(a, b) -> np.ndarray:
+    """Row-wise dot products as a stacked (n, 1, D) @ (n, D, 1) matmul,
+    which takes numpy's vector-dot path: each equals ``np.dot`` of its
+    two rows bit for bit.  An einsum, a row-wise product sum or one GEMM
+    sums in another order and moves results in the last bits."""
+    return (a[:, None, :] @ b[:, :, None]).reshape(-1)
 
-    The per-trial ``np.dot`` is kept on purpose: a batched einsum or GEMM
-    sums in another order and moves scores in the last bits.
-    """
-    na = _norms(enroll_embs, (t.enroll_speaker_id for t in trials), "speaker")
-    nb = _norms(test_embs, (t.test_utterance_id for t in trials), "utterance")
-    scores = []
-    for t in trials:
-        a, b = t.enroll_speaker_id, t.test_utterance_id
-        if na[a] == 0.0 or nb[b] == 0.0:
-            scores.append(0.0)
-        else:
-            scores.append(float(np.dot(enroll_embs[a], test_embs[b])
-                                / (na[a] * nb[b])))
-    labels = [t.label for t in trials]
-    return scores, labels
+
+def score_trials(trials: Trials, enroll_embs: dict,
+                 test_embs: dict) -> np.ndarray:
+    """``cosine_score`` of each trial, bit for bit, over columns.
+
+    Each embedding's norm is taken once; the trials' dot products are
+    taken a chunk of trials at a time, so that one gather of their rows
+    holds at most ``GATHER_VALUES`` values (4096 trials at D = 16)."""
+    enroll, ia = _rows(enroll_embs, trials.enroll, "speaker")
+    test, ib = _rows(test_embs, trials.test, "utterance")
+    na, nb = np.sqrt(_dots(enroll, enroll)), np.sqrt(_dots(test, test))
+    scores = np.zeros(len(trials))
+    chunk = max(1, GATHER_VALUES // enroll.shape[1])
+    for lo in range(0, len(trials), chunk):
+        a, b = ia[lo:lo + chunk], ib[lo:lo + chunk]
+        ok = (na[a] != 0.0) & (nb[b] != 0.0)
+        a, b = a[ok], b[ok]
+        scores[lo:lo + chunk][ok] = _dots(enroll[a], test[b]) / (na[a] * nb[b])
+    return scores
 
 
 def compute_eer(scores, labels) -> float:
@@ -212,8 +239,8 @@ class EvalReport:
     token_error_rate: float | None = None
     secs_proxy: float | None = None
     counts: dict = field(default_factory=dict)
-    trials: list = field(default_factory=list)
-    scores: list = field(default_factory=list)
+    trials: Trials = field(default_factory=Trials)
+    scores: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def to_dict(self) -> dict:
         return {"attacker": self.attacker, "a_eer": self.a_eer,
@@ -226,7 +253,7 @@ class EvalReport:
 def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
                attacker: str, mode: str, rng: np.random.Generator,
                anonymizer=None, strategy: WeightStrategy | None = None,
-               steps: int = 16, trials=None) -> EvalReport:
+               steps: int = 16, trials: Trials | None = None) -> EvalReport:
     """Score a trial list under one attacker model.
 
     ignorant: enrollment from original-domain embeddings, test on the
@@ -277,13 +304,13 @@ def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
         test_embs = {u.id: content_embedding(u.tokens, vocab)
                      for u in dataset_anon.utterances}
 
-    scores, labels = score_trials(trials, enroll_embs, test_embs)
-    eer = compute_eer(scores, labels)
+    scores = score_trials(trials, enroll_embs, test_embs)
+    eer = compute_eer(scores, trials.label)
     report = EvalReport(attacker=attacker,
                         a_eer=eer if mode == "acoustic" else None,
                         c_eer=eer if mode == "content" else None,
                         counts={f"{mode}_trials": len(trials),
-                                f"{mode}_targets": int(sum(labels)),
+                                f"{mode}_targets": int(trials.label.sum()),
                                 "speakers": len(dataset_orig.speakers)},
                         trials=trials, scores=scores)
     if mode == "acoustic" and mapping is not None:
@@ -309,28 +336,46 @@ def utility_probes(dataset_anon: Dataset, params, mapping) -> tuple:
 # ---------------------------------------------------------------------------
 # trial / score file formats
 
-def save_trials(trials, path) -> None:
+def save_trials(trials: Trials, path) -> None:
     replace_text(path, "".join(
-        f"{t.enroll_speaker_id}\t{t.test_utterance_id}\t{t.label}\n"
-        for t in trials))
+        f"{sid}\t{uid}\t{label}\n" for sid, uid, label
+        in zip(trials.enroll, trials.test, trials.label.tolist())))
 
 
-def load_trials(path) -> list:
-    out = []
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+def _raise_bad_row(path, lines) -> None:
+    """Raise the DataError that names the first malformed trial row."""
+    for n, line in enumerate(lines, start=1):
         try:
-            sid, uid, lab = line.split("\t")
+            _, _, lab = line.split("\t")
             label = int(lab)
         except ValueError as e:
             raise DataError(f"{path}:{n}: bad trial row: {e}") from e
         if label not in (0, 1):
             raise DataError(f"{path}:{n}: trial label must be 0 or 1, "
                             f"got {label}")
-        out.append(Trial(sid, uid, label))
-    return out
 
 
-def save_scores(trials, scores, path) -> None:
+def load_trials(path) -> Trials:
+    """Read a trial file into columns: the rows are split in one pass, and
+    each distinct label text is parsed once by ``int``.  A malformed file
+    is walked row by row only to name its first bad row."""
+    lines = Path(path).read_text().splitlines()
+    cols = "\t".join(lines).split("\t") if lines else []
+    labels = cols[2::3]
+    try:
+        value = {lab: int(lab) for lab in set(labels)}
+    except ValueError:
+        value = None
+    if (set(map(str.count, lines, repeat("\t"))) - {2} or value is None
+            or set(value.values()) - {0, 1}):
+        _raise_bad_row(path, lines)
+    return Trials(cols[0::3], cols[1::3],
+                  np.fromiter(map(value.__getitem__, labels), dtype=np.int64,
+                              count=len(labels)))
+
+
+def save_scores(trials: Trials, scores, path) -> None:
     replace_text(path, "".join(
-        f"{t.enroll_speaker_id}\t{t.test_utterance_id}\t{t.label}\t{s:.9g}\n"
-        for t, s in zip(trials, scores)))
+        f"{sid}\t{uid}\t{label}\t{score:.9g}\n" for sid, uid, label, score
+        in zip(trials.enroll, trials.test, trials.label.tolist(),
+               scores.tolist())))

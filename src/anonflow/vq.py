@@ -44,14 +44,20 @@ def nearest(rows, centers) -> np.ndarray:
     Distances up to a per-row constant come from one GEMM, ||c||^2 - 2 r.c.
     Rows whose two best candidates are within rounding of each other are
     ranked again by exact difference-based distances, so every row gets
-    the index the direct (N, K, E) form gives, ties included.
+    the index the direct (N, K, E) form gives, ties included.  The
+    second-best distance is the row minimum with the best entry set to
+    inf; a second copy of the best value stays, as in a partition.
     """
     c2 = np.einsum("ke,ke->k", centers, centers)
-    d2 = c2 - 2.0 * (rows @ centers.T)
+    d2 = rows @ centers.T
+    d2 *= -2.0
+    d2 += c2
     best = np.argmin(d2, axis=1)
-    top2 = np.partition(d2, 1, axis=1)
+    at = np.arange(len(d2))
+    first = d2[at, best]
+    d2[at, best] = np.inf
     tol = 1e-9 * (np.einsum("ne,ne->n", rows, rows) + c2.max())
-    close = np.flatnonzero(top2[:, 1] - top2[:, 0] <= tol)
+    close = np.flatnonzero(d2.min(axis=1) - first <= tol)
     if close.size:
         diff = rows[close, None, :] - centers[None, :, :]
         best[close] = np.argmin(np.einsum("nke,nke->nk", diff, diff), axis=1)

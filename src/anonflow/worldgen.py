@@ -38,6 +38,7 @@ FRAMES_PER_TOKEN = 4
 UNVOICED_PROB = 0.2          # chance that a frame (but the first) is unvoiced
 PITCH_SD_SEMITONES = 2.0     # frame pitch spread around the speaker's base
 STYLE_ALPHA = 0.3            # Dirichlet concentration of speaker token styles
+MAX_DURATION_S = 600.0       # WorldConfig ceiling: 2400 frames per utterance
 
 
 def _round9(obj):
@@ -345,8 +346,8 @@ class WorldConfig:
             "noise_sigma": NON_NEGATIVE,
             "pii_frac": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
             "duration_range": (
-                lambda v: len(v) == 2 and 0.0 < v[0] <= v[1] < math.inf,
-                "[lo, hi] with 0 < lo <= hi")})
+                lambda v: len(v) == 2 and 0.0 < v[0] <= v[1] <= MAX_DURATION_S,
+                f"[lo, hi] with 0 < lo <= hi <= {MAX_DURATION_S:g}")})
 
     def generate(self, seed: int) -> Dataset:
         params = make_world_params(D=self.D, F=self.F, v_common=self.v_common,

@@ -462,6 +462,7 @@ def _argument(command, flag, value):
         {"anonymizer/lin1.W": t["anonymizer/lin1.W"].T})), 4),
     (_config_value("world", "duration_range", [5.0]), 2),
     (_config_value("world", "duration_range", [12.0, 6.0]), 2),
+    (_config_value("world", "duration_range", [1e15, 1e15]), 2),
     (_config_value("world", "pii_frac", 2.0), 2),
     (_config_value("world", "noise_sigma", -0.1), 2),
     (_config_value("world", "noise_sigma", float("nan")), 2),
@@ -528,7 +529,8 @@ def _argument(command, flag, value):
         "anonymizer-config-float-steps", "backbone-ckpt-without-codebook",
         "anonymizer-ckpt-without-tensor", "backbone-codebook-short",
         "anonymizer-tensor-transposed", "world-duration-range-one-value",
-        "world-duration-range-reversed", "world-pii-frac-above-1",
+        "world-duration-range-reversed",
+        "world-duration-range-above-ceiling", "world-pii-frac-above-1",
         "world-noise-sigma-negative", "world-noise-sigma-nan", "world-D-0",
         "world-F-0", "world-v-common-0", "world-n-speakers-0",
         "world-utts-per-speaker-0", "backbone-hidden-empty",

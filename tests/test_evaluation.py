@@ -1,14 +1,29 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anonflow.errors import InputError
-from anonflow.evaluation import (DURATION_WINDOW, Trial, build_trials,
+from anonflow import evaluation
+from anonflow.errors import DataError, InputError
+from anonflow.evaluation import (DURATION_WINDOW, Trials, build_trials,
                                  compute_eer,
                                  content_embedding, content_speaker_model,
                                  cosine_score, enrollment_embedding, load_trials,
                                  run_attack, save_scores, save_trials,
                                  score_trials, utility_probes)
 from anonflow.worldgen import generate_world, make_world_params
+
+
+def table(rows):
+    """A trial table from (enroll, test, label) rows."""
+    enroll, test, label = zip(*rows) if rows else ((), (), ())
+    return Trials(list(enroll), list(test), np.array(label, dtype=np.int64))
+
+
+def rows_of(trials):
+    return list(zip(trials.enroll, trials.test, trials.label.tolist()))
 
 
 def brute_force_eer(scores, labels):
@@ -114,7 +129,7 @@ class TestTrials:
                             duration_range=(6.0, 12.0))
         trials = build_trials(ds, "acoustic", np.random.default_rng(0))
         assert len(trials) == 16
-        assert sum(t.label for t in trials) == 8
+        assert int(trials.label.sum()) == 8
 
     def test_duration_filter_empties(self, world):
         p, _ = world
@@ -124,27 +139,27 @@ class TestTrials:
             ds = generate_world(p, 4, 4, np.random.default_rng(9),
                                 duration_range=span)
             assert not any(lo <= u.duration_s <= hi for u in ds.utterances)
-            assert build_trials(ds, "acoustic", np.random.default_rng(0)) == []
+            assert len(build_trials(ds, "acoustic",
+                                    np.random.default_rng(0))) == 0
 
     def test_negatives_are_different_speaker(self, world):
         _, ds = world
         trials = build_trials(ds, "acoustic", np.random.default_rng(0))
         spk_of = {u.id: u.speaker_id for u in ds.utterances}
-        for t in trials:
-            if t.label == 0:
-                assert spk_of[t.test_utterance_id] != t.enroll_speaker_id
+        for sid, uid, label in rows_of(trials):
+            if label == 0:
+                assert spk_of[uid] != sid
             else:
-                assert spk_of[t.test_utterance_id] == t.enroll_speaker_id
+                assert spk_of[uid] == sid
 
     def test_gender_balanced_negatives(self, world):
         _, ds = world
         trials = build_trials(ds, "acoustic", np.random.default_rng(0))
         gender = {u.id: u.gender for u in ds.utterances}
         by_enroll = {}
-        for t in trials:
-            if t.label == 0:
-                by_enroll.setdefault(t.enroll_speaker_id, []).append(
-                    gender[t.test_utterance_id])
+        for sid, uid, label in rows_of(trials):
+            if label == 0:
+                by_enroll.setdefault(sid, []).append(gender[uid])
         for genders in by_enroll.values():
             assert "male" in genders and "female" in genders
 
@@ -152,15 +167,121 @@ class TestTrials:
         _, ds = world
         trials = build_trials(ds, "content", np.random.default_rng(0))
         pii_ids = {u.id for u in ds.utterances if u.has_pii}
-        assert all(t.test_utterance_id in pii_ids for t in trials)
+        assert set(trials.test) <= pii_ids
 
     def test_same_seed_reproducible(self, world, tmp_path):
         _, ds = world
         a = build_trials(ds, "acoustic", np.random.default_rng(7))
         b = build_trials(ds, "acoustic", np.random.default_rng(7))
-        assert a == b
+        assert rows_of(a) == rows_of(b)
         save_trials(a, tmp_path / "t.tsv")
-        assert load_trials(tmp_path / "t.tsv") == a
+        assert rows_of(load_trials(tmp_path / "t.tsv")) == rows_of(a)
+
+
+def build_trials_by_rows(dataset, mode, rng):
+    """The row-by-row construction build_trials replaces: each speaker's
+    negative pools filtered from every other speaker's candidates, O(S*U)
+    per gender, and one (enroll, test, label) row per trial."""
+    if mode == "acoustic":
+        lo, hi = DURATION_WINDOW
+        cands = [u for u in dataset.utterances if lo <= u.duration_s <= hi]
+    else:
+        cands = [u for u in dataset.utterances if u.has_pii]
+    genders = {s.id: s.gender for s in dataset.speakers}
+    by_speaker = {}
+    for u in cands:
+        by_speaker.setdefault(u.speaker_id, []).append(u)
+    neg_pools = {}
+    for sid in by_speaker:
+        others = [u for u in cands if u.speaker_id != sid]
+        for gender in ("male", "female"):
+            neg_pools[sid, gender] = [u for u in others
+                                      if genders[u.speaker_id] == gender] or others
+    rows = []
+    for enroll in cands:
+        same = [u for u in by_speaker[enroll.speaker_id] if u.id != enroll.id]
+        if not same:
+            continue
+        if len(same) >= 2:
+            picks = rng.choice(len(same), size=2, replace=False)
+            positives = [same[int(i)] for i in picks]
+        else:
+            positives = [same[0], same[0]]
+        for pos in positives:
+            rows.append((enroll.speaker_id, pos.id, 1))
+        for gender in ("male", "female"):
+            neg_pool = neg_pools[enroll.speaker_id, gender]
+            neg = neg_pool[int(rng.integers(len(neg_pool)))]
+            rows.append((enroll.speaker_id, neg.id, 0))
+    return rows
+
+
+def _one_female(ds, female_candidates=True):
+    """``ds`` with every speaker but the last male, so that the female
+    list holds one speaker; without ``female_candidates`` that speaker's
+    utterances fall outside the duration window too."""
+    last = ds.speakers[-1].id
+    speakers = [dataclasses.replace(s, gender="female" if s.id == last
+                                    else "male") for s in ds.speakers]
+    utts = [u if female_candidates or u.speaker_id != last
+            else dataclasses.replace(u, duration_s=2 * DURATION_WINDOW[1])
+            for u in ds.utterances]
+    return dataclasses.replace(ds, speakers=speakers, utterances=utts)
+
+
+class TestTrialReference:
+    @pytest.mark.parametrize("mode", ["acoustic", "content"])
+    @pytest.mark.parametrize("variant", ["balanced", "one-female",
+                                         "female-without-candidates"])
+    def test_matches_row_by_row_construction(self, mode, variant):
+        p = make_world_params(D=8, F=12, v_common=24, n_speakers=6, seed=4)
+        ds = generate_world(p, 6, 6, np.random.default_rng(4),
+                            duration_range=(4.0, 16.0), pii_frac=0.5)
+        if variant != "balanced":
+            ds = _one_female(ds, variant == "one-female")
+        for seed in range(3):
+            got = build_trials(ds, mode, np.random.default_rng(seed))
+            want = build_trials_by_rows(ds, mode, np.random.default_rng(seed))
+            assert len(want) > 0 and rows_of(got) == want
+            assert got.label.dtype == np.int64
+
+
+def score_per_trial(trials, enroll_embs, test_embs):
+    """The per-trial loop score_trials replaces: each norm once, then one
+    np.dot per trial."""
+    na = {i: np.linalg.norm(enroll_embs[i]) for i in trials.enroll}
+    nb = {i: np.linalg.norm(test_embs[i]) for i in trials.test}
+    scores = []
+    for a, b in zip(trials.enroll, trials.test):
+        if na[a] == 0.0 or nb[b] == 0.0:
+            scores.append(0.0)
+        else:
+            scores.append(float(np.dot(enroll_embs[a], test_embs[b])
+                                / (na[a] * nb[b])))
+    return np.array(scores)
+
+
+def _vector(d):
+    """A zero vector, or d values in [-1, 1] scaled by 10**e for e in
+    [-150, 150]."""
+    return st.one_of(
+        st.just(np.zeros(d)),
+        st.builds(lambda m, e: np.array(m) * 10.0 ** e,
+                  st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d),
+                  st.integers(-150, 150)))
+
+
+@st.composite
+def _scoring_case(draw):
+    d = draw(st.integers(1, 6))
+    enroll = draw(st.lists(_vector(d), min_size=1, max_size=4))
+    test = draw(st.lists(_vector(d), min_size=1, max_size=6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(enroll) - 1),
+                                    st.integers(0, len(test) - 1)),
+                          min_size=1, max_size=40))
+    return ({f"s{i}": v for i, v in enumerate(enroll)},
+            {f"u{j}": v for j, v in enumerate(test)},
+            table([(f"s{i}", f"u{j}", (i + j) % 2) for i, j in pairs]))
 
 
 class TestScoreTrials:
@@ -170,26 +291,46 @@ class TestScoreTrials:
         test = {f"u{j}": rng.standard_normal(8) for j in range(20)}
         enroll["s0"] = np.zeros(8)
         test["u3"] = np.zeros(8)
-        trials = [Trial(f"s{i}", f"u{j}", int(j % 6 == i))
-                  for i in range(6) for j in range(20)]
-        scores, labels = score_trials(trials, enroll, test)
-        want = [cosine_score(enroll[t.enroll_speaker_id],
-                             test[t.test_utterance_id]) for t in trials]
-        assert scores == want
-        assert labels == [t.label for t in trials]
+        trials = table([(f"s{i}", f"u{j}", int(j % 6 == i))
+                        for i in range(6) for j in range(20)])
+        scores = score_trials(trials, enroll, test)
+        want = [cosine_score(enroll[a], test[b])
+                for a, b in zip(trials.enroll, trials.test)]
+        assert scores.tolist() == want
         assert scores[3] == 0.0 and scores[20 + 3] == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scoring_case())
+    def test_matches_per_trial_loop_bit_for_bit(self, case):
+        enroll, test, trials = case
+        with np.errstate(all="ignore"):
+            got = score_trials(trials, enroll, test)
+            want = score_per_trial(trials, enroll, test)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [16, 700])
+    def test_chunks_match_per_trial_loop(self, d):
+        rng = np.random.default_rng(6)
+        enroll = {f"s{i}": rng.standard_normal(d) for i in range(8)}
+        test = {f"u{j}": rng.standard_normal(d) for j in range(50)}
+        enroll["s2"] = np.zeros(d)
+        n = 2 * (evaluation.GATHER_VALUES // d) + 7
+        trials = table([(f"s{i}", f"u{j}", 0) for i, j in zip(
+            rng.integers(8, size=n), rng.integers(50, size=n))])
+        got = score_trials(trials, enroll, test)
+        assert got.tobytes() == score_per_trial(trials, enroll, test).tobytes()
 
 
 class TestContentModel:
     def test_disjoint_vocabularies_separate_perfectly(self):
         tr = {"a": [[1, 2, 1], [2, 2]], "b": [[8, 9], [9, 9, 8]]}
         model = content_speaker_model(tr, 16)
-        trials = [Trial("a", "ua", 1), Trial("a", "ub", 0),
-                  Trial("b", "ub", 1), Trial("b", "ua", 0)]
+        trials = table([("a", "ua", 1), ("a", "ub", 0),
+                        ("b", "ub", 1), ("b", "ua", 0)])
         test = {"ua": content_embedding([1, 1, 2], 16),
                 "ub": content_embedding([8, 9, 9], 16)}
-        scores, labels = score_trials(trials, model, test)
-        assert compute_eer(scores, labels) == 0.0
+        scores = score_trials(trials, model, test)
+        assert compute_eer(scores, trials.label) == 0.0
 
     def test_permutation_null_near_fifty(self):
         rng = np.random.default_rng(2)
@@ -263,8 +404,34 @@ class TestUtility:
 
 
 def test_score_file_format(tmp_path):
-    trials = [Trial("s0", "u0", 1), Trial("s1", "u1", 0)]
-    save_scores(trials, [0.123456789123, -0.5], tmp_path / "s.tsv")
+    trials = table([("s0", "u0", 1), ("s1", "u1", 0)])
+    save_scores(trials, np.array([0.123456789123, -0.5]), tmp_path / "s.tsv")
     lines = (tmp_path / "s.tsv").read_text().splitlines()
     assert lines[0] == "s0\tu0\t1\t0.123456789"
     assert lines[1] == "s1\tu1\t0\t-0.5"
+
+
+def test_trial_file_round_trip_and_labels(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("s0\tu0\t1\ns1\tu1\t 0\ns0\tu2\t+1\r\ns1\tu3\t00\n")
+    trials = load_trials(path)
+    assert rows_of(trials) == [("s0", "u0", 1), ("s1", "u1", 0),
+                               ("s0", "u2", 1), ("s1", "u3", 0)]
+    save_trials(trials, tmp_path / "u.tsv")
+    assert (tmp_path / "u.tsv").read_text() == \
+        "s0\tu0\t1\ns1\tu1\t0\ns0\tu2\t1\ns1\tu3\t0\n"
+    path.write_text("")
+    assert len(load_trials(path)) == 0
+
+
+@pytest.mark.parametrize("rows,named", [
+    (["s\tu\t1", "s\tu\t1\tx", "s\tu"], "t.tsv:2: bad trial row"),
+    (["s\tu\t1", "s\tu\t0", "", "s\tu\t1"], "t.tsv:3: bad trial row"),
+    (["s\tu\t1", "s\tu\t1", "s\tu\t-1"], "t.tsv:3: .* got -1"),
+    (["s\tu\t2", "s\tu\tno"], "t.tsv:1: .* got 2"),
+])
+def test_malformed_trial_file_names_first_bad_row(tmp_path, rows, named):
+    path = tmp_path / "t.tsv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(DataError, match=named):
+        load_trials(path)

@@ -202,3 +202,63 @@ class TestNearest:
         rows[:len(centers)] = centers
         got = assert_matches_reference(rows, centers)
         assert np.all(got < len(base))
+
+    def test_duplicate_centers_tie_exactly(self):
+        # every center twice: each row's best distance is an exact tie
+        rng = np.random.default_rng(7)
+        base = rng.standard_normal((20, 6))
+        centers = np.concatenate([base, base])
+        rows = base[rng.integers(20, size=300)] + rng.standard_normal((300, 6))
+        got = assert_matches_reference(rows, centers)
+        assert np.all(got < 20)
+
+    def test_rows_equidistant_from_best_two(self):
+        # centers on an even integer grid: the midpoint of two neighbours is
+        # exactly 1 from both and at least sqrt(5) from every other center
+        rng = np.random.default_rng(8)
+        grid = [(x, y, z) for x in (-1, 1, 3) for y in (-1, 1, 3)
+                for z in (-1, 1, 3)]
+        centers = np.array(grid, dtype=float)[rng.permutation(len(grid))]
+        index = {tuple(c): k for k, c in enumerate(centers.tolist())}
+        pairs = np.array([(k, index[n]) for c, k in index.items()
+                          for n in ((c[0] + 2, c[1], c[2]),
+                                    (c[0], c[1] + 2, c[2]),
+                                    (c[0], c[1], c[2] + 2)) if n in index])
+        rows = 0.5 * (centers[pairs[:, 0]] + centers[pairs[:, 1]])
+        got = assert_matches_reference(rows, centers)
+        assert len(pairs) == 54
+        assert got.tolist() == pairs.min(axis=1).tolist()
+
+    def test_two_centers(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            e = int(rng.integers(1, 9))
+            centers = rng.standard_normal((2, e))
+            rows = np.concatenate([
+                centers[rng.integers(2, size=100)]
+                + rng.standard_normal((100, e)),
+                0.5 * (centers[0] + centers[1])[None].repeat(3, 0)])
+            assert_matches_reference(rows, centers)
+        centers = np.array([[0.0, 0.0], [2.0, 0.0]])
+        rows = np.array([[1.0, 5.0], [1.0, -3.0], [0.5, 0.0], [1.5, 0.0]])
+        assert assert_matches_reference(rows, centers).tolist() == [0, 0, 0, 1]
+
+    def test_rows_equal_to_a_center(self):
+        rng = np.random.default_rng(10)
+        centers = (rng.standard_normal((692, 16))
+                   * rng.uniform(0.1, 10.0, (692, 1)))
+        pick = rng.integers(692, size=256)
+        got = assert_matches_reference(centers[pick], centers)
+        assert got.tolist() == pick.tolist()
+
+    def test_200_noisy_training_batches_match_reference(self):
+        rng = np.random.default_rng(12)
+        embed = rng.standard_normal((628, 16))
+        extra = embed[rng.integers(628, size=64)]
+        centers = np.concatenate(
+            [embed, extra + 0.05 * rng.standard_normal(extra.shape)])
+        for _ in range(200):
+            rows = embed[rng.integers(628, size=256)]
+            noise = rng.choice([0.0, 0.02, 0.05, 0.3])
+            rows = rows + noise * rng.standard_normal(rows.shape)
+            assert_matches_reference(rows, centers)

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from anonflow import worldgen
 from anonflow.errors import ConfigError, InputError
 from anonflow.worldgen import (ARRAY_FIELDS, CACHE_FILES, DATASET_FILES,
-                               PII_TYPES, WorldConfig, WorldParams, _round9,
-                               generate_world, load_dataset,
+                               MAX_DURATION_S, PII_TYPES, WorldConfig,
+                               WorldParams, _round9, generate_world,
+                               load_dataset,
                                make_world_params, oracle_extract_speaker,
                                oracle_recover_tokens, sample_speaker_embedding,
                                sample_speaker_embeddings, save_dataset,
@@ -507,6 +508,8 @@ def test_save_load_save_is_byte_identical(seed, n_speakers, utts, values):
     ("noise_sigma", float("nan")), ("pii_frac", 2.0), ("pii_frac", -0.5),
     ("duration_range", (5.0,)), ("duration_range", (12.0, 6.0)),
     ("duration_range", (0.0, 6.0)),
+    ("duration_range", (6.0, MAX_DURATION_S * (1 + 1e-15))),
+    ("duration_range", (1e15, 1e15)),
 ])
 def test_world_config_rejects_out_of_range(key, value):
     with pytest.raises(ConfigError, match=f"world.{key} "):
@@ -517,6 +520,8 @@ def test_world_config_generates_what_the_functions_do():
     cfg = WorldConfig(D=8, F=12, v_common=24, n_speakers=4,
                       utts_per_speaker=3, duration_range=[6, 12])
     assert cfg.duration_range == (6, 12)
+    assert WorldConfig(duration_range=[MAX_DURATION_S] * 2).duration_range \
+        == (MAX_DURATION_S, MAX_DURATION_S)
     params = make_world_params(D=8, F=12, v_common=24, n_speakers=4,
                                noise_sigma=0.05, seed=2)
     ref = generate_world(params, 4, 3, np.random.default_rng(2),
