@@ -169,16 +169,19 @@ def reconstruct(model: BackboneModel, frame_tokens, p_norm, s, steps: int,
                      (local, np.asarray(s, dtype=float)[None]))
 
 
+# the sidecar keys that size a BackboneModel, besides its config
+_SHAPE_KEYS = ("frame_dim", "speaker_dim", "vocab_size")
+
+
 def save_backbone(model: BackboneModel, path_prefix) -> None:
-    save_model(path_prefix, model.tensors(), {
-        "frame_dim": model.frame_dim, "speaker_dim": model.speaker_dim,
-        "vocab_size": model.vocab_size, "config": asdict(model.config)})
+    save_model(path_prefix, model.tensors(),
+               {**{k: getattr(model, k) for k in _SHAPE_KEYS},
+                "config": asdict(model.config)})
 
 
 def load_backbone(path_prefix) -> BackboneModel:
     return load_model(
         path_prefix, BackboneConfig,
         lambda meta, config: BackboneModel(
-            frame_dim=meta["frame_dim"], speaker_dim=meta["speaker_dim"],
-            vocab_size=meta["vocab_size"], config=config),
-        keys=("frame_dim", "speaker_dim", "vocab_size"))
+            **{k: meta[k] for k in _SHAPE_KEYS}, config=config),
+        keys=_SHAPE_KEYS)

@@ -5,9 +5,10 @@ tensor: u32 name length, UTF-8 name, u32 rank, u32 dims, row-major
 little-endian float32 data.  Tensors are written in sorted name order so
 the file is a deterministic function of its contents.
 
-Also here: the ``.ckpt``/``.json`` model pair, the type (``fits``) and
-range (``check_ranges``) rules for config values, and ``replacing``, the
-temp-file-then-rename writer of every file the commands write.
+Also here: the ``.ckpt``/``.json`` model pair, the key and type
+(``config_section``, ``fits``) and range (``check_ranges``) rules for
+config values, and ``replacing``, the temp-file-then-rename writer of
+every file the commands write.
 """
 
 from __future__ import annotations
@@ -87,6 +88,28 @@ def fits(value, default) -> bool:
     return type(value) is type(default)
 
 
+def config_section(doc, section: str, defaults: dict, path, error) -> dict:
+    """The ``section`` object of the JSON object ``doc`` read from ``path``,
+    or {} when it has none.  Its keys must all be keys of ``defaults``, and
+    each value must have the JSON type of its key's default (``fits``);
+    otherwise ``error`` is raised, naming ``path`` and ``section.key``."""
+    if not isinstance(doc, dict):
+        raise error(f"{path}: not a JSON object")
+    sec = doc.get(section, {})
+    if not isinstance(sec, dict):
+        raise error(f"{path}: {section} must be a JSON object")
+    unknown = sorted(set(sec) - set(defaults))
+    if unknown:
+        raise error(f"{path}: unknown key(s) in {section}: "
+                    f"{', '.join(unknown)}")
+    for key, value in sec.items():
+        if not fits(value, defaults[key]):
+            raise error(f"{path}: {section}.{key} = {value!r} does not have "
+                        f"the type of its default, "
+                        f"{json.dumps(defaults[key])}")
+    return sec
+
+
 # config value rules for ``check_ranges``: (test, what it asks)
 AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
@@ -155,13 +178,12 @@ def save_model(prefix, tensors: dict, meta: dict) -> None:
 def load_model(prefix, config_cls, build, keys: tuple = ()):
     """The model of a ``save_model`` pair.
 
-    The sidecar must hold a ``config`` object with fields of
-    ``config_cls`` only, each of the JSON type of its default (see
-    ``fits``), each of ``keys`` as a positive integer, and the values
-    the config's own range checks accept; ``build(meta, config)`` makes
-    the model, and the checkpoint must hold each of its tensors at its
-    shape.  A missing sidecar is a ConfigError; a malformed sidecar or
-    checkpoint is a DataError naming the file.
+    The sidecar must hold a ``config`` object that ``config_section``
+    accepts for ``config_cls``, each of ``keys`` as a positive integer,
+    and the values the config's own range checks accept; ``build(meta,
+    config)`` makes the model, and the checkpoint must hold each of its
+    tensors at its shape.  A missing sidecar is a ConfigError; a
+    malformed sidecar or checkpoint is a DataError naming the file.
     """
     path = Path(prefix).with_suffix(".json")
     try:
@@ -170,8 +192,7 @@ def load_model(prefix, config_cls, build, keys: tuple = ()):
         raise ConfigError(f"missing model metadata: {e}") from e
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: not valid JSON: {e}") from e
-    if not isinstance(meta, dict):
-        raise DataError(f"{path}: not a JSON object")
+    sec = config_section(meta, "config", asdict(config_cls()), path, DataError)
     missing = [k for k in (*keys, "config") if k not in meta]
     if missing:
         raise DataError(f"{path}: missing key(s) {', '.join(missing)}")
@@ -179,18 +200,8 @@ def load_model(prefix, config_cls, build, keys: tuple = ()):
         if type(meta[k]) is not int or meta[k] < 1:
             raise DataError(f"{path}: {k} must be a positive integer, "
                             f"got {meta[k]!r}")
-    if not isinstance(meta["config"], dict):
-        raise DataError(f"{path}: config must be a JSON object")
-    defaults = asdict(config_cls())
-    unknown = sorted(set(meta["config"]) - set(defaults))
-    if unknown:
-        raise DataError(f"{path}: unknown config key(s) {', '.join(unknown)}")
-    for k, v in meta["config"].items():
-        if not fits(v, defaults[k]):
-            raise DataError(f"{path}: config.{k} = {v!r} does not have the "
-                            f"type of its default, {json.dumps(defaults[k])}")
     try:
-        config = config_cls(**meta["config"])
+        config = config_cls(**sec)
     except ConfigError as e:
         raise DataError(f"{path}: {e}") from e
     model = build(meta, config)

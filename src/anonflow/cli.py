@@ -24,7 +24,8 @@ from .anonymizer import (AnonymizerConfig, WeightStrategy, anonymize_dataset,
                          load_anonymizer, load_mapping, save_anonymizer,
                          save_mapping, train_anonymizer)
 from .backbone import BackboneConfig, load_backbone, save_backbone, train_backbone
-from .checkpoint import AT_LEAST_1, TRAINING_RANGES, fits, replace_text
+from .checkpoint import (AT_LEAST_1, TRAINING_RANGES, config_section,
+                         replace_text)
 from .content import (ReplacementPool, anonymize_content, build_gazetteer,
                       save_edit_reports, save_gazetteer)
 from .errors import ConfigError, DataError, DivergenceError, InputError
@@ -91,8 +92,8 @@ def write_manifest(out_dir: Path, command: str, inputs: dict,
 
 
 def _load_config(path, section: str, defaults: dict) -> dict:
-    """The ``section`` object of a JSON config; keys outside ``defaults``
-    and values whose type does not fit the key's default are rejected."""
+    """The ``section`` object of a JSON config, checked against
+    ``defaults`` by ``config_section``."""
     if path is None:
         return {}
     try:
@@ -101,19 +102,7 @@ def _load_config(path, section: str, defaults: dict) -> dict:
         raise ConfigError(f"config file not found: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    sec = doc.get(section, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {section!r} must be an object")
-    unknown = sorted(set(sec) - set(defaults))
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) in config section "
-                          f"{section!r}: {', '.join(unknown)}")
-    for key, value in sec.items():
-        if not fits(value, defaults[key]):
-            raise ConfigError(f"{path}: config value {section}.{key} = "
-                              f"{value!r} does not have the type of its "
-                              f"default, {json.dumps(defaults[key])}")
-    return sec
+    return config_section(doc, section, defaults, path, ConfigError)
 
 
 # range rules of the command-line values: dest -> (test, what it asks)

@@ -43,10 +43,9 @@ class ReplacementPool:
     """Pool entries grouped by (type, length) for O(1) lookup."""
 
     def __init__(self, entries):
-        self.entries = list(entries)
         self._by_type_len = {}
         self._by_type = {}
-        for e in self.entries:
+        for e in entries:
             self._by_type_len.setdefault((e.type, e.length), []).append(e)
             self._by_type.setdefault(e.type, []).append(e)
 
@@ -215,19 +214,10 @@ def anonymize_content(backbone: BackboneModel, dataset: Dataset,
             s = dataset.speaker(u.speaker_id).embedding
         else:
             s = mapping[u.speaker_id][1]
-        if edits:
-            base = u if p_asr == 0 else replace(u, tokens=observed)
-            edited = apply_edits(backbone, base,
-                                 EditPlan(utterance_id=u.id, edits=edits),
-                                 s, steps, rng)
-        elif p_asr > 0:
-            edited = replace(u, tokens=observed,
-                             entity_spans=list(u.entity_spans),
-                             f0_hz=u.f0_hz.copy(), p_norm=u.p_norm.copy(),
-                             frames=u.frames.copy())
-        else:
-            edited = u
-        new_utts.append(edited)
+        base = u if p_asr == 0 else replace(u, tokens=observed)
+        new_utts.append(apply_edits(backbone, base,
+                                    EditPlan(utterance_id=u.id, edits=edits),
+                                    s, steps, rng) if edits else base)
         reports.append({
             "utterance_id": u.id,
             "spans": [[sp.type, sp.token_start, sp.token_end] for sp in spans],

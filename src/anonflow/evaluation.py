@@ -108,9 +108,16 @@ def enrollment_embedding(utterance_embeddings) -> np.ndarray:
     return embs.mean(axis=0)
 
 
+# a norm below this has a subnormal square, so it and the scores it enters
+# lose precision: vectors near 1e-161 can score 0.3 off their cosine
+_NORM_TINY = np.sqrt(np.finfo(float).tiny)
+
+
 def cosine_score(a, b) -> float:
-    """Cosine similarity; zero vectors score 0 by convention."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    """Cosine similarity; zero vectors score 0 by convention.  A finite,
+    nonzero vector whose squares under- or overflow is first divided by
+    its largest magnitude (see ``_scaled_rows``)."""
+    (a, b), (na, nb) = _scaled_rows(np.array([a, b], dtype=float))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
@@ -118,7 +125,8 @@ def cosine_score(a, b) -> float:
 
 def _rows(embs: dict, ids, kind: str) -> tuple:
     """The embeddings of ``embs`` stacked as rows, and the row of each id
-    in ``ids``; an id ``embs`` lacks is a DataError."""
+    in ``ids``; an id ``embs`` lacks, or the first id in ``ids`` whose
+    embedding is not finite, is a DataError."""
     index = {k: i for i, k in enumerate(embs)}
     try:
         at = np.fromiter(map(index.__getitem__, ids), dtype=np.intp,
@@ -126,7 +134,12 @@ def _rows(embs: dict, ids, kind: str) -> tuple:
     except KeyError as e:
         raise DataError(f"trial list names unknown {kind} "
                         f"{e.args[0]!r}") from e
-    return np.stack(list(embs.values())), at
+    rows = np.stack(list(embs.values()))
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1)[at])
+    if bad.size:
+        raise DataError(f"embedding of trial-list {kind} {ids[bad[0]]!r} "
+                        f"is not finite")
+    return rows, at
 
 
 def _dots(a, b) -> np.ndarray:
@@ -137,16 +150,34 @@ def _dots(a, b) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None]).reshape(-1)
 
 
+def _scaled_rows(x) -> tuple:
+    """The rows of ``x`` as they are scored, and their norms.  A finite,
+    nonzero row whose norm comes out below ``_NORM_TINY`` or inf is
+    divided by its largest magnitude first; every other row is kept."""
+    n = np.sqrt(_dots(x, x))
+    odd = np.flatnonzero(~((n >= _NORM_TINY) & (n < np.inf)))
+    if odd.size:
+        big = np.abs(x[odd]).max(axis=1)    # nan or inf for a non-finite row
+        keep = np.isfinite(big) & (big > 0)
+        odd, big = odd[keep], big[keep]
+        x = x.copy()
+        x[odd] /= big[:, None]
+        n[odd] = np.sqrt(_dots(x[odd], x[odd]))
+    return x, n
+
+
 def score_trials(trials: Trials, enroll_embs: dict,
                  test_embs: dict) -> np.ndarray:
     """``cosine_score`` of each trial, bit for bit, over columns.
 
     Each embedding's norm is taken once; the trials' dot products are
     taken a chunk of trials at a time, so that one gather of their rows
-    holds at most ``GATHER_VALUES`` values (4096 trials at D = 16)."""
+    holds at most ``GATHER_VALUES`` values (4096 trials at D = 16).  A
+    speaker, then an utterance, whose embedding is not finite is a
+    DataError naming the first such id in trial order."""
     enroll, ia = _rows(enroll_embs, trials.enroll, "speaker")
     test, ib = _rows(test_embs, trials.test, "utterance")
-    na, nb = np.sqrt(_dots(enroll, enroll)), np.sqrt(_dots(test, test))
+    (enroll, na), (test, nb) = _scaled_rows(enroll), _scaled_rows(test)
     scores = np.zeros(len(trials))
     chunk = max(1, GATHER_VALUES // enroll.shape[1])
     for lo in range(0, len(trials), chunk):

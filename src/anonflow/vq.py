@@ -26,10 +26,6 @@ class Codebook:
         if not np.all(np.isfinite(self.entries)):
             raise InputError("codebook entries must be finite")
 
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
 
 @dataclass(frozen=True)
 class QuantizeResult:

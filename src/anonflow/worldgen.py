@@ -41,6 +41,12 @@ STYLE_ALPHA = 0.3            # Dirichlet concentration of speaker token styles
 MAX_DURATION_S = 600.0       # WorldConfig ceiling: 2400 frames per utterance
 
 
+def _fields_of(record) -> dict:
+    """A dataclass instance's fields by name, in declaration order; unlike
+    ``dataclasses.asdict`` the values are not copied."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def _round9(obj):
     """Round all floats to 9 significant digits for stable serialization."""
     if isinstance(obj, float):
@@ -60,6 +66,8 @@ def _round9(obj):
 
 @dataclass
 class WorldParams:
+    """The world's generative model; ``world.json`` holds its fields, in
+    this order."""
     D: int
     V: int
     F: int
@@ -70,11 +78,13 @@ class WorldParams:
     gender_means: np.ndarray   # (2, D): male, female
     seed: int
     v_common: int
-    lexicon_per_type: int = LEXICON_PER_TYPE
-    pool_lengths_per_type: tuple = POOL_LENGTHS_PER_TYPE
-    n_pii_types: int = 4
 
     def __post_init__(self):
+        for key in ("D", "V", "F", "seed", "v_common"):
+            value = getattr(self, key)
+            # a JSON 16.0 or true would only fail later, inside numpy
+            if type(value) is not int:
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         self.A = np.asarray(self.A, dtype=float)
         self.B = np.asarray(self.B, dtype=float)
         self.C = np.asarray(self.C, dtype=float)
@@ -95,22 +105,7 @@ class WorldParams:
         return self._c_pinv
 
     def to_dict(self) -> dict:
-        return _round9({
-            "D": self.D, "V": self.V, "F": self.F,
-            "A": self.A, "B": self.B, "C": self.C,
-            "noise_sigma": self.noise_sigma,
-            "gender_means": self.gender_means,
-            "seed": self.seed, "v_common": self.v_common,
-            "lexicon_per_type": self.lexicon_per_type,
-            "pool_lengths_per_type": list(self.pool_lengths_per_type),
-            "n_pii_types": self.n_pii_types,
-        })
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WorldParams":
-        d = dict(d)
-        d["pool_lengths_per_type"] = tuple(d["pool_lengths_per_type"])
-        return cls(**d)
+        return _round9(_fields_of(self))
 
 
 def make_world_params(D: int = 16, F: int = 24, v_common: int = 80,
@@ -243,18 +238,17 @@ def sample_speaker_embeddings(params: WorldParams, n: int, rng) -> np.ndarray:
 
 def _lexicon_layout(params: WorldParams, n_speakers: int):
     """Carve PII lexicon and pool token ids out of the vocabulary."""
-    lex = params.lexicon_per_type
     nxt = params.v_common
     lexicons = []
     for _ in range(n_speakers):
         d = {}
         for typ in PII_TYPES:
-            d[typ] = list(range(nxt, nxt + lex))
-            nxt += lex
+            d[typ] = list(range(nxt, nxt + LEXICON_PER_TYPE))
+            nxt += LEXICON_PER_TYPE
         lexicons.append(d)
     pool = []
     for typ in PII_TYPES:
-        for length in params.pool_lengths_per_type:
+        for length in POOL_LENGTHS_PER_TYPE:
             pool.append(PoolEntry(type=typ, tokens=list(range(nxt, nxt + length))))
             nxt += length
     if nxt != params.V:
@@ -300,7 +294,7 @@ def generate_world(params: WorldParams, n_speakers: int, utts_per_speaker: int,
             if k in pii_slots:
                 for _ in range(int(rng.integers(1, 3))):
                     typ = PII_TYPES[int(rng.integers(len(PII_TYPES)))]
-                    length = int(rng.integers(1, params.lexicon_per_type + 1))
+                    length = int(rng.integers(1, LEXICON_PER_TYPE + 1))
                     start = int(rng.integers(0, n_tok - length + 1))
                     if any(start < e and start + length > s for _, s, e in spans):
                         continue
@@ -616,19 +610,8 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
     removed, when some row's float arrays are not the fields it stores."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = {
-        "speakers.jsonl": ({
-            "id": s.id, "gender": s.gender, "embedding": s.embedding,
-            "base_pitch_hz": s.base_pitch_hz, "style": s.style,
-            "pii_lexicon": s.pii_lexicon,
-        } for s in dataset.speakers),
-        "utterances.jsonl": ({
-            "id": u.id, "speaker_id": u.speaker_id, "gender": u.gender,
-            "duration_s": u.duration_s, "tokens": u.tokens,
-            "entity_spans": [[t, a, b] for t, a, b in u.entity_spans],
-            "f0_hz": u.f0_hz, "p_norm": u.p_norm, "frames": u.frames,
-            "frames_per_token": u.frames_per_token,
-        } for u in dataset.utterances)}
+    rows = {"speakers.jsonl": map(_fields_of, dataset.speakers),
+            "utterances.jsonl": map(_fields_of, dataset.utterances)}
     shaped = {}
     with replacing([out / name for name in DATASET_FILES]) as paths:
         tmp = dict(zip(DATASET_FILES, paths))
@@ -639,8 +622,8 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
                 with open(tmp[name], "wb") as f:
                     shaped[name] = _write_jsonl(f, rows[name], stream)
         with open(tmp["replacement_pool.jsonl"], "wb") as f:
-            _write_jsonl(f, ({"type": e.type, "tokens": e.tokens,
-                              "length": e.length} for e in dataset.pool))
+            _write_jsonl(f, ({**_fields_of(e), "length": e.length}
+                             for e in dataset.pool))
         whole = all(keys == fields for name, fields in ARRAY_FIELDS.items()
                     for keys, _ in shaped[name])
         if whole:
@@ -698,22 +681,16 @@ def _cached_rows(src: Path) -> dict:
     return rows
 
 
-def _checked_rows(path: Path, rows, fields: tuple):
-    """Yield ("path:line", dict) per row; a row without one of ``fields``
-    names both."""
+def _checked_rows(path: Path, rows, record):
+    """Yield ("path:line", dict) per row; a row without one of the fields
+    of the dataclass ``record`` names both."""
+    names = [f.name for f in fields(record)]
     for n, d in enumerate(rows, start=1):
         where = f"{path}:{n}"
-        missing = [k for k in fields if k not in d]
+        missing = [k for k in names if k not in d]
         if missing:
             raise DataError(f"{where}: missing field(s) {', '.join(missing)}")
         yield where, d
-
-
-_SPEAKER_FIELDS = ("id", "gender", "embedding", "base_pitch_hz", "style",
-                   "pii_lexicon")
-_UTTERANCE_FIELDS = ("id", "speaker_id", "gender", "duration_s", "tokens",
-                     "entity_spans", "f0_hz", "p_norm", "frames",
-                     "frames_per_token")
 
 
 def _float_array(where: str, d: dict, key: str, shape: tuple) -> np.ndarray:
@@ -772,7 +749,7 @@ def load_params(in_dir) -> WorldParams:
     if unknown:
         raise DataError(f"{path}: unknown key(s) {', '.join(unknown)}")
     try:
-        return WorldParams.from_dict(d)
+        return WorldParams(**d)
     except (TypeError, ValueError) as e:     # ConfigError is a ValueError
         raise DataError(f"{path}: {e}") from e
 
@@ -785,10 +762,10 @@ def load_dataset(in_dir) -> Dataset:
     params = load_params(src)
     cached = _cached_rows(src)
 
-    def rows(name, fields):
+    def rows(name, record):
         path = src / name
         return _checked_rows(path, cached[name] if name in cached
-                             else _parse_jsonl(path), fields)
+                             else _parse_jsonl(path), record)
 
     speakers = [Speaker(
         id=d["id"], gender=d["gender"],
@@ -796,9 +773,9 @@ def load_dataset(in_dir) -> Dataset:
         base_pitch_hz=d["base_pitch_hz"],
         style=_float_array(where, d, "style", (params.V,)),
         pii_lexicon={k: list(v) for k, v in d["pii_lexicon"].items()})
-        for where, d in rows("speakers.jsonl", _SPEAKER_FIELDS)]
+        for where, d in rows("speakers.jsonl", Speaker)]
     utterances = [_load_utterance(where, d, params) for where, d in
-                  rows("utterances.jsonl", _UTTERANCE_FIELDS)]
+                  rows("utterances.jsonl", Utterance)]
     pool = [PoolEntry(type=d["type"], tokens=list(d["tokens"])) for _, d in
-            rows("replacement_pool.jsonl", ("type", "tokens"))]
+            rows("replacement_pool.jsonl", PoolEntry)]
     return Dataset(params=params, speakers=speakers, utterances=utterances, pool=pool)

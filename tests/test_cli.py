@@ -281,6 +281,15 @@ def _bad_utterance(edit):
     return case
 
 
+def _nan_frame(tmp, world, bb, an):
+    """A world with one NaN frame value, evaluated against itself: its
+    speaker's enrollment embedding, in the first trial, is not finite."""
+    _bad_utterance(lambda d: d["frames"][0].__setitem__(0, math.nan))(
+        tmp, world, bb, an)
+    return (["evaluate", "--data", tmp / "w", "--anon", tmp / "w"],
+            "speaker 'spk000' is not finite")
+
+
 def _bad_speaker(edit):
     def case(tmp, world, bb, an):
         shutil.copytree(world, tmp / "w")
@@ -318,6 +327,15 @@ def _bad_trials(row, named):
         bad.write_text("spk000\tutt00001\t1\n" + row + "\n")
         return (["evaluate", "--data", world, "--anon", world,
                  "--trials", bad], named)
+    return case
+
+
+def _config_document(doc):
+    """A ``--config`` whose whole document is ``doc``."""
+    def case(tmp, world, bb, an):
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps(doc))
+        return ["gen-world", "--config", cfg], "config.json: not a JSON object"
     return case
 
 
@@ -425,6 +443,16 @@ def _argument(command, flag, value):
     (_world_json(lambda d: d.update(vcommon=80), "unknown key(s) vcommon"), 4),
     (_world_json(lambda d: d.update(D="16"), ""), 4),
     (_world_json(lambda d: d.update(C=d["C"][:-1]), "imprint matrix"), 4),
+    (_world_json(lambda d: d.update(D=float(d["D"])), "D must be an integer"),
+     4),
+    (_world_json(lambda d: d.update(V=float(d["V"])), "V must be an integer"),
+     4),
+    (_world_json(lambda d: d.update(seed=True), "seed must be an integer"), 4),
+    (_world_json(lambda d: d.update(n_pii_types=4),
+                 "unknown key(s) n_pii_types"), 4),
+    (_config_document([1, 2]), 2),
+    (_config_document("x"), 2),
+    (_nan_frame, 4),
     (_truncated_model_json("backbone"), 4),
     (_truncated_model_json("anonymizer"), 4),
     (_bad_utterance(lambda d: d.pop("frames")), 4),
@@ -516,6 +544,9 @@ def _argument(command, flag, value):
         "unknown-trial-utterance", "truncated-world-json",
         "world-json-without-v-common", "world-json-unknown-key",
         "world-json-string-D", "world-json-C-row-short",
+        "world-json-float-D", "world-json-float-V", "world-json-bool-seed",
+        "world-json-old-n-pii-types",
+        "config-list", "config-string", "nan-frame-evaluate",
         "truncated-backbone-json", "truncated-anonymizer-json",
         "utterance-without-frames", "short-p-norm", "token-out-of-range",
         "frames-row-short", "frames-column-narrow", "float-frames-per-token",

@@ -246,29 +246,40 @@ class TestTrialReference:
             assert got.label.dtype == np.int64
 
 
+def unit_scaled(v):
+    """``v`` divided by its largest magnitude when it is finite and
+    nonzero but its norm comes out below sqrt(tiny) or inf."""
+    n = np.linalg.norm(v)
+    if (not np.sqrt(np.finfo(float).tiny) <= n < np.inf
+            and np.isfinite(v).all() and v.any()):
+        return v / np.abs(v).max()
+    return v
+
+
 def score_per_trial(trials, enroll_embs, test_embs):
-    """The per-trial loop score_trials replaces: each norm once, then one
-    np.dot per trial."""
-    na = {i: np.linalg.norm(enroll_embs[i]) for i in trials.enroll}
-    nb = {i: np.linalg.norm(test_embs[i]) for i in trials.test}
+    """The per-trial loop score_trials replaces: each vector rescaled and
+    its norm taken once, then one np.dot per trial."""
+    enroll = {i: unit_scaled(enroll_embs[i]) for i in trials.enroll}
+    test = {i: unit_scaled(test_embs[i]) for i in trials.test}
+    na = {i: np.linalg.norm(v) for i, v in enroll.items()}
+    nb = {i: np.linalg.norm(v) for i, v in test.items()}
     scores = []
     for a, b in zip(trials.enroll, trials.test):
         if na[a] == 0.0 or nb[b] == 0.0:
             scores.append(0.0)
         else:
-            scores.append(float(np.dot(enroll_embs[a], test_embs[b])
-                                / (na[a] * nb[b])))
+            scores.append(float(np.dot(enroll[a], test[b]) / (na[a] * nb[b])))
     return np.array(scores)
 
 
 def _vector(d):
     """A zero vector, or d values in [-1, 1] scaled by 10**e for e in
-    [-150, 150]."""
+    [-300, 300]."""
     return st.one_of(
         st.just(np.zeros(d)),
         st.builds(lambda m, e: np.array(m) * 10.0 ** e,
                   st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d),
-                  st.integers(-150, 150)))
+                  st.integers(-300, 300)))
 
 
 @st.composite
@@ -307,6 +318,25 @@ class TestScoreTrials:
             got = score_trials(trials, enroll, test)
             want = score_per_trial(trials, enroll, test)
         assert got.tobytes() == want.tobytes()
+        assert np.all(np.abs(got) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e200, 1e-161, 1e-200, 1e-300])
+    def test_extreme_magnitudes_score_their_cosine(self, scale):
+        a, b = np.array([3.0, 4.0]), np.array([4.0, 3.0])
+        with np.errstate(all="ignore"):
+            assert cosine_score(a * scale, b * scale) == pytest.approx(0.96)
+            assert cosine_score(a * scale, b) == pytest.approx(0.96)
+            assert cosine_score(a * scale, a * scale) == pytest.approx(1.0)
+
+    def test_non_finite_embedding_names_its_first_id(self):
+        enroll = {"s0": np.ones(3), "s1": np.array([1.0, np.nan, 0.0])}
+        test = {"u0": np.ones(3), "u1": np.array([np.inf, 0.0, 0.0])}
+        with pytest.raises(DataError, match="utterance 'u1' is not finite"):
+            score_trials(table([("s0", "u0", 1), ("s0", "u1", 0)]),
+                         enroll, test)
+        with pytest.raises(DataError, match="speaker 's1' is not finite"):
+            score_trials(table([("s0", "u1", 0), ("s1", "u0", 0)]),
+                         enroll, test)
 
     @pytest.mark.parametrize("d", [16, 700])
     def test_chunks_match_per_trial_loop(self, d):

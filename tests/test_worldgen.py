@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import tempfile
@@ -11,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from anonflow import worldgen
 from anonflow.errors import ConfigError, InputError
 from anonflow.worldgen import (ARRAY_FIELDS, CACHE_FILES, DATASET_FILES,
-                               MAX_DURATION_S, PII_TYPES, WorldConfig,
-                               WorldParams, _round9, generate_world,
-                               load_dataset,
+                               MAX_DURATION_S, PII_TYPES, PoolEntry, Speaker,
+                               Utterance, WorldConfig, WorldParams, _round9,
+                               generate_world, load_dataset, load_params,
                                make_world_params, oracle_extract_speaker,
                                oracle_recover_tokens, sample_speaker_embedding,
                                sample_speaker_embeddings, save_dataset,
@@ -73,9 +74,11 @@ class TestWorldParams:
             a *= 1.05 * margin / dmin
         assert np.array_equal(p.A, a)
 
-    def test_round_trip_dict(self):
+    def test_round_trip_dict(self, tmp_path):
         p = small_params()
-        q = WorldParams.from_dict(p.from_dict(p.to_dict()).to_dict())
+        (tmp_path / "world.json").write_text(json.dumps(p.to_dict()))
+        q = load_params(tmp_path)
+        assert q.to_dict() == p.to_dict()
         assert q.V == p.V and q.D == p.D
         assert np.allclose(q.A, p.A, atol=1e-6)
 
@@ -497,6 +500,26 @@ def test_save_load_save_is_byte_identical(seed, n_speakers, utts, values):
         for name in DATASET_FILES:
             assert (first / name).read_bytes() == (second / name).read_bytes()
         assert_same_dataset(*load_both(first))
+        assert_rows_are_fields(first)
+
+
+def field_names(record) -> list:
+    return [f.name for f in dataclasses.fields(record)]
+
+
+def assert_rows_are_fields(path):
+    """Each saved record holds exactly its dataclass's fields, in order, so
+    a field that is added but not saved fails."""
+    world = json.loads((path / "world.json").read_text())
+    assert list(world) == field_names(WorldParams)
+    for name, record, extra in [("speakers.jsonl", Speaker, []),
+                                ("utterances.jsonl", Utterance, []),
+                                ("replacement_pool.jsonl", PoolEntry,
+                                 ["length"])]:
+        rows = [json.loads(line)
+                for line in (path / name).read_text().splitlines()]
+        assert rows and all(list(row) == field_names(record) + extra
+                            for row in rows)
 
 
 # ---------------------------------------------------------------------------
