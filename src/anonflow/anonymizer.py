@@ -7,12 +7,13 @@ variance-preserving speaker weight, and integrate forward again to a
 pseudo-speaker embedding.  An embedding-pool strategy (draw a real
 embedding of a different speaker) is provided as an ablation alternative.
 
-``anonymize_speaker`` runs on an (N, D) batch: it draws each row's
-randomness in turn (``w`` then ``z_rand``, or one pool index), then runs one
-``encode``, one ``obscure`` and one ``generate`` over the whole batch, so
-row i matches what a one-row call on the same generator state would give.
-``anonymize_dataset`` draws one identity per speaker, when the speaker is
-first seen, and voices all of the speaker's utterances with it.
+``anonymize_speaker`` runs on an (N, D) batch: ``draw_speakers`` draws each
+row's randomness in turn (``w`` then ``z_rand``, or one pool index), then
+``solve_speakers`` runs one ``encode``, one ``obscure`` and one ``generate``
+over the whole batch, so row i is what a one-row call on the same generator
+state gives, bit for bit.  ``anonymize_dataset`` draws one identity per
+speaker, when the speaker is first seen, solves them all in one batch, and
+voices all of the speaker's utterances with it.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from .flowmath import cfm_loss, integrate
 from .nets import UShapedField, u_shaped
 from .optim import AdamW, OneCycle
 
-from .backbone import BackboneModel, reconstruct
+from .backbone import RUN_FRAMES, BackboneModel, frame_runs, reconstruct
 from .worldgen import Dataset
 
-RUN_FRAMES = 4096   # most frames one run's reconstruct call solves at once
 FRAME_STEPS = 16    # Euler steps of anonymize_dataset's frame-flow solves
 
 # the level_dims rule: sizes as in WIDTHS, in the shape UShapedField takes
@@ -181,11 +181,49 @@ class WeightStrategy:
         raise ConfigError(f"cannot parse strategy {text!r}")
 
 
+def draw_speakers(strategy: WeightStrategy, rng: np.random.Generator,
+                  n: int, dim: int, *, pool=None, exclude=None) -> tuple:
+    """The randomness of ``anonymize_speaker`` for ``n`` rows of width
+    ``dim``, drawn row by row: ``(w (n,), z_rand (n, dim))``, each row's
+    ``w`` before its ``z_rand``, or for the pool strategy ``(None, the
+    (n, D) drawn pool rows)``, row i uniform over the rows of ``pool``
+    other than ``exclude[i]`` (over all rows when ``exclude`` is None).
+    """
+    if strategy.kind == "pool":
+        size = 0 if pool is None else len(pool) - (exclude is not None)
+        if size < 1:
+            raise InputError("pool strategy requires a non-empty embedding pool")
+        rows = [int(rng.integers(size)) for _ in range(n)]
+        if exclude is not None:
+            rows = [j + (j >= k) for j, k in zip(rows, exclude)]
+        return None, np.asarray(pool, dtype=float)[rows]
+    w = np.empty(n)
+    z_rand = np.empty((n, dim))
+    for i in range(n):
+        w[i] = strategy.draw_w(rng)
+        z_rand[i] = rng.standard_normal(dim)
+    return w, z_rand
+
+
+def solve_speakers(model, s_orig, draws: tuple, steps: int):
+    """Encode-obscure-generate of an (N, D) batch under ``draws`` from
+    ``draw_speakers``, each ODE in ``steps`` Euler steps; a pool draw
+    needs no solve.  Returns (s_anon (N, D), w (N,) or None).  Every ODE
+    is row-wise, so row i is what a one-row solve gives, bit for bit."""
+    w, z = draws
+    if w is None:
+        return z, None
+    z_orig = encode(model, s_orig, steps)
+    z_anon = obscure(ObscurationInput(z_orig=z_orig, z_rand=z, w=w))
+    return generate(model, z_anon, steps), w
+
+
 def anonymize_speaker(model, s_orig, strategy: WeightStrategy,
                       rng: np.random.Generator, steps: int, *,
                       pool=None, exclude=None):
     """Encode-obscure-generate (or pool draw) for an (N, D) embedding batch,
-    each ODE in ``steps`` Euler steps.
+    each ODE in ``steps`` Euler steps: ``draw_speakers``, then
+    ``solve_speakers``.
 
     Returns (s_anon (N, D), w (N,)); w is None for the pool strategy, which
     draws row i uniformly from the rows of ``pool`` other than
@@ -194,23 +232,9 @@ def anonymize_speaker(model, s_orig, strategy: WeightStrategy,
     s_orig = np.asarray(s_orig, dtype=float)
     if s_orig.ndim != 2:
         raise InputError(f"expected an (N, D) embedding batch, got {s_orig.shape}")
-    n = s_orig.shape[0]
-    if strategy.kind == "pool":
-        size = 0 if pool is None else len(pool) - (exclude is not None)
-        if size < 1:
-            raise InputError("pool strategy requires a non-empty embedding pool")
-        rows = [int(rng.integers(size)) for _ in range(n)]
-        if exclude is not None:
-            rows = [j + (j >= k) for j, k in zip(rows, exclude)]
-        return np.asarray(pool, dtype=float)[rows], None
-    w = np.empty(n)
-    z_rand = np.empty_like(s_orig)
-    for i in range(n):
-        w[i] = strategy.draw_w(rng)
-        z_rand[i] = rng.standard_normal(s_orig.shape[1])
-    z_orig = encode(model, s_orig, steps)
-    z_anon = obscure(ObscurationInput(z_orig=z_orig, z_rand=z_rand, w=w))
-    return generate(model, z_anon, steps), w
+    draws = draw_speakers(strategy, rng, *s_orig.shape, pool=pool,
+                          exclude=exclude)
+    return solve_speakers(model, s_orig, draws, steps)
 
 
 def anonymize_dataset(backbone: BackboneModel, anonymizer,
@@ -223,59 +247,65 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
     Tokens, pitch, alignment and durations are preserved.  Returns
     (anonymized dataset, mapping) where mapping is
     {speaker_id: (w_used, s_anon)} for the attacker simulation.  A speaker's
-    identity is drawn when the speaker is first seen and reused from the
-    mapping after that.
+    identity is drawn when the speaker is first seen and voices all of the
+    speaker's utterances.
 
-    Frames are synthesized per run: one speaker's adjacent utterances share
-    one ``reconstruct`` call.  A run is flushed before the next identity
-    draw, so the generator gives the identity and frame-noise draws in the
-    same order as one call per utterance would.
-    A run is also flushed before it would pass ``RUN_FRAMES`` frames, which
-    bounds one call's activations however many adjacent utterances a
-    speaker has; the noise draws keep their order across the cut.
+    The utterances are split into runs of one speaker's adjacent
+    utterances, each cut before it would pass ``RUN_FRAMES`` frames; a
+    speaker is first seen at the start of a run.  One walk over the runs
+    draws each first-seen speaker's identity randomness and each run's
+    frame noise, in the order in which solving each speaker and each run
+    as the walk meets them would draw them; no solve uses the generator.
+    Then one identity solve runs over all speakers, and one
+    ``reconstruct`` over each run, whose noise is dropped once it is solved.
     """
     embs = np.array([s.embedding for s in dataset.speakers], dtype=float)
     row = {s.id: k for k, s in enumerate(dataset.speakers)}
-    mapping = {}
-    new_utts = []
-    run = []                      # utterances voiced by the current identity
+    utts = dataset.utterances
+    runs = frame_runs([u.speaker_id for u in utts],
+                      [u.n_frames for u in utts], RUN_FRAMES)
+    first = {}                    # speaker id -> utterance where first seen
+    ws, zs, noise = [], [], []
+    for run in runs:
+        u = utts[run[0]]
+        if u.speaker_id not in first:
+            first[u.speaker_id] = u
+            w, z = draw_speakers(strategy, rng, 1, embs.shape[1], pool=embs,
+                                 exclude=[row[u.speaker_id]])
+            ws.append(w)
+            zs.append(z)
+        noise.append(rng.standard_normal(
+            (sum(utts[i].n_frames for i in run), dataset.params.F)))
 
-    def flush():
-        if not run:
-            return
-        toks = [u.frame_tokens for u in run]
+    draws = (None if strategy.kind == "pool" else np.reshape(ws, -1),
+             np.reshape(zs, (-1, embs.shape[1])))
+    try:
+        s_anon, w = solve_speakers(anonymizer, embs[[row[sid] for sid in first]],
+                                   draws, steps)
+    except DivergenceError as e:
+        u = list(first.values())[e.row or 0]
+        raise DivergenceError(f"utterance {u.id}: {e}", step=e.step) from e
+    mapping = {sid: (None if w is None else float(w[i]), s_anon[i])
+               for i, sid in enumerate(first)}
+
+    frames = []
+    for j, run in enumerate(runs):
+        x0, noise[j] = noise[j], None
         try:
-            frames = reconstruct(backbone, np.concatenate(toks),
-                                 np.concatenate([u.p_norm for u in run]),
-                                 mapping[run[0].speaker_id][1], FRAME_STEPS, rng)
+            out = reconstruct(
+                backbone, np.concatenate([utts[i].frame_tokens for i in run]),
+                np.concatenate([utts[i].p_norm for i in run]),
+                mapping[utts[run[0]].speaker_id][1], FRAME_STEPS, x0)
         except DivergenceError as e:
-            raise DivergenceError(f"utterances {run[0].id}..{run[-1].id}: {e}",
-                                  step=e.step) from e
-        ends = np.cumsum([len(t) for t in toks])[:-1]
-        new_utts.extend(replace(u, frames=f)
-                        for u, f in zip(run, np.split(frames, ends)))
-        run.clear()
-
-    for u in dataset.utterances:
-        draw = u.speaker_id not in mapping
-        if (draw or run[-1].speaker_id != u.speaker_id
-                or sum(v.n_frames for v in run) + u.n_frames > RUN_FRAMES):
-            flush()
-        if draw:
-            k = row[u.speaker_id]
-            try:
-                s_anon, w = anonymize_speaker(anonymizer, embs[k:k + 1],
-                                              strategy, rng, steps, pool=embs,
-                                              exclude=[k])
-            except DivergenceError as e:
-                raise DivergenceError(f"utterance {u.id}: {e}",
-                                      step=e.step) from e
-            mapping[u.speaker_id] = (None if w is None else float(w[0]),
-                                     s_anon[0])
-        run.append(u)
-    flush()
+            raise DivergenceError(
+                f"utterances {utts[run[0]].id}..{utts[run[-1]].id}: {e}",
+                step=e.step) from e
+        ends = np.cumsum([utts[i].n_frames for i in run])[:-1]
+        frames += np.split(out, ends)
     anon = Dataset(params=dataset.params, speakers=dataset.speakers,
-                   utterances=new_utts, pool=dataset.pool)
+                   utterances=[replace(u, frames=f)
+                               for u, f in zip(utts, frames)],
+                   pool=dataset.pool)
     return anon, mapping
 
 
@@ -293,7 +323,8 @@ def save_mapping(mapping: dict, path) -> None:
 def load_mapping(path, dataset: Dataset) -> dict:
     """Read ``save_mapping``'s TSV for the dataset it voices: one row for
     each speaker with an utterance, with an identity of D values.  A second
-    row for the same speaker is a DataError."""
+    row for the same speaker, or a weight or identity value that is not
+    finite, is a DataError."""
     dim = dataset.params.D
     out = {}
     for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -305,6 +336,9 @@ def load_mapping(path, dataset: Dataset) -> dict:
             raise DataError(f"{path}:{n}: bad mapping row: {e}") from e
         if sid in out:
             raise DataError(f"{path}:{n}: second row for speaker {sid}")
+        if not np.all(np.isfinite(s_anon)) or (w is not None
+                                                and not np.isfinite(w)):
+            raise DataError(f"{path}:{n}: non-finite value for speaker {sid}")
         if len(s_anon) != dim:
             raise DataError(f"{path}:{n}: identity of {sid} has "
                             f"{len(s_anon)} values, expected {dim}")

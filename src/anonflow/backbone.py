@@ -14,12 +14,14 @@ import numpy as np
 
 from .checkpoint import (AT_LEAST_1, NON_NEGATIVE, TRAINING_RANGES, WIDTHS,
                          check_ranges, load_model, save_model)
-from .errors import DivergenceError
+from .errors import DivergenceError, InputError
 from .flowmath import cfm_loss, integrate
 from .nets import ConditionedField
 from .optim import AdamW, OneCycle
 from .vq import Codebook, codebook_grad, quantize
 from .worldgen import Dataset, oracle_extract_speaker
+
+RUN_FRAMES = 4096   # most frames one run's reconstruct call solves at once
 
 
 @dataclass
@@ -66,7 +68,12 @@ class BackboneModel:
 
     def f_sem(self, frame_tokens, rng=None) -> np.ndarray:
         """Per-frame content features: fixed token embedding plus small noise."""
-        f = self.token_embed[np.asarray(frame_tokens, dtype=int)]
+        return self.noisy(self.token_embed[np.asarray(frame_tokens, dtype=int)],
+                          rng)
+
+    def noisy(self, f, rng=None) -> np.ndarray:
+        """``f`` plus f_sem noise drawn from ``rng``, as a new array; ``f``
+        itself without a generator or with the noise switched off."""
         if rng is not None and self.config.f_sem_noise > 0:
             f = f + self.config.f_sem_noise * rng.standard_normal(f.shape)
         return f
@@ -135,10 +142,10 @@ def train_backbone(dataset: Dataset, config: BackboneConfig,
     trace = []
     for step in range(config.steps):
         idx = rng.choice(n, size=min(config.batch, n), replace=False)
-        res = quantize(model.f_sem(toks[idx], rng), model.codebook)
+        f = model.f_sem(toks[idx])  # clean: the commitment gradient's input
+        res = quantize(model.noisy(f, rng), model.codebook)
         local = model.local_cond(res.c_vq, pn[idx])
         l_flow, grads = cfm_loss(model.field, x1[idx], (local, spk[idx]), rng)
-        f = model.f_sem(toks[idx])  # commitment gradient w.r.t. codewords
         grads["codebook"] = config.lam * codebook_grad(f, res, model.codebook)
         l_commit = res.commit_loss
         total = config.lam * l_commit + l_flow
@@ -151,22 +158,39 @@ def train_backbone(dataset: Dataset, config: BackboneConfig,
 
 
 def reconstruct(model: BackboneModel, frame_tokens, p_norm, s, steps: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Integrate the frame flow from per-frame Gaussian noise at times 0 -> 1
-    in ``steps`` Euler steps, every frame voiced by the one identity ``s``.
+                noise) -> np.ndarray:
+    """Integrate the frame flow from the per-frame Gaussian noise ``noise``
+    (T, frame_dim) at times 0 -> 1 in ``steps`` Euler steps, every frame
+    voiced by the one identity ``s``.
 
     Without f_sem noise a frame's codeword depends on its token alone, so
     each distinct token is quantized once and its codeword gathered per
     frame.
     """
     frame_tokens = np.asarray(frame_tokens, dtype=int)
-    t_frames = frame_tokens.shape[0]
+    noise = np.asarray(noise, dtype=float)
+    if noise.shape != (frame_tokens.shape[0], model.frame_dim):
+        raise InputError(f"expected ({frame_tokens.shape[0]}, "
+                         f"{model.frame_dim}) noise, got {noise.shape}")
     uniq, inv = np.unique(frame_tokens, return_inverse=True)
     c_vq = quantize(model.f_sem(uniq), model.codebook).c_vq[inv]
     local = model.local_cond(c_vq, p_norm)
-    x0 = rng.standard_normal((t_frames, model.frame_dim))
-    return integrate(model.field, x0, steps,
+    return integrate(model.field, noise, steps,
                      (local, np.asarray(s, dtype=float)[None]))
+
+
+def frame_runs(keys, sizes, cap: int) -> list:
+    """Indices of the items, grouped into runs of adjacent items with one
+    key; a run is cut before its ``sizes`` would sum past ``cap``."""
+    runs, total = [], 0
+    for i, (key, size) in enumerate(zip(keys, sizes)):
+        if runs and keys[runs[-1][-1]] == key and total + size <= cap:
+            runs[-1].append(i)
+            total += size
+        else:
+            runs.append([i])
+            total = size
+    return runs
 
 
 # the sidecar keys that size a BackboneModel, besides its config

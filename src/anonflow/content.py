@@ -4,8 +4,9 @@ replacement matching, and generative re-synthesis of the edited spans.
 The recognizer is a gazetteer lookup (token -> entity type); maximal runs
 of consecutive same-type hits form one span.  Replacements are drawn from
 a shared pool, matching entity type and token count, and the affected
-frames are regenerated by the backbone while everything outside the spans
-is left bit-identical.
+frames are regenerated by the backbone, one solve per run of a speaker's
+edited utterances, while everything outside the spans is left
+bit-identical.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .backbone import BackboneModel, reconstruct
+from .backbone import RUN_FRAMES, BackboneModel, frame_runs, reconstruct
 from .checkpoint import replace_text
-from .errors import InputError, UnmatchedEntityError
+from .errors import DivergenceError, InputError, UnmatchedEntityError
 from .worldgen import PII_TYPES, Dataset, PoolEntry, Utterance
 
 
@@ -109,67 +110,68 @@ def match_replacement(span: EntitySpan, pool: ReplacementPool,
     return list(cands[int(rng.integers(len(cands)))].tokens)
 
 
-def apply_edits(backbone: BackboneModel, utt: Utterance, plan: EditPlan,
-                s, steps: int, rng: np.random.Generator) -> Utterance:
-    """Replace tokens and regenerate only the affected frames, voiced with
-    identity ``s`` in ``steps``-step frame-flow solves.
+def _span_pitch(utt: Utterance, span: EntitySpan, repl) -> tuple:
+    """(p_norm, f0_hz) of the frames that replace ``span`` with ``repl``:
+    the span's own slice for an equal-length replacement, else the slice
+    resampled to the new length.  A span outside the utterance is an
+    InputError."""
+    if not (0 <= span.token_start < span.token_end <= len(utt.tokens)):
+        raise InputError(f"span {span} outside utterance bounds")
+    fpt = utt.frames_per_token
+    src = slice(span.token_start * fpt, span.token_end * fpt)
+    src_pn, src_f0 = utt.p_norm[src], utt.f0_hz[src]
+    if len(repl) == span.length:
+        return src_pn, src_f0
+    pos = np.linspace(0, len(src_pn) - 1, len(repl) * fpt)
+    return (np.interp(pos, np.arange(len(src_pn)), src_pn),
+            np.interp(pos, np.arange(len(src_f0)), src_f0))
+
+
+def span_inputs(utt: Utterance, plan: EditPlan) -> tuple:
+    """The frame tokens and normalized pitch of the frames that replace
+    the plan's spans, spans in order: the inputs of the frame-flow solve
+    whose output ``apply_edits`` takes.  The plan must have an edit."""
+    toks = [np.repeat(repl, utt.frames_per_token) for _, repl in plan.edits]
+    pn = [_span_pitch(utt, span, repl)[0] for span, repl in plan.edits]
+    return np.concatenate(toks), np.concatenate(pn)
+
+
+def apply_edits(utt: Utterance, plan: EditPlan, frames) -> Utterance:
+    """Replace tokens and splice in ``frames``, the regenerated frames of
+    all spans in span order (a solve over ``span_inputs``).
 
     Equal-length replacements reuse the span's own pitch slice; a
     length-mismatched fallback resamples the slice to the new length and
     shifts the alignment.  Frames outside all spans stay bit-identical.
-    All spans are regenerated by one ``reconstruct`` call; its frame noise
-    is drawn in span order, as one call per span would draw it.
     """
     fpt = utt.frames_per_token
     tokens = list(utt.tokens)
-    pieces_tokens = []
-    pieces_frames = []
-    pieces_f0 = []
-    pieces_pn = []
-    new_spans = []
-    gen_tokens = []             # frame tokens of each span's replacement
+    ends = np.cumsum([len(repl) * fpt for _, repl in plan.edits], dtype=int)
+    frames = np.asarray(frames, dtype=float)
+    want = (int(ends[-1]) if len(ends) else 0, utt.frames.shape[1])
+    if frames.shape != want:
+        raise InputError(f"expected {want} span frames, got {frames.shape}")
+    out_tokens, out_frames, out_f0, out_pn, new_spans = [], [], [], [], []
     cursor = 0
     offset = 0  # token-index shift accumulated from length-mismatched edits
-    for span, repl in plan.edits:
-        if not (0 <= span.token_start < span.token_end <= len(tokens)):
-            raise InputError(f"span {span} outside utterance bounds")
-        # untouched stretch before the span
-        pieces_tokens.append(tokens[cursor:span.token_start])
-        pieces_frames.append(utt.frames[cursor * fpt:span.token_start * fpt])
-        pieces_f0.append(utt.f0_hz[cursor * fpt:span.token_start * fpt])
-        pieces_pn.append(utt.p_norm[cursor * fpt:span.token_start * fpt])
-        src_pn = utt.p_norm[span.token_start * fpt:span.token_end * fpt]
-        src_f0 = utt.f0_hz[span.token_start * fpt:span.token_end * fpt]
-        n_new = len(repl) * fpt
-        if len(repl) == span.length:
-            new_pn, new_f0 = src_pn, src_f0
-        else:
-            pos = np.linspace(0, len(src_pn) - 1, n_new)
-            new_pn = np.interp(pos, np.arange(len(src_pn)), src_pn)
-            new_f0 = np.interp(pos, np.arange(len(src_f0)), src_f0)
-        gen_tokens.append(np.repeat(repl, fpt))
+    for (span, repl), gen in zip(plan.edits, np.split(frames, ends[:-1])):
+        new_pn, new_f0 = _span_pitch(utt, span, repl)
+        keep = slice(cursor * fpt, span.token_start * fpt)
+        out_tokens += tokens[cursor:span.token_start] + list(repl)
+        out_frames += [utt.frames[keep], gen]
+        out_f0 += [utt.f0_hz[keep], new_f0]
+        out_pn += [utt.p_norm[keep], new_pn]
         start = span.token_start + offset
         new_spans.append((span.type, start, start + len(repl)))
         offset += len(repl) - span.length
-        pieces_tokens.append(list(repl))
-        pieces_frames.append(None)          # filled from the one solve below
-        pieces_f0.append(np.asarray(new_f0, dtype=float))
-        pieces_pn.append(np.asarray(new_pn, dtype=float))
         cursor = span.token_end
-    pieces_tokens.append(tokens[cursor:])
-    pieces_frames.append(utt.frames[cursor * fpt:])
-    pieces_f0.append(utt.f0_hz[cursor * fpt:])
-    pieces_pn.append(utt.p_norm[cursor * fpt:])
-    if gen_tokens:
-        gen = reconstruct(backbone, np.concatenate(gen_tokens),
-                          np.concatenate(pieces_pn[1::2]), s, steps, rng)
-        ends = np.cumsum([len(t) for t in gen_tokens])[:-1]
-        pieces_frames[1::2] = np.split(gen, ends)
-
-    return replace(utt, tokens=[t for chunk in pieces_tokens for t in chunk],
-                   entity_spans=new_spans, f0_hz=np.concatenate(pieces_f0),
-                   p_norm=np.concatenate(pieces_pn),
-                   frames=np.concatenate(pieces_frames, axis=0))
+    tail = slice(cursor * fpt, None)
+    return replace(utt, tokens=out_tokens + tokens[cursor:],
+                   entity_spans=new_spans,
+                   f0_hz=np.concatenate(out_f0 + [utt.f0_hz[tail]]),
+                   p_norm=np.concatenate(out_pn + [utt.p_norm[tail]]),
+                   frames=np.concatenate(out_frames + [utt.frames[tail]],
+                                         axis=0))
 
 
 def corrupt_tokens(tokens, p_asr: float, vocab_size: int,
@@ -195,9 +197,17 @@ def anonymize_content(backbone: BackboneModel, dataset: Dataset,
     on a corrupted transcript, modeling an upstream recognizer in the
     cascade.  Unmatched entities are reported and left unedited; the run
     continues.
+
+    Each utterance draws its transcript errors, its replacements and then
+    its span noise, in utterance order; no solve uses the generator.  The
+    spans are then regenerated by one ``reconstruct`` per run of adjacent
+    edited utterances of one speaker, cut before it would pass
+    ``RUN_FRAMES`` frames, and each utterance is assembled by
+    ``apply_edits``.
     """
     reports = []
     new_utts = []
+    edited = []     # (index in new_utts, plan, frame tokens, p_norm, noise)
     for u in dataset.utterances:
         observed = (corrupt_tokens(u.tokens, p_asr, dataset.params.V, rng)
                     if p_asr > 0 else list(u.tokens))
@@ -210,14 +220,13 @@ def anonymize_content(backbone: BackboneModel, dataset: Dataset,
             except UnmatchedEntityError as e:
                 errors.append({"span": [span.type, span.token_start,
                                         span.token_end], "error": str(e)})
-        if mapping is None:
-            s = dataset.speaker(u.speaker_id).embedding
-        else:
-            s = mapping[u.speaker_id][1]
         base = u if p_asr == 0 else replace(u, tokens=observed)
-        new_utts.append(apply_edits(backbone, base,
-                                    EditPlan(utterance_id=u.id, edits=edits),
-                                    s, steps, rng) if edits else base)
+        if edits:
+            plan = EditPlan(utterance_id=u.id, edits=edits)
+            toks, pn = span_inputs(base, plan)
+            edited.append((len(new_utts), plan, toks, pn, rng.standard_normal(
+                (len(toks), dataset.params.F))))
+        new_utts.append(base)
         reports.append({
             "utterance_id": u.id,
             "spans": [[sp.type, sp.token_start, sp.token_end] for sp in spans],
@@ -226,6 +235,24 @@ def anonymize_content(backbone: BackboneModel, dataset: Dataset,
             "status": "ok" if not errors else "partial",
             "errors": errors,
         })
+
+    for run in frame_runs([new_utts[e[0]].speaker_id for e in edited],
+                          [len(e[2]) for e in edited], RUN_FRAMES):
+        at, plans, toks, pns, noise = zip(*(edited[j] for j in run))
+        sid = new_utts[at[0]].speaker_id
+        s = (dataset.speaker(sid).embedding if mapping is None
+             else mapping[sid][1])
+        try:
+            frames = reconstruct(backbone, np.concatenate(toks),
+                                 np.concatenate(pns), s, steps,
+                                 np.concatenate(noise))
+        except DivergenceError as e:
+            raise DivergenceError(
+                f"utterances {new_utts[at[0]].id}..{new_utts[at[-1]].id}: "
+                f"{e}", step=e.step) from e
+        ends = np.cumsum([len(t) for t in toks])[:-1]
+        for i, plan, f in zip(at, plans, np.split(frames, ends)):
+            new_utts[i] = apply_edits(new_utts[i], plan, f)
     out = Dataset(params=dataset.params, speakers=dataset.speakers,
                   utterances=new_utts, pool=dataset.pool)
     return out, reports

@@ -20,12 +20,15 @@ class DivergenceError(RuntimeError):
     """A numerical computation produced non-finite values.
 
     ``step`` records the integration / training step at which the
-    divergence was detected.
+    divergence was detected; ``row``, for an integration, the first batch
+    row that went non-finite at that step.
     """
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int | None = None,
+                 row: int | None = None):
         super().__init__(message)
         self.step = step
+        self.row = row
 
 
 class StateError(RuntimeError):

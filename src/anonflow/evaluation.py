@@ -353,14 +353,20 @@ def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
 
 def utility_probes(dataset_anon: Dataset, params, mapping) -> tuple:
     """(token error rate percent, mean cosine between the oracle-extracted
-    speaker of the anonymized frames and the intended pseudo-identity)."""
+    speaker of the anonymized frames and the intended pseudo-identity).
+    The first utterance whose extracted speaker is not finite is a
+    DataError, used in a trial or not."""
     ters = []
     secs = []
     for u in dataset_anon.utterances:
         s_anon = mapping[u.speaker_id][1]
+        emb = oracle_extract_speaker(u, params)
+        if not np.all(np.isfinite(emb)):
+            raise DataError(f"embedding of anonymized utterance {u.id!r} "
+                            f"is not finite")
         rec = oracle_recover_tokens(u.frames, u.p_norm, s_anon, params)
         ters.append(token_error_rate(rec, u.tokens, u.frames_per_token))
-        secs.append(cosine_score(oracle_extract_speaker(u, params), s_anon))
+        secs.append(cosine_score(emb, s_anon))
     return 100.0 * float(np.mean(ters)), float(np.mean(secs))
 
 

@@ -45,9 +45,12 @@ def integrate(field, x_init: np.ndarray, steps: int, cond=None, *,
     ``backward``.
 
     ``x_init`` may be a single vector or a (B, d) batch; the result has the
-    same shape.  A field with a ``velocity(cond, batch)`` method is set up
-    once for the solve and then called as ``f(x, t)`` with the scalar step
-    time; any other field is called as ``field(x, full(B, t), cond)``.
+    same shape.  The step times are computed once, by repeated ``t += h``.
+    A field with a ``velocity(cond, batch, times)`` method is set up once
+    for the solve and then called as ``f(x, k)`` at step ``k``; any other
+    field is called as ``field(x, full(B, times[k]), cond)``.  A state
+    that turns non-finite raises DivergenceError with the step and the
+    first such row.
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
@@ -55,17 +58,21 @@ def integrate(field, x_init: np.ndarray, steps: int, cond=None, *,
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if hasattr(field, "velocity"):
-        step = field.velocity(cond, x.shape[0])
-    else:
-        def step(x, t):
-            return field(x, np.full(x.shape[0], t), cond)
     h = (-1.0 if backward else 1.0) / steps
+    times = np.empty(steps)
     t = 1.0 if backward else 0.0
     for k in range(steps):
-        v = np.asarray(step(x, t))
-        x = x + h * v
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"non-finite state at step {k}", step=k)
+        times[k] = t
         t += h
+    if hasattr(field, "velocity"):
+        f = field.velocity(cond, x.shape[0], times)
+    else:
+        def f(x, k):
+            return field(x, np.full(x.shape[0], times[k]), cond)
+    for k in range(steps):
+        x = x + h * np.asarray(f(x, k))
+        if not np.all(np.isfinite(x)):
+            row = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
+            raise DivergenceError(f"non-finite state at step {k}", step=k,
+                                  row=int(row))
     return x[0] if single else x

@@ -12,11 +12,11 @@ of the same dimension as x:
   embedding), so conditioning is exactly the identity at initialization.
 
 Forward passes record the activations needed for reverse mode; ``backward``
-consumes that cache and returns a parameter-gradient dict.
-``ConditionedField.velocity`` is the cache-free inference form, set up once
-per ODE solve and kept apart from the training passes.  Everything is
-plain numpy; dtype is fixed per instance (float32 for training, float64 for
-finite-difference checks).
+consumes that cache and returns a parameter-gradient dict.  Each field's
+``velocity`` is its cache-free inference form, set up once per ODE solve
+with that solve's step times and kept apart from the training passes.
+Everything is plain numpy; dtype is fixed per instance (float32 for
+training, float64 for finite-difference checks).
 """
 
 from __future__ import annotations
@@ -119,6 +119,43 @@ class UShapedField:
         cache["h"] = h
         return h[-1], cache
 
+    def velocity(self, cond, batch: int, times):
+        """The inference form of ``forward`` for one ODE solve at the step
+        times ``times``; ``cond`` must be None.
+
+        Returns ``f(x, k)``, whose every row equals that row's one-row
+        ``forward`` at time ``times[k]`` bit for bit, at any batch size:
+        each product is a stacked (B, 1, k) @ (k, n) matmul, numpy's
+        vector-matrix path, and the time embedding's projection is tabled
+        once per solve with the same stacked form.  No reverse-mode cache
+        is kept; training uses ``forward``/``backward``.
+        """
+        if cond is not None:
+            raise InputError("UShapedField takes no conditioning")
+        p = self.params
+        n = len(self.level_dims)
+        emb = time_embed(times, self.time_dim).astype(self.dtype)
+        proj = (emb[:, None, :] @ p["time_proj.W"].T)[:, 0]
+        levels = [(p[f"lin{i}.W"].T, p[f"lin{i}.b"], p[f"blk{i}.W1"].T,
+                   p[f"blk{i}.b1"], p[f"blk{i}.W2"].T, p[f"blk{i}.b2"])
+                  for i in range(1, n)]
+
+        def f(x, k):
+            x = np.asarray(x, dtype=self.dtype)
+            if x.shape != (batch, self.dim):
+                raise InputError(f"expected ({batch}, {self.dim}) input, "
+                                 f"got {x.shape}")
+            h = [(x + proj[k] + p["time_proj.b"])[:, None, :]]
+            for i, (w, b, w1, b1, w2, b2) in enumerate(levels, start=1):
+                z = h[i - 1] @ w + b
+                if i > n - 1 - i:
+                    z = z + h[n - 1 - i]
+                a = np.tanh(z) if i < n - 1 else z
+                q = np.tanh(a @ w1 + b1)
+                h.append(a + q @ w2 + b2)
+            return h[-1][:, 0]
+        return f
+
     def backward(self, cache, d_out):
         if cache is None or "h" not in cache:
             raise StateError("backward called without a recorded forward pass")
@@ -218,19 +255,21 @@ class ConditionedField:
         out = h @ p["out.W"].T + p["out.b"]
         return out, cache
 
-    def velocity(self, cond, batch: int):
-        """The inference form of ``forward`` for one ODE solve, in which
-        every row has the same global cond: ``cond`` is (local (batch,
-        local_dim), global (1, cond_dim)).
+    def velocity(self, cond, batch: int, times):
+        """The inference form of ``forward`` for one ODE solve at the step
+        times ``times``, in which every row has the same global cond:
+        ``cond`` is (local (batch, local_dim), global (1, cond_dim)).
 
-        Returns ``f(x, t)`` with ``t`` the one scalar time of a step, equal
-        to ``forward`` of ``x`` at time ``t`` with the global row repeated
-        over the batch, up to float rounding.  What does not change
-        between steps is computed here once: the local half of the first
-        layer and the global half of each modulation head, as one row.
-        Each step computes the time embedding and its half of the heads as
-        one row too; both broadcast over the batch.  No reverse-mode cache
-        is kept; training uses ``forward``/``backward``.
+        Returns ``f(x, k)``, equal to ``forward`` of ``x`` at time
+        ``times[k]`` with the global row repeated over the batch, up to
+        float rounding.  What does not change between steps is computed
+        here once: the local half of the first layer and the global half of
+        each modulation head, as one row, and each step's time embedding
+        and its half of every head, as a table with one row per step.
+        The heads' time halves are stacked (steps, 1, time_dim) products,
+        numpy's vector-matrix path, so each row has the bits of a one-row
+        product.  No reverse-mode cache is kept; training uses
+        ``forward``/``backward``.
         """
         local, glob = self._split_cond(cond, batch, 1)
         p = self.params
@@ -242,27 +281,26 @@ class ConditionedField:
         # of ``forward``; at small batches it rounds closer than a transposed copy
         w_x = np.ascontiguousarray(w_in[:, :self.dim])
         z_fixed = local @ w_in[:, self.dim:].T + b_in
-        heads = []                # (scale, shift, time half of M) per block
+        emb = time_embed(times, self.time_dim).astype(self.dtype)[:, None, :]
+        heads = []                # (1 + scale, shift) per block, per step
         for j, width in enumerate(self.hidden, start=1):
             m, c = p[f"mod{j}.M"], p[f"mod{j}.c"]
             gs = glob @ m[:, :self.cond_dim].T + c
-            heads.append((gs[:, :width], gs[:, width:],
-                          np.ascontiguousarray(m[:, self.cond_dim:])))
+            gt = emb @ np.ascontiguousarray(m[:, self.cond_dim:]).T
+            heads.append((1.0 + (gs[:, :width] + gt[:, :, :width]),
+                          gs[:, width:] + gt[:, :, width:]))
 
-        def f(x, t):
+        def f(x, k):
             x = np.asarray(x, dtype=self.dtype)
             if x.shape != (batch, self.dim):
                 raise InputError(f"expected ({batch}, {self.dim}) input, "
                                  f"got {x.shape}")
-            emb = time_embed(float(t), self.time_dim).astype(self.dtype)
             z = x @ w_x.T
             z += z_fixed
-            for (scale, shift, m_t), (w, b) in zip(heads, mats[1:]):
-                gt = emb @ m_t.T
-                width = scale.shape[-1]
+            for (scale, shift), (w, b) in zip(heads, mats[1:]):
                 np.tanh(z, out=z)
-                z *= 1.0 + (scale + gt[:width])
-                z += shift + gt[width:]
+                z *= scale[k]
+                z += shift[k]
                 z = z @ w.T
                 z += b
             return z

@@ -141,7 +141,7 @@ def voiced_ids(monkeypatch):
     """
     calls = []
 
-    def fake_reconstruct(backbone, frame_tokens, p_norm, s, steps, rng):
+    def fake_reconstruct(backbone, frame_tokens, p_norm, s, steps, noise):
         calls.append((np.array(s), len(frame_tokens)))
         return np.zeros((len(frame_tokens), 12))
 
@@ -200,8 +200,7 @@ class TestPipeline:
                 assert all(j != k for j, k in zip(picks, exclude))
         else:
             assert np.array_equal(w_b, np.concatenate([w for _, w in rows]))
-            assert np.allclose(s_b, np.concatenate([s for s, _ in rows]),
-                               rtol=0, atol=1e-6)
+            assert np.array_equal(s_b, np.concatenate([s for s, _ in rows]))
 
     def test_single_vector_rejected(self, trained):
         model, _, emb = trained
@@ -261,7 +260,8 @@ def frame_model(world):
 
 def per_utterance_reference(backbone, anonymizer, dataset, strategy, steps,
                             rng):
-    """One identity draw and one ``reconstruct`` per utterance, in order."""
+    """One identity solve and one ``reconstruct`` per utterance, in order,
+    each drawing its randomness just before it runs."""
     embs = np.array([s.embedding for s in dataset.speakers])
     row = {s.id: k for k, s in enumerate(dataset.speakers)}
     voice, frames = {}, []
@@ -271,8 +271,9 @@ def per_utterance_reference(backbone, anonymizer, dataset, strategy, steps,
             s_anon, _ = anonymize_speaker(anonymizer, embs[k:k + 1], strategy,
                                           rng, steps, pool=embs, exclude=[k])
             voice[u.speaker_id] = s_anon[0]
+        noise = rng.standard_normal((u.n_frames, dataset.params.F))
         frames.append(reconstruct(backbone, u.frame_tokens, u.p_norm,
-                                  voice[u.speaker_id], FRAME_STEPS, rng))
+                                  voice[u.speaker_id], FRAME_STEPS, noise))
     return frames, voice
 
 
@@ -349,6 +350,28 @@ class TestFrameRuns:
         first, last = world.utterances[0].id, world.utterances[2].id
         assert f"utterances {first}..{last}:" in str(ei.value)
         assert ei.value.step == 3
+
+    @pytest.mark.parametrize("order", ["grouped", "revisit"])
+    def test_identity_divergence_names_first_utterance(self, trained, world,
+                                                       frame_model,
+                                                       monkeypatch, order):
+        # the one identity batch holds the speakers in first-seen order;
+        # its row 2 is the third speaker, first seen in its first utterance
+        def diverge(field, x, steps, cond=None, *, backward=False):
+            assert len(x) == len(world.speakers)
+            raise DivergenceError("non-finite state at step 5", step=5, row=2)
+
+        monkeypatch.setattr(anonymizer_mod, "integrate", diverge)
+        model, _, _ = trained
+        ds = _orders(world)[order]
+        seen = list(dict.fromkeys(u.speaker_id for u in ds.utterances))
+        named = next(u for u in ds.utterances if u.speaker_id == seen[2])
+        with pytest.raises(DivergenceError) as ei:
+            anonymize_dataset(frame_model, model, ds,
+                              WeightStrategy(kind="fixed", w=0.5), 8,
+                              np.random.default_rng(3))
+        assert str(ei.value) == f"utterance {named.id}: non-finite state at step 5"
+        assert ei.value.step == 5
 
 
 class TestPersistence:

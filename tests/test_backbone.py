@@ -4,6 +4,7 @@ import pytest
 import anonflow.backbone as backbone_mod
 from anonflow.backbone import (BackboneConfig, BackboneModel, load_backbone,
                                reconstruct, save_backbone, train_backbone)
+from anonflow.errors import InputError
 from anonflow.vq import quantize
 from anonflow.worldgen import generate_world, make_world_params
 
@@ -65,10 +66,19 @@ class TestReconstruct:
         pn = np.zeros(4)
         s = np.ones(model.speaker_dim) / np.sqrt(model.speaker_dim)
         steps = 8
-        a = reconstruct(model, toks, pn, s, steps, np.random.default_rng(5))
-        b = reconstruct(model, toks, pn, s, steps, np.random.default_rng(5))
+        noise = np.random.default_rng(5).standard_normal((4, model.frame_dim))
+        a = reconstruct(model, toks, pn, s, steps, noise)
+        b = reconstruct(model, toks, pn, s, steps, noise.copy())
         assert a.shape == (4, model.frame_dim)
         assert np.array_equal(a, b)
+
+    def test_noise_shape_checked(self, trained):
+        model, _ = trained
+        s = np.zeros(model.speaker_dim)
+        for shape in ((3, model.frame_dim), (4, model.frame_dim + 1)):
+            with pytest.raises(InputError, match="noise"):
+                reconstruct(model, np.array([1, 1, 2, 2]), np.zeros(4), s, 4,
+                            np.zeros(shape))
 
     def test_local_cond_matches_per_frame_quantize(self, trained,
                                                    monkeypatch):
@@ -85,7 +95,8 @@ class TestReconstruct:
         pn = rng.standard_normal(toks.size)
         s = rng.standard_normal(model.speaker_dim)
         steps = 8
-        reconstruct(model, toks, pn, s, steps, np.random.default_rng(5))
+        reconstruct(model, toks, pn, s, steps,
+                    np.zeros((toks.size, model.frame_dim)))
         c_vq = quantize(model.f_sem(toks), model.codebook).c_vq
         local = np.concatenate([c_vq, pn[:, None]], axis=1)
         assert np.array_equal(seen[0][0], local)
@@ -102,8 +113,9 @@ class TestPersistence:
         s = np.zeros(model.speaker_dim)
         s[0] = 1.0
         steps = 6
-        a = reconstruct(model, toks, pn, s, steps, np.random.default_rng(9))
-        b = reconstruct(model2, toks, pn, s, steps, np.random.default_rng(9))
+        noise = np.random.default_rng(9).standard_normal((6, model.frame_dim))
+        a = reconstruct(model, toks, pn, s, steps, noise)
+        b = reconstruct(model2, toks, pn, s, steps, noise)
         assert np.allclose(a, b, atol=1e-6)
 
     def test_tensor_names_prefixed(self, trained):
@@ -120,3 +132,6 @@ def test_f_sem_noise_only_with_rng(tiny_world, tiny_config):
     assert np.array_equal(clean, model.f_sem(toks))
     noisy = model.f_sem(toks, np.random.default_rng(0))
     assert not np.array_equal(clean, noisy)
+    # the training step's clean gather plus noise: the same draws and bits
+    assert np.array_equal(model.noisy(clean, np.random.default_rng(0)), noisy)
+    assert model.noisy(clean) is clean

@@ -12,6 +12,7 @@ from anonflow.checkpoint import load_checkpoint, save_checkpoint
 from anonflow.cli import (RADAR_DEFAULTS, RadarEntry, main, radar_normalize,
                           write_manifest)
 from anonflow.errors import ConfigError
+from anonflow.worldgen import load_dataset, save_dataset
 
 
 class TestRadar:
@@ -143,6 +144,61 @@ class TestPipeline:
         assert lines and all(len(l.split("\t")) == 3 for l in lines)
 
 
+    def test_nan_frame_of_unused_utterance_exits_4(self, pipeline, tmp_path,
+                                                   capsys):
+        # no trial uses the utterance, so only the utility probes see it
+        _, world, bb, an, _ = pipeline
+        anon = tmp_path / "anon"
+        assert main(["anonymize", "--data", str(world),
+                     "--backbone", str(bb / "backbone"),
+                     "--anonymizer", str(an / "anonymizer"),
+                     "--seed", "2", "--out", str(anon)]) == 0
+        ds = load_dataset(anon)
+        bad = ds.utterances[-1]
+        bad.frames[3, 0] = math.nan
+        save_dataset(ds, anon)
+        trials = tmp_path / "trials.tsv"
+        trials.write_text("".join(
+            f"spk000\t{u.id}\t{int(u.speaker_id == 'spk000')}\n"
+            for u in ds.utterances[:-1]))
+        capsys.readouterr()
+        assert main(["evaluate", "--data", str(world), "--anon", str(anon),
+                     "--mapping", str(anon / "mapping.tsv"),
+                     "--attacker", "ignorant", "--trials", str(trials),
+                     "--out", str(tmp_path / "ev")]) == 4
+        err = capsys.readouterr().err.strip()
+        assert err == (f"error: embedding of anonymized utterance {bad.id!r} "
+                       "is not finite")
+        assert not (tmp_path / "ev" / "report.json").exists()
+
+    def test_seca_divergence_names_the_run(self, pipeline, tmp_path, capsys):
+        _, world, bb, _, _ = pipeline
+        assert main(["seca", "--data", str(world),
+                     "--backbone", str(bb / "backbone"),
+                     "--seed", "2", "--out", str(tmp_path / "ok")]) == 0
+        reports = [json.loads(l) for l in
+                   (tmp_path / "ok" / "edits.jsonl").read_text().splitlines()]
+        speaker_of = {u.id: u.speaker_id
+                      for u in load_dataset(world).utterances}
+        edited = [r["utterance_id"] for r in reports if r["replacements"]]
+        run = [u for u in edited if speaker_of[u] == speaker_of[edited[0]]]
+        run = run[:next((i for i, (a, b) in enumerate(zip(edited, run))
+                         if a != b), len(run))]
+        # a NaN output bias makes every frame-flow solve diverge at step 0
+        shutil.copy(bb / "backbone.json", tmp_path / "backbone.json")
+        tensors = load_checkpoint(bb / "backbone.ckpt")
+        tensors["backbone/out.b"] = np.full_like(tensors["backbone/out.b"],
+                                                 math.nan)
+        save_checkpoint(tmp_path / "backbone.ckpt", tensors)
+        capsys.readouterr()
+        assert main(["seca", "--data", str(world),
+                     "--backbone", str(tmp_path / "backbone"),
+                     "--seed", "2", "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == (f"error: utterances {run[0]}..{run[-1]}: "
+                       "non-finite state at step 0")
+
+
 class TestReportCommand:
     def test_radar_csv(self, tmp_path):
         metrics = tmp_path / "metrics.json"
@@ -218,6 +274,21 @@ def _mapping(dims, command, named):
         argv = {"seca": ["seca", "--data", world, "--backbone", bb / "backbone"],
                 "evaluate": ["evaluate", "--data", world, "--anon", world]}
         return argv[command] + ["--mapping", path], named
+    return case
+
+
+def _mapping_value(w, value, command):
+    """A mapping.tsv whose second row has weight ``w`` and ``value`` as
+    its first identity value."""
+    def case(tmp, world, bb, an):
+        path = tmp / "mapping.tsv"
+        path.write_text("".join(
+            f"spk{i:03d}\t{w if i == 1 else 0.5}\t"
+            f"{','.join([value if i == 1 else '0.1'] + ['0.1'] * 7)}\n"
+            for i in range(4)))
+        argv = {"seca": ["seca", "--data", world, "--backbone", bb / "backbone"],
+                "evaluate": ["evaluate", "--data", world, "--anon", world]}
+        return argv[command] + ["--mapping", path], "mapping.tsv:2"
     return case
 
 
@@ -531,6 +602,9 @@ def _argument(command, flag, value):
     (_model_copy("anonymizer", lambda d: d["config"].update(level_dims=[8, 4]),
                  named=": anonymizer.level_dims"), 4),
     (_duplicate_mapping_row, 4),
+    (_mapping_value("0.5", "nan", "seca"), 4),
+    (_mapping_value("0.5", "-inf", "evaluate"), 4),
+    (_mapping_value("inf", "0.1", "evaluate"), 4),
     (_ignorant_with("--strategy", lambda tmp, an: "fixed:9", "'fixed:9'"), 2),
     (_ignorant_with("--strategy", lambda tmp, an: "gauss:1", "'gauss:1'"), 2),
     (_ignorant_with("--anonymizer", lambda tmp, an: tmp / "absent",
@@ -577,6 +651,8 @@ def _argument(command, flag, value):
         "evaluate-seed-negative", "seca-p-asr-2", "seca-p-asr-negative",
         "seca-p-asr-nan", "anonymizer-level-dims-not-u-shaped",
         "anonymizer-json-level-dims-not-u-shaped", "mapping-duplicate-speaker",
+        "mapping-nan-identity-seca", "mapping-inf-identity-evaluate",
+        "mapping-inf-weight-evaluate",
         "ignorant-strategy-out-of-range", "ignorant-strategy-unknown",
         "ignorant-anonymizer-missing", "ignorant-anonymizer-truncated"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,

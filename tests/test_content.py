@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+import anonflow.backbone as backbone_mod
 from anonflow import content as content_mod
 from anonflow.backbone import (BackboneConfig, BackboneModel, reconstruct,
                                train_backbone)
 from anonflow.content import (EditPlan, EntitySpan, ReplacementPool,
                               anonymize_content, apply_edits, build_gazetteer,
-                              corrupt_tokens, detect_pii, match_replacement)
-from anonflow.errors import InputError, UnmatchedEntityError
+                              corrupt_tokens, detect_pii, match_replacement,
+                              span_inputs)
+from anonflow.errors import DivergenceError, InputError, UnmatchedEntityError
 from anonflow.worldgen import PoolEntry, generate_world, make_world_params
 
 
@@ -90,6 +92,36 @@ class TestMatch:
             match_replacement(span, self.pool(), np.random.default_rng(0))
 
 
+def edit_one(backbone, utt, plan, s, steps, rng):
+    """One utterance's edits in a solve of its own: its span noise is drawn
+    from ``rng``, then its spans are regenerated and spliced in."""
+    toks, pn = span_inputs(utt, plan)
+    noise = rng.standard_normal((len(toks), backbone.frame_dim))
+    return apply_edits(utt, plan, reconstruct(backbone, toks, pn, s, steps,
+                                              noise))
+
+
+def span_frames(utt):
+    """The frames of an edited utterance's spans, in span order."""
+    fpt = utt.frames_per_token
+    return np.concatenate([utt.frames[a * fpt:b * fpt]
+                           for _, a, b in utt.entity_spans])
+
+
+def edited_runs(ds, reports):
+    """Ids of the edited utterances, grouped into runs of one speaker."""
+    speaker_of = {u.id: u.speaker_id for u in ds.utterances}
+    runs = []
+    for r in reports:
+        if r["replacements"]:
+            uid = r["utterance_id"]
+            if runs and speaker_of[runs[-1][-1]] == speaker_of[uid]:
+                runs[-1].append(uid)
+            else:
+                runs.append([uid])
+    return runs
+
+
 class TestApplyEdits:
     def test_out_of_span_frames_bit_identical(self, world, backbone):
         _, ds = world
@@ -105,8 +137,8 @@ class TestApplyEdits:
             pytest.skip("no equal-length replacement drawn for this utterance")
         s_emb = ds.speaker(utt.speaker_id).embedding
         steps = 6
-        out = apply_edits(backbone, utt, EditPlan(utt.id, edits), s_emb, steps,
-                          np.random.default_rng(2))
+        out = edit_one(backbone, utt, EditPlan(utt.id, edits), s_emb, steps,
+                       np.random.default_rng(2))
         fpt = utt.frames_per_token
         mask = np.ones(utt.n_frames, dtype=bool)
         for sp, _ in edits:
@@ -122,47 +154,39 @@ class TestApplyEdits:
         repl = [5, 6]   # one token replaced by two
         s_emb = ds.speaker(utt.speaker_id).embedding
         steps = 4
-        out = apply_edits(backbone, utt, EditPlan(utt.id, [(span, repl)]),
-                          s_emb, steps, np.random.default_rng(0))
+        out = edit_one(backbone, utt, EditPlan(utt.id, [(span, repl)]),
+                       s_emb, steps, np.random.default_rng(0))
         assert len(out.tokens) == len(utt.tokens) + 1
         assert out.n_frames == utt.n_frames + utt.frames_per_token
         assert out.tokens[1:3] == [5, 6]
         assert out.tokens[3:] == utt.tokens[2:]
         assert out.entity_spans == [("PER", 1, 3)]
 
-    def test_one_solve_per_utterance(self, world, backbone, monkeypatch):
-        # one reconstruct call for all spans, giving the frames of one call
-        # per span in span order with the same generator
+    def test_spans_spliced_in_order(self, world):
+        # two spans, the first replaced by a longer entity: each span's
+        # frames land at its shifted place, the rest is kept bit for bit
         _, ds = world
         utt = next(u for u in ds.utterances if len(u.tokens) >= 6)
         spans = [EntitySpan(type="PER", token_start=1, token_end=2,
                             source_text=(utt.tokens[1],)),
                  EntitySpan(type="LOC", token_start=3, token_end=5,
                             source_text=tuple(utt.tokens[3:5]))]
-        edits = [(spans[0], [5, 6]), (spans[1], [7, 8])]
-        s_emb = ds.speaker(utt.speaker_id).embedding
-        steps = 4
-        calls = []
-
-        def counted(*args):
-            calls.append(len(args[1]))
-            return reconstruct(*args)
-
-        monkeypatch.setattr(content_mod, "reconstruct", counted)
-        out = apply_edits(backbone, utt, EditPlan(utt.id, edits), s_emb,
-                          steps, np.random.default_rng(3))
+        plan = EditPlan(utt.id, [(spans[0], [5, 6]), (spans[1], [7, 8])])
         fpt = utt.frames_per_token
-        assert calls == [4 * fpt]
-        rng = np.random.default_rng(3)
-        for start, end in ((1, 3), (4, 6)):
-            sl = slice(start * fpt, end * fpt)
-            ref = reconstruct(backbone, np.repeat(out.tokens[start:end], fpt),
-                              out.p_norm[sl], s_emb, steps, rng)
-            assert np.max(np.abs(out.frames[sl] - ref)) <= 1e-6
+        toks, pn = span_inputs(utt, plan)
+        assert np.array_equal(toks, np.repeat([5, 6, 7, 8], fpt))
+        assert np.array_equal(pn[2 * fpt:], utt.p_norm[3 * fpt:5 * fpt])
+        gen = np.arange(4 * fpt * ds.params.F, dtype=float).reshape(4 * fpt, -1)
+        out = apply_edits(utt, plan, gen)
         assert out.entity_spans == [("PER", 1, 3), ("LOC", 4, 6)]
+        assert np.array_equal(out.frames[fpt:3 * fpt], gen[:2 * fpt])
+        assert np.array_equal(out.frames[4 * fpt:6 * fpt], gen[2 * fpt:])
+        assert np.array_equal(out.p_norm[fpt:3 * fpt], pn[:2 * fpt])
         assert np.array_equal(out.frames[3 * fpt:4 * fpt],
                               utt.frames[2 * fpt:3 * fpt])
         assert np.array_equal(out.frames[6 * fpt:], utt.frames[5 * fpt:])
+        with pytest.raises(InputError):
+            apply_edits(utt, plan, gen[1:])
 
     def test_overlapping_edits_rejected(self):
         a = EntitySpan(type="PER", token_start=0, token_end=2)
@@ -221,7 +245,7 @@ class TestPipeline:
                     for s in ds.speakers} if mapped else None)
         voiced = []
 
-        def fake_reconstruct(backbone, frame_tokens, p_norm, s, steps, rng):
+        def fake_reconstruct(backbone, frame_tokens, p_norm, s, steps, noise):
             voiced.append(np.array(s))
             return np.zeros((len(frame_tokens), ds.params.F))
 
@@ -231,13 +255,103 @@ class TestPipeline:
                                        np.random.default_rng(3),
                                        mapping=mapping)
         speaker_of = {u.id: u.speaker_id for u in ds.utterances}
-        edited = [speaker_of[r["utterance_id"]] for r in reports
-                  if r["replacements"]]
-        assert edited and len(voiced) == len(edited)
-        for sid, s in zip(edited, voiced):   # one reconstruct per utterance
+        runs = edited_runs(ds, reports)
+        assert runs and len(voiced) == len(runs)
+        for run, s in zip(runs, voiced):     # one reconstruct per run
+            sid = speaker_of[run[0]]
             want = (ds.speaker(sid).embedding if mapping is None
                     else mapping[sid][1])
             assert np.array_equal(s, want)
+
+    def test_one_solve_per_run(self, world, backbone, monkeypatch):
+        # one reconstruct per run of a speaker's edited utterances, giving
+        # frames within 1e-6 of one solve per utterance (a run cap of one
+        # frame) from the same generator
+        _, ds = world
+        pool, gaz = ReplacementPool(ds.pool), build_gazetteer(ds)
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return reconstruct(*args)
+
+        monkeypatch.setattr(content_mod, "reconstruct", counted)
+        out, reports = anonymize_content(backbone, ds, pool, gaz, 4,
+                                         np.random.default_rng(3))
+        runs = edited_runs(ds, reports)
+        assert len(calls) == len(runs) < sum(map(len, runs))
+        calls.clear()
+        monkeypatch.setattr(content_mod, "RUN_FRAMES", 1)
+        ref, ref_reports = anonymize_content(backbone, ds, pool, gaz, 4,
+                                             np.random.default_rng(3))
+        assert ref_reports == reports
+        assert len(calls) == sum(map(len, runs))
+        by_id = {u.id: u for u in ref.utterances}
+        for u, orig in zip(out.utterances, ds.utterances):
+            r = by_id[u.id]
+            assert u.tokens == r.tokens and u.entity_spans == r.entity_spans
+            assert np.array_equal(u.p_norm, r.p_norm)
+            if u.id not in sum(runs, []):
+                assert u is orig
+                continue
+            assert np.max(np.abs(u.frames - r.frames)) <= 1e-6
+            kept = np.ones(u.n_frames, dtype=bool)
+            for _, a, b in u.entity_spans:
+                kept[a * u.frames_per_token:b * u.frames_per_token] = False
+            assert np.array_equal(u.frames[kept], r.frames[kept])
+
+    @pytest.mark.parametrize("cap", ["default", "cut"])
+    def test_run_noise_matches_per_utterance_draws(self, world, backbone,
+                                                   monkeypatch, cap):
+        # with the solve the identity, each edited utterance's span frames
+        # are its noise: drawn after its replacements, in utterance order
+        _, ds = world
+        pool, gaz = ReplacementPool(ds.pool), build_gazetteer(ds)
+        rows = []
+
+        def identity(field, x, steps, cond=None):
+            rows.append(len(x))
+            return x
+
+        monkeypatch.setattr(backbone_mod, "integrate", identity)
+        if cap == "cut":
+            monkeypatch.setattr(content_mod, "RUN_FRAMES", 10)
+        out, reports = anonymize_content(backbone, ds, pool, gaz, 4,
+                                         np.random.default_rng(3))
+        assert all(r["status"] == "ok" for r in reports)
+        if cap == "cut":
+            assert max(rows) <= 10 < sum(rows)
+            assert len(rows) > len(edited_runs(ds, reports))
+        rng = np.random.default_rng(3)
+        n_edited = 0
+        for u, o in zip(ds.utterances, out.utterances):
+            repls = [match_replacement(sp, pool, rng)
+                     for sp in detect_pii(u.tokens, gaz)]
+            if repls:
+                n_edited += 1
+                n = sum(map(len, repls)) * u.frames_per_token
+                noise = rng.standard_normal((n, ds.params.F))
+                assert np.array_equal(span_frames(o), noise)
+        assert n_edited > len(edited_runs(ds, reports))
+
+    def test_divergence_names_the_run(self, world, backbone, monkeypatch):
+        _, ds = world
+        pool, gaz = ReplacementPool(ds.pool), build_gazetteer(ds)
+        _, reports = anonymize_content(backbone, ds, pool, gaz, 4,
+                                       np.random.default_rng(3))
+        first = edited_runs(ds, reports)[0]
+        assert len(first) > 1
+
+        def diverge(field, x, steps, cond=None):
+            raise DivergenceError("non-finite state at step 2", step=2)
+
+        monkeypatch.setattr(backbone_mod, "integrate", diverge)
+        with pytest.raises(DivergenceError) as ei:
+            anonymize_content(backbone, ds, pool, gaz, 4,
+                              np.random.default_rng(3))
+        assert str(ei.value) == (f"utterances {first[0]}..{first[-1]}: "
+                                 "non-finite state at step 2")
+        assert ei.value.step == 2
 
     def test_unmatched_entity_reported_not_fatal(self, world, backbone):
         _, ds = world

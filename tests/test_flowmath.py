@@ -98,6 +98,39 @@ class TestIntegrate:
         with pytest.raises(DivergenceError) as ei:
             integrate(bad, np.ones(2), 4)
         assert ei.value.step == 0
+        assert ei.value.row == 0
+
+    def test_divergence_names_first_non_finite_row(self):
+        def bad_rows(x, t, _):     # rows 3 and 1 blow up at the third step
+            v = np.zeros_like(x)
+            if t[0] >= 0.5:
+                v[[3, 1]] = np.inf
+            return v
+        with pytest.raises(DivergenceError) as ei:
+            integrate(bad_rows, np.ones((5, 2)), 4)
+        assert (ei.value.step, ei.value.row) == (2, 1)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("steps", [1, 3, 16])
+    def test_velocity_gets_the_times_a_callable_sees(self, steps, backward):
+        seen, tables = [], []
+
+        def plain(x, t, _):
+            seen.append(t.copy())
+            return np.ones_like(x)
+
+        class Tabled:
+            def velocity(self, cond, batch, times):
+                tables.append((cond, batch, np.array(times)))
+                return lambda x, k: np.full_like(x, times[k])
+
+        x0 = np.zeros((2, 1))
+        integrate(plain, x0, steps, backward=backward)
+        integrate(Tabled(), x0, steps, "c", backward=backward)
+        (cond, batch, times), = tables
+        assert cond == "c" and batch == 2
+        assert np.array_equal(times, [t[0] for t in seen])
+        assert all(np.array_equal(t, np.full(2, t[0])) for t in seen)
 
 
 def _drawn_field(hidden, scale=0.5, seed=0):

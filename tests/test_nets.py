@@ -220,8 +220,9 @@ class TestConditionedField:
 
 
 class TestConditionedVelocity:
-    """``velocity((local, glob), B)(x, t)``, with ``glob`` one (1, D) row,
-    is ``forward`` at times ``full(B, t)`` with that row repeated B times.
+    """``velocity((local, glob), B, times)(x, k)``, with ``glob`` one
+    (1, D) row, is ``forward`` at times ``full(B, times[k])`` with that row
+    repeated B times.
 
     Every weight is drawn non-zero: the modulation heads of a fresh field
     are zero, which would hide a wrong split of their inputs.  A zero
@@ -248,9 +249,10 @@ class TestConditionedVelocity:
         local = rng.standard_normal((b, local_dim))
         glob = rng.standard_normal((1, cond_dim))
         cond = (local, np.tile(glob, (b, 1)))
-        v = f.velocity((local, glob), b)
-        for t in (0.0, 0.37, 1.0):
-            got = v(x, t)
+        times = (0.0, 0.37, 1.0)
+        v = f.velocity((local, glob), b, times)
+        for k, t in enumerate(times):
+            got = v(x, k)
             ref = f.forward(x, np.full(b, t), cond)[0]
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
@@ -263,21 +265,85 @@ class TestConditionedVelocity:
         x, local = rng.standard_normal((4, 5)), rng.standard_normal((4, 3))
         glob = rng.standard_normal((1, 4))
         ref = f.forward(x, np.full(4, 0.5), (local, np.tile(glob, (4, 1))))[0]
-        assert np.allclose(f.velocity((local, glob), 4)(x, 0.5), ref,
+        assert np.allclose(f.velocity((local, glob), 4, [0.5])(x, 0), ref,
                            rtol=0, atol=1e-12)
 
     def test_empty_batch(self):
         f = self._field((7,), 3, 4, np.float32)
-        v = f.velocity((np.zeros((0, 3)), np.zeros((1, 4))), 0)
-        assert v(np.zeros((0, 5)), 0.5).shape == (0, 5)
+        v = f.velocity((np.zeros((0, 3)), np.zeros((1, 4))), 0, [0.5])
+        assert v(np.zeros((0, 5)), 0).shape == (0, 5)
 
     def test_cond_and_state_shapes_checked(self):
         f = self._field((7,), 3, 4, np.float32)
         with pytest.raises(InputError):
-            f.velocity((np.zeros((2, 9)), np.zeros((1, 4))), 2)
+            f.velocity((np.zeros((2, 9)), np.zeros((1, 4))), 2, [0.5])
         for glob in (np.zeros((2, 4)), np.zeros(4), np.zeros((1, 5))):
             with pytest.raises(InputError):   # one (1, D) identity row only
-                f.velocity((np.zeros((2, 3)), glob), 2)
-        v = f.velocity((np.zeros((2, 3)), np.zeros((1, 4))), 2)
+                f.velocity((np.zeros((2, 3)), glob), 2, [0.5])
+        v = f.velocity((np.zeros((2, 3)), np.zeros((1, 4))), 2, [0.5])
         with pytest.raises(InputError):
-            v(np.zeros((3, 5)), 0.5)
+            v(np.zeros((3, 5)), 0)
+
+    def test_time_tables_match_one_row_products(self):
+        # each step's head row is the bits of the one-row product
+        # ``time_embed(t) @ M_t.T`` that a per-step solve would take
+        f = self._field((7, 6), 3, 4, np.float32)
+        rng = np.random.default_rng(3)
+        local, glob = rng.standard_normal((2, 3)), rng.standard_normal((1, 4))
+        x = rng.standard_normal((2, 5)).astype(np.float32)
+        times = np.linspace(0.0, 1.0, 16, endpoint=False)
+        v = f.velocity((local, glob), 2, times)
+        p = f.params
+        for k, t in enumerate(times):
+            emb = time_embed(float(t), 6).astype(np.float32)
+            z = x @ p["lay1.W"][:, :5].T
+            z += local.astype(np.float32) @ p["lay1.W"][:, 5:].T + p["lay1.b"]
+            for j, w in ((1, 7), (2, 6)):
+                m = p[f"mod{j}.M"]
+                gs = glob.astype(np.float32) @ m[:, :4].T + p[f"mod{j}.c"]
+                gt = emb @ np.ascontiguousarray(m[:, 4:]).T
+                z = np.tanh(z)
+                z *= 1.0 + (gs[:, :w] + gt[:w])
+                z += gs[:, w:] + gt[w:]
+                nxt = "out" if j == 2 else "lay2"
+                z = z @ p[f"{nxt}.W"].T
+                z += p[f"{nxt}.b"]
+            assert np.array_equal(v(x, k), z)
+
+
+class TestUShapedVelocity:
+    """``velocity(None, B, times)(x, k)`` gives each row the bits of that
+    row's one-row ``forward`` at ``times[k]``, at any batch size."""
+
+    def _field(self, dims=(6, 4, 2, 4, 6), seed=0):
+        rng = np.random.default_rng(seed)
+        f = UShapedField(dims, time_dim=8, rng=rng)
+        for k, v in f.params.items():   # non-zero block outputs
+            f.params[k] = (0.5 * rng.standard_normal(v.shape)).astype(v.dtype)
+        return f
+
+    @pytest.mark.parametrize("b", [1, 2, 5, 64])
+    @pytest.mark.parametrize("dims", [(6, 4, 2, 4, 6), (6,), (6, 3, 6)])
+    def test_rows_equal_one_row_forward(self, b, dims):
+        f = self._field(dims)
+        rng = np.random.default_rng(b)
+        x = rng.standard_normal((b, 6))
+        times = (0.0, 0.37, 1.0)
+        v = f.velocity(None, b, times)
+        for k, t in enumerate(times):
+            got = v(x, k)
+            ref = np.concatenate([f.forward(x[i:i + 1], np.full(1, t))[0]
+                                  for i in range(b)])
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert not np.array_equal(v(x, 0), v(x, 1))
+
+    def test_empty_batch(self):
+        v = self._field().velocity(None, 0, [0.5])
+        assert v(np.zeros((0, 6)), 0).shape == (0, 6)
+
+    def test_cond_and_state_shapes_checked(self):
+        f = self._field()
+        with pytest.raises(InputError):
+            f.velocity(np.zeros((2, 3)), 2, [0.5])
+        with pytest.raises(InputError):
+            f.velocity(None, 2, [0.5])(np.zeros((3, 6)), 0)
