@@ -74,18 +74,26 @@ def radar_normalize(v_raw: float, entry: RadarEntry) -> float:
 # manifest plumbing
 
 def write_manifest(out_dir: Path, command: str, inputs: dict,
-                   seeds: dict, outputs) -> None:
-    """inputs: name -> existing path (hashed); outputs: paths inside out_dir.
+                   seeds: dict, outputs, digests=None) -> None:
+    """inputs: name -> existing path; outputs: paths inside out_dir.
+    ``digests`` maps paths to the sha256 of the bytes the command read
+    from or wrote to them (``Dataset.sha256``, ``save_dataset``); every
+    other file is hashed here.
 
     Each command calls this last, once its outputs are in place; the
     manifest replaces an old one only once it is written."""
+    known = digests or {}
+
+    def sha256(p) -> str:
+        return known.get(Path(p)) or sha256_file(p)
+
     manifest = {
         "command": command,
         "version": __version__,
         "seeds": seeds,
-        "inputs": {k: {"file": Path(p).name, "sha256": sha256_file(p)}
+        "inputs": {k: {"file": Path(p).name, "sha256": sha256(p)}
                    for k, p in inputs.items()},
-        "outputs": {Path(p).name: sha256_file(p) for p in outputs},
+        "outputs": {Path(p).name: sha256(p) for p in outputs},
     }
     replace_text(out_dir / "manifest.json",
                  json.dumps(manifest, indent=1, sort_keys=True) + "\n")
@@ -134,9 +142,9 @@ def cmd_gen_world(args) -> int:
                                         asdict(WorldConfig())))
     ds = config.generate(args.seed)
     out = _outdir(args)
-    save_dataset(ds, out)
+    written = save_dataset(ds, out)
     write_manifest(out, "gen-world", {}, {"seed": args.seed},
-                   [out / n for n in DATASET_FILES])
+                   [out / n for n in DATASET_FILES], written)
     return 0
 
 
@@ -153,7 +161,7 @@ def cmd_train_backbone(args) -> int:
     write_manifest(out, "train-backbone",
                    {"world": Path(args.data) / "world.json"},
                    {"seed": args.seed},
-                   [out / "backbone.ckpt", out / "backbone.json"])
+                   [out / "backbone.ckpt", out / "backbone.json"], ds.sha256)
     return 0
 
 
@@ -195,14 +203,15 @@ def cmd_anonymize(args) -> int:
                                       args.steps,
                                       np.random.default_rng(args.seed))
     out = _outdir(args)
-    save_dataset(anon, out)
+    written = save_dataset(anon, out)
     save_mapping(mapping, out / "mapping.tsv")
     write_manifest(out, "anonymize",
                    {"world": Path(args.data) / "world.json",
                     "backbone": Path(args.backbone).with_suffix(".ckpt"),
                     "anonymizer": Path(args.anonymizer).with_suffix(".ckpt")},
                    {"seed": args.seed, "strategy": args.strategy},
-                   [out / "utterances.jsonl", out / "mapping.tsv"])
+                   [out / "utterances.jsonl", out / "mapping.tsv"],
+                   {**ds.sha256, **written})
     return 0
 
 
@@ -216,14 +225,17 @@ def cmd_seca(args) -> int:
         backbone, ds, pool, gaz, args.steps, np.random.default_rng(args.seed),
         mapping=mapping, p_asr=args.p_asr)
     out = _outdir(args)
-    save_dataset(edited, out)
+    written = save_dataset(edited, out)
     save_gazetteer(gaz, out / "gazetteer.jsonl")
     save_edit_reports(reports, out / "edits.jsonl")
-    write_manifest(out, "seca",
-                   {"world": Path(args.data) / "world.json",
-                    "backbone": Path(args.backbone).with_suffix(".ckpt")},
+    inputs = {"world": Path(args.data) / "world.json",
+              "backbone": Path(args.backbone).with_suffix(".ckpt")}
+    if args.mapping:
+        inputs["mapping"] = Path(args.mapping)
+    write_manifest(out, "seca", inputs,
                    {"seed": args.seed, "p_asr": args.p_asr},
-                   [out / "utterances.jsonl", out / "edits.jsonl"])
+                   [out / "utterances.jsonl", out / "edits.jsonl"],
+                   {**ds.sha256, **written})
     return 0
 
 
@@ -234,7 +246,8 @@ def cmd_build_trials(args) -> int:
     save_trials(trials, out / "trials.tsv")
     write_manifest(out, "build-trials",
                    {"world": Path(args.data) / "world.json"},
-                   {"seed": args.seed, "mode": args.mode}, [out / "trials.tsv"])
+                   {"seed": args.seed, "mode": args.mode}, [out / "trials.tsv"],
+                   ds.sha256)
     return 0
 
 
@@ -269,10 +282,15 @@ def cmd_evaluate(args) -> int:
               "anon": Path(args.anon) / "utterances.jsonl"}
     if args.mapping:
         inputs["mapping"] = Path(args.mapping)
+    if args.trials:
+        inputs["trials"] = Path(args.trials)
+    if args.anonymizer:
+        inputs["anonymizer"] = Path(args.anonymizer).with_suffix(".ckpt")
     write_manifest(out, "evaluate", inputs,
                    {"seed": args.seed, "attacker": args.attacker,
                     "mode": args.mode},
-                   [out / "trials.tsv", out / "scores.tsv", out / "report.json"])
+                   [out / "trials.tsv", out / "scores.tsv", out / "report.json"],
+                   {**ds_orig.sha256, **ds_anon.sha256})
     return 0
 
 

@@ -60,9 +60,11 @@ def build_trials(dataset: Dataset, mode: str, rng: np.random.Generator) -> Trial
     genders = {s.id: s.gender for s in dataset.speakers}
     if len(set(genders.values())) < 2:
         raise InputError("dataset must contain both genders")
-    by_speaker = {}
+    by_speaker, place = {}, {}
     for u in cands:
-        by_speaker.setdefault(u.speaker_id, []).append(u)
+        own = by_speaker.setdefault(u.speaker_id, [])
+        place[u.id] = len(own)
+        own.append(u)
     by_gender = {g: [u for u in cands if genders[u.speaker_id] == g]
                  for g in ("male", "female")}
     neg_pools = {}
@@ -74,30 +76,41 @@ def build_trials(dataset: Dataset, mode: str, rng: np.random.Generator) -> Trial
             neg_pools[sid, gender] = pool or [u for u in cands
                                               if u.speaker_id != sid]
 
-    enroll_ids, test_ids, labels = [], [], []
+    enrolls = []
     for enroll in cands:
-        same = [u for u in by_speaker[enroll.speaker_id] if u.id != enroll.id]
-        if not same:
+        if len(by_speaker[enroll.speaker_id]) < 2:
             log.warning("speaker %s has a single candidate utterance; "
                         "skipping enrollment utterance %s",
                         enroll.speaker_id, enroll.id)
-            continue
-        if len(same) >= 2:
-            picks = rng.choice(len(same), size=2, replace=False)
-            positives = [same[int(i)] for i in picks]
         else:
-            positives = [same[0], same[0]]
-        negatives = []
-        for gender in ("male", "female"):
-            neg_pool = neg_pools[enroll.speaker_id, gender]
-            if not neg_pool:
-                raise InputError("no different-speaker utterance available "
-                                 "for negative trials")
-            negatives.append(neg_pool[int(rng.integers(len(neg_pool)))])
-        enroll_ids += [enroll.speaker_id] * 4
-        test_ids += [u.id for u in positives + negatives]
-        labels += [1, 1, 0, 0]
-    return Trials(enroll_ids, test_ids, np.array(labels, dtype=np.int64))
+            enrolls.append(enroll)
+    pools = [(neg_pools[u.speaker_id, "male"], neg_pools[u.speaker_id, "female"])
+             for u in enrolls]
+    if not all(male and female for male, female in pools):
+        raise InputError("no different-speaker utterance available "
+                         "for negative trials")
+    # one draw per trial: a first positive among the speaker's other
+    # candidates, a second among the rest of them (the same one when there
+    # is no other), and one negative from each gender's pool
+    n_same = np.array([len(by_speaker[u.speaker_id]) - 1 for u in enrolls],
+                      dtype=np.int64)
+    highs = np.column_stack([n_same, n_same - 1,
+                             [len(male) for male, _ in pools],
+                             [len(female) for _, female in pools]])
+    draws = rng.integers(np.maximum(highs, 1))
+    first, second = draws[:, 0], draws[:, 1]
+    second = np.where(n_same > 1, second + (second >= first), first)
+    # from the other candidates' positions to the speaker's list, which
+    # holds the enrollment utterance too
+    at = np.array([place[u.id] for u in enrolls], dtype=np.int64)
+    test_ids = []
+    for u, (male, female), a, b, (m, f) in zip(
+            enrolls, pools, (first + (first >= at)).tolist(),
+            (second + (second >= at)).tolist(), draws[:, 2:].tolist()):
+        own = by_speaker[u.speaker_id]
+        test_ids += [own[a].id, own[b].id, male[m].id, female[f].id]
+    return Trials([u.speaker_id for u in enrolls for _ in range(4)], test_ids,
+                  np.tile(np.array([1, 1, 0, 0], dtype=np.int64), len(enrolls)))
 
 
 def enrollment_embedding(utterance_embeddings) -> np.ndarray:
@@ -345,22 +358,25 @@ def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
                                 "speakers": len(dataset_orig.speakers)},
                         trials=trials, scores=scores)
     if mode == "acoustic" and mapping is not None:
-        ter, secs = utility_probes(dataset_anon, dataset_anon.params, mapping)
+        ter, secs = utility_probes(dataset_anon, mapping, test_embs)
         report.token_error_rate = ter
         report.secs_proxy = secs
     return report
 
 
-def utility_probes(dataset_anon: Dataset, params, mapping) -> tuple:
+def utility_probes(dataset_anon: Dataset, mapping, embeddings: dict) -> tuple:
     """(token error rate percent, mean cosine between the oracle-extracted
     speaker of the anonymized frames and the intended pseudo-identity).
-    The first utterance whose extracted speaker is not finite is a
-    DataError, used in a trial or not."""
+    ``embeddings`` holds each anonymized utterance's extracted speaker by
+    id, as ``acoustic_embeddings`` gives them.  The first utterance whose
+    extracted speaker is not finite is a DataError, used in a trial or
+    not."""
+    params = dataset_anon.params
     ters = []
     secs = []
     for u in dataset_anon.utterances:
         s_anon = mapping[u.speaker_id][1]
-        emb = oracle_extract_speaker(u, params)
+        emb = embeddings[u.id]
         if not np.all(np.isfinite(emb)):
             raise DataError(f"embedding of anonymized utterance {u.id!r} "
                             f"is not finite")

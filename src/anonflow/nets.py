@@ -162,31 +162,31 @@ class UShapedField:
         p = self.params
         n = len(self.level_dims)
         h, a_s, q_s = cache["h"], cache["a"], cache["q"]
-        d_out = np.asarray(d_out, dtype=self.dtype)
-        g = {k: np.zeros_like(v) for k, v in p.items()}
-        dh = [np.zeros_like(hi) for hi in h]
-        dh[n - 1] = d_out
+        d_hi = np.asarray(d_out, dtype=self.dtype)
+        g = {}
+        skip = {}     # level -> the skip term its mirrored decoder level sent
         for i in range(n - 1, 0, -1):
-            d_hi = dh[i]
             a, q = a_s[i], q_s[i]
-            g[f"blk{i}.W2"] += d_hi.T @ q
-            g[f"blk{i}.b2"] += d_hi.sum(axis=0)
-            dp = (d_hi @ p[f"blk{i}.W2"]) * (1.0 - q**2)
-            g[f"blk{i}.W1"] += dp.T @ a
-            g[f"blk{i}.b1"] += dp.sum(axis=0)
-            da = d_hi + dp @ p[f"blk{i}.W1"]
-            dz = da * (1.0 - a**2) if i < n - 1 else da
+            g[f"blk{i}.W2"] = d_hi.T @ q
+            g[f"blk{i}.b2"] = d_hi.sum(axis=0)
+            dp = d_hi @ p[f"blk{i}.W2"]
+            dp *= 1.0 - q**2
+            g[f"blk{i}.W1"] = dp.T @ a
+            g[f"blk{i}.b1"] = dp.sum(axis=0)
+            dz = dp @ p[f"blk{i}.W1"]
+            dz += d_hi
+            if i < n - 1:
+                dz *= 1.0 - a**2
             if i > n - 1 - i:
-                dh[n - 1 - i] = dh[n - 1 - i] + dz
-            g[f"lin{i}.W"] += dz.T @ h[i - 1]
-            g[f"lin{i}.b"] += dz.sum(axis=0)
-            dh[i - 1] = dh[i - 1] + dz @ p[f"lin{i}.W"]
-        g["time_proj.W"] += dh[0].T @ cache["emb"]
-        g["time_proj.b"] += dh[0].sum(axis=0)
+                skip[n - 1 - i] = dz
+            g[f"lin{i}.W"] = dz.T @ h[i - 1]
+            g[f"lin{i}.b"] = dz.sum(axis=0)
+            d_hi = dz @ p[f"lin{i}.W"]
+            if i - 1 in skip:
+                d_hi += skip[i - 1]
+        g["time_proj.W"] = d_hi.T @ cache["emb"]
+        g["time_proj.b"] = d_hi.sum(axis=0)
         return g
-
-    def __call__(self, x, t, cond=None):
-        return self.forward(x, t, cond)[0]
 
 
 class ConditionedField:
@@ -311,22 +311,22 @@ class ConditionedField:
             raise StateError("backward called without a recorded forward pass")
         p = self.params
         d_out = np.asarray(d_out, dtype=self.dtype)
-        g = {k: np.zeros_like(v) for k, v in p.items()}
-        g["out.W"] += d_out.T @ cache["h_last"]
-        g["out.b"] += d_out.sum(axis=0)
+        g = {"out.W": d_out.T @ cache["h_last"], "out.b": d_out.sum(axis=0)}
         dh = d_out @ p["out.W"]
         c = cache["c"]
         for j in range(len(self.hidden), 0, -1):
+            width = self.hidden[j - 1]
             a = cache["a"][j - 1]
-            scale = cache["gs"][j - 1][:, :self.hidden[j - 1]]
-            da = dh * (1.0 + scale)
-            dscale = dh * a
-            dshift = dh
-            dgs = np.concatenate([dscale, dshift], axis=1)
-            g[f"mod{j}.M"] += dgs.T @ c
-            g[f"mod{j}.c"] += dgs.sum(axis=0)
-            dz = da * (1.0 - a**2)
-            g[f"lay{j}.W"] += dz.T @ cache["h_in"][j - 1]
-            g[f"lay{j}.b"] += dz.sum(axis=0)
+            scale = cache["gs"][j - 1][:, :width]
+            # the head's (d scale, d shift), side by side
+            dgs = np.empty((dh.shape[0], 2 * width), dtype=self.dtype)
+            np.multiply(dh, a, out=dgs[:, :width])
+            dgs[:, width:] = dh
+            g[f"mod{j}.M"] = dgs.T @ c
+            g[f"mod{j}.c"] = dgs.sum(axis=0)
+            dz = dh * (1.0 + scale)
+            dz *= 1.0 - a**2
+            g[f"lay{j}.W"] = dz.T @ cache["h_in"][j - 1]
+            g[f"lay{j}.b"] = dz.sum(axis=0)
             dh = dz @ p[f"lay{j}.W"]
         return g

@@ -195,6 +195,8 @@ class Dataset:
     speakers: list
     utterances: list
     pool: list = field(default_factory=list)
+    # path -> sha256 of each file ``load_dataset`` read or verified, as read
+    sha256: dict = field(default_factory=dict, compare=False, repr=False)
 
     def speaker(self, sid: str) -> Speaker:
         return self._by_id()[sid]
@@ -603,74 +605,127 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def save_dataset(dataset: Dataset, out_dir) -> None:
-    """Write the dataset's files.  They replace the old files only once
-    all are written (see ``checkpoint.replacing``).  Floats are stored at 9
-    significant digits.  The array cache is left out, and an old one
-    removed, when some row's float arrays are not the fields it stores."""
+class _Hashing:
+    """A binary file open for writing that hashes the bytes written to it,
+    so that a digest of the file needs no second read."""
+
+    def __init__(self, path):
+        self._f = open(path, "wb")
+        self.sha256 = hashlib.sha256()
+
+    def write(self, data) -> None:
+        self.sha256.update(data)
+        self._f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._f.close()
+
+
+def save_dataset(dataset: Dataset, out_dir) -> dict:
+    """Write the dataset's files, and return the sha256 of each file
+    written, by its path in ``out_dir``, hashed from the bytes as they were
+    written.  The files replace the old files only once all are written
+    (see ``checkpoint.replacing``).  Floats are stored at 9 significant
+    digits.  The array cache is left out, and an old one removed, when
+    some row's float arrays are not the fields it stores."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = {"speakers.jsonl": map(_fields_of, dataset.speakers),
             "utterances.jsonl": map(_fields_of, dataset.utterances)}
-    shaped = {}
+    shaped, digests = {}, {}
     with replacing([out / name for name in DATASET_FILES]) as paths:
         tmp = dict(zip(DATASET_FILES, paths))
-        tmp["world.json"].write_bytes(
-            json.dumps(dataset.params.to_dict(), indent=1).encode() + b"\n")
-        with open(tmp["arrays.f64"], "wb") as stream:
+
+        def write(name, data) -> None:
+            tmp[name].write_bytes(data)
+            digests[name] = hashlib.sha256(data).hexdigest()
+
+        write("world.json",
+              json.dumps(dataset.params.to_dict(), indent=1).encode() + b"\n")
+        with _Hashing(tmp["arrays.f64"]) as stream:
             for name in ARRAY_FIELDS:
-                with open(tmp[name], "wb") as f:
+                with _Hashing(tmp[name]) as f:
                     shaped[name] = _write_jsonl(f, rows[name], stream)
-        with open(tmp["replacement_pool.jsonl"], "wb") as f:
+                digests[name] = f.sha256.hexdigest()
+        digests["arrays.f64"] = stream.sha256.hexdigest()
+        with _Hashing(tmp["replacement_pool.jsonl"]) as f:
             _write_jsonl(f, ({**_fields_of(e), "length": e.length}
                              for e in dataset.pool))
+        digests["replacement_pool.jsonl"] = f.sha256.hexdigest()
         whole = all(keys == fields for name, fields in ARRAY_FIELDS.items()
                     for keys, _ in shaped[name])
         if whole:
-            # json.dumps of the rows, as the loader checks it
+            # json.dumps of the rows; the loader checks these bytes
             text = _object_text({
                 name: b"[" + b", ".join(t for _, t in shaped[name]) + b"]"
                 for name in ARRAY_FIELDS})
-            digests = {name: sha256_file(tmp[name])
-                       for name in ("arrays.f64", *ARRAY_FIELDS)}
-            digests["rows"] = hashlib.sha256(text).hexdigest()
-            tmp["arrays.json"].write_bytes(_object_text({
-                "sha256": json.dumps(digests).encode(), "rows": text}) + b"\n")
+            sums = {name: digests[name]
+                    for name in ("arrays.f64", *ARRAY_FIELDS)}
+            sums["rows"] = hashlib.sha256(text).hexdigest()
+            write("arrays.json", _rows_head(sums) + text + b"}\n")
         else:
             tmp["arrays.f64"].unlink()
+            del digests["arrays.f64"]
+    return {out / name: digest for name, digest in digests.items()}
 
 
-def _parse_jsonl(path: Path):
-    """The row of each line of a JSONL file; a malformed line names the
-    path and line."""
-    for n, line in enumerate(path.read_text().splitlines(), start=1):
+def _rows_head(sums: dict) -> bytes:
+    """The text of ``arrays.json`` before its rows."""
+    return b'{"sha256": ' + json.dumps(sums).encode() + b', "rows": '
+
+
+def _read(path: Path, digests: dict) -> bytes:
+    """The bytes of ``path``; their sha256 goes into ``digests`` under the
+    path, unless it holds the path already."""
+    data = path.read_bytes()
+    if path not in digests:
+        digests[path] = hashlib.sha256(data).hexdigest()
+    return data
+
+
+def _parse_jsonl(path: Path, data: bytes):
+    """The row of each line of ``data``, the bytes of a JSONL file; a
+    malformed line names the path and line."""
+    for n, line in enumerate(data.decode().splitlines(), start=1):
         try:
             yield json.loads(line)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}:{n}: not valid JSON: {e}") from e
 
 
-def _cached_rows(src: Path) -> dict:
+def _cached_rows(src: Path, digests: dict) -> dict:
     """The rows of the files of ARRAY_FIELDS, with their arrays, from the
     array cache in ``src``; or {} unless the cache is whole and its digests
-    match the files beside it."""
+    match the files beside it.  The sha256 of each file read or verified
+    goes into ``digests``, so that no file is hashed twice."""
     try:
-        doc = json.loads((src / "arrays.json").read_bytes())
-        digests, rows = doc["sha256"], doc["rows"]
-        if (hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-                != digests["rows"]):
+        data = _read(src / "arrays.json", digests)
+        doc = json.loads(data)
+        sums, rows = doc["sha256"], doc["rows"]
+        # the rows digest covers the rows' bytes as stored: any other
+        # spelling of them is read from the text
+        head = _rows_head(sums)
+        if (not data.startswith(head) or not data.endswith(b"}\n")
+                or hashlib.sha256(memoryview(data)[len(head):-2]).hexdigest()
+                != sums["rows"]):
             return {}
         # each (row, field) holds the shape of its array
         cells = [(row, k) for name, fields in ARRAY_FIELDS.items()
                  for row in rows[name] for k in fields]
         cuts = np.cumsum([0] + [math.prod(row[k]) for row, k in cells]).tolist()
         stream = src / "arrays.f64"
-        if (stream.stat().st_size != 8 * cuts[-1]
-                or any(sha256_file(src / name) != digests[name]
-                       for name in ARRAY_FIELDS)):
+        if stream.stat().st_size != 8 * cuts[-1]:
             return {}
+        for name in ARRAY_FIELDS:
+            digests[src / name] = sha256_file(src / name)
+            if digests[src / name] != sums[name]:
+                return {}
         values = np.fromfile(stream, "<f8")
-        if hashlib.sha256(values).hexdigest() != digests["arrays.f64"]:
+        digests[stream] = hashlib.sha256(values).hexdigest()
+        if digests[stream] != sums["arrays.f64"]:
             return {}
         arrays = [values[a:b].reshape(row[k])
                   for (row, k), a, b in zip(cells, cuts, cuts[1:])]
@@ -735,8 +790,13 @@ def _load_utterance(where: str, d: dict, params: WorldParams) -> Utterance:
 def load_params(in_dir) -> WorldParams:
     """The world parameters of a dataset directory, from its world.json."""
     path = Path(in_dir) / "world.json"
+    return _parse_params(path, path.read_bytes())
+
+
+def _parse_params(path: Path, data: bytes) -> WorldParams:
+    """The world parameters of ``data``, the bytes of ``path``."""
     try:
-        d = json.loads(path.read_text())
+        d = json.loads(data)
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(d, dict):
@@ -757,15 +817,20 @@ def load_params(in_dir) -> WorldParams:
 def load_dataset(in_dir) -> Dataset:
     """Read a dataset directory.  Speaker and utterance rows come from the
     array cache when its digests match the JSONL files, and are parsed
-    from the text otherwise; either way they get the same checks."""
+    from the text otherwise; either way they get the same checks.  The
+    dataset's ``sha256`` holds the digest of each file read or verified,
+    each file hashed once."""
     src = Path(in_dir)
-    params = load_params(src)
-    cached = _cached_rows(src)
+    digests = {}
+    params = _parse_params(src / "world.json",
+                           _read(src / "world.json", digests))
+    cached = _cached_rows(src, digests)
 
     def rows(name, record):
         path = src / name
         return _checked_rows(path, cached[name] if name in cached
-                             else _parse_jsonl(path), record)
+                             else _parse_jsonl(path, _read(path, digests)),
+                             record)
 
     speakers = [Speaker(
         id=d["id"], gender=d["gender"],
@@ -778,4 +843,5 @@ def load_dataset(in_dir) -> Dataset:
                   rows("utterances.jsonl", Utterance)]
     pool = [PoolEntry(type=d["type"], tokens=list(d["tokens"])) for _, d in
             rows("replacement_pool.jsonl", PoolEntry)]
-    return Dataset(params=params, speakers=speakers, utterances=utterances, pool=pool)
+    return Dataset(params=params, speakers=speakers, utterances=utterances,
+                   pool=pool, sha256=digests)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -22,4 +23,36 @@ def torn_write_text(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(Path, "write_text", torn)
             yield
+    return context
+
+
+@pytest.fixture
+def sha256_passes(monkeypatch):
+    """A context in which every sha256 taken records its digest; it yields
+    ``passes(path)``, the number of those digests that equal the digest of
+    the file's bytes, that is the number of passes over the whole file.
+    Passes are told apart by content, so files with equal bytes share
+    their count."""
+    real = hashlib.sha256
+
+    class Counted:
+        def __init__(self, h, digests):
+            self._h, self._digests = h, digests
+
+        def update(self, data):
+            self._h.update(data)
+
+        def hexdigest(self):
+            digest = self._h.hexdigest()
+            self._digests.append(digest)
+            return digest
+
+    @contextlib.contextmanager
+    def context():
+        digests = []
+        with monkeypatch.context() as m:
+            m.setattr(hashlib, "sha256",
+                      lambda *a, **k: Counted(real(*a, **k), digests))
+            yield lambda path: digests.count(
+                real(Path(path).read_bytes()).hexdigest())
     return context

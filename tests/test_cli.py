@@ -12,7 +12,8 @@ from anonflow.checkpoint import load_checkpoint, save_checkpoint
 from anonflow.cli import (RADAR_DEFAULTS, RadarEntry, main, radar_normalize,
                           write_manifest)
 from anonflow.errors import ConfigError
-from anonflow.worldgen import load_dataset, save_dataset
+from anonflow.worldgen import (CACHE_FILES, DATASET_FILES, load_dataset,
+                               save_dataset, sha256_file)
 
 
 class TestRadar:
@@ -94,6 +95,8 @@ class TestPipeline:
             man = json.loads((d / "manifest.json").read_text())
             assert "outputs" in man and man["outputs"]
             assert "seeds" in man
+            assert man["outputs"] == {n: sha256_file(d / n)
+                                      for n in man["outputs"]}
 
     def test_anonymize_and_evaluate(self, pipeline, tmp_path):
         root, world, bb, an, cfg = pipeline
@@ -197,6 +200,81 @@ class TestPipeline:
         err = capsys.readouterr().err.strip()
         assert err == (f"error: utterances {run[0]}..{run[-1]}: "
                        "non-finite state at step 0")
+
+
+def _anonymized(world, bb, an, out):
+    assert main(["anonymize", "--data", str(world),
+                 "--backbone", str(bb / "backbone"),
+                 "--anonymizer", str(an / "anonymizer"),
+                 "--seed", "2", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("cache", ["hit", "text"])
+def test_evaluate_hashes_each_file_once(pipeline, tmp_path, sha256_passes,
+                                        cache):
+    """One evaluate hashes every file it reads or writes once, and its
+    manifest gives each file's digest, whether the anonymized dataset is
+    read from its array cache or, without one, from the text."""
+    _, world, bb, an, _ = pipeline
+    anon = _anonymized(world, bb, an, tmp_path / "anon")
+    if cache == "text":
+        for name in CACHE_FILES:
+            (anon / name).unlink()
+    assert main(["build-trials", "--data", str(world), "--seed", "3",
+                 "--out", str(tmp_path / "bt")]) == 0
+    inputs = {"world": world / "world.json", "anon": anon / "utterances.jsonl",
+              "mapping": anon / "mapping.tsv",
+              "trials": tmp_path / "bt" / "trials.tsv",
+              "anonymizer": an / "anonymizer.ckpt"}
+    out = tmp_path / "ev"
+    with sha256_passes() as passes:
+        assert main(["evaluate", "--data", str(world), "--anon", str(anon),
+                     "--mapping", str(inputs["mapping"]),
+                     "--trials", str(inputs["trials"]),
+                     "--attacker", "lazy", "--strategy", "fixed:0",
+                     "--anonymizer", str(an / "anonymizer"),
+                     "--out", str(out)]) == 0
+    outputs = [out / n for n in ("trials.tsv", "scores.tsv", "report.json")]
+    files = [d / n for d in (world, anon) for n in DATASET_FILES
+             if (d / n).exists()] + list(inputs.values())[2:] + outputs
+    digest = {f: sha256_file(f) for f in files}
+    # files with equal bytes (world.json, speakers.jsonl and the pool in
+    # both datasets; trials.tsv in and out) share a count
+    assert {f: passes(f) for f in files} == {
+        f: list(digest.values()).count(d) for f, d in digest.items()}
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["inputs"] == {k: {"file": p.name, "sha256": digest[p]}
+                             for k, p in inputs.items()}
+    assert man["outputs"] == {p.name: digest[p] for p in outputs}
+
+
+@pytest.mark.parametrize("command,flag,key", [
+    ("seca", "--mapping", "mapping"),
+    ("evaluate", "--mapping", "mapping"),
+    ("evaluate", "--trials", "trials"),
+    ("evaluate", "--anonymizer", "anonymizer"),
+])
+def test_manifest_names_each_input_given(pipeline, tmp_path, command, flag,
+                                         key):
+    _, world, bb, an, _ = pipeline
+    anon = _anonymized(world, bb, an, tmp_path / "anon")
+    assert main(["build-trials", "--data", str(world), "--seed", "3",
+                 "--out", str(tmp_path / "bt")]) == 0
+    given = {"--mapping": anon / "mapping.tsv",
+             "--trials": tmp_path / "bt" / "trials.tsv",
+             "--anonymizer": an / "anonymizer"}[flag]
+    read = {"--anonymizer": an / "anonymizer.ckpt"}.get(flag, given)
+    argv = {"seca": ["seca", "--data", anon, "--backbone", bb / "backbone"],
+            "evaluate": ["evaluate", "--data", world, "--anon", anon]}[command]
+    for run, extra in (("without", []), ("with", [flag, given])):
+        assert main([str(a) for a in argv + extra
+                     + ["--out", tmp_path / run]]) == 0
+    without, with_ = (json.loads((tmp_path / run / "manifest.json").read_text())
+                      for run in ("without", "with"))
+    assert key not in without["inputs"]
+    assert with_["inputs"][key] == {"file": read.name,
+                                    "sha256": sha256_file(read)}
 
 
 class TestReportCommand:

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from anonflow import evaluation
 from anonflow.errors import DataError, InputError
-from anonflow.evaluation import (DURATION_WINDOW, Trials, build_trials,
-                                 compute_eer,
+from anonflow.evaluation import (DURATION_WINDOW, Trials, acoustic_embeddings,
+                                 build_trials, compute_eer,
                                  content_embedding, content_speaker_model,
                                  cosine_score, enrollment_embedding, load_trials,
                                  run_attack, save_scores, save_trials,
                                  score_trials, utility_probes)
-from anonflow.worldgen import generate_world, make_world_params
+from anonflow.worldgen import (WorldConfig, generate_world, make_world_params,
+                               oracle_extract_speaker, oracle_recover_tokens,
+                               sample_speaker_embeddings, token_error_rate)
 
 
 def table(rows):
@@ -181,7 +183,10 @@ class TestTrials:
 def build_trials_by_rows(dataset, mode, rng):
     """The row-by-row construction build_trials replaces: each speaker's
     negative pools filtered from every other speaker's candidates, O(S*U)
-    per gender, and one (enroll, test, label) row per trial."""
+    per gender, the second positive drawn from the list left once the
+    first is taken out, and one (enroll, test, label) row per trial.  The
+    draws are build_trials' own: one rng.integers over a row of highs per
+    enrollment."""
     if mode == "acoustic":
         lo, hi = DURATION_WINDOW
         cands = [u for u in dataset.utterances if lo <= u.duration_s <= hi]
@@ -197,22 +202,25 @@ def build_trials_by_rows(dataset, mode, rng):
         for gender in ("male", "female"):
             neg_pools[sid, gender] = [u for u in others
                                       if genders[u.speaker_id] == gender] or others
-    rows = []
+    enrolls = []
     for enroll in cands:
         same = [u for u in by_speaker[enroll.speaker_id] if u.id != enroll.id]
-        if not same:
-            continue
+        if same:
+            enrolls.append((enroll, same,
+                            [neg_pools[enroll.speaker_id, g]
+                             for g in ("male", "female")]))
+    draws = rng.integers([[len(same), max(len(same) - 1, 1), len(male),
+                           len(female)] for _, same, (male, female) in enrolls])
+    rows = []
+    for (enroll, same, pools), (i, j, *negs) in zip(enrolls, draws.tolist()):
         if len(same) >= 2:
-            picks = rng.choice(len(same), size=2, replace=False)
-            positives = [same[int(i)] for i in picks]
+            positives = [same[i], (same[:i] + same[i + 1:])[j]]
         else:
             positives = [same[0], same[0]]
         for pos in positives:
             rows.append((enroll.speaker_id, pos.id, 1))
-        for gender in ("male", "female"):
-            neg_pool = neg_pools[enroll.speaker_id, gender]
-            neg = neg_pool[int(rng.integers(len(neg_pool)))]
-            rows.append((enroll.speaker_id, neg.id, 0))
+        for neg_pool, k in zip(pools, negs):
+            rows.append((enroll.speaker_id, neg_pool[k].id, 0))
     return rows
 
 
@@ -227,6 +235,49 @@ def _one_female(ds, female_candidates=True):
             else dataclasses.replace(u, duration_s=2 * DURATION_WINDOW[1])
             for u in ds.utterances]
     return dataclasses.replace(ds, speakers=speakers, utterances=utts)
+
+
+def test_trial_groups_keep_their_shape(caplog):
+    """Per enrollment utterance, in candidate order: two same-speaker
+    positives other than itself, distinct when the speaker has two others;
+    a negative from a male, then from a female speaker; and no trials for
+    the utterance of a speaker with a single candidate."""
+    p = make_world_params(D=8, F=12, v_common=24, n_speakers=6, seed=4)
+    ds = generate_world(p, 6, 5, np.random.default_rng(4),
+                        duration_range=(6.0, 12.0))
+    # the first speaker keeps one candidate, the second two
+    keep = {ds.speakers[0].id: 1, ds.speakers[1].id: 2}
+    seen, utts = {}, []
+    for u in ds.utterances:
+        seen[u.speaker_id] = seen.get(u.speaker_id, 0) + 1
+        if seen[u.speaker_id] > keep.get(u.speaker_id, seen[u.speaker_id]):
+            u = dataclasses.replace(u, duration_s=2 * DURATION_WINDOW[1])
+        utts.append(u)
+    ds = dataclasses.replace(ds, utterances=utts)
+    lo, hi = DURATION_WINDOW
+    cands = [u for u in ds.utterances if lo <= u.duration_s <= hi]
+    (single,) = [u for u in cands if u.speaker_id == ds.speakers[0].id]
+    enrolls = [u for u in cands if u is not single]
+    gender = {s.id: s.gender for s in ds.speakers}
+    speaker_of = {u.id: u.speaker_id for u in ds.utterances}
+    for seed in range(4):
+        caplog.clear()
+        rows = rows_of(build_trials(ds, "acoustic",
+                                    np.random.default_rng(seed)))
+        assert single.id in caplog.text
+        assert len(rows) == 4 * len(enrolls)
+        for k, enroll in enumerate(enrolls):
+            sid = enroll.speaker_id
+            group = rows[4 * k:4 * k + 4]
+            assert [(r[0], r[2]) for r in group] == [(sid, 1)] * 2 + [(sid, 0)] * 2
+            others = [u.id for u in cands
+                      if u.speaker_id == sid and u is not enroll]
+            pos = [r[1] for r in group[:2]]
+            assert set(pos) <= set(others)
+            assert (pos[0] != pos[1]) == (len(others) >= 2)
+            negs = [speaker_of[r[1]] for r in group[2:]]
+            assert sid not in negs
+            assert [gender[s] for s in negs] == ["male", "female"]
 
 
 class TestTrialReference:
@@ -415,9 +466,38 @@ class TestUtility:
     def test_ground_truth_dataset_scores_cleanly(self, world):
         p, ds = world
         mapping = {s.id: (1.0, s.embedding) for s in ds.speakers}
-        ter, secs = utility_probes(ds, p, mapping)
+        ter, secs = utility_probes(ds, mapping, acoustic_embeddings(ds))
         assert ter <= 1.0
         assert secs >= 0.99
+
+    def test_given_embeddings_match_re_extraction(self):
+        """On the desk world under a random mapping, the probes over the
+        embeddings ``acoustic_embeddings`` gives equal, bit for bit, the
+        probes that extract each utterance's speaker again."""
+        ds = WorldConfig(n_speakers=64, utts_per_speaker=12, noise_sigma=0.1,
+                         duration_range=(6.0, 12.0), pii_frac=0.4).generate(1)
+        rng = np.random.default_rng(5)
+        mapping = {s.id: (0.5, v) for s, v in zip(
+            ds.speakers, sample_speaker_embeddings(ds.params,
+                                                   len(ds.speakers), rng))}
+        ters, secs = [], []
+        for u in ds.utterances:
+            s_anon = mapping[u.speaker_id][1]
+            rec = oracle_recover_tokens(u.frames, u.p_norm, s_anon, ds.params)
+            ters.append(token_error_rate(rec, u.tokens, u.frames_per_token))
+            secs.append(cosine_score(oracle_extract_speaker(u, ds.params),
+                                     s_anon))
+        assert utility_probes(ds, mapping, acoustic_embeddings(ds)) == (
+            100.0 * float(np.mean(ters)), float(np.mean(secs)))
+
+    def test_non_finite_embedding_names_its_utterance(self, world):
+        _, ds = world
+        mapping = {s.id: (1.0, s.embedding) for s in ds.speakers}
+        embs = acoustic_embeddings(ds)
+        bad = ds.utterances[2].id
+        embs[bad] = np.full_like(embs[bad], np.inf)
+        with pytest.raises(DataError, match=f"utterance {bad!r} is not finite"):
+            utility_probes(ds, mapping, embs)
 
     def test_noise_frames_score_near_chance(self, world):
         p, ds = world
@@ -429,7 +509,7 @@ class TestUtility:
                 u, frames=20.0 * rng.standard_normal(u.frames.shape)))
         ds_noise = dataclasses.replace(ds, utterances=noisy)
         mapping = {s.id: (1.0, s.embedding) for s in ds.speakers}
-        ter, _ = utility_probes(ds_noise, p, mapping)
+        ter, _ = utility_probes(ds_noise, mapping, acoustic_embeddings(ds_noise))
         assert ter > 100.0 * (p.V - 1) / p.V - 15.0
 
 

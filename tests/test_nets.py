@@ -120,6 +120,8 @@ class TestUShapedField:
         f = UShapedField([4, 2, 4])
         with pytest.raises(InputError):
             f.forward(np.zeros((1, 5)), np.zeros(1))
+        with pytest.raises(InputError):
+            f.forward(np.zeros(4), 0.5)
 
     def test_backward_before_forward_rejected(self):
         f = UShapedField([4, 2, 4])
@@ -142,15 +144,6 @@ class TestUShapedField:
             x = rng.standard_normal((3, 4))
             t = rng.uniform(0, 1, 3)
             assert _fd_check(f, x, t, None) < 1e-4
-
-    def test_callable_is_batched_forward(self):
-        f = UShapedField([4, 2, 4], rng=np.random.default_rng(0))
-        x = np.random.default_rng(1).standard_normal((3, 4))
-        t = np.array([0.1, 0.5, 0.9])
-        assert np.array_equal(f(x, t), f.forward(x, t)[0])
-        with pytest.raises(InputError):
-            f(np.zeros(4), 0.5)
-
 
 class TestConditionedField:
     def _make(self, dtype=np.float64):

@@ -370,10 +370,10 @@ def text_only():
     """A ``_parse_jsonl`` that refuses the files the cache stores."""
     parse = worldgen._parse_jsonl
 
-    def refusing(path):
+    def refusing(path, data):
         if path.name in ARRAY_FIELDS:
             raise AssertionError(f"parsed {path.name}")
-        return parse(path)
+        return parse(path, data)
     return refusing
 
 
@@ -466,6 +466,53 @@ def test_flipped_row_value_in_index_falls_back(tmp_path):
     path.write_text(doc[:at] + ("2" if doc[at] == "1" else "1") + doc[at + 1:])
     assert (load_dataset(tmp_path).utterances[0].duration_s
             == _round9(ds.utterances[0].duration_s))
+
+
+def test_respelled_rows_fall_back_to_text(tmp_path, monkeypatch):
+    """The rows digest covers the rows' stored bytes: the same rows with
+    other whitespace (and the digest left as it was) are not used, and the
+    text gives the same data bit for bit."""
+    _, ds = small_world(seed=5)
+    save_dataset(ds, tmp_path)
+    path = tmp_path / "arrays.json"
+    doc = json.loads(path.read_bytes())
+    path.write_bytes(worldgen._rows_head(doc["sha256"]) + json.dumps(doc["rows"], separators=(",", ":"),
+                                       indent=0).encode() + b"}\n")
+    assert json.loads(path.read_bytes()) == doc
+    parsed = []
+    parse = worldgen._parse_jsonl
+
+    def recording(p, data):
+        parsed.append(p.name)
+        return parse(p, data)
+
+    monkeypatch.setattr(worldgen, "_parse_jsonl", recording)
+    loaded = load_dataset(tmp_path)
+    assert set(ARRAY_FIELDS) <= set(parsed)
+    for name in CACHE_FILES:
+        (tmp_path / name).unlink()
+    assert_same_dataset(loaded, load_dataset(tmp_path))
+
+
+@pytest.mark.parametrize("cache", ["whole", "left-out", "removed"])
+def test_digests_are_of_the_files(tmp_path, cache):
+    """``save_dataset`` returns, and ``Dataset.sha256`` holds, the sha256 of
+    each file written or read, whether the load used the cache or not."""
+    _, ds = small_world(seed=8)
+    if cache == "left-out":
+        ds.utterances[1].p_norm = ds.utterances[1].p_norm.tolist()
+    written = save_dataset(ds, tmp_path)
+    if cache == "removed":
+        for name in CACHE_FILES:
+            (tmp_path / name).unlink()
+    files = sorted(p for p in tmp_path.iterdir())
+    digests = {p: worldgen.sha256_file(p) for p in files}
+    want = {name: cache != "left-out" for name in CACHE_FILES}
+    assert {p.name for p in written} == {
+        n for n in DATASET_FILES if want.get(n, True)}
+    assert {p: d for p, d in written.items() if p in digests} == {
+        p: digests[p] for p in written if p in digests}
+    assert load_dataset(tmp_path).sha256 == digests
 
 
 def test_hit_reads_no_jsonl_text_that_cache_holds(tmp_path, monkeypatch):
