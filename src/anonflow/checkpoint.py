@@ -14,6 +14,7 @@ every file the commands write.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -159,10 +160,23 @@ def replacing(paths):
         raise
 
 
-def replace_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` through ``replacing``."""
+def utf8_text(path, data: bytes | None = None, error=DataError) -> str:
+    """The text of ``path``, or of ``data``, its bytes as already read; bytes
+    that are not UTF-8 raise ``error`` naming the path."""
+    if data is None:
+        data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8: {e}") from e
+
+
+def replace_text(path, text: str) -> str:
+    """Write ``text`` to ``path`` as UTF-8, through ``replacing``; the
+    sha256 of the bytes written."""
     with replacing([path]) as (tmp,):
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def save_model(prefix, tensors: dict, meta: dict) -> None:
@@ -187,7 +201,7 @@ def load_model(prefix, config_cls, build, keys: tuple = ()):
     """
     path = Path(prefix).with_suffix(".json")
     try:
-        meta = json.loads(path.read_text())
+        meta = json.loads(utf8_text(path))
     except FileNotFoundError as e:
         raise ConfigError(f"missing model metadata: {e}") from e
     except json.JSONDecodeError as e:

@@ -25,7 +25,7 @@ from .anonymizer import (AnonymizerConfig, WeightStrategy, anonymize_dataset,
                          save_mapping, train_anonymizer)
 from .backbone import BackboneConfig, load_backbone, save_backbone, train_backbone
 from .checkpoint import (AT_LEAST_1, TRAINING_RANGES, config_section,
-                         replace_text)
+                         replace_text, utf8_text)
 from .content import (ReplacementPool, anonymize_content, build_gazetteer,
                       save_edit_reports, save_gazetteer)
 from .errors import ConfigError, DataError, DivergenceError, InputError
@@ -105,7 +105,7 @@ def _load_config(path, section: str, defaults: dict) -> dict:
     if path is None:
         return {}
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(utf8_text(path, error=ConfigError))
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {e}") from e
     except json.JSONDecodeError as e:
@@ -243,11 +243,11 @@ def cmd_build_trials(args) -> int:
     ds = load_dataset(args.data)
     trials = build_trials(ds, args.mode, np.random.default_rng(args.seed))
     out = _outdir(args)
-    save_trials(trials, out / "trials.tsv")
+    written = {out / "trials.tsv": save_trials(trials, out / "trials.tsv")}
     write_manifest(out, "build-trials",
                    {"world": Path(args.data) / "world.json"},
-                   {"seed": args.seed, "mode": args.mode}, [out / "trials.tsv"],
-                   ds.sha256)
+                   {"seed": args.seed, "mode": args.mode}, list(written),
+                   {**ds.sha256, **written})
     return 0
 
 
@@ -271,13 +271,16 @@ def cmd_evaluate(args) -> int:
                         np.random.default_rng(args.seed), anonymizer=anonymizer,
                         strategy=strategy, steps=args.steps, trials=trials)
     out = _outdir(args)
-    save_trials(report.trials, out / "trials.tsv")
-    save_scores(report.trials, report.scores, out / "scores.tsv")
     doc = report.to_dict()
     doc["config"] = {"attacker": args.attacker, "mode": args.mode,
                      "seed": args.seed, "strategy": args.strategy}
-    replace_text(out / "report.json",
-                 json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    written = {
+        out / "trials.tsv": save_trials(report.trials, out / "trials.tsv"),
+        out / "scores.tsv": save_scores(report.trials, report.scores,
+                                        out / "scores.tsv"),
+        out / "report.json": replace_text(
+            out / "report.json",
+            json.dumps(doc, indent=1, sort_keys=True) + "\n")}
     inputs = {"world": Path(args.data) / "world.json",
               "anon": Path(args.anon) / "utterances.jsonl"}
     if args.mapping:
@@ -289,15 +292,14 @@ def cmd_evaluate(args) -> int:
     write_manifest(out, "evaluate", inputs,
                    {"seed": args.seed, "attacker": args.attacker,
                     "mode": args.mode},
-                   [out / "trials.tsv", out / "scores.tsv", out / "report.json"],
-                   {**ds_orig.sha256, **ds_anon.sha256})
+                   list(written), {**ds_orig.sha256, **ds_anon.sha256, **written})
     return 0
 
 
 def cmd_report(args) -> int:
     """Aggregate raw metric values into a radar CSV (metric, raw, normalized)."""
     try:
-        metrics = json.loads(Path(args.metrics).read_text())
+        metrics = json.loads(utf8_text(args.metrics))
     except FileNotFoundError as e:
         raise DataError(f"metrics file not found: {e}") from e
     except json.JSONDecodeError as e:

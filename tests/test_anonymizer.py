@@ -380,8 +380,8 @@ class TestPersistence:
         save_anonymizer(model, tmp_path / "anon")
         model2 = load_anonymizer(tmp_path / "anon")
         steps = 8
-        assert np.allclose(encode(model, emb[0], steps),
-                           encode(model2, emb[0], steps), atol=1e-6)
+        assert np.allclose(encode(model, emb[:1], steps),
+                           encode(model2, emb[:1], steps), atol=1e-6)
         assert model2.metadata["data_hash"] == model.metadata["data_hash"]
 
     def test_mapping_round_trip(self, world, tmp_path):

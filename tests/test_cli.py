@@ -541,6 +541,43 @@ def _model_copy(name, edit_meta=None, edit_tensors=None, named=""):
     return case
 
 
+def _spoil_utf8(path):
+    """Put a 0xff byte, which no UTF-8 text holds, ten bytes into ``path``."""
+    data = path.read_bytes()
+    path.write_bytes(data[:10] + b"\xff" + data[10:])
+
+
+def _not_utf8(name):
+    """The command that reads the file ``name``, given a copy of it (or,
+    for a file the pipeline does not make, a valid one) spoilt by
+    ``_spoil_utf8``; the error must name the file."""
+    def case(tmp, world, bb, an):
+        w = tmp / "w"
+        shutil.copytree(world, w)
+        for suffix in (".ckpt", ".json"):
+            shutil.copy(bb / f"backbone{suffix}", tmp / f"backbone{suffix}")
+        (tmp / "trials.tsv").write_text("spk000\tutt00001\t1\n")
+        (tmp / "mapping.tsv").write_text("".join(
+            f"spk{i:03d}\t0.5\t{','.join(['0.1'] * 8)}\n" for i in range(4)))
+        (tmp / "config.json").write_text(json.dumps({"world": {"D": 8}}))
+        (tmp / "metrics.json").write_text(json.dumps({"WER": 2.5}))
+        argv = {
+            "world.json": ["build-trials", "--data", w],
+            "replacement_pool.jsonl": ["build-trials", "--data", w],
+            "trials.tsv": ["evaluate", "--data", world, "--anon", world,
+                           "--trials", tmp / "trials.tsv"],
+            "mapping.tsv": ["seca", "--data", world, "--backbone",
+                            bb / "backbone", "--mapping", tmp / "mapping.tsv"],
+            "backbone.json": ["seca", "--data", world,
+                              "--backbone", tmp / "backbone"],
+            "config.json": ["gen-world", "--config", tmp / "config.json"],
+            "metrics.json": ["report", "--metrics", tmp / "metrics.json"],
+        }[name]
+        _spoil_utf8(w / name if name in DATASET_FILES else tmp / name)
+        return argv, name
+    return case
+
+
 def _config_value(section, key, value):
     """A ``--config`` whose ``section.key`` is ``value``, given to the
     command that reads the section."""
@@ -689,6 +726,13 @@ def _argument(command, flag, value):
                     "absent.json"), 2),
     (_ignorant_with("--anonymizer", _truncated_anonymizer,
                     "anonymizer.json"), 4),
+    (_not_utf8("world.json"), 4),
+    (_not_utf8("replacement_pool.jsonl"), 4),
+    (_not_utf8("trials.tsv"), 4),
+    (_not_utf8("mapping.tsv"), 4),
+    (_not_utf8("backbone.json"), 4),
+    (_not_utf8("config.json"), 2),
+    (_not_utf8("metrics.json"), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -732,7 +776,10 @@ def _argument(command, flag, value):
         "mapping-nan-identity-seca", "mapping-inf-identity-evaluate",
         "mapping-inf-weight-evaluate",
         "ignorant-strategy-out-of-range", "ignorant-strategy-unknown",
-        "ignorant-anonymizer-missing", "ignorant-anonymizer-truncated"])
+        "ignorant-anonymizer-missing", "ignorant-anonymizer-truncated",
+        "world-json-not-utf8", "pool-jsonl-not-utf8", "trials-not-utf8",
+        "mapping-not-utf8", "backbone-json-not-utf8", "config-not-utf8",
+        "metrics-not-utf8"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline

@@ -1,4 +1,6 @@
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from anonflow.evaluation import (DURATION_WINDOW, Trials, acoustic_embeddings,
                                  score_trials, utility_probes)
 from anonflow.worldgen import (WorldConfig, generate_world, make_world_params,
                                oracle_extract_speaker, oracle_recover_tokens,
-                               sample_speaker_embeddings, token_error_rate)
+                               sample_speaker_embeddings, sha256_file,
+                               token_error_rate)
 
 
 def table(rows):
@@ -462,6 +465,21 @@ class TestAttack:
                        np.random.default_rng(0))
 
 
+def utility_probes_reference(ds, mapping, embeddings):
+    """The per-utterance loop that ``utility_probes`` replaces."""
+    ters, secs = [], []
+    for u in ds.utterances:
+        s_anon = mapping[u.speaker_id][1]
+        emb = embeddings[u.id]
+        if not np.all(np.isfinite(emb)):
+            raise DataError(f"embedding of anonymized utterance {u.id!r} "
+                            f"is not finite")
+        rec = oracle_recover_tokens(u.frames, u.p_norm, s_anon, ds.params)
+        ters.append(token_error_rate(rec, u.tokens, u.frames_per_token))
+        secs.append(cosine_score(emb, s_anon))
+    return 100.0 * float(np.mean(ters)), float(np.mean(secs))
+
+
 class TestUtility:
     def test_ground_truth_dataset_scores_cleanly(self, world):
         p, ds = world
@@ -499,6 +517,45 @@ class TestUtility:
         with pytest.raises(DataError, match=f"utterance {bad!r} is not finite"):
             utility_probes(ds, mapping, embs)
 
+    def test_probes_match_per_utterance_loop(self):
+        """Frame counts in no order, some held by one utterance only; one
+        speaker's identity zero (cosine 0) and one of tiny norm (rows
+        rescaled): bit for bit the per-utterance loop."""
+        p = make_world_params(D=8, F=12, v_common=24, n_speakers=4, seed=1)
+        ds = generate_world(p, 4, 6, np.random.default_rng(1),
+                            duration_range=(3.0, 30.0))
+        assert len({u.n_frames for u in ds.utterances}) > 4
+        ids = sample_speaker_embeddings(p, 4, np.random.default_rng(2))
+        ids[1] = 0.0
+        ids[2] *= 1e-170
+        mapping = {s.id: (0.5, v) for s, v in zip(ds.speakers, ids)}
+        embs = acoustic_embeddings(ds)
+        assert utility_probes(ds, mapping, embs) == \
+            utility_probes_reference(ds, mapping, embs)
+
+    @pytest.mark.parametrize("not_finite,short", [(5, 2), (2, 5), (3, 3)])
+    def test_probes_raise_the_first_error(self, world, not_finite, short):
+        """A non-finite embedding and an utterance whose tokens do not
+        cover its frames: the error of the first of them, as the loop
+        raises it."""
+        _, ds = world
+        mapping = {s.id: (1.0, s.embedding) for s in ds.speakers}
+        embs = acoustic_embeddings(ds)
+        bad = ds.utterances[not_finite].id
+        embs[bad] = np.full_like(embs[bad], np.nan)
+        utts = list(ds.utterances)
+        utts[short] = dataclasses.replace(utts[short],
+                                          tokens=utts[short].tokens[:-1])
+        ds = dataclasses.replace(ds, utterances=utts)
+        errors = []
+        for probes in (utility_probes, utility_probes_reference):
+            with pytest.raises((DataError, InputError)) as ei:
+                probes(ds, mapping, embs)
+            errors.append((ei.type, str(ei.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] is (InputError if short < not_finite
+                                else DataError)
+
     def test_noise_frames_score_near_chance(self, world):
         p, ds = world
         rng = np.random.default_rng(3)
@@ -519,6 +576,34 @@ def test_score_file_format(tmp_path):
     lines = (tmp_path / "s.tsv").read_text().splitlines()
     assert lines[0] == "s0\tu0\t1\t0.123456789"
     assert lines[1] == "s1\tu1\t0\t-0.5"
+
+
+def test_score_and_trial_files_match_per_row_text(tmp_path):
+    """The text of both files equals the f-string text of each row, for
+    scores at the edges of ``.9g``; each save returns the sha256 of the
+    file it wrote."""
+    scores = np.array([0.0, -0.0, 1.0, -1.0, 1e-5, 1e9, 5e-324,
+                       -2.2250738585072014e-308 / 3, 123456789.5,
+                       0.123456789123, -1e-300, np.nan, np.inf, -np.inf])
+    trials = table([(f"s{i}", f"u{i}", i % 2) for i in range(len(scores))])
+    digests = [save_scores(trials, scores, tmp_path / "s.tsv"),
+               save_trials(trials, tmp_path / "t.tsv")]
+    assert (tmp_path / "s.tsv").read_text() == "".join(
+        f"{a}\t{b}\t{c}\t{v:.9g}\n"
+        for (a, b, c), v in zip(rows_of(trials), scores.tolist()))
+    assert (tmp_path / "t.tsv").read_text() == "".join(
+        f"{a}\t{b}\t{c}\n" for a, b, c in rows_of(trials))
+    assert digests == [sha256_file(tmp_path / n) for n in ("s.tsv", "t.tsv")]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_score_text_matches_f_string_for_any_float(scores):
+    trials = table([("s", "u", 1)] * len(scores))
+    with tempfile.TemporaryDirectory() as d:
+        save_scores(trials, np.array(scores), Path(d) / "s.tsv")
+        text = (Path(d) / "s.tsv").read_text()
+    assert text == "".join(f"s\tu\t1\t{v:.9g}\n" for v in scores)
 
 
 def test_trial_file_round_trip_and_labels(tmp_path):

@@ -6,38 +6,49 @@ from anonflow.flowmath import cfm_loss, integrate
 from anonflow.nets import ConditionedField
 
 
+class Field:
+    """A velocity-form field from ``fn(x, t, cond)``, called with the step
+    time of every row."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def velocity(self, cond, batch, times):
+        return lambda x, k: self.fn(x, np.full(batch, times[k]), cond)
+
+
 class TestIntegrate:
     def test_zero_field_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
-        out = integrate(lambda x, t, c: np.zeros_like(x), x, 7)
+        x = np.array([[1.0, -2.0, 3.0]])
+        out = integrate(Field(lambda x, t, c: np.zeros_like(x)), x, 7)
         assert np.array_equal(out, x)
 
     def test_constant_field_exact(self):
         c = np.array([0.5, -1.5])
         for steps in (1, 3, 16):
-            out = integrate(lambda x, t, _: np.broadcast_to(c, x.shape),
-                            np.zeros(2), steps)
+            out = integrate(Field(lambda x, t, _: np.broadcast_to(c, x.shape)),
+                            np.zeros((1, 2)), steps)
             assert np.allclose(out, c)
 
     def test_linear_field_closed_form(self):
         # x' = x over [0,1]: Euler gives (1+h)^steps * x_init
-        x = np.array([2.0, -1.0])
-        out1 = integrate(lambda x, t, _: x, x, 1)
+        x = np.array([[2.0, -1.0]])
+        out1 = integrate(Field(lambda x, t, _: x), x, 1)
         assert np.allclose(out1, 2.0 * x)
-        out2 = integrate(lambda x, t, _: x, x, 2)
+        out2 = integrate(Field(lambda x, t, _: x), x, 2)
         assert np.allclose(out2, 2.25 * x)
 
     def test_backward_integration(self):
         # x' = c backward from 1 to 0 subtracts c
-        c = np.array([1.0, 1.0])
-        out = integrate(lambda x, t, _: np.broadcast_to(c, x.shape),
+        c = np.array([[1.0, 1.0]])
+        out = integrate(Field(lambda x, t, _: np.broadcast_to(c, x.shape)),
                         c, 4, backward=True)
         assert np.allclose(out, np.zeros(2))
 
     def test_forward_backward_constant_field_exact(self):
         c = np.array([0.3, 0.7, -0.2])
-        f = lambda x, t, _: np.broadcast_to(c, x.shape)
-        x = np.array([1.0, 2.0, 3.0])
+        f = Field(lambda x, t, _: np.broadcast_to(c, x.shape))
+        x = np.array([[1.0, 2.0, 3.0]])
         fwd = integrate(f, x, 8)
         back = integrate(f, fwd, 8, backward=True)
         assert np.allclose(back, x)
@@ -46,8 +57,8 @@ class TestIntegrate:
         # analytic bound: fwd-then-back factor is ((1+h)(1-h))^N = (1-h^2)^N
         n = 32
         h = 1.0 / n
-        x = np.array([1.0, -1.0])
-        f = lambda x, t, _: x
+        x = np.array([[1.0, -1.0]])
+        f = Field(lambda x, t, _: x)
         fwd = integrate(f, x, n)
         back = integrate(f, fwd, n, backward=True)
         factor = (1 - h**2) ** n
@@ -56,22 +67,28 @@ class TestIntegrate:
 
     def test_richardson_halving(self):
         # on x' = x the global error halves (to first order) when steps double
-        x = np.ones(3)
+        x = np.ones((1, 3))
         exact = np.e * x
-        e1 = np.linalg.norm(integrate(lambda x, t, _: x, x, 16) - exact)
-        e2 = np.linalg.norm(integrate(lambda x, t, _: x, x, 32) - exact)
+        f = Field(lambda x, t, _: x)
+        e1 = np.linalg.norm(integrate(f, x, 16) - exact)
+        e2 = np.linalg.norm(integrate(f, x, 32) - exact)
         assert 0.4 < e2 / e1 < 0.6
 
     def test_batched_input(self):
         xb = np.arange(6.0).reshape(3, 2)
-        out = integrate(lambda x, t, _: x, xb, 1)
+        out = integrate(Field(lambda x, t, _: x), xb, 1)
         assert out.shape == (3, 2)
         assert np.allclose(out, 2 * xb)
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_rejects_steps_below_one(self, steps):
         with pytest.raises(InputError, match="steps must be >= 1"):
-            integrate(lambda x, t, _: x, np.ones(2), steps)
+            integrate(Field(lambda x, t, _: x), np.ones((1, 2)), steps)
+
+    @pytest.mark.parametrize("x_init", [np.ones(2), np.ones((1, 2, 1))])
+    def test_rejects_state_that_is_not_a_batch(self, x_init):
+        with pytest.raises(InputError, match=r"expected a \(B, d\) batch"):
+            integrate(Field(lambda x, t, _: x), x_init, 4)
 
     @pytest.mark.parametrize("backward", [False, True])
     def test_step_times(self, backward):
@@ -83,20 +100,20 @@ class TestIntegrate:
             seen.append(t[0])
             return np.ones_like(x)
 
-        out = integrate(field, np.zeros(1), 3, backward=backward)
+        out = integrate(Field(field), np.zeros((1, 1)), 3, backward=backward)
         h = (-1.0 if backward else 1.0) / 3
         t, want = (1.0 if backward else 0.0), []
         for _ in range(3):
             want.append(t)
             t += h
         assert seen == want
-        assert out[0] == h + h + h
+        assert out[0, 0] == h + h + h
 
     def test_divergence_carries_step(self):
         def bad(x, t, _):
             return np.full_like(x, np.inf)
         with pytest.raises(DivergenceError) as ei:
-            integrate(bad, np.ones(2), 4)
+            integrate(Field(bad), np.ones((1, 2)), 4)
         assert ei.value.step == 0
         assert ei.value.row == 0
 
@@ -107,12 +124,14 @@ class TestIntegrate:
                 v[[3, 1]] = np.inf
             return v
         with pytest.raises(DivergenceError) as ei:
-            integrate(bad_rows, np.ones((5, 2)), 4)
+            integrate(Field(bad_rows), np.ones((5, 2)), 4)
         assert (ei.value.step, ei.value.row) == (2, 1)
 
     @pytest.mark.parametrize("backward", [False, True])
     @pytest.mark.parametrize("steps", [1, 3, 16])
     def test_velocity_gets_the_times_a_callable_sees(self, steps, backward):
+        # the table handed to ``velocity`` once holds, in order, the times
+        # a field called at every step sees, for every row
         seen, tables = [], []
 
         def plain(x, t, _):
@@ -125,10 +144,16 @@ class TestIntegrate:
                 return lambda x, k: np.full_like(x, times[k])
 
         x0 = np.zeros((2, 1))
-        integrate(plain, x0, steps, backward=backward)
+        integrate(Field(plain), x0, steps, backward=backward)
         integrate(Tabled(), x0, steps, "c", backward=backward)
         (cond, batch, times), = tables
         assert cond == "c" and batch == 2
+        h = (-1.0 if backward else 1.0) / steps
+        t, want = (1.0 if backward else 0.0), []
+        for _ in range(steps):
+            want.append(t)
+            t += h
+        assert np.array_equal(times, want)
         assert np.array_equal(times, [t[0] for t in seen])
         assert all(np.array_equal(t, np.full(2, t[0])) for t in seen)
 
@@ -167,14 +192,15 @@ class TestIntegrateVelocity:
         assert not np.allclose(got, x0)
 
     def test_single_vector(self):
+        # one row, as a (1, d) batch
         f = _drawn_field((16,))
         rng = np.random.default_rng(4)
-        x0 = rng.standard_normal(4)
+        x0 = rng.standard_normal(4)[None]
         cond, tiled = self._cond(1, rng)
         got = integrate(f, x0, 5, cond)
-        ref = integrate(lambda x, t, c: f.forward(x, t, c)[0], x0[None], 5,
-                        tiled)[0]
-        assert got.shape == (4,)
+        ref = integrate(Field(lambda x, t, c: f.forward(x, t, c)[0]), x0, 5,
+                        tiled)
+        assert got.shape == (1, 4)
         assert np.allclose(got, ref, rtol=1e-5, atol=1e-6)
 
     def test_divergence_at_same_step(self):
@@ -186,7 +212,7 @@ class TestIntegrateVelocity:
         cond, tiled = self._cond(6, rng)
         steps = []
         for field, c in ((f, cond),
-                         (lambda x, t, c: f.forward(x, t, c)[0], tiled)):
+                         (Field(lambda x, t, c: f.forward(x, t, c)[0]), tiled)):
             with pytest.raises(DivergenceError) as ei, \
                     np.errstate(over="ignore", invalid="ignore"):
                 integrate(field, x0, 64, c)
