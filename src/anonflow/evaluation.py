@@ -12,8 +12,9 @@ import numpy as np
 from .anonymizer import WeightStrategy, anonymize_speaker
 from .checkpoint import replace_text, utf8_text
 from .errors import DataError, InputError
-from .worldgen import (Dataset, frame_count_groups, oracle_extract_speakers,
-                       oracle_recover_tokens, stacked_frame_tokens)
+from .worldgen import (Dataset, check_frame_count, frame_count_groups,
+                       oracle_extract_speakers, oracle_recover_tokens,
+                       stacked_frame_tokens)
 # unused here, but the benchmark's tracer rebinds it at each import site
 from .worldgen import oracle_extract_speaker  # noqa: F401
 
@@ -389,10 +390,7 @@ def utility_probes(dataset_anon: Dataset, mapping, embeddings: dict) -> tuple:
     recovered = []
     for u, s in zip(utts[:stop], s_anon):
         rec = oracle_recover_tokens(u.frames, u.p_norm, s, params)
-        n_ref = len(u.tokens) * u.frames_per_token
-        if rec.shape != (n_ref,):
-            raise InputError(f"frame count mismatch: {rec.shape} vs "
-                             f"{(n_ref,)}")
+        check_frame_count(rec, len(u.tokens) * u.frames_per_token)
         recovered.append(rec)
     if bad.size:
         raise DataError(f"embedding of anonymized utterance "
@@ -453,10 +451,8 @@ def load_trials(path) -> Trials:
 
 
 def save_scores(trials: Trials, scores, path) -> str:
-    """Write the score file, each score at 9 significant digits; the sha256
-    of its bytes."""
-    # printf-style: the text of f"{score:.9g}", in fewer steps per row
-    return replace_text(path, "".join(map(
-        "%s\t%s\t%d\t%.9g\n".__mod__,
-        zip(trials.enroll, trials.test, trials.label.tolist(),
-            scores.tolist()))))
+    """Write the score file; the sha256 of its bytes."""
+    return replace_text(path, "".join(
+        f"{sid}\t{uid}\t{label}\t{score:.9g}\n" for sid, uid, label, score
+        in zip(trials.enroll, trials.test, trials.label.tolist(),
+               scores.tolist())))

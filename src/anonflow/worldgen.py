@@ -417,12 +417,18 @@ def oracle_recover_tokens(frames, p_norm, s, params: WorldParams) -> np.ndarray:
     return nearest(resid, params.A.T)
 
 
+def check_frame_count(recovered: np.ndarray, n_frames: int) -> None:
+    """InputError unless ``recovered`` holds one token per frame."""
+    if recovered.shape != (n_frames,):
+        raise InputError(f"frame count mismatch: {recovered.shape} vs "
+                         f"{(n_frames,)}")
+
+
 def token_error_rate(recovered_frame_tokens, reference_tokens, frames_per_token: int) -> float:
     """Fraction of frames whose recovered token differs from the aligned reference."""
     ref = np.repeat(np.asarray(reference_tokens, dtype=int), frames_per_token)
     rec = np.asarray(recovered_frame_tokens, dtype=int)
-    if ref.shape != rec.shape:
-        raise InputError(f"frame count mismatch: {rec.shape} vs {ref.shape}")
+    check_frame_count(rec, ref.size)
     return float(np.mean(rec != ref))
 
 
@@ -826,86 +832,6 @@ def _load_utterance(where: str, d: dict, params: WorldParams) -> Utterance:
         frames_per_token=fpt)
 
 
-# The column checks of utterance rows, all of them objects with every
-# field (``_utterances``): they hold each row to at least the checks of
-# ``_load_utterance``; a row they are stricter on is loaded row by row.
-
-def _types(values) -> set:
-    return set(map(type, values))
-
-
-def _float_column(values, shapes: list):
-    """``values`` as float arrays, when each is a numeric array of its
-    shape in ``shapes``, as ``_float_array`` asks; else None."""
-    try:
-        arrays = list(map(np.asarray, values))
-    except (TypeError, ValueError):
-        return None
-    if ([a.shape for a in arrays] != shapes
-            or not {a.dtype.kind for a in arrays} <= set("iuf")):
-        return None
-    if {a.dtype for a in arrays} <= {np.dtype(float)}:
-        return arrays
-    return [a.astype(float, copy=False) for a in arrays]
-
-
-def _utterance_columns(rows: list, params: WorldParams):
-    """The utterances of ``rows`` when every row passes the checks of
-    ``_load_utterance``, else None."""
-    fpt = [d["frames_per_token"] for d in rows]
-    tokens = [d["tokens"] for d in rows]
-    spans = [d["entity_spans"] for d in rows]
-    if not (_types(fpt) <= {int} and min(fpt, default=1) >= 1
-            and _types(tokens) <= {list} and _types(spans) <= {list}
-            and _types(itertools.chain.from_iterable(spans)) <= {list}):
-        return None
-    ids = list(itertools.chain.from_iterable(tokens))
-    if not (_types(ids) <= {int}
-            and (not ids or 0 <= min(ids) and max(ids) < params.V)):
-        return None
-    t = [len(k) * f for k, f in zip(tokens, fpt)]
-    per_frame = [(n,) for n in t]
-    f0 = _float_column([d["f0_hz"] for d in rows], per_frame)
-    p_norm = _float_column([d["p_norm"] for d in rows], per_frame)
-    frames = _float_column([d["frames"] for d in rows],
-                           [(n, params.F) for n in t])
-    if f0 is None or p_norm is None or frames is None:
-        return None
-    return [Utterance(id=d["id"], speaker_id=d["speaker_id"],
-                      gender=d["gender"], duration_s=d["duration_s"],
-                      tokens=k, entity_spans=list(map(tuple, sp)), f0_hz=a,
-                      p_norm=b, frames=x, frames_per_token=f)
-            for d, k, sp, a, b, x, f in zip(rows, tokens, spans, f0, p_norm,
-                                            frames, fpt)]
-
-
-_UTTERANCE_FIELDS = {f.name for f in fields(Utterance)}
-
-
-def _utterances(path: Path, rows, params: WorldParams) -> list:
-    """The utterances of the rows of ``path``, checked a column at a time;
-    when a check fails, loaded row by row, so that the first bad row
-    raises the error that names it.  The rows before a malformed line are
-    checked before its error is raised, as when each row was checked as
-    it was parsed."""
-    parsed, error = [], None
-    try:
-        for d in rows:
-            parsed.append(d)
-    except DataError as e:
-        error = e
-    built = None
-    if _types(parsed) <= {dict} and all(d.keys() >= _UTTERANCE_FIELDS
-                                        for d in parsed):
-        built = _utterance_columns(parsed, params)
-    if built is None:
-        built = [_load_utterance(where, d, params) for where, d in
-                 _checked_rows(path, parsed, Utterance)]
-    if error is not None:
-        raise error
-    return built
-
-
 def load_params(in_dir) -> WorldParams:
     """The world parameters of a dataset directory, from its world.json."""
     path = Path(in_dir) / "world.json"
@@ -936,8 +862,7 @@ def _parse_params(path: Path, data: bytes) -> WorldParams:
 def load_dataset(in_dir) -> Dataset:
     """Read a dataset directory.  Speaker and utterance rows come from the
     array cache when its digests match the JSONL files, and are parsed
-    from the text otherwise; either way they get the same checks, the
-    utterance rows a column at a time (``_utterances``).  The
+    from the text otherwise; either way they get the same checks.  The
     dataset's ``sha256`` holds the digest of each file read or verified,
     each file hashed once."""
     src = Path(in_dir)
@@ -946,10 +871,11 @@ def load_dataset(in_dir) -> Dataset:
                            _read(src / "world.json", digests))
     cached = _cached_rows(src, digests)
 
-    def rows(name):
+    def rows(name, record):
         path = src / name
-        return path, (cached[name] if name in cached
-                      else _parse_jsonl(path, _read(path, digests)))
+        return _checked_rows(path, cached[name] if name in cached
+                             else _parse_jsonl(path, _read(path, digests)),
+                             record)
 
     speakers = [Speaker(
         id=d["id"], gender=d["gender"],
@@ -957,9 +883,10 @@ def load_dataset(in_dir) -> Dataset:
         base_pitch_hz=d["base_pitch_hz"],
         style=_float_array(where, d, "style", (params.V,)),
         pii_lexicon={k: list(v) for k, v in d["pii_lexicon"].items()})
-        for where, d in _checked_rows(*rows("speakers.jsonl"), Speaker)]
-    utterances = _utterances(*rows("utterances.jsonl"), params)
+        for where, d in rows("speakers.jsonl", Speaker)]
+    utterances = [_load_utterance(where, d, params) for where, d in
+                  rows("utterances.jsonl", Utterance)]
     pool = [PoolEntry(type=d["type"], tokens=list(d["tokens"])) for _, d in
-            _checked_rows(*rows("replacement_pool.jsonl"), PoolEntry)]
+            rows("replacement_pool.jsonl", PoolEntry)]
     return Dataset(params=params, speakers=speakers, utterances=utterances,
                    pool=pool, sha256=digests)

@@ -1,6 +1,4 @@
 import dataclasses
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,16 +592,6 @@ def test_score_and_trial_files_match_per_row_text(tmp_path):
     assert (tmp_path / "t.tsv").read_text() == "".join(
         f"{a}\t{b}\t{c}\n" for a, b, c in rows_of(trials))
     assert digests == [sha256_file(tmp_path / n) for n in ("s.tsv", "t.tsv")]
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
-def test_score_text_matches_f_string_for_any_float(scores):
-    trials = table([("s", "u", 1)] * len(scores))
-    with tempfile.TemporaryDirectory() as d:
-        save_scores(trials, np.array(scores), Path(d) / "s.tsv")
-        text = (Path(d) / "s.tsv").read_text()
-    assert text == "".join(f"s\tu\t1\t{v:.9g}\n" for v in scores)
 
 
 def test_trial_file_round_trip_and_labels(tmp_path):

@@ -1,15 +1,13 @@
 import dataclasses
 import io
 import json
-import shutil
 import tempfile
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import (HealthCheck, example, given, settings,
-                        strategies as st)
+from hypothesis import given, settings, strategies as st
 
 from anonflow import worldgen
 from anonflow.anonymizer import (AnonymizerConfig, AnonymizerModel,
@@ -631,6 +629,25 @@ def test_failed_write_keeps_previous_files(tmp_path, monkeypatch):
         assert (out / name).read_bytes() == data, name
 
 
+def test_rows_before_a_malformed_line_are_checked_first(tmp_path):
+    """A bad field in line 2 is named before bad JSON in line 3, as when
+    the rows were checked while they were parsed."""
+    _, ds = small_world(seed=10)
+    save_dataset(ds, tmp_path)
+    path = tmp_path / "utterances.jsonl"
+    lines = path.read_text().splitlines()
+    d = json.loads(lines[1])
+    d["frames_per_token"] = 0
+    lines[1], lines[2] = json.dumps(d), lines[2][:30]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="utterances.jsonl:2: frames_per_token"):
+        load_dataset(tmp_path)
+    lines[1] = json.dumps({**d, "frames_per_token": 4})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="utterances.jsonl:3: not valid JSON"):
+        load_dataset(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # speaker extraction over frame-count blocks
 
@@ -716,154 +733,3 @@ def test_extraction_of_an_empty_utterance_is_an_input_error():
         oracle_extract_speakers(utts, p)
     with pytest.raises(InputError, match="utterance has no frames"):
         oracle_extract_speaker(utts[2], p)
-
-
-# ---------------------------------------------------------------------------
-# the column checks of a load against the per-row checks
-
-def load_rows_reference(path, rows, params):
-    """Each utterance row through the per-row loader, as every load once
-    did."""
-    return [worldgen._load_utterance(where, d, params)
-            for where, d in worldgen._checked_rows(path, rows, Utterance)]
-
-
-def outcome(load, *args):
-    """(the records, None) that ``load(*args)`` gives, or (None, its
-    error's type and text)."""
-    try:
-        return load(*args), None
-    except Exception as e:     # the per-row loader can raise any of them
-        return None, (type(e), str(e))
-
-
-def assert_same_records(xs, ys):
-    assert len(xs) == len(ys)
-    for x, y in zip(xs, ys):
-        assert type(x) is type(y)
-        for k, v in vars(x).items():
-            w = getattr(y, k)
-            if isinstance(v, np.ndarray):
-                assert (v.dtype, v.shape, v.tobytes()) == \
-                       (w.dtype, w.shape, w.tobytes()), k
-            else:
-                assert (type(v), v) == (type(w), w), k
-
-
-@pytest.fixture(scope="module")
-def saved_world(tmp_path_factory):
-    d = tmp_path_factory.mktemp("world")
-    params, ds = small_world(seed=9, n_speakers=2, utts=3)
-    save_dataset(ds, d)
-    return d, params
-
-
-V_SAVED = small_params(n_speakers=2).V      # the vocabulary of saved_world
-# values of every JSON type, and token ids and counts at their bounds
-JSON_VALUES = st.sampled_from([
-    None, True, 0, 1, -1, V_SAVED - 1, V_SAVED, 2 ** 63, 2 ** 70, 1.5, -0.0,
-    "x", {}, {"PER": [1]}, [], [1], [1.5], [None], [[1, 2]], [[1], [2, 3]],
-    ["PER", 0, 1]])
-EDITS = ("missing", "value", "shorter", "longer", "element", "inner")
-
-
-def damaged(d, key, kind, value):
-    """Make field ``key`` of the row ``d`` wrong in the way ``kind`` names;
-    a list edit of a field that holds no list sets it to ``value``."""
-    v = d[key]
-    v = v.tolist() if isinstance(v, np.ndarray) else v
-    if kind == "missing":
-        del d[key]
-    elif kind == "value" or not isinstance(v, list) or not v:
-        d[key] = value
-    elif kind == "shorter":
-        d[key] = v[:-1]
-    elif kind == "longer":
-        d[key] = v + v[-1:]
-    elif kind == "inner" and isinstance(v[0], list) and v[0]:
-        d[key] = [[value] + v[0][1:]] + v[1:]
-    else:
-        d[key] = [value] + v[1:]
-
-
-@st.composite
-def damage(draw):
-    """(row, field, edit, value): one field of one utterance row made
-    wrong."""
-    key = draw(st.sampled_from([f.name for f in dataclasses.fields(Utterance)]))
-    return (draw(st.integers(0, 1)), key, draw(st.sampled_from(EDITS)),
-            draw(JSON_VALUES))
-
-
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(damage())
-@example((1, "tokens", "element", V_SAVED))
-@example((1, "tokens", "element", -1))
-@example((0, "tokens", "element", True))
-@example((1, "frames_per_token", "value", 0))
-@example((1, "frames", "inner", None))
-@example((1, "frames", "shorter", None))
-@example((1, "p_norm", "longer", None))
-@example((1, "f0_hz", "element", "x"))
-@example((1, "entity_spans", "value", 1))
-@example((1, "speaker_id", "missing", None))
-def test_column_checks_raise_what_the_per_row_checks_raise(saved_world,
-                                                           drawn):
-    """One field of one utterance row made wrong, in the rows as the text
-    gives them and as the array cache gives them: the load raises the
-    error the per-row checks raise for it, naming the same row, or loads
-    the same utterances when they accept it."""
-    d, params = saved_world
-    row, *edit = drawn
-    path = d / "utterances.jsonl"
-    cached = worldgen._cached_rows(d, {})
-    assert set(cached) == set(ARRAY_FIELDS)
-    for rows in ([json.loads(line) for line in path.read_text().splitlines()],
-                 cached["utterances.jsonl"]):
-        damaged(rows[row], *edit)
-        want = outcome(load_rows_reference, path, rows, params)
-        got = outcome(worldgen._utterances, path, rows, params)
-        assert got[1] == want[1]
-        if want[1] is None:
-            assert_same_records(got[0], want[0])
-
-
-def test_clean_rows_load_without_the_per_row_checks(saved_world, tmp_path,
-                                                    monkeypatch):
-    """Clean utterance rows pass every column check, from the cache and
-    from the text, and load the records the per-row loader builds."""
-    d, _ = saved_world
-    want = load_dataset(d)
-
-    def per_row(where, d, params):
-        raise AssertionError(f"{where} loaded row by row")
-
-    monkeypatch.setattr(worldgen, "_load_utterance", per_row)
-    shutil.copytree(d, tmp_path / "d")
-    hit = load_dataset(tmp_path / "d")
-    for name in CACHE_FILES:
-        (tmp_path / "d" / name).unlink()
-    for got in (hit, load_dataset(tmp_path / "d")):
-        for a, b in ((got.speakers, want.speakers),
-                     (got.utterances, want.utterances), (got.pool, want.pool)):
-            assert_same_records(a, b)
-
-
-def test_rows_before_a_malformed_line_are_checked_first(tmp_path):
-    """A bad field in line 2 is named before bad JSON in line 3, as when
-    the rows were checked while they were parsed."""
-    _, ds = small_world(seed=10)
-    save_dataset(ds, tmp_path)
-    path = tmp_path / "utterances.jsonl"
-    lines = path.read_text().splitlines()
-    d = json.loads(lines[1])
-    d["frames_per_token"] = 0
-    lines[1], lines[2] = json.dumps(d), lines[2][:30]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError, match="utterances.jsonl:2: frames_per_token"):
-        load_dataset(tmp_path)
-    lines[1] = json.dumps({**d, "frames_per_token": 4})
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DataError, match="utterances.jsonl:3: not valid JSON"):
-        load_dataset(tmp_path)
