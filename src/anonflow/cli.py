@@ -109,7 +109,7 @@ def _load_config(path, section: str, defaults: dict) -> dict:
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {e}") from e
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
+        raise ConfigError(f"{path}: not valid JSON: {e}") from e
     return config_section(doc, section, defaults, path, ConfigError)
 
 
@@ -303,7 +303,7 @@ def cmd_report(args) -> int:
     except FileNotFoundError as e:
         raise DataError(f"metrics file not found: {e}") from e
     except json.JSONDecodeError as e:
-        raise DataError(f"metrics file is not valid JSON: {e}") from e
+        raise DataError(f"{args.metrics}: not valid JSON: {e}") from e
     spec = {e.name: e for e in RADAR_DEFAULTS}
     out = _outdir(args)
     lines = ["metric,raw,normalized"]

@@ -493,6 +493,15 @@ def _truncate(path):
     path.write_text(text[:len(text) // 2])
 
 
+def _truncated_json(name, *argv):
+    """``argv`` given the file ``name`` cut off inside a JSON document; the
+    error must name the file."""
+    def case(tmp, world, bb, an):
+        (tmp / name).write_text('{"WER": ')
+        return [*argv, tmp / name], name
+    return case
+
+
 def _truncated_world_json(tmp, world, bb, an):
     shutil.copytree(world, tmp / "w")
     _truncate(tmp / "w" / "world.json")
@@ -733,6 +742,8 @@ def _argument(command, flag, value):
     (_not_utf8("backbone.json"), 4),
     (_not_utf8("config.json"), 2),
     (_not_utf8("metrics.json"), 4),
+    (_truncated_json("config.json", "gen-world", "--config"), 2),
+    (_truncated_json("metrics.json", "report", "--metrics"), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -779,7 +790,7 @@ def _argument(command, flag, value):
         "ignorant-anonymizer-missing", "ignorant-anonymizer-truncated",
         "world-json-not-utf8", "pool-jsonl-not-utf8", "trials-not-utf8",
         "mapping-not-utf8", "backbone-json-not-utf8", "config-not-utf8",
-        "metrics-not-utf8"])
+        "metrics-not-utf8", "truncated-config", "truncated-metrics"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline
