@@ -113,8 +113,11 @@ def train_backbone(dataset: Dataset, config: BackboneConfig,
     x1 = np.concatenate([u.frames for u in dataset.utterances], axis=0)
     toks = stacked_frame_tokens(dataset.utterances)
     pn = np.concatenate([u.p_norm for u in dataset.utterances])
-    spk = np.repeat(oracle_extract_speakers(dataset.utterances, p),
-                    [u.n_frames for u in dataset.utterances], axis=0)
+    # one speaker row per utterance; a batch gathers its frames' rows
+    # through their owner index, so no row is held once per frame
+    spk = oracle_extract_speakers(dataset.utterances, p)
+    owner = np.repeat(np.arange(len(dataset.utterances)),
+                      [u.n_frames for u in dataset.utterances])
     n = x1.shape[0]
 
     # codebook init: one clean content feature per token when the book is
@@ -146,7 +149,8 @@ def train_backbone(dataset: Dataset, config: BackboneConfig,
         f = model.f_sem(toks[idx])  # clean: the commitment gradient's input
         res = quantize(model.noisy(f, rng), model.codebook)
         local = model.local_cond(res.c_vq, pn[idx])
-        l_flow, grads = cfm_loss(model.field, x1[idx], (local, spk[idx]), rng)
+        l_flow, grads = cfm_loss(model.field, x1[idx],
+                                 (local, spk[owner[idx]]), rng)
         grads["codebook"] = config.lam * codebook_grad(f, res, model.codebook)
         l_commit = res.commit_loss
         total = config.lam * l_commit + l_flow

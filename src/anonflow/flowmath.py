@@ -46,12 +46,15 @@ def integrate(field, x_init: np.ndarray, steps: int, cond=None, *,
 
     The step times are computed once, by repeated ``t += h``; the field's
     ``velocity(cond, B, times)`` sets up the solve and gives ``f(x, k)``,
-    the velocity at step ``k``.  A state that turns non-finite raises
-    DivergenceError with the step and the first such row.
+    the velocity at step ``k``.  ``x_init`` is copied once and the state
+    updated in place.  A state that turns non-finite raises DivergenceError
+    with the step and the first such row; one sum per step finds it, and
+    only a sum that is not finite (some value is, or the sum overflowed) is
+    followed by the row scan.
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
-    x = np.asarray(x_init, dtype=float)
+    x = np.array(x_init, dtype=float)
     if x.ndim != 2:
         raise InputError(f"expected a (B, d) batch, got shape {x.shape}")
     h = (-1.0 if backward else 1.0) / steps
@@ -62,9 +65,13 @@ def integrate(field, x_init: np.ndarray, steps: int, cond=None, *,
         t += h
     f = field.velocity(cond, x.shape[0], times)
     for k in range(steps):
-        x = x + h * np.asarray(f(x, k))
-        if not np.all(np.isfinite(x)):
-            row = np.flatnonzero(~np.isfinite(x).all(axis=1))[0]
-            raise DivergenceError(f"non-finite state at step {k}", step=k,
-                                  row=int(row))
+        x += h * np.asarray(f(x, k))
+        # finite values may sum to inf, and inf and -inf to NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = x.sum()
+        if not np.isfinite(total):
+            rows = np.flatnonzero(~np.isfinite(x).all(axis=1))
+            if rows.size:
+                raise DivergenceError(f"non-finite state at step {k}",
+                                      step=k, row=int(rows[0]))
     return x

@@ -127,6 +127,29 @@ class TestIntegrate:
             integrate(Field(bad_rows), np.ones((5, 2)), 4)
         assert (ei.value.step, ei.value.row) == (2, 1)
 
+    def test_finite_state_whose_sum_overflows_does_not_raise(self):
+        # every value is finite, but the per-step sum is inf (rows of
+        # +1e308) or NaN (+1e308 rows and -1e308 rows)
+        x = np.array([[1e308, 1e308], [1e308, 1e308], [-1e308, -1e308],
+                      [-1e308, -1e308], [-1e308, -1e308], [1.0, 2.0]])
+        for state in (x[:2], x):
+            out = integrate(Field(lambda x, t, _: np.zeros_like(x)), state, 3)
+            assert np.array_equal(out, state)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("step,row", [(0, 0), (2, 3), (5, 6)])
+    def test_planted_non_finite_names_step_and_row(self, value, step, row):
+        def planted(x, t, _):
+            v = np.full_like(x, 0.25)
+            if np.isclose(t[0], step / 6):
+                v[row, 1] = value
+            return v
+        x0 = np.ones((7, 3))
+        with pytest.raises(DivergenceError) as ei:
+            integrate(Field(planted), x0, 6)
+        assert (ei.value.step, ei.value.row) == (step, row)
+        assert np.array_equal(x0, np.ones((7, 3)))    # x_init is not written
+
     @pytest.mark.parametrize("backward", [False, True])
     @pytest.mark.parametrize("steps", [1, 3, 16])
     def test_velocity_gets_the_times_a_callable_sees(self, steps, backward):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import tempfile
@@ -612,9 +613,10 @@ def test_failed_write_keeps_previous_files(tmp_path, monkeypatch):
     encode, calls = worldgen._json_arrays, []
 
     def failing(arrays):
-        # one row per batch: four speaker rows, then the third utterance
+        # world.json, then one row per batch: four speaker rows, then the
+        # third utterance
         calls.append(arrays)
-        if len(calls) == 7:
+        if len(calls) == 8:
             raise RuntimeError("encoder failed")
         return encode(arrays)
 
@@ -622,11 +624,52 @@ def test_failed_write_keeps_previous_files(tmp_path, monkeypatch):
     monkeypatch.setattr(worldgen, "BATCH_VALUES", 1)
     with pytest.raises(RuntimeError, match="encoder failed"):
         save_dataset(small_world(seed=2)[1], out)
-    assert len(calls) == 7 and any(a.ndim == 2 for a in calls[-1])
+    assert len(calls) == 8 and any(a.ndim == 2 for a in calls[-1])
     assert sorted(before) == sorted(worldgen.DATASET_FILES)
     assert sorted(f.name for f in out.iterdir()) == sorted(before)
     for name, data in before.items():
         assert (out / name).read_bytes() == data, name
+
+
+def edge_world():
+    """A small world with edge values planted in its first rows and in
+    ``world.json``, and one utterance of more values than the largest
+    batch below."""
+    _, ds = small_world(seed=11)
+    edges = [-0.0, 1e-5, 9.9999999951e-5, 1e16, 1.0 / 3.0]
+    plant(ds, edges)
+    p = ds.params
+    p.B[:len(edges)] = edges
+    p.gender_means[1, :len(edges)] = edges
+    p.noise_sigma = edges[2]
+    u = ds.utterances[1]
+    k = 65536 // (u.n_frames * (p.F + 2)) + 1
+    ds.utterances[1] = dataclasses.replace(
+        u, tokens=u.tokens * k, f0_hz=np.tile(u.f0_hz, k),
+        p_norm=np.tile(u.p_norm, k), frames=np.tile(u.frames, (k, 1)))
+    return ds
+
+
+@pytest.mark.parametrize("world", ["desk", "edges"])
+def test_save_does_not_depend_on_batch_size(tmp_path, monkeypatch,
+                                            desk_datasets, world):
+    ds = desk_datasets["world"] if world == "desk" else edge_world()
+    saved = []
+    for batch in (1, 7, 16384, 65536):
+        monkeypatch.setattr(worldgen, "BATCH_VALUES", batch)
+        digests = save_dataset(ds, tmp_path / str(batch))
+        saved.append(({p.name: d for p, d in digests.items()},
+                      {p.name: p.read_bytes()
+                       for p in (tmp_path / str(batch)).iterdir()}))
+    assert all(s == saved[0] for s in saved[1:])
+    digests, files = saved[0]
+    assert sorted(files) == sorted(DATASET_FILES)
+    assert digests == {name: hashlib.sha256(data).hexdigest()
+                       for name, data in files.items()}
+    # the reference: world.json as json.dumps lays it out
+    assert files["world.json"] == (
+        json.dumps(ds.params.to_dict(), indent=1).encode() + b"\n")
+    assert_same_dataset(*load_both(tmp_path / "1"))
 
 
 def test_rows_before_a_malformed_line_are_checked_first(tmp_path):

@@ -19,7 +19,11 @@ between the medians (positive when the change is better), the base's
 spread between its quartiles and the failed operations.  A gain is
 claimed only when the change is better in at least nine tenths of the
 pairs and the gap exceeds the base's spread; ``claim_met`` records that
-test for each metric.
+test for each metric.  ``regression`` gives each bounded metric's verdict
+against its bound, a fraction of the base's median: ``none`` when the
+change's median is no worse than the base's by more than the bound,
+``worse`` when it is, and ``unresolved`` when the base's spread alone is
+wider than the bound, unless every change run beats every base run.
 """
 
 from __future__ import annotations
@@ -92,11 +96,19 @@ def summarize(pairs: list, metric: dict) -> dict:
     qb, qc = quartiles(list(base)), quartiles(list(change))
     better = sum(c < b if lower else c > b for b, c in done)
     gap = (qb["median"] - qc["median"]) * (1 if lower else -1)
-    return {"better": metric["better"], "bound": metric.get("bound"),
-            "pairs": len(done), "base": qb, "change": qc,
-            "change_better_pairs": better, "median_gap": gap,
-            "base_iqr": qb["iqr"],
-            "claim_met": better >= 0.9 * len(done) and gap > qb["iqr"]}
+    out = {"better": metric["better"], "bound": metric.get("bound"),
+           "pairs": len(done), "base": qb, "change": qc,
+           "change_better_pairs": better, "median_gap": gap,
+           "base_iqr": qb["iqr"],
+           "claim_met": better >= 0.9 * len(done) and gap > qb["iqr"]}
+    if out["bound"] is not None:
+        allowed = out["bound"] * abs(qb["median"])
+        beats_all = (max(change) < min(base) if lower
+                     else min(change) > max(base))
+        out["regression"] = (
+            "unresolved" if qb["iqr"] > allowed and not beats_all
+            else "worse" if -gap > allowed else "none")
+    return out
 
 
 def host() -> dict:
