@@ -20,7 +20,7 @@ from .nets import ConditionedField
 from .optim import AdamW, OneCycle
 from .vq import Codebook, codebook_grad, quantize
 from .worldgen import Dataset, oracle_extract_speakers, stacked_frame_tokens
-# unused here, but the benchmark's tracer rebinds it at each import site
+# unused here, but perfbench/test_perfbench.py IMPORT_SITES lists it
 from .worldgen import oracle_extract_speaker  # noqa: F401
 
 RUN_FRAMES = 4096   # most frames one run's reconstruct call solves at once

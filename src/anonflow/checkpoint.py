@@ -113,12 +113,13 @@ def config_section(doc, section: str, defaults: dict, path, error) -> dict:
 
 # config value rules for ``check_ranges``: (test, what it asks)
 AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+EVEN_AT_LEAST_2 = (lambda v: v >= 2 and v % 2 == 0, "even and >= 2")
 NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 WIDTHS = (lambda v: len(v) > 0 and min(v) >= 1,
           "a non-empty list of sizes >= 1")
 # the fields that both trainers' configs give the schedule and optimizer
 TRAINING_RANGES = {
-    "time_dim": (lambda v: v >= 2 and v % 2 == 0, "even and >= 2"),
+    "time_dim": EVEN_AT_LEAST_2,
     "steps": AT_LEAST_1,
     "batch": AT_LEAST_1,
     "peak_lr": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
@@ -141,19 +142,15 @@ def check_ranges(section: str, config, ranges: dict) -> None:
 @contextlib.contextmanager
 def replacing(paths):
     """Write ``paths`` as one: yield a temporary path beside each, in the
-    same order.  When the block ends, each temporary file replaces its
-    path, and a path whose temporary file the block did not write is
-    removed.  On an error the temporary files are removed and the old
-    files stay as they were."""
+    same order, which the block must write.  When the block ends, each
+    temporary file replaces its path.  On an error the temporary files are
+    removed and the old files stay as they were."""
     paths = [Path(p) for p in paths]
     tmp = [p.with_name(f".{p.name}.tmp") for p in paths]
     try:
         yield tmp
         for t, p in zip(tmp, paths):
-            if t.exists():
-                os.replace(t, p)
-            else:
-                p.unlink(missing_ok=True)
+            os.replace(t, p)
     except BaseException:
         for t in tmp:
             t.unlink(missing_ok=True)

@@ -304,13 +304,19 @@ def cmd_report(args) -> int:
         raise DataError(f"metrics file not found: {e}") from e
     except json.JSONDecodeError as e:
         raise DataError(f"{args.metrics}: not valid JSON: {e}") from e
+    if not isinstance(metrics, dict):
+        raise DataError(f"{args.metrics}: not a JSON object")
     spec = {e.name: e for e in RADAR_DEFAULTS}
     out = _outdir(args)
     lines = ["metric,raw,normalized"]
     for name in sorted(metrics):
         if name not in spec:
             raise ConfigError(f"no radar range declared for metric {name!r}")
-        v = float(metrics[name])
+        v = metrics[name]
+        # NaN and a JSON 1e400 (inf, or an int past float range) fail too
+        if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+            raise DataError(f"{args.metrics}: metric {name!r} must be a "
+                            f"finite number, got {v!r}")
         lines.append(f"{name},{v:.9g},{radar_normalize(v, spec[name]):.4f}")
     replace_text(out / "radar.csv", "\n".join(lines) + "\n")
     write_manifest(out, "report", {"metrics": Path(args.metrics)}, {},

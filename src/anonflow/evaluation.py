@@ -15,7 +15,7 @@ from .errors import DataError, InputError
 from .worldgen import (Dataset, check_frame_count, frame_count_groups,
                        oracle_extract_speakers, oracle_recover_tokens,
                        stacked_frame_tokens)
-# unused here, but the benchmark's tracer rebinds it at each import site
+# unused here, but perfbench/test_perfbench.py IMPORT_SITES lists it
 from .worldgen import oracle_extract_speaker  # noqa: F401
 
 log = logging.getLogger(__name__)

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import (AT_LEAST_1, NON_NEGATIVE, check_ranges, replacing,
-                         utf8_text)
+from .checkpoint import (AT_LEAST_1, EVEN_AT_LEAST_2, NON_NEGATIVE,
+                         check_ranges, replacing, utf8_text)
 from .errors import ConfigError, DataError, InputError
 from .pitch import pitch_or_zeros
 from .vq import nearest
@@ -49,21 +49,9 @@ def _fields_of(record) -> dict:
     return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
-def _round9(obj):
-    """Round all floats to 9 significant digits for stable serialization."""
-    if isinstance(obj, float):
-        return float(f"{obj:.9g}")
-    if isinstance(obj, dict):
-        return {k: _round9(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round9(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _round9(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return _round9(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
+def _round9(x: float) -> float:
+    """``x`` at 9 significant digits, as the dataset files store floats."""
+    return float(f"{x:.9g}")
 
 
 @dataclass
@@ -105,9 +93,6 @@ class WorldParams:
     def c_pinv(self) -> np.ndarray:
         """Pseudo-inverse of C, computed once at construction."""
         return self._c_pinv
-
-    def to_dict(self) -> dict:
-        return _round9(_fields_of(self))
 
 
 def make_world_params(D: int = 16, F: int = 24, v_common: int = 80,
@@ -339,8 +324,10 @@ class WorldConfig:
     def __post_init__(self):
         self.duration_range = tuple(self.duration_range)
         check_ranges("world", self, {
-            **dict.fromkeys(("D", "F", "v_common", "n_speakers",
-                             "utts_per_speaker"), AT_LEAST_1),
+            **dict.fromkeys(("D", "F", "v_common"), AT_LEAST_1),
+            # what generate_world asks, named by key
+            "n_speakers": EVEN_AT_LEAST_2,
+            "utts_per_speaker": (lambda v: v >= 2, ">= 2"),
             "noise_sigma": NON_NEGATIVE,
             "pii_frac": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
             "duration_range": (
@@ -551,38 +538,34 @@ def _text_rows(v, code):
     buf.view(_ROW).ravel()[order] = by_layout.view(_ROW).ravel()
     buf[:, 0] = np.where(np.signbit(v), ord("-"), 0)
     for i in np.flatnonzero(~fast):
-        text = json.dumps(float(f"{v[i]:.9g}"))
+        text = _value_text(v[i])
         r[i] = float(text)
         buf[i, :_TEXT_W] = 0
-        buf[i, :len(text)] = np.frombuffer(text.encode(), np.uint8)
+        buf[i, :len(text)] = np.frombuffer(text, np.uint8)
     buf[:, _TEXT_W:] = _SUFFIX[code]
     return buf, r
 
 
 def _json_arrays(arrays) -> tuple:
-    """``json.dumps(_round9(a))`` as bytes for each non-empty 1-D or 2-D
-    float array, from one text buffer over all their values; and all their
-    values as the texts give them back, in order."""
+    """``json.dumps`` as bytes of each 1-D or 2-D float array, its values
+    rounded one at a time by ``_round9``, from one text buffer over all
+    their values; and all their values as the texts give them back, in
+    order."""
     v = np.concatenate([a.ravel() for a in arrays]).astype(float, copy=False)
     code = np.full(v.size, _SEP)
     ends = np.cumsum([a.size for a in arrays]).tolist()
     for a, end in zip(arrays, ends):
-        if a.ndim == 2:
-            code[end - a.size + a.shape[1] - 1:end:a.shape[1]] = _ENDROW
-        code[end - 1] = _END1 if a.ndim == 1 else _END2
+        if a.size:      # an empty array has no value to end it
+            if a.ndim == 2:
+                code[end - a.size + a.shape[1] - 1:end:a.shape[1]] = _ENDROW
+            code[end - 1] = _END1 if a.ndim == 1 else _END2
     buf, values = _text_rows(v, code)
     out = []
     for a, start, stop in zip(arrays, [0] + ends, ends):
         rows = buf[start:stop]
-        out.append(b"[" * a.ndim + rows[rows != 0].tobytes())
+        out.append(b"[" * a.ndim + rows[rows != 0].tobytes() if a.size
+                   else json.dumps(a.tolist()).encode())
     return out, values
-
-
-def _batched(v) -> bool:
-    """A non-empty 1-D or 2-D float array whose values are exact in
-    float64."""
-    return (isinstance(v, np.ndarray) and v.dtype.kind == "f"
-            and v.dtype.itemsize <= 8 and v.ndim in (1, 2) and v.size > 0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -597,64 +580,58 @@ def _object_text(parts: dict) -> bytes:
 
 
 def _value_text(v) -> bytes:
-    """``json.dumps(_round9(v))``; strings, ints and lists of ints hold no
-    float to round, so they skip the walk."""
-    if type(v) in (str, int) or (type(v) is list
-                                 and all(type(x) is int for x in v)):
-        return json.dumps(v).encode()
-    return json.dumps(_round9(v)).encode()
+    """``json.dumps`` of a row value that is not a float array; a float is
+    rounded by ``_round9``, and no other value holds one."""
+    return json.dumps(_round9(v) if isinstance(v, float) else v).encode()
 
 
-def _write_batch(f, rows, stream=None) -> list:
-    streamed = [[k for k, v in row.items() if _batched(v)] for row in rows]
-    arrays = [row[k] for row, keys in zip(rows, streamed) for k in keys]
+def _write_batch(f, rows, fields, stream) -> list:
+    arrays = [row[k] for row in rows for k in fields]
     texts, values = _json_arrays(arrays) if arrays else ([], np.empty(0))
     texts = iter(texts)
     shaped = []
-    for row, keys in zip(rows, streamed):
-        parts = {k: next(texts) if k in keys else _value_text(v)
+    for row in rows:
+        parts = {k: next(texts) if k in fields else _value_text(v)
                  for k, v in row.items()}
         f.write(_object_text(parts) + b"\n")
-        shapes = {k: str(list(row[k].shape)).encode() for k in keys}
-        shaped.append((tuple(keys), _object_text({**parts, **shapes})))
-    if stream is not None:
-        stream.write(values.astype("<f8", copy=False))
+        shapes = {k: str(list(row[k].shape)).encode() for k in fields}
+        shaped.append(_object_text({**parts, **shapes}))
+    stream.write(values.astype("<f8", copy=False))
     return shaped
 
 
-def _write_jsonl(f, rows, stream=None) -> list:
-    """Write ``json.dumps(_round9(row))`` and a newline per row dict to the
-    binary file ``f``.  Float arrays in the rows are formatted together, in
-    batches cut before they would pass BATCH_VALUES values; with a binary
-    file ``stream``, their values as the text gives them back are appended
-    to it as little-endian float64, in order.  Returns, per row, the keys
-    of its float arrays and the row's JSON text with each of those arrays
-    replaced by its shape."""
+def _write_jsonl(f, rows, fields, stream) -> list:
+    """Write the JSON text and a newline of each row dict to the binary
+    file ``f``, floats rounded by ``_round9``.  The float arrays of the
+    rows, under the keys ``fields`` (in row order), are formatted together,
+    in batches cut before they would pass BATCH_VALUES values; their values
+    as the text gives them back are appended to the binary file ``stream``
+    as little-endian float64, in order.  Returns each row's JSON text with
+    each of those arrays replaced by its shape."""
     batch, n, shaped = [], 0, []
     for row in rows:
-        size = sum(v.size for v in row.values() if _batched(v))
+        size = sum(row[k].size for k in fields)
         if batch and n + size > BATCH_VALUES:
-            shaped += _write_batch(f, batch, stream)
+            shaped += _write_batch(f, batch, fields, stream)
             batch, n = [], 0
         batch.append(row)
         n += size
-    return shaped + _write_batch(f, batch, stream)
+    return shaped + _write_batch(f, batch, fields, stream)
 
 
 def _world_text(params: WorldParams) -> bytes:
-    """``json.dumps(params.to_dict(), indent=1)`` and a newline.  The float
-    arrays are formatted by one ``_json_arrays`` call, and their compact
-    text is laid out as ``indent=1`` lays out a value one level deep."""
+    """``json.dumps`` of the fields of ``params`` with ``indent=1``, floats
+    rounded by ``_round9``, and a newline.  The float arrays are formatted
+    by one ``_json_arrays`` call, and their compact text is laid out as
+    ``indent=1`` lays out a value one level deep."""
     d = _fields_of(params)
-    keys = [k for k, v in d.items() if _batched(v)]
-    texts = (dict(zip(keys, _json_arrays([d[k] for k in keys])[0]))
-             if keys else {})
+    keys = [k for k, v in d.items() if isinstance(v, np.ndarray)]
+    texts = dict(zip(keys, _json_arrays([d[k] for k in keys])[0]))
     parts = []
     for k, v in d.items():
         if k not in texts:
-            parts.append(json.dumps({k: _round9(v)}, indent=1)[2:-2].encode())
-            continue
-        if v.ndim == 1:
+            text = _value_text(v)
+        elif v.ndim == 1:
             text = b"[\n  " + texts[k][1:-1].replace(b", ", b",\n  ") + b"\n ]"
         else:
             text = (b"[\n  [\n   " + texts[k][2:-2]
@@ -684,15 +661,17 @@ def sha256_file(path) -> str:
 
 
 class _Hashing:
-    """A binary file open for writing that hashes the bytes written to it,
-    so that a digest of the file needs no second read."""
+    """``paths[name]`` open for binary writing; on closing, the sha256 of
+    the bytes written to it goes into ``digests[name]``, so that a digest
+    of the file needs no second read."""
 
-    def __init__(self, path):
-        self._f = open(path, "wb")
-        self.sha256 = hashlib.sha256()
+    def __init__(self, paths: dict, name: str, digests: dict):
+        self._f = open(paths[name], "wb")
+        self._sha256 = hashlib.sha256()
+        self._name, self._digests = name, digests
 
     def write(self, data) -> None:
-        self.sha256.update(data)
+        self._sha256.update(data)
         self._f.write(data)
 
     def __enter__(self):
@@ -700,6 +679,7 @@ class _Hashing:
 
     def __exit__(self, *exc) -> None:
         self._f.close()
+        self._digests[self._name] = self._sha256.hexdigest()
 
 
 def save_dataset(dataset: Dataset, out_dir) -> dict:
@@ -707,45 +687,30 @@ def save_dataset(dataset: Dataset, out_dir) -> dict:
     written, by its path in ``out_dir``, hashed from the bytes as they were
     written.  The files replace the old files only once all are written
     (see ``checkpoint.replacing``).  Floats are stored at 9 significant
-    digits.  The array cache is left out, and an old one removed, when
-    some row's float arrays are not the fields it stores."""
+    digits."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = {"speakers.jsonl": map(_fields_of, dataset.speakers),
-            "utterances.jsonl": map(_fields_of, dataset.utterances)}
+            "utterances.jsonl": map(_fields_of, dataset.utterances),
+            "replacement_pool.jsonl": ({**_fields_of(e), "length": e.length}
+                                       for e in dataset.pool)}
     shaped, digests = {}, {}
     with replacing([out / name for name in DATASET_FILES]) as paths:
         tmp = dict(zip(DATASET_FILES, paths))
-
-        def write(name, data) -> None:
-            tmp[name].write_bytes(data)
-            digests[name] = hashlib.sha256(data).hexdigest()
-
-        write("world.json", _world_text(dataset.params))
-        with _Hashing(tmp["arrays.f64"]) as stream:
-            for name in ARRAY_FIELDS:
-                with _Hashing(tmp[name]) as f:
-                    shaped[name] = _write_jsonl(f, rows[name], stream)
-                digests[name] = f.sha256.hexdigest()
-        digests["arrays.f64"] = stream.sha256.hexdigest()
-        with _Hashing(tmp["replacement_pool.jsonl"]) as f:
-            _write_jsonl(f, ({**_fields_of(e), "length": e.length}
-                             for e in dataset.pool))
-        digests["replacement_pool.jsonl"] = f.sha256.hexdigest()
-        whole = all(keys == fields for name, fields in ARRAY_FIELDS.items()
-                    for keys, _ in shaped[name])
-        if whole:
-            # json.dumps of the rows; the loader checks these bytes
-            text = _object_text({
-                name: b"[" + b", ".join(t for _, t in shaped[name]) + b"]"
-                for name in ARRAY_FIELDS})
-            sums = {name: digests[name]
-                    for name in ("arrays.f64", *ARRAY_FIELDS)}
-            sums["rows"] = hashlib.sha256(text).hexdigest()
-            write("arrays.json", _rows_head(sums) + text + b"}\n")
-        else:
-            tmp["arrays.f64"].unlink()
-            del digests["arrays.f64"]
+        with _Hashing(tmp, "world.json", digests) as f:
+            f.write(_world_text(dataset.params))
+        with _Hashing(tmp, "arrays.f64", digests) as stream:
+            for name in rows:
+                with _Hashing(tmp, name, digests) as f:
+                    shaped[name] = _write_jsonl(
+                        f, rows[name], ARRAY_FIELDS.get(name, ()), stream)
+        # json.dumps of the rows; the loader checks these bytes
+        text = _object_text({name: b"[" + b", ".join(shaped[name]) + b"]"
+                             for name in ARRAY_FIELDS})
+        sums = {name: digests[name] for name in ("arrays.f64", *ARRAY_FIELDS)}
+        sums["rows"] = hashlib.sha256(text).hexdigest()
+        with _Hashing(tmp, "arrays.json", digests) as f:
+            f.write(_rows_head(sums) + text + b"}\n")
     return {out / name: digest for name, digest in digests.items()}
 
 

@@ -502,6 +502,15 @@ def _truncated_json(name, *argv):
     return case
 
 
+def _metrics(text, named):
+    """``report`` given a metrics file holding ``text``; the error must
+    name the file and what is wrong with it."""
+    def case(tmp, world, bb, an):
+        (tmp / "metrics.json").write_text(text)
+        return ["report", "--metrics", tmp / "metrics.json"], named
+    return case
+
+
 def _truncated_world_json(tmp, world, bb, an):
     shutil.copytree(world, tmp / "w")
     _truncate(tmp / "w" / "world.json")
@@ -744,6 +753,12 @@ def _argument(command, flag, value):
     (_not_utf8("metrics.json"), 4),
     (_truncated_json("config.json", "gen-world", "--config"), 2),
     (_truncated_json("metrics.json", "report", "--metrics"), 4),
+    *[(_metrics(f'{{"UTMOS": 3.5, "WER": {v}}}', "metrics.json: metric 'WER'"),
+       4) for v in ('"abc"', "null", "true", "[1]", "NaN", "Infinity",
+                    "-Infinity", "1e400", "1" + "0" * 400)],
+    (_metrics("[1, 2]", "metrics.json: not a JSON object"), 4),
+    (_config_value("world", "n_speakers", 3), 2),
+    (_config_value("world", "utts_per_speaker", 1), 2),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -790,7 +805,11 @@ def _argument(command, flag, value):
         "ignorant-anonymizer-missing", "ignorant-anonymizer-truncated",
         "world-json-not-utf8", "pool-jsonl-not-utf8", "trials-not-utf8",
         "mapping-not-utf8", "backbone-json-not-utf8", "config-not-utf8",
-        "metrics-not-utf8", "truncated-config", "truncated-metrics"])
+        "metrics-not-utf8", "truncated-config", "truncated-metrics",
+        "metric-string", "metric-null", "metric-bool", "metric-list",
+        "metric-nan", "metric-inf", "metric-minus-inf", "metric-1e400",
+        "metric-int-past-float-range", "metrics-list", "world-n-speakers-odd",
+        "world-utts-per-speaker-1"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline

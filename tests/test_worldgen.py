@@ -83,9 +83,9 @@ class TestWorldParams:
 
     def test_round_trip_dict(self, tmp_path):
         p = small_params()
-        (tmp_path / "world.json").write_text(json.dumps(p.to_dict()))
+        (tmp_path / "world.json").write_text(json.dumps(world_dict(p)))
         q = load_params(tmp_path)
-        assert q.to_dict() == p.to_dict()
+        assert world_dict(q) == world_dict(p)
         assert q.V == p.V and q.D == p.D
         assert np.allclose(q.A, p.A, atol=1e-6)
 
@@ -280,7 +280,8 @@ def test_speaker_prior_batch_matches_per_row_draws(D, n):
 
 
 def round9_reference(obj):
-    """One recursive call per value: the plain form of ``_round9``."""
+    """``obj`` with each float, in arrays and lists too, rounded one at a
+    time: the per-value reference of the dataset writer."""
     if isinstance(obj, float):
         return float(f"{obj:.9g}")
     if isinstance(obj, dict):
@@ -289,17 +290,20 @@ def round9_reference(obj):
         return [round9_reference(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return round9_reference(obj.tolist())
-    if isinstance(obj, np.floating):
-        return round9_reference(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
     return obj
 
 
-def encoded(rows) -> str:
-    """The dataset writer's text for a list of row dicts."""
+def world_dict(params) -> dict:
+    """The fields of ``params``, as ``world.json`` stores them."""
+    return round9_reference({f.name: getattr(params, f.name)
+                             for f in dataclasses.fields(params)})
+
+
+def encoded(rows, fields) -> str:
+    """The dataset writer's text for a list of row dicts whose float arrays
+    are under ``fields``."""
     f = io.BytesIO()
-    worldgen._write_jsonl(f, rows)
+    worldgen._write_jsonl(f, rows, fields, io.BytesIO())
     return f.getvalue().decode()
 
 
@@ -307,20 +311,23 @@ def reference_text(rows) -> str:
     return "".join(json.dumps(round9_reference(r)) + "\n" for r in rows)
 
 
-@pytest.mark.parametrize("shape", [(0,), (7,), (33,), (5, 4), (1, 24), (3, 0),
-                                   (2, 3, 4)])
+@pytest.mark.parametrize("shape", [(0,), (7,), (33,), (5, 4), (1, 24), (3, 0)])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_round9_matches_per_value_recursion(shape, dtype):
+    """Rows of the kinds of values that datasets hold, with float arrays
+    under named fields: empty ones too, beside a non-empty one."""
     rng = np.random.default_rng(0)
     special = [-0.0, 0.0, 1e-5, -1e-5, 1e9, 123456789.0, 3.0, -2.0,
                1.0 / 3.0, 2.5e-300, 6.02214076e23]
     scaled = rng.standard_normal(64) * 10.0 ** rng.integers(-6, 9, 64)
     a = np.resize(np.concatenate([special, scaled]), shape).astype(dtype)
-    mixed = {"x": a, "row": [1.0 / 3.0, 2, True, None, "s", np.float32(0.1),
-                             np.int64(7), (0.5, [-0.0, 1e-5])]}
-    for obj in (a, a.tolist(), mixed):
-        assert json.dumps(_round9(obj)) == json.dumps(round9_reference(obj))
-    assert encoded([mixed]) == reference_text([mixed])
+    rows = [{"id": "utt00000", "x": a, "d": 1.0 / 3.0, "tokens": [2, 7],
+             "spans": [("PER", 0, 1)], "lexicon": {"PER": [3, 4]},
+             "z": np.array([[1.0 / 3.0, -0.0]]), "n": 4},
+            {"id": "utt00001", "x": a[::-1], "d": np.float64(6.02214076e23),
+             "tokens": [], "spans": [], "lexicon": {},
+             "z": np.array([2.5e-300]), "n": 0}]
+    assert encoded(rows, ("x", "z")) == reference_text(rows)
 
 
 def _edges(x):
@@ -350,8 +357,9 @@ float_values = st.one_of(
                   elements=float_values))
 def test_encoder_matches_per_value_reference(a):
     # two rows, so the batch is split back into arrays
-    rows = [{"a": a, "x": 1.0 / 3.0}, {"b": a[::-1], "n": 2}]
-    assert encoded(rows) == reference_text(rows)
+    rows = [{"a": a, "x": 1.0 / 3.0, "b": a.ravel()},
+            {"a": a[::-1], "x": 2, "b": a.ravel()[::-1]}]
+    assert encoded(rows, ("a", "b")) == reference_text(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +367,7 @@ def test_encoder_matches_per_value_reference(a):
 
 def assert_same_dataset(a, b):
     """Equal rows, and float arrays equal bit for bit (NaN and -0.0 too)."""
-    assert a.params.to_dict() == b.params.to_dict()
+    assert world_dict(a.params) == world_dict(b.params)
     for xs, ys in ((a.speakers, b.speakers), (a.utterances, b.utterances),
                    (a.pool, b.pool)):
         assert len(xs) == len(ys)
@@ -501,24 +509,18 @@ def test_respelled_rows_fall_back_to_text(tmp_path, monkeypatch):
     assert_same_dataset(loaded, load_dataset(tmp_path))
 
 
-@pytest.mark.parametrize("cache", ["whole", "left-out", "removed"])
+@pytest.mark.parametrize("cache", ["whole", "removed"])
 def test_digests_are_of_the_files(tmp_path, cache):
     """``save_dataset`` returns, and ``Dataset.sha256`` holds, the sha256 of
     each file written or read, whether the load used the cache or not."""
     _, ds = small_world(seed=8)
-    if cache == "left-out":
-        ds.utterances[1].p_norm = ds.utterances[1].p_norm.tolist()
     written = save_dataset(ds, tmp_path)
+    assert {p: worldgen.sha256_file(p) for p in written} == written
+    assert {p.name for p in written} == set(DATASET_FILES)
     if cache == "removed":
         for name in CACHE_FILES:
             (tmp_path / name).unlink()
-    files = sorted(p for p in tmp_path.iterdir())
-    digests = {p: worldgen.sha256_file(p) for p in files}
-    want = {name: cache != "left-out" for name in CACHE_FILES}
-    assert {p.name for p in written} == {
-        n for n in DATASET_FILES if want.get(n, True)}
-    assert {p: d for p, d in written.items() if p in digests} == {
-        p: digests[p] for p in written if p in digests}
+    digests = {p: worldgen.sha256_file(p) for p in tmp_path.iterdir()}
     assert load_dataset(tmp_path).sha256 == digests
 
 
@@ -531,14 +533,21 @@ def test_hit_reads_no_jsonl_text_that_cache_holds(tmp_path, monkeypatch):
         load_dataset(tmp_path)
 
 
-def test_cache_left_out_for_rows_it_cannot_hold(tmp_path):
+def test_text_loaded_dataset_saves_all_files(tmp_path):
+    """A dataset read from the text alone is saved with its array cache,
+    and loads back from that cache as the same data."""
     _, ds = small_world(seed=7)
-    save_dataset(ds, tmp_path)
-    ds.utterances[1].p_norm = ds.utterances[1].p_norm.tolist()
-    save_dataset(ds, tmp_path)
-    assert not any((tmp_path / n).exists() for n in CACHE_FILES)
-    assert load_dataset(tmp_path).utterances[1].p_norm.tolist() == \
-           [float(f"{x:.9g}") for x in ds.utterances[1].p_norm]
+    save_dataset(ds, tmp_path / "a")
+    for name in CACHE_FILES:
+        (tmp_path / "a" / name).unlink()
+    text = load_dataset(tmp_path / "a")
+    written = save_dataset(text, tmp_path / "b")
+    assert sorted(p.name for p in written) == sorted(DATASET_FILES)
+    assert sorted(p.name for p in (tmp_path / "b").iterdir()) == \
+           sorted(DATASET_FILES)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(worldgen, "_parse_jsonl", text_only())
+        assert_same_dataset(load_dataset(tmp_path / "b"), text)
 
 
 @settings(max_examples=10, deadline=None)
@@ -587,6 +596,7 @@ def assert_rows_are_fields(path):
     ("duration_range", (0.0, 6.0)),
     ("duration_range", (6.0, MAX_DURATION_S * (1 + 1e-15))),
     ("duration_range", (1e15, 1e15)),
+    ("n_speakers", 3), ("utts_per_speaker", 1),
 ])
 def test_world_config_rejects_out_of_range(key, value):
     with pytest.raises(ConfigError, match=f"world.{key} "):
@@ -668,7 +678,7 @@ def test_save_does_not_depend_on_batch_size(tmp_path, monkeypatch,
                        for name, data in files.items()}
     # the reference: world.json as json.dumps lays it out
     assert files["world.json"] == (
-        json.dumps(ds.params.to_dict(), indent=1).encode() + b"\n")
+        json.dumps(world_dict(ds.params), indent=1).encode() + b"\n")
     assert_same_dataset(*load_both(tmp_path / "1"))
 
 
