@@ -106,19 +106,23 @@ def train_backbone(dataset: Dataset, config: BackboneConfig,
     Returns (model, loss_trace); the trace holds per-step flow and
     commitment losses plus the scheduled learning rate.
     """
+    if not dataset.utterances:
+        raise InputError("no utterances to train on")
     p = dataset.params
     model = BackboneModel(frame_dim=p.F, speaker_dim=p.D, vocab_size=p.V,
                           config=config)
 
-    x1 = np.concatenate([u.frames for u in dataset.utterances], axis=0)
     toks = stacked_frame_tokens(dataset.utterances)
     pn = np.concatenate([u.p_norm for u in dataset.utterances])
-    # one speaker row per utterance; a batch gathers its frames' rows
-    # through their owner index, so no row is held once per frame
+    # the frames stay in their utterances and the speaker rows one per
+    # utterance: a batch gathers both through its frames' owner index, so
+    # no frame or speaker row is held twice
+    frames = [u.frames for u in dataset.utterances]
     spk = oracle_extract_speakers(dataset.utterances, p)
-    owner = np.repeat(np.arange(len(dataset.utterances)),
-                      [u.n_frames for u in dataset.utterances])
-    n = x1.shape[0]
+    counts = [u.n_frames for u in dataset.utterances]
+    owner = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts     # each utterance's first frame
+    n = owner.size
 
     # codebook init: one clean content feature per token when the book is
     # large enough (rare tokens keep their own codeword), remaining entries
@@ -149,8 +153,10 @@ def train_backbone(dataset: Dataset, config: BackboneConfig,
         f = model.f_sem(toks[idx])  # clean: the commitment gradient's input
         res = quantize(model.noisy(f, rng), model.codebook)
         local = model.local_cond(res.c_vq, pn[idx])
-        l_flow, grads = cfm_loss(model.field, x1[idx],
-                                 (local, spk[owner[idx]]), rng)
+        own = owner[idx]
+        x1 = np.array([frames[i][j] for i, j in
+                       zip(own.tolist(), (idx - first[own]).tolist())])
+        l_flow, grads = cfm_loss(model.field, x1, (local, spk[own]), rng)
         grads["codebook"] = config.lam * codebook_grad(f, res, model.codebook)
         l_commit = res.commit_loss
         total = config.lam * l_commit + l_flow

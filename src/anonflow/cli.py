@@ -23,7 +23,8 @@ from . import __version__
 from .anonymizer import (AnonymizerConfig, WeightStrategy, anonymize_dataset,
                          load_anonymizer, load_mapping, save_anonymizer,
                          save_mapping, train_anonymizer)
-from .backbone import BackboneConfig, load_backbone, save_backbone, train_backbone
+from .backbone import (BackboneConfig, BackboneModel, load_backbone,
+                       save_backbone, train_backbone)
 from .checkpoint import (AT_LEAST_1, TRAINING_RANGES, config_section,
                          replace_text, utf8_text)
 from .content import (ReplacementPool, anonymize_content, build_gazetteer,
@@ -194,10 +195,20 @@ def _level_dims_for(d: int) -> tuple:
     return tuple(dims + dims[-2::-1])
 
 
+def _load_backbone_for(args, ds) -> BackboneModel:
+    """The ``--backbone`` model, if it embeds every token id of ``ds``."""
+    backbone = load_backbone(Path(args.backbone))
+    if backbone.vocab_size < ds.params.V:
+        raise DataError(f"{Path(args.backbone).with_suffix('.ckpt')}: "
+                        f"vocabulary of {backbone.vocab_size} tokens is "
+                        f"smaller than the dataset's V = {ds.params.V}")
+    return backbone
+
+
 def cmd_anonymize(args) -> int:
     strategy = WeightStrategy.parse(args.strategy)
     ds = load_dataset(args.data)
-    backbone = load_backbone(Path(args.backbone))
+    backbone = _load_backbone_for(args, ds)
     anonymizer = load_anonymizer(Path(args.anonymizer))
     anon, mapping = anonymize_dataset(backbone, anonymizer, ds, strategy,
                                       args.steps,
@@ -217,7 +228,7 @@ def cmd_anonymize(args) -> int:
 
 def cmd_seca(args) -> int:
     ds = load_dataset(args.data)
-    backbone = load_backbone(Path(args.backbone))
+    backbone = _load_backbone_for(args, ds)
     gaz = build_gazetteer(ds)
     pool = ReplacementPool(ds.pool)
     mapping = load_mapping(args.mapping, ds) if args.mapping else None

@@ -75,18 +75,26 @@ class WorldParams:
             # a JSON 16.0 or true would only fail later, inside numpy
             if type(value) is not int:
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
-        self.A = np.asarray(self.A, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
-        self.C = np.asarray(self.C, dtype=float)
-        self.gender_means = np.asarray(self.gender_means, dtype=float)
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+        for key in ("D", "V", "F"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, "
+                                  f"got {getattr(self, key)}")
+        # a NaN fails both comparisons
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise_sigma must be a finite number >= 0, "
+                              f"got {self.noise_sigma!r}")
         if self.F < self.D + 1:
             raise ConfigError(f"F={self.F} must be >= D+1={self.D + 1}")
+        shapes = {"A": (self.F, self.V), "B": (self.F,), "C": (self.F, self.D),
+                  "gender_means": (2, self.D)}
+        for key, shape in shapes.items():
+            value = np.asarray(getattr(self, key), dtype=float)
+            if value.shape != shape:
+                raise ConfigError(f"{key} has shape {value.shape}, "
+                                  f"expected {shape}")
+            setattr(self, key, value)
         if np.linalg.matrix_rank(self.C) < self.D:
             raise ConfigError("speaker imprint C must have full column rank")
-        if self.A.shape != (self.F, self.V) or self.C.shape != (self.F, self.D):
-            raise ConfigError("imprint matrix shapes inconsistent with D/V/F")
         self._c_pinv = np.linalg.pinv(self.C)
 
     @property
@@ -806,22 +814,56 @@ def _float_array(where: str, d: dict, key: str, shape: tuple) -> np.ndarray:
     return a
 
 
-def _load_utterance(where: str, d: dict, params: WorldParams) -> Utterance:
-    """One utterance row; tokens must be integer ids in [0, V) and the
-    per-frame arrays must have T = len(tokens) * frames_per_token rows."""
+def _token_ids(where: str, key: str, ids, params: WorldParams) -> list:
+    """``ids``, field ``key`` of a row, if it is a list of integer token
+    ids in [0, V)."""
+    if not (isinstance(ids, list) and all(type(k) is int for k in ids)):
+        raise DataError(f"{where}: {key} must be a list of integer ids")
+    if ids and not (0 <= min(ids) and max(ids) < params.V):
+        raise DataError(f"{where}: {key} ids must lie in [0, {params.V})")
+    return ids
+
+
+def _load_speaker(where: str, d: dict, params: WorldParams) -> Speaker:
+    """One speaker row; its id must be a string and each PII lexicon entry
+    a list of token ids."""
+    if type(d["id"]) is not str:
+        raise DataError(f"{where}: id must be a string, got {d['id']!r}")
+    lexicon = d["pii_lexicon"]
+    if not isinstance(lexicon, dict):
+        raise DataError(f"{where}: pii_lexicon must be an object of token "
+                        f"id lists")
+    return Speaker(
+        id=d["id"], gender=d["gender"],
+        embedding=_float_array(where, d, "embedding", (params.D,)),
+        base_pitch_hz=d["base_pitch_hz"],
+        style=_float_array(where, d, "style", (params.V,)),
+        pii_lexicon={k: _token_ids(where, f"pii_lexicon.{k}", v, params)
+                     for k, v in lexicon.items()})
+
+
+def _load_utterance(where: str, d: dict, params: WorldParams,
+                    speaker_ids) -> Utterance:
+    """One utterance row of a speaker among ``speaker_ids``; tokens must be
+    ids in [0, V), the duration a finite number, and the per-frame arrays
+    must have T = len(tokens) * frames_per_token rows."""
     fpt = d["frames_per_token"]
     if type(fpt) is not int or fpt < 1:
         raise DataError(f"{where}: frames_per_token must be a positive "
                         f"integer, got {fpt!r}")
-    tokens = d["tokens"]
-    if not (isinstance(tokens, list) and all(type(k) is int for k in tokens)):
-        raise DataError(f"{where}: tokens must be a list of integer ids")
-    if tokens and not (0 <= min(tokens) and max(tokens) < params.V):
-        raise DataError(f"{where}: token ids must lie in [0, {params.V})")
+    tokens = _token_ids(where, "tokens", d["tokens"], params)
+    duration = d["duration_s"]
+    # a NaN fails the comparison; an int past float range passes it
+    if type(duration) not in (int, float) or not abs(duration) < math.inf:
+        raise DataError(f"{where}: duration_s must be a finite number, "
+                        f"got {duration!r}")
+    if type(d["speaker_id"]) is not str or d["speaker_id"] not in speaker_ids:
+        raise DataError(f"{where}: speaker_id {d['speaker_id']!r} is not "
+                        f"in speakers.jsonl")
     t = len(tokens) * fpt
     return Utterance(
         id=d["id"], speaker_id=d["speaker_id"], gender=d["gender"],
-        duration_s=d["duration_s"], tokens=tokens,
+        duration_s=duration, tokens=tokens,
         entity_spans=[tuple(sp) for sp in d["entity_spans"]],
         f0_hz=_float_array(where, d, "f0_hz", (t,)),
         p_norm=_float_array(where, d, "p_norm", (t,)),
@@ -874,16 +916,13 @@ def load_dataset(in_dir) -> Dataset:
                              else _parse_jsonl(path, _read(path, digests)),
                              record)
 
-    speakers = [Speaker(
-        id=d["id"], gender=d["gender"],
-        embedding=_float_array(where, d, "embedding", (params.D,)),
-        base_pitch_hz=d["base_pitch_hz"],
-        style=_float_array(where, d, "style", (params.V,)),
-        pii_lexicon={k: list(v) for k, v in d["pii_lexicon"].items()})
-        for where, d in rows("speakers.jsonl", Speaker)]
-    utterances = [_load_utterance(where, d, params) for where, d in
-                  rows("utterances.jsonl", Utterance)]
-    pool = [PoolEntry(type=d["type"], tokens=list(d["tokens"])) for _, d in
-            rows("replacement_pool.jsonl", PoolEntry)]
+    speakers = [_load_speaker(where, d, params)
+                for where, d in rows("speakers.jsonl", Speaker)]
+    speaker_ids = {s.id for s in speakers}
+    utterances = [_load_utterance(where, d, params, speaker_ids)
+                  for where, d in rows("utterances.jsonl", Utterance)]
+    pool = [PoolEntry(type=d["type"],
+                      tokens=_token_ids(where, "tokens", d["tokens"], params))
+            for where, d in rows("replacement_pool.jsonl", PoolEntry)]
     return Dataset(params=params, speakers=speakers, utterances=utterances,
                    pool=pool, sha256=digests)

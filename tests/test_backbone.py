@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,81 @@ class TestTraining:
                               speaker_dim=tiny_world[0].D,
                               vocab_size=tiny_world[0].V, config=tiny_config)
         assert model.codebook.entries.shape == fresh.codebook.entries.shape
+
+
+class _RecordingRng:
+    """A generator that keeps each index array its ``choice`` draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.chosen = []
+
+    def choice(self, *args, **kwargs):
+        self.chosen.append(self._rng.choice(*args, **kwargs))
+        return self.chosen[-1]
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestFrameGather:
+    """Each step's frame batch is gathered from the utterances' own arrays."""
+
+    def test_matches_stacked_frames_reference(self, monkeypatch, tiny_world):
+        # the reference: each batch as rows of one stacked copy of every frame
+        p, ds = tiny_world
+        assert len({u.n_frames for u in ds.utterances}) > 1
+        config = BackboneConfig(content_dim=8, hidden=(24, 24),
+                                codebook_size=p.V + 8, steps=40, batch=64,
+                                seed=2)
+        rng = _RecordingRng(4)
+        gathered = train_backbone(ds, config, rng)
+        stacked = np.concatenate([u.frames for u in ds.utterances], axis=0)
+        real = backbone_mod.cfm_loss
+
+        def from_stacked(field, x1, cond, rng):
+            ref = stacked[rng.chosen[-1]]
+            assert x1.dtype == ref.dtype and np.array_equal(x1, ref)
+            return real(field, ref, cond, rng)
+
+        monkeypatch.setattr(backbone_mod, "cfm_loss", from_stacked)
+        rng = _RecordingRng(4)
+        (m1, t1), (m2, t2) = gathered, train_backbone(ds, config, rng)
+        assert len(rng.chosen) == config.steps + 1   # codebook init, steps
+        assert t1 == t2
+        a, b = m1.tensors(), m2.tensors()
+        assert list(a) == list(b)
+        for k in a:
+            assert a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k])
+
+    def test_steps_hold_no_second_copy_of_frames(self, monkeypatch):
+        # 32 utterances of 160-240 frames: about 1.2 MB of frames, against a
+        # few hundred KB of model, optimizer state and per-step batches
+        p = make_world_params(D=8, F=24, v_common=24, n_speakers=4,
+                              noise_sigma=0.05, seed=3)
+        ds = generate_world(p, 4, 8, np.random.default_rng(3),
+                            duration_range=(40.0, 60.0))
+        frame_bytes = sum(u.frames.nbytes for u in ds.utterances)
+        config = BackboneConfig(content_dim=8, hidden=(24, 24),
+                                codebook_size=p.V + 8, steps=3, batch=64)
+        real = backbone_mod.cfm_loss
+        calls = []
+
+        def cfm_loss(*args):
+            if not calls:       # from the first call on, the peak counts
+                tracemalloc.reset_peak()
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(backbone_mod, "cfm_loss", cfm_loss)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train_backbone(ds, config, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == config.steps and peak - base < frame_bytes
 
 
 class TestReconstruct:

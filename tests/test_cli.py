@@ -454,6 +454,26 @@ def _bad_speaker(edit):
     return case
 
 
+def _bad_pool(edit):
+    def case(tmp, world, bb, an):
+        shutil.copytree(world, tmp / "w")
+        path = tmp / "w" / "replacement_pool.jsonl"
+        lines = path.read_text().splitlines()
+        d = json.loads(lines[1])
+        edit(d)
+        lines[1] = json.dumps(d)
+        path.write_text("\n".join(lines) + "\n")
+        return (["seca", "--data", tmp / "w", "--backbone", bb / "backbone"],
+                "replacement_pool.jsonl:2")
+    return case
+
+
+def _no_utterances(tmp, world, bb, an):
+    shutil.copytree(world, tmp / "w")
+    (tmp / "w" / "utterances.jsonl").write_text("")
+    return ["train-backbone", "--data", tmp / "w"], "no utterances"
+
+
 def _unknown_key(command, section):
     def case(tmp, world, bb, an):
         cfg = tmp / "config.json"
@@ -646,7 +666,8 @@ def _argument(command, flag, value):
     (_world_json(lambda d: d.pop("v_common"), "missing key(s) v_common"), 4),
     (_world_json(lambda d: d.update(vcommon=80), "unknown key(s) vcommon"), 4),
     (_world_json(lambda d: d.update(D="16"), ""), 4),
-    (_world_json(lambda d: d.update(C=d["C"][:-1]), "imprint matrix"), 4),
+    (_world_json(lambda d: d.update(C=d["C"][:-1]),
+                 "C has shape (11, 8), expected (12, 8)"), 4),
     (_world_json(lambda d: d.update(D=float(d["D"])), "D must be an integer"),
      4),
     (_world_json(lambda d: d.update(V=float(d["V"])), "V must be an integer"),
@@ -759,6 +780,33 @@ def _argument(command, flag, value):
     (_metrics("[1, 2]", "metrics.json: not a JSON object"), 4),
     (_config_value("world", "n_speakers", 3), 2),
     (_config_value("world", "utts_per_speaker", 1), 2),
+    (_world_json(lambda d: d.update(D=0), "D must be >= 1"), 4),
+    (_world_json(lambda d: d.update(V=0), "V must be >= 1"), 4),
+    (_world_json(lambda d: d.update(F=0), "F must be >= 1"), 4),
+    (_world_json(lambda d: d.update(B=d["B"] + [0.0, 0.0, 0.0]),
+                 "B has shape (15,), expected (12,)"), 4),
+    (_world_json(lambda d: d.update(
+        gender_means=d["gender_means"] + d["gender_means"][:1]),
+        "gender_means has shape (3, 8), expected (2, 8)"), 4),
+    (_world_json(lambda d: d.update(noise_sigma=math.nan),
+                 "noise_sigma must be a finite number"), 4),
+    (_world_json(lambda d: d.update(noise_sigma=math.inf),
+                 "noise_sigma must be a finite number"), 4),
+    (_bad_speaker(lambda d: d.update(pii_lexicon=[1, 2])), 4),
+    (_bad_speaker(lambda d: d["pii_lexicon"].update(PER=[99999])), 4),
+    (_bad_speaker(lambda d: d["pii_lexicon"].update(PER="ab")), 4),
+    (_bad_speaker(lambda d: d.update(id=["spk001"])), 4),
+    (_bad_utterance(lambda d: d.update(duration_s="long")), 4),
+    (_bad_utterance(lambda d: d.update(duration_s=math.nan)), 4),
+    (_bad_utterance(lambda d: d.update(speaker_id="spk999")), 4),
+    (_bad_utterance(lambda d: d.update(speaker_id=["spk001"])), 4),
+    (_bad_pool(lambda d: d.update(tokens=[99999])), 4),
+    (_bad_pool(lambda d: d.update(tokens=[1.5])), 4),
+    (_model_copy("backbone", lambda d: d.update(vocab_size=d["vocab_size"] - 1),
+                 lambda t: t.update({"backbone/token_embed":
+                                     t["backbone/token_embed"][:-1]}),
+                 named=": vocabulary of"), 4),
+    (_no_utterances, 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -809,7 +857,15 @@ def _argument(command, flag, value):
         "metric-string", "metric-null", "metric-bool", "metric-list",
         "metric-nan", "metric-inf", "metric-minus-inf", "metric-1e400",
         "metric-int-past-float-range", "metrics-list", "world-n-speakers-odd",
-        "world-utts-per-speaker-1"])
+        "world-utts-per-speaker-1", "world-json-D-0", "world-json-V-0",
+        "world-json-F-0", "world-json-B-long", "world-json-gender-means-3-rows",
+        "world-json-noise-sigma-nan", "world-json-noise-sigma-inf",
+        "speaker-lexicon-list", "speaker-lexicon-id-out-of-range",
+        "speaker-lexicon-string", "speaker-id-list", "duration-string",
+        "duration-nan", "utterance-unknown-speaker", "utterance-speaker-list",
+        "pool-token-out-of-range", "pool-float-token",
+        "backbone-vocabulary-smaller-than-dataset",
+        "train-backbone-no-utterances"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline

@@ -1,0 +1,22 @@
+"""``tools/command_peaks.py`` on a 2-speaker world."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "command_peaks.py"
+_spec = importlib.util.spec_from_file_location("command_peaks", _PATH)
+command_peaks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(command_peaks)
+
+
+def test_each_command_reports_a_peak(tmp_path):
+    config, strategy = command_peaks.bench_config()
+    assert config["world"]["n_speakers"] == 64      # the benchmark's world
+    config["world"].update(n_speakers=2, utts_per_speaker=2, v_common=16)
+    config["backbone"].update(steps=2, hidden=[16, 16])
+    config["anonymizer"].update(steps=2, n_embeddings=16, batch=8)
+    peaks = command_peaks.command_peaks(tmp_path, config, strategy, seed=1)
+    assert list(peaks) == ["gen-world", "train-backbone", "train-anonymizer",
+                           "anonymize", "seca", "evaluate"]
+    assert all(0 < mb < 50 for mb in peaks.values())
+    assert (tmp_path / "eval" / "report.json").is_file()
