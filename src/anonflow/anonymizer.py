@@ -96,13 +96,16 @@ def train_anonymizer(embeddings, config: AnonymizerConfig,
                 weight_decay=config.weight_decay)
     n = emb.shape[0]
     trace = []
-    for step in range(config.steps):
-        idx = rng.choice(n, size=min(config.batch, n), replace=n < config.batch)
-        loss, grads = cfm_loss(model.field, emb[idx], None, rng)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite loss at step {step}", step=step)
-        opt.step(grads)
-        trace.append({"step": step, "l_flow": loss, "lr": opt.lr})
+    try:
+        for step in range(config.steps):
+            idx = rng.choice(n, size=min(config.batch, n), replace=n < config.batch)
+            loss, grads = cfm_loss(model.field, emb[idx], None, rng)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite loss at step {step}", step=step)
+            opt.step(grads)
+            trace.append({"step": step, "l_flow": loss, "lr": opt.lr})
+    except DivergenceError as e:
+        raise DivergenceError(f"anonymizer: {e}", step=e.step) from e
     return model, trace
 
 

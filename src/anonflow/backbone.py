@@ -148,23 +148,26 @@ def train_backbone(dataset: Dataset, config: BackboneConfig,
     model.codebook.entries = params["codebook"]
 
     trace = []
-    for step in range(config.steps):
-        idx = rng.choice(n, size=min(config.batch, n), replace=False)
-        f = model.f_sem(toks[idx])  # clean: the commitment gradient's input
-        res = quantize(model.noisy(f, rng), model.codebook)
-        local = model.local_cond(res.c_vq, pn[idx])
-        own = owner[idx]
-        x1 = np.array([frames[i][j] for i, j in
-                       zip(own.tolist(), (idx - first[own]).tolist())])
-        l_flow, grads = cfm_loss(model.field, x1, (local, spk[own]), rng)
-        grads["codebook"] = config.lam * codebook_grad(f, res, model.codebook)
-        l_commit = res.commit_loss
-        total = config.lam * l_commit + l_flow
-        if not np.isfinite(total):
-            raise DivergenceError(f"non-finite loss at step {step}", step=step)
-        opt.step(grads)
-        trace.append({"step": step, "l_flow": l_flow, "l_commit": l_commit,
-                      "lr": opt.lr})
+    try:
+        for step in range(config.steps):
+            idx = rng.choice(n, size=min(config.batch, n), replace=False)
+            f = model.f_sem(toks[idx])  # clean: the commitment gradient's input
+            res = quantize(model.noisy(f, rng), model.codebook)
+            local = model.local_cond(res.c_vq, pn[idx])
+            own = owner[idx]
+            x1 = np.array([frames[i][j] for i, j in
+                           zip(own.tolist(), (idx - first[own]).tolist())])
+            l_flow, grads = cfm_loss(model.field, x1, (local, spk[own]), rng)
+            grads["codebook"] = config.lam * codebook_grad(f, res, model.codebook)
+            l_commit = res.commit_loss
+            total = config.lam * l_commit + l_flow
+            if not np.isfinite(total):
+                raise DivergenceError(f"non-finite loss at step {step}", step=step)
+            opt.step(grads)
+            trace.append({"step": step, "l_flow": l_flow, "l_commit": l_commit,
+                          "lr": opt.lr})
+    except DivergenceError as e:
+        raise DivergenceError(f"backbone: {e}", step=e.step) from e
     return model, trace
 
 

@@ -253,6 +253,9 @@ def cmd_seca(args) -> int:
 def cmd_build_trials(args) -> int:
     ds = load_dataset(args.data)
     trials = build_trials(ds, args.mode, np.random.default_rng(args.seed))
+    if not trials:      # evaluate --trials would reject the empty file
+        raise DataError(f"{args.data}: no {args.mode} trial can be built "
+                        f"from this dataset")
     out = _outdir(args)
     written = {out / "trials.tsv": save_trials(trials, out / "trials.tsv")}
     write_manifest(out, "build-trials",

@@ -46,7 +46,7 @@ def build_trials(dataset: Dataset, mode: str, rng: np.random.Generator) -> Trial
     Acoustic mode keeps utterances with duration in ``DURATION_WINDOW``;
     content mode keeps PII-bearing utterances.  Negative sourcing falls
     back to any different speaker when the requested gender has no other
-    speaker.
+    speaker.  Without a candidate utterance the list is empty.
     """
     if mode not in ("acoustic", "content"):
         raise InputError(f"unknown trial mode {mode!r}")
@@ -56,8 +56,6 @@ def build_trials(dataset: Dataset, mode: str, rng: np.random.Generator) -> Trial
     else:
         cands = [u for u in dataset.utterances if u.has_pii]
     if not cands:
-        log.warning("trial construction: no candidate utterances after "
-                    "%s filtering", mode)
         return Trials()
     genders = {s.id: s.gender for s in dataset.speakers}
     if len(set(genders.values())) < 2:

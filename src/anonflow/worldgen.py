@@ -627,37 +627,18 @@ def _write_jsonl(f, rows, fields, stream) -> list:
     return shaped + _write_batch(f, batch, fields, stream)
 
 
-def _world_text(params: WorldParams) -> bytes:
-    """``json.dumps`` of the fields of ``params`` with ``indent=1``, floats
-    rounded by ``_round9``, and a newline.  The float arrays are formatted
-    by one ``_json_arrays`` call, and their compact text is laid out as
-    ``indent=1`` lays out a value one level deep."""
-    d = _fields_of(params)
-    keys = [k for k, v in d.items() if isinstance(v, np.ndarray)]
-    texts = dict(zip(keys, _json_arrays([d[k] for k in keys])[0]))
-    parts = []
-    for k, v in d.items():
-        if k not in texts:
-            text = _value_text(v)
-        elif v.ndim == 1:
-            text = b"[\n  " + texts[k][1:-1].replace(b", ", b",\n  ") + b"\n ]"
-        else:
-            text = (b"[\n  [\n   " + texts[k][2:-2]
-                    .replace(b"], [", b"\n  ],\n  [\n   ")
-                    .replace(b", ", b",\n   ") + b"\n  ]\n ]")
-        parts.append(b" " + _key_text(k) + text)
-    return b"{\n" + b",\n".join(parts) + b"\n}\n"
-
-
-# The array cache: ``arrays.f64`` holds the float arrays of these fields of
-# every row of these files, in order, as the text gives them back;
-# ``arrays.json`` holds the rows with each of those arrays replaced by its
-# shape, and the sha256 of both JSONL files, of the stream and of the rows.
-ARRAY_FIELDS = {"speakers.jsonl": ("embedding", "style"),
-                "utterances.jsonl": ("f0_hz", "p_norm", "frames")}
+# Each dataset JSON file holds one JSON line per record, the record's
+# fields in order (``world.json`` one ``WorldParams`` row).  The array
+# cache: ``arrays.f64`` holds the float arrays of these fields of every row
+# of these files, in order, as the text gives them back; ``arrays.json``
+# holds the rows with each of those arrays replaced by its shape, and the
+# sha256 of each of the files, of the stream and of the rows.
+ARRAY_FIELDS = {"world.json": ("A", "B", "C", "gender_means"),
+                "speakers.jsonl": ("embedding", "style"),
+                "utterances.jsonl": ("f0_hz", "p_norm", "frames"),
+                "replacement_pool.jsonl": ()}
 CACHE_FILES = ("arrays.f64", "arrays.json")
-DATASET_FILES = ("world.json", "speakers.jsonl", "utterances.jsonl",
-                 "replacement_pool.jsonl", *CACHE_FILES)
+DATASET_FILES = (*ARRAY_FIELDS, *CACHE_FILES)
 
 
 def sha256_file(path) -> str:
@@ -698,20 +679,16 @@ def save_dataset(dataset: Dataset, out_dir) -> dict:
     digits."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = {"speakers.jsonl": map(_fields_of, dataset.speakers),
-            "utterances.jsonl": map(_fields_of, dataset.utterances),
-            "replacement_pool.jsonl": ({**_fields_of(e), "length": e.length}
-                                       for e in dataset.pool)}
+    records = dict(zip(ARRAY_FIELDS, ([dataset.params], dataset.speakers,
+                                      dataset.utterances, dataset.pool)))
     shaped, digests = {}, {}
     with replacing([out / name for name in DATASET_FILES]) as paths:
         tmp = dict(zip(DATASET_FILES, paths))
-        with _Hashing(tmp, "world.json", digests) as f:
-            f.write(_world_text(dataset.params))
         with _Hashing(tmp, "arrays.f64", digests) as stream:
-            for name in rows:
+            for name, fields in ARRAY_FIELDS.items():
                 with _Hashing(tmp, name, digests) as f:
                     shaped[name] = _write_jsonl(
-                        f, rows[name], ARRAY_FIELDS.get(name, ()), stream)
+                        f, map(_fields_of, records[name]), fields, stream)
         # json.dumps of the rows; the loader checks these bytes
         text = _object_text({name: b"[" + b", ".join(shaped[name]) + b"]"
                              for name in ARRAY_FIELDS})
@@ -878,11 +855,18 @@ def load_params(in_dir) -> WorldParams:
 
 
 def _parse_params(path: Path, data: bytes) -> WorldParams:
-    """The world parameters of ``data``, the bytes of ``path``."""
+    """The world parameters of ``data``, the bytes of ``path``: the whole
+    file is one JSON document, so an indented one reads too."""
     try:
         d = json.loads(utf8_text(path, data))
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: not valid JSON: {e}") from e
+    return _params_of(path, d)
+
+
+def _params_of(path: Path, d) -> WorldParams:
+    """The world parameters of ``d``, the row of ``path``; a missing or
+    unknown key, or a value that ``WorldParams`` rejects, names the path."""
     if not isinstance(d, dict):
         raise DataError(f"{path}: not a JSON object")
     names = {f.name for f in fields(WorldParams)}
@@ -899,20 +883,21 @@ def _parse_params(path: Path, data: bytes) -> WorldParams:
 
 
 def load_dataset(in_dir) -> Dataset:
-    """Read a dataset directory.  Speaker and utterance rows come from the
-    array cache when its digests match the JSONL files, and are parsed
+    """Read a dataset directory.  The rows of all four JSON files come
+    from the array cache when its digests match the files, and are parsed
     from the text otherwise; either way they get the same checks.  The
     dataset's ``sha256`` holds the digest of each file read or verified,
     each file hashed once."""
     src = Path(in_dir)
     digests = {}
-    params = _parse_params(src / "world.json",
-                           _read(src / "world.json", digests))
     cached = _cached_rows(src, digests)
+    world = src / "world.json"
+    params = (_params_of(world, cached["world.json"][0]) if cached
+              else _parse_params(world, _read(world, digests)))
 
     def rows(name, record):
         path = src / name
-        return _checked_rows(path, cached[name] if name in cached
+        return _checked_rows(path, cached[name] if cached
                              else _parse_jsonl(path, _read(path, digests)),
                              record)
 

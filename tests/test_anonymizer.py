@@ -125,6 +125,32 @@ class TestTraining:
             train_anonymizer(np.zeros((1, 8)), small_config(),
                              np.random.default_rng(0))
 
+    @pytest.mark.parametrize("spoil,message,step", [
+        ("loss", "anonymizer: non-finite loss at step 2", 2),
+        ("lin3.W", "anonymizer: non-finite gradient for lin3.W", 3),
+    ], ids=["loss", "gradient"])
+    def test_divergence_names_the_model(self, monkeypatch, spoil, message,
+                                        step):
+        # the third step's loss, or one of its gradients, is NaN; AdamW
+        # counts its steps from 1
+        real, calls = anonymizer_mod.cfm_loss, []
+
+        def diverging(field, x1, cond, rng):
+            loss, grads = real(field, x1, cond, rng)
+            calls.append(loss)
+            if len(calls) == 3 and spoil == "loss":
+                loss = np.nan
+            elif len(calls) == 3:
+                grads[spoil] = np.full_like(grads[spoil], np.nan)
+            return loss, grads
+
+        monkeypatch.setattr(anonymizer_mod, "cfm_loss", diverging)
+        emb = np.random.default_rng(7).standard_normal((16, 8))
+        with pytest.raises(DivergenceError) as ei:
+            train_anonymizer(emb, small_config(steps=5),
+                             np.random.default_rng(8))
+        assert (str(ei.value), ei.value.step) == (message, step)
+
 
 @pytest.fixture(scope="module")
 def world():

@@ -6,7 +6,7 @@ import pytest
 import anonflow.backbone as backbone_mod
 from anonflow.backbone import (BackboneConfig, BackboneModel, load_backbone,
                                reconstruct, save_backbone, train_backbone)
-from anonflow.errors import InputError
+from anonflow.errors import DivergenceError, InputError
 from anonflow.vq import quantize
 from anonflow.worldgen import generate_world, make_world_params
 
@@ -74,6 +74,34 @@ class _RecordingRng:
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("spoil,message,step", [
+    ("loss", "backbone: non-finite loss at step 2", 2),
+    ("out.b", "backbone: non-finite gradient for out.b", 3),
+], ids=["loss", "gradient"])
+def test_divergence_names_the_model(monkeypatch, tiny_world, spoil, message,
+                                    step):
+    # the third step's flow loss, or one of its gradients, is NaN; AdamW
+    # counts its steps from 1
+    real, calls = backbone_mod.cfm_loss, []
+
+    def diverging(field, x1, cond, rng):
+        loss, grads = real(field, x1, cond, rng)
+        calls.append(loss)
+        if len(calls) == 3 and spoil == "loss":
+            loss = np.nan
+        elif len(calls) == 3:
+            grads[spoil] = np.full_like(grads[spoil], np.nan)
+        return loss, grads
+
+    monkeypatch.setattr(backbone_mod, "cfm_loss", diverging)
+    p, ds = tiny_world
+    config = BackboneConfig(content_dim=8, hidden=(24, 24),
+                            codebook_size=p.V + 8, steps=5, batch=64)
+    with pytest.raises(DivergenceError) as ei:
+        train_backbone(ds, config, np.random.default_rng(1))
+    assert (str(ei.value), ei.value.step) == (message, step)
 
 
 class TestFrameGather:

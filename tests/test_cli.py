@@ -474,6 +474,31 @@ def _no_utterances(tmp, world, bb, an):
     return ["train-backbone", "--data", tmp / "w"], "no utterances"
 
 
+def _no_trials(mode):
+    """``build-trials`` on a world that has no candidate utterance for
+    ``mode``: no utterance at all, or none with PII."""
+    def case(tmp, world, bb, an):
+        shutil.copytree(world, tmp / "w")
+        path = tmp / "w" / "utterances.jsonl"
+        path.write_text("" if mode == "acoustic" else "".join(
+            json.dumps({**json.loads(line), "entity_spans": []}) + "\n"
+            for line in path.read_text().splitlines()))
+        return (["build-trials", "--data", tmp / "w", "--mode", mode],
+                f"{tmp / 'w'}: no {mode} trial")
+    return case
+
+
+def _diverging(section):
+    """``train-<section>`` at a peak learning rate whose first update
+    overflows: the error names the model and the step."""
+    def case(tmp, world, bb, an):
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps({section: {"peak_lr": 1e300}}))
+        return ([f"train-{section}", "--config", cfg, "--data", world],
+                f"error: {section}: non-finite loss at step 1")
+    return case
+
+
 def _unknown_key(command, section):
     def case(tmp, world, bb, an):
         cfg = tmp / "config.json"
@@ -807,6 +832,10 @@ def _argument(command, flag, value):
                                      t["backbone/token_embed"][:-1]}),
                  named=": vocabulary of"), 4),
     (_no_utterances, 4),
+    (_no_trials("acoustic"), 4),
+    (_no_trials("content"), 4),
+    (_diverging("backbone"), 3),
+    (_diverging("anonymizer"), 3),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -865,7 +894,9 @@ def _argument(command, flag, value):
         "duration-nan", "utterance-unknown-speaker", "utterance-speaker-list",
         "pool-token-out-of-range", "pool-float-token",
         "backbone-vocabulary-smaller-than-dataset",
-        "train-backbone-no-utterances"])
+        "train-backbone-no-utterances", "build-trials-no-acoustic-trial",
+        "build-trials-no-content-trial", "train-backbone-diverges",
+        "train-anonymizer-diverges"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline
@@ -874,6 +905,17 @@ def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
     assert main([str(a) for a in argv] + ["--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "\n" not in err and named in err
+
+
+@pytest.mark.parametrize("mode", ["acoustic", "content"])
+def test_build_trials_without_a_trial_writes_nothing(pipeline, tmp_path,
+                                                     mode):
+    _, world, bb, an, _ = pipeline
+    argv, _ = _no_trials(mode)(tmp_path, world, bb, an)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main([str(a) for a in argv] + ["--out", str(out)]) == 4
+    assert list(out.iterdir()) == []
 
 
 _WEIGHT = st.floats().map(repr)     # any float, nan and the infinities too

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -366,10 +367,10 @@ def test_encoder_matches_per_value_reference(a):
 # the array cache beside the JSONL text
 
 def assert_same_dataset(a, b):
-    """Equal rows, and float arrays equal bit for bit (NaN and -0.0 too)."""
-    assert world_dict(a.params) == world_dict(b.params)
-    for xs, ys in ((a.speakers, b.speakers), (a.utterances, b.utterances),
-                   (a.pool, b.pool)):
+    """Equal records, world parameters too, and float arrays equal bit for
+    bit (NaN and -0.0 too)."""
+    for xs, ys in (([a.params], [b.params]), (a.speakers, b.speakers),
+                   (a.utterances, b.utterances), (a.pool, b.pool)):
         assert len(xs) == len(ys)
         for x, y in zip(xs, ys):
             for k, v in vars(x).items():
@@ -381,22 +382,27 @@ def assert_same_dataset(a, b):
                     assert (type(v), v) == (type(w), w), k
 
 
-def text_only():
-    """A ``_parse_jsonl`` that refuses the files the cache stores."""
-    parse = worldgen._parse_jsonl
+def watch_text(m, seen):
+    """Make the MonkeyPatch ``m`` call ``seen(path)`` before each text
+    decode of a dataset file, JSONL or ``world.json``."""
+    for name in ("_parse_jsonl", "_parse_params"):
+        def watched(path, data, parse=getattr(worldgen, name)):
+            seen(path)
+            return parse(path, data)
+        m.setattr(worldgen, name, watched)
 
-    def refusing(path, data):
-        if path.name in ARRAY_FIELDS:
-            raise AssertionError(f"parsed {path.name}")
-        return parse(path, data)
-    return refusing
+
+def refuse(path):
+    """A ``seen`` for ``watch_text``: the cache holds every JSON file, so a
+    load that uses it decodes none."""
+    raise AssertionError(f"parsed {path.name}")
 
 
 def load_both(d):
     """(the dataset from the cache, the dataset from the text) of ``d``;
-    the first load must not parse the JSONL files that the cache holds."""
+    the first load must not parse the files that the cache holds."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(worldgen, "_parse_jsonl", text_only())
+        watch_text(m, refuse)
         hit = load_dataset(d)
     for name in CACHE_FILES:
         (d / name).unlink()
@@ -431,19 +437,44 @@ def test_cache_hit_matches_text_on_edge_values(tmp_path):
     assert np.isnan(frames).any() and np.isinf(frames).any()
 
 
+def edit_first_value(path, key) -> float:
+    """Change the last digit of the first value after ``key`` in the file
+    ``path``, keeping its length; the edited value."""
+    text = path.read_text()
+    start = text.index(key) + len(key)
+    end = text.index(",", start)
+    edited = text[start:end - 1] + ("1" if text[end - 1] == "0" else "0")
+    path.write_text(text[:start] + edited + text[end:])
+    return float(edited)
+
+
 def test_edited_jsonl_loads_the_edit(tmp_path):
     _, ds = small_world(seed=4)
     save_dataset(ds, tmp_path)
-    path = tmp_path / "utterances.jsonl"
-    lines = path.read_text().splitlines()
-    start = lines[0].index('"frames": [[') + len('"frames": [[')
-    end = lines[0].index(",", start)
-    digit = lines[0][end - 1]
-    edited = lines[0][start:end - 1] + ("1" if digit == "0" else "0")
-    lines[0] = lines[0][:start] + edited + lines[0][end:]
-    path.write_text("\n".join(lines) + "\n")
+    edited = edit_first_value(tmp_path / "utterances.jsonl", '"frames": [[')
     frames = load_dataset(tmp_path).utterances[0].frames
-    assert frames[0, 0] == float(edited) != ds.utterances[0].frames[0, 0]
+    assert frames[0, 0] == edited != ds.utterances[0].frames[0, 0]
+
+
+def test_edited_world_json_loads_the_edit(tmp_path):
+    _, ds = small_world(seed=4)
+    save_dataset(ds, tmp_path)
+    edited = edit_first_value(tmp_path / "world.json", '"B": [')
+    assert load_dataset(tmp_path).params.B[0] == edited != ds.params.B[0]
+
+
+def test_world_json_shape_edit_names_the_file(tmp_path):
+    """An edit of the text that changes a shape is read from the text, and
+    fails there, though the cache beside it is whole."""
+    _, ds = small_world(seed=4)
+    save_dataset(ds, tmp_path)
+    path = tmp_path / "world.json"
+    text = path.read_text()
+    at = text.index('"B": [') + len('"B": [')
+    path.write_text(text[:at] + text[text.index(", ", at) + 2:])
+    with pytest.raises(DataError, match=r"world\.json: B has shape \(11,\), "
+                                        r"expected \(12,\)"):
+        load_dataset(tmp_path)
 
 
 def _flip(at):
@@ -495,15 +526,9 @@ def test_respelled_rows_fall_back_to_text(tmp_path, monkeypatch):
                                        indent=0).encode() + b"}\n")
     assert json.loads(path.read_bytes()) == doc
     parsed = []
-    parse = worldgen._parse_jsonl
-
-    def recording(p, data):
-        parsed.append(p.name)
-        return parse(p, data)
-
-    monkeypatch.setattr(worldgen, "_parse_jsonl", recording)
+    watch_text(monkeypatch, lambda p: parsed.append(p.name))
     loaded = load_dataset(tmp_path)
-    assert set(ARRAY_FIELDS) <= set(parsed)
+    assert parsed == list(ARRAY_FIELDS)
     for name in CACHE_FILES:
         (tmp_path / name).unlink()
     assert_same_dataset(loaded, load_dataset(tmp_path))
@@ -526,10 +551,11 @@ def test_digests_are_of_the_files(tmp_path, cache):
 
 def test_hit_reads_no_jsonl_text_that_cache_holds(tmp_path, monkeypatch):
     save_dataset(small_world(seed=6)[1], tmp_path)
-    monkeypatch.setattr(worldgen, "_parse_jsonl", text_only())
+    watch_text(monkeypatch, refuse)
     load_dataset(tmp_path)
     (tmp_path / "arrays.f64").unlink()
-    with pytest.raises(AssertionError, match="parsed speakers.jsonl"):
+    # on a miss the world row comes first, from the text
+    with pytest.raises(AssertionError, match="parsed world.json"):
         load_dataset(tmp_path)
 
 
@@ -546,8 +572,63 @@ def test_text_loaded_dataset_saves_all_files(tmp_path):
     assert sorted(p.name for p in (tmp_path / "b").iterdir()) == \
            sorted(DATASET_FILES)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(worldgen, "_parse_jsonl", text_only())
+        watch_text(m, refuse)
         assert_same_dataset(load_dataset(tmp_path / "b"), text)
+
+
+def test_world_params_from_cache_match_text(tmp_path):
+    """Edge values in the world's arrays and scalars: the cached world row
+    gives the parameters of the text bit for bit, every field and array,
+    also when only ``arrays.f64`` is gone."""
+    save_dataset(edge_world(), tmp_path)
+    with pytest.MonkeyPatch.context() as m:
+        watch_text(m, refuse)
+        hit = load_dataset(tmp_path)
+    assert np.signbit(hit.params.B[0]) and hit.params.B[0] == 0.0
+    (tmp_path / "arrays.f64").unlink()
+    assert_same_dataset(hit, load_dataset(tmp_path))
+
+
+def indented_layout(d):
+    """Rewrite the dataset in ``d`` as it was written before ``world.json``
+    was a row: an ``indent=1`` world, pool rows that store their length,
+    and an array cache of the speaker and utterance rows alone."""
+    world = json.loads((d / "world.json").read_bytes())
+    (d / "world.json").write_text(json.dumps(world, indent=1) + "\n")
+    pool = d / "replacement_pool.jsonl"
+    pool.write_text("".join(
+        json.dumps({**row, "length": len(row["tokens"])}) + "\n"
+        for row in map(json.loads, pool.read_text().splitlines())))
+    doc = json.loads((d / "arrays.json").read_bytes())
+    n_world = sum(np.size(world[k]) for k in ARRAY_FIELDS["world.json"])
+    values = np.fromfile(d / "arrays.f64", "<f8")[n_world:]
+    values.tofile(d / "arrays.f64")
+    names = ("speakers.jsonl", "utterances.jsonl")
+    rows = json.dumps({k: doc["rows"][k] for k in names}).encode()
+    sums = {"arrays.f64": hashlib.sha256(values).hexdigest(),
+            **{k: doc["sha256"][k] for k in names},
+            "rows": hashlib.sha256(rows).hexdigest()}
+    (d / "arrays.json").write_bytes(worldgen._rows_head(sums) + rows
+                                    + b"}\n")
+
+
+def test_indented_world_layout_loads_from_text(tmp_path):
+    """A dataset in the layout before ``world.json`` was a row reads from
+    the text, as the same data, and a save writes it in today's layout."""
+    _, ds = small_world(seed=9)
+    save_dataset(ds, tmp_path / "new")
+    shutil.copytree(tmp_path / "new", tmp_path / "old")
+    indented_layout(tmp_path / "old")
+    parsed = []
+    with pytest.MonkeyPatch.context() as m:
+        watch_text(m, lambda p: parsed.append(p.name))
+        old = load_dataset(tmp_path / "old")
+    assert parsed == list(ARRAY_FIELDS)
+    assert_same_dataset(old, load_dataset(tmp_path / "new"))
+    save_dataset(old, tmp_path / "old")
+    for name in DATASET_FILES:
+        assert ((tmp_path / "old" / name).read_bytes()
+                == (tmp_path / "new" / name).read_bytes()), name
 
 
 @settings(max_examples=10, deadline=None)
@@ -571,18 +652,16 @@ def field_names(record) -> list:
 
 
 def assert_rows_are_fields(path):
-    """Each saved record holds exactly its dataclass's fields, in order, so
-    a field that is added but not saved fails."""
-    world = json.loads((path / "world.json").read_text())
-    assert list(world) == field_names(WorldParams)
-    for name, record, extra in [("speakers.jsonl", Speaker, []),
-                                ("utterances.jsonl", Utterance, []),
-                                ("replacement_pool.jsonl", PoolEntry,
-                                 ["length"])]:
+    """Each line of each saved JSON file holds exactly its record's fields,
+    in order, and ``world.json`` is one line: a field that is added but not
+    saved fails, and so does a stored value that no field holds."""
+    for name, record in zip(ARRAY_FIELDS, (WorldParams, Speaker, Utterance,
+                                           PoolEntry)):
         rows = [json.loads(line)
                 for line in (path / name).read_text().splitlines()]
-        assert rows and all(list(row) == field_names(record) + extra
-                            for row in rows)
+        assert rows and all(list(row) == field_names(record)
+                            for row in rows), name
+        assert name != "world.json" or len(rows) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -676,10 +755,15 @@ def test_save_does_not_depend_on_batch_size(tmp_path, monkeypatch,
     assert sorted(files) == sorted(DATASET_FILES)
     assert digests == {name: hashlib.sha256(data).hexdigest()
                        for name, data in files.items()}
-    # the reference: world.json as json.dumps lays it out
-    assert files["world.json"] == (
-        json.dumps(world_dict(ds.params), indent=1).encode() + b"\n")
+    # the reference: world.json as one row of the per-value reference
+    assert files["world.json"].decode() == reference_text(
+        [world_dict(ds.params)])
     assert_same_dataset(*load_both(tmp_path / "1"))
+
+
+def test_desk_world_rows_are_their_records_fields(tmp_path, desk_datasets):
+    save_dataset(desk_datasets["world"], tmp_path)
+    assert_rows_are_fields(tmp_path)
 
 
 def test_rows_before_a_malformed_line_are_checked_first(tmp_path):
