@@ -11,9 +11,11 @@ embedding of a different speaker) is provided as an ablation alternative.
 row's randomness in turn (``w`` then ``z_rand``, or one pool index), then
 ``solve_speakers`` runs one ``encode``, one ``obscure`` and one ``generate``
 over the whole batch, so row i is what a one-row call on the same generator
-state gives, bit for bit.  ``anonymize_dataset`` draws one identity per
+state gives, bit for bit.  ``anonymize_stream`` draws one identity per
 speaker, when the speaker is first seen, solves them all in one batch, and
-voices all of the speaker's utterances with it.
+voices all of the speaker's utterances with it; its utterances are a
+generator that solves one run of frames at a time, as the dataset writer
+reads them.  ``anonymize_dataset`` is the same stream in a list.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from .flowmath import cfm_loss, integrate
 from .nets import UShapedField, u_shaped
 from .optim import AdamW, OneCycle
 
-from .backbone import RUN_FRAMES, BackboneModel, frame_runs, reconstruct
+from .backbone import (RUN_FRAMES, BackboneModel, NoiseReplay, frame_runs,
+                       reconstruct)
 from .worldgen import Dataset
 
-FRAME_STEPS = 16    # Euler steps of anonymize_dataset's frame-flow solves
+FRAME_STEPS = 16    # Euler steps of anonymize_stream's frame-flow solves
 
 # the level_dims rule: sizes as in WIDTHS, in the shape UShapedField takes
 U_SHAPE = (lambda v: WIDTHS[0](v) and u_shaped(v),
@@ -239,9 +242,9 @@ def anonymize_speaker(model, s_orig, strategy: WeightStrategy,
     return solve_speakers(model, s_orig, draws, steps)
 
 
-def anonymize_dataset(backbone: BackboneModel, anonymizer,
-                      dataset: Dataset, strategy: WeightStrategy,
-                      steps: int, rng: np.random.Generator):
+def anonymize_stream(backbone: BackboneModel, anonymizer,
+                     dataset: Dataset, strategy: WeightStrategy,
+                     steps: int, rng: np.random.Generator):
     """Regenerate every utterance's frames under a pseudo-speaker identity
     drawn with ``steps``-step identity ODEs; each frame-flow solve takes
     ``FRAME_STEPS`` steps.
@@ -250,16 +253,20 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
     (anonymized dataset, mapping) where mapping is
     {speaker_id: (w_used, s_anon)} for the attacker simulation.  A speaker's
     identity is drawn when the speaker is first seen and voices all of the
-    speaker's utterances.
+    speaker's utterances.  The dataset's utterances are a generator, to be
+    read once, as ``save_dataset`` does.
 
     The utterances are split into runs of one speaker's adjacent
     utterances, each cut before it would pass ``RUN_FRAMES`` frames; a
     speaker is first seen at the start of a run.  One walk over the runs
     draws each first-seen speaker's identity randomness and each run's
     frame noise, in the order in which solving each speaker and each run
-    as the walk meets them would draw them; no solve uses the generator.
-    Then one identity solve runs over all speakers, and one
-    ``reconstruct`` over each run, whose noise is dropped once it is solved.
+    as the walk meets them would draw them; a run's noise is dropped once
+    drawn (``NoiseReplay``), and no solve uses the generator.  Then one
+    identity solve runs over all speakers, before this returns.  The
+    generator makes one ``reconstruct`` per run, from the run's noise drawn
+    again, and yields the run's utterances in dataset order; so only one
+    run's noise and frames are held at a time.
     """
     embs = np.array([s.embedding for s in dataset.speakers], dtype=float)
     row = {s.id: k for k, s in enumerate(dataset.speakers)}
@@ -267,7 +274,8 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
     runs = frame_runs([u.speaker_id for u in utts],
                       [u.n_frames for u in utts], RUN_FRAMES)
     first = {}                    # speaker id -> utterance where first seen
-    ws, zs, noise = [], [], []
+    ws, zs, marks = [], [], []
+    noise = NoiseReplay(rng)
     for run in runs:
         u = utts[run[0]]
         if u.speaker_id not in first:
@@ -276,7 +284,7 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
                                  exclude=[row[u.speaker_id]])
             ws.append(w)
             zs.append(z)
-        noise.append(rng.standard_normal(
+        marks.append(noise.skip(
             (sum(utts[i].n_frames for i in run), dataset.params.F)))
 
     draws = (None if strategy.kind == "pool" else np.reshape(ws, -1),
@@ -290,24 +298,35 @@ def anonymize_dataset(backbone: BackboneModel, anonymizer,
     mapping = {sid: (None if w is None else float(w[i]), s_anon[i])
                for i, sid in enumerate(first)}
 
-    frames = []
-    for j, run in enumerate(runs):
-        x0, noise[j] = noise[j], None
-        try:
-            out = reconstruct(
-                backbone, np.concatenate([utts[i].frame_tokens for i in run]),
-                np.concatenate([utts[i].p_norm for i in run]),
-                mapping[utts[run[0]].speaker_id][1], FRAME_STEPS, x0)
-        except DivergenceError as e:
-            raise DivergenceError(
-                f"utterances {utts[run[0]].id}..{utts[run[-1]].id}: {e}",
-                step=e.step) from e
-        ends = np.cumsum([utts[i].n_frames for i in run])[:-1]
-        frames += np.split(out, ends)
+    def voiced():
+        for run, mark in zip(runs, marks):
+            try:
+                out = reconstruct(
+                    backbone,
+                    np.concatenate([utts[i].frame_tokens for i in run]),
+                    np.concatenate([utts[i].p_norm for i in run]),
+                    mapping[utts[run[0]].speaker_id][1], FRAME_STEPS,
+                    noise.redraw(mark))
+            except DivergenceError as e:
+                raise DivergenceError(
+                    f"utterances {utts[run[0]].id}..{utts[run[-1]].id}: {e}",
+                    step=e.step) from e
+            ends = np.cumsum([utts[i].n_frames for i in run])[:-1]
+            for i, f in zip(run, np.split(out, ends)):
+                yield replace(utts[i], frames=f)
+
     anon = Dataset(params=dataset.params, speakers=dataset.speakers,
-                   utterances=[replace(u, frames=f)
-                               for u, f in zip(utts, frames)],
-                   pool=dataset.pool)
+                   utterances=voiced(), pool=dataset.pool)
+    return anon, mapping
+
+
+def anonymize_dataset(backbone: BackboneModel, anonymizer,
+                      dataset: Dataset, strategy: WeightStrategy,
+                      steps: int, rng: np.random.Generator):
+    """``anonymize_stream`` with the anonymized utterances in a list."""
+    anon, mapping = anonymize_stream(backbone, anonymizer, dataset, strategy,
+                                     steps, rng)
+    anon.utterances = list(anon.utterances)
     return anon, mapping
 
 

@@ -193,6 +193,31 @@ def reconstruct(model: BackboneModel, frame_tokens, p_norm, s, steps: int,
                      (local, np.asarray(s, dtype=float)[None]))
 
 
+class NoiseReplay:
+    """Standard normals drawn from ``rng`` in walk order and dropped at
+    once, each draw to be made again when its solve runs: a solve's noise
+    is held only while the solve runs, and ``rng`` moves as if it were
+    held all along."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        # any seed: each redraw sets the state
+        self._replay = np.random.Generator(type(rng.bit_generator)(0))
+
+    def skip(self, shape: tuple) -> tuple:
+        """Draw ``shape`` normals from ``rng`` and drop them; returns the
+        mark that ``redraw`` takes."""
+        mark = (self.rng.bit_generator.state, shape)
+        self.rng.standard_normal(shape)
+        return mark
+
+    def redraw(self, mark: tuple) -> np.ndarray:
+        """The normals that ``skip`` drew and dropped for ``mark``."""
+        state, shape = mark
+        self._replay.bit_generator.state = state
+        return self._replay.standard_normal(shape)
+
+
 def frame_runs(keys, sizes, cap: int) -> list:
     """Indices of the items, grouped into runs of adjacent items with one
     key; a run is cut before its ``sizes`` would sum past ``cap``."""

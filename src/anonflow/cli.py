@@ -20,15 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .anonymizer import (AnonymizerConfig, WeightStrategy, anonymize_dataset,
+from .anonymizer import (AnonymizerConfig, WeightStrategy, anonymize_stream,
                          load_anonymizer, load_mapping, save_anonymizer,
                          save_mapping, train_anonymizer)
 from .backbone import (BackboneConfig, BackboneModel, load_backbone,
                        save_backbone, train_backbone)
 from .checkpoint import (AT_LEAST_1, TRAINING_RANGES, config_section,
                          replace_text, utf8_text)
-from .content import (ReplacementPool, anonymize_content, build_gazetteer,
-                      save_edit_reports, save_gazetteer)
+from .content import (ReplacementPool, anonymize_content_stream,
+                      build_gazetteer, save_edit_reports, save_gazetteer)
 from .errors import ConfigError, DataError, DivergenceError, InputError
 from .evaluation import (build_trials, load_trials, run_attack, save_scores,
                          save_trials)
@@ -210,11 +210,11 @@ def cmd_anonymize(args) -> int:
     ds = load_dataset(args.data)
     backbone = _load_backbone_for(args, ds)
     anonymizer = load_anonymizer(Path(args.anonymizer))
-    anon, mapping = anonymize_dataset(backbone, anonymizer, ds, strategy,
-                                      args.steps,
-                                      np.random.default_rng(args.seed))
+    anon, mapping = anonymize_stream(backbone, anonymizer, ds, strategy,
+                                     args.steps,
+                                     np.random.default_rng(args.seed))
     out = _outdir(args)
-    written = save_dataset(anon, out)
+    written = save_dataset(anon, out)     # solves the frames as it writes
     save_mapping(mapping, out / "mapping.tsv")
     write_manifest(out, "anonymize",
                    {"world": Path(args.data) / "world.json",
@@ -232,11 +232,11 @@ def cmd_seca(args) -> int:
     gaz = build_gazetteer(ds)
     pool = ReplacementPool(ds.pool)
     mapping = load_mapping(args.mapping, ds) if args.mapping else None
-    edited, reports = anonymize_content(
+    edited, reports = anonymize_content_stream(
         backbone, ds, pool, gaz, args.steps, np.random.default_rng(args.seed),
         mapping=mapping, p_asr=args.p_asr)
     out = _outdir(args)
-    written = save_dataset(edited, out)
+    written = save_dataset(edited, out)   # solves the spans as it writes
     save_gazetteer(gaz, out / "gazetteer.jsonl")
     save_edit_reports(reports, out / "edits.jsonl")
     inputs = {"world": Path(args.data) / "world.json",
@@ -250,12 +250,20 @@ def cmd_seca(args) -> int:
     return 0
 
 
-def cmd_build_trials(args) -> int:
-    ds = load_dataset(args.data)
-    trials = build_trials(ds, args.mode, np.random.default_rng(args.seed))
-    if not trials:      # evaluate --trials would reject the empty file
+def _built_trials(ds, args, rng):
+    """``build_trials`` of ``ds`` in ``args.mode``; a DataError naming
+    ``args.data`` when it builds none (evaluate --trials rejects an empty
+    trial file)."""
+    trials = build_trials(ds, args.mode, rng)
+    if not trials:
         raise DataError(f"{args.data}: no {args.mode} trial can be built "
                         f"from this dataset")
+    return trials
+
+
+def cmd_build_trials(args) -> int:
+    ds = load_dataset(args.data)
+    trials = _built_trials(ds, args, np.random.default_rng(args.seed))
     out = _outdir(args)
     written = {out / "trials.tsv": save_trials(trials, out / "trials.tsv")}
     write_manifest(out, "build-trials",
@@ -280,10 +288,12 @@ def cmd_evaluate(args) -> int:
     ds_orig = load_dataset(args.data)
     ds_anon = load_dataset(args.anon)
     mapping = load_mapping(args.mapping, ds_anon) if args.mapping else None
-    trials = load_trials(args.trials) if args.trials else None
-    report = run_attack(ds_orig, ds_anon, mapping, attacker, args.mode,
-                        np.random.default_rng(args.seed), anonymizer=anonymizer,
-                        strategy=strategy, steps=args.steps, trials=trials)
+    rng = np.random.default_rng(args.seed)
+    trials = (load_trials(args.trials) if args.trials
+              else _built_trials(ds_orig, args, rng))
+    report = run_attack(ds_orig, ds_anon, mapping, attacker, args.mode, rng,
+                        anonymizer=anonymizer, strategy=strategy,
+                        steps=args.steps, trials=trials)
     out = _outdir(args)
     doc = report.to_dict()
     doc["config"] = {"attacker": args.attacker, "mode": args.mode,

@@ -6,7 +6,10 @@ of consecutive same-type hits form one span.  Replacements are drawn from
 a shared pool, matching entity type and token count, and the affected
 frames are regenerated by the backbone, one solve per run of a speaker's
 edited utterances, while everything outside the spans is left
-bit-identical.
+bit-identical.  ``anonymize_content_stream`` makes every random draw
+first and then yields the utterances from a generator that solves one
+run at a time, as the dataset writer reads them; ``anonymize_content``
+is the same stream in a list.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .backbone import RUN_FRAMES, BackboneModel, frame_runs, reconstruct
+from .backbone import (RUN_FRAMES, BackboneModel, NoiseReplay, frame_runs,
+                       reconstruct)
 from .checkpoint import replace_text
 from .errors import DivergenceError, InputError, UnmatchedEntityError
 from .worldgen import PII_TYPES, Dataset, PoolEntry, Utterance
@@ -184,11 +188,11 @@ def corrupt_tokens(tokens, p_asr: float, vocab_size: int,
     return out
 
 
-def anonymize_content(backbone: BackboneModel, dataset: Dataset,
-                      pool: ReplacementPool, gazetteer: dict,
-                      steps: int, rng: np.random.Generator,
-                      mapping: dict | None = None,
-                      p_asr: float = 0.0):
+def anonymize_content_stream(backbone: BackboneModel, dataset: Dataset,
+                             pool: ReplacementPool, gazetteer: dict,
+                             steps: int, rng: np.random.Generator,
+                             mapping: dict | None = None,
+                             p_asr: float = 0.0):
     """detect -> match -> plan -> apply over every utterance.
 
     The edits are voiced with each speaker's pseudo-identity from
@@ -196,18 +200,25 @@ def anonymize_content(backbone: BackboneModel, dataset: Dataset,
     embedding.  With ``p_asr > 0`` detection and the output transcript run
     on a corrupted transcript, modeling an upstream recognizer in the
     cascade.  Unmatched entities are reported and left unedited; the run
-    continues.
+    continues.  Returns (edited dataset, edit reports); the reports are
+    whole when this returns, and the dataset's utterances are a generator,
+    to be read once, as ``save_dataset`` does.
 
     Each utterance draws its transcript errors, its replacements and then
-    its span noise, in utterance order; no solve uses the generator.  The
-    spans are then regenerated by one ``reconstruct`` per run of adjacent
+    its span noise, in utterance order, before this returns; the noise is
+    dropped once drawn (``NoiseReplay``), and no solve uses the generator.
+    The spans are regenerated by one ``reconstruct`` per run of adjacent
     edited utterances of one speaker, cut before it would pass
-    ``RUN_FRAMES`` frames, and each utterance is assembled by
-    ``apply_edits``.
+    ``RUN_FRAMES`` frames, from the noise drawn again.  The generator yields
+    the utterances in dataset order: it solves each run in turn and keeps
+    the run's span frames until it yields each of its utterances, assembled
+    by ``apply_edits``; so only one run's noise and frames are held at a
+    time.
     """
     reports = []
-    new_utts = []
-    edited = []     # (index in new_utts, plan, frame tokens, p_norm, noise)
+    bases = []      # each utterance as observed, before its edits
+    edited = []     # (index in bases, plan, frame tokens, p_norm, noise mark)
+    noise = NoiseReplay(rng)
     for u in dataset.utterances:
         observed = (corrupt_tokens(u.tokens, p_asr, dataset.params.V, rng)
                     if p_asr > 0 else list(u.tokens))
@@ -224,9 +235,9 @@ def anonymize_content(backbone: BackboneModel, dataset: Dataset,
         if edits:
             plan = EditPlan(utterance_id=u.id, edits=edits)
             toks, pn = span_inputs(base, plan)
-            edited.append((len(new_utts), plan, toks, pn, rng.standard_normal(
-                (len(toks), dataset.params.F))))
-        new_utts.append(base)
+            edited.append((len(bases), plan, toks, pn,
+                           noise.skip((len(toks), dataset.params.F))))
+        bases.append(base)
         reports.append({
             "utterance_id": u.id,
             "spans": [[sp.type, sp.token_start, sp.token_end] for sp in spans],
@@ -236,25 +247,45 @@ def anonymize_content(backbone: BackboneModel, dataset: Dataset,
             "errors": errors,
         })
 
-    for run in frame_runs([new_utts[e[0]].speaker_id for e in edited],
-                          [len(e[2]) for e in edited], RUN_FRAMES):
-        at, plans, toks, pns, noise = zip(*(edited[j] for j in run))
-        sid = new_utts[at[0]].speaker_id
-        s = (dataset.speaker(sid).embedding if mapping is None
-             else mapping[sid][1])
-        try:
-            frames = reconstruct(backbone, np.concatenate(toks),
-                                 np.concatenate(pns), s, steps,
-                                 np.concatenate(noise))
-        except DivergenceError as e:
-            raise DivergenceError(
-                f"utterances {new_utts[at[0]].id}..{new_utts[at[-1]].id}: "
-                f"{e}", step=e.step) from e
-        ends = np.cumsum([len(t) for t in toks])[:-1]
-        for i, plan, f in zip(at, plans, np.split(frames, ends)):
-            new_utts[i] = apply_edits(new_utts[i], plan, f)
+    def assembled():
+        i = 0                       # the next utterance to yield
+        for run in frame_runs([bases[e[0]].speaker_id for e in edited],
+                              [len(e[2]) for e in edited], RUN_FRAMES):
+            at, plans, toks, pns, marks = zip(*(edited[j] for j in run))
+            sid = bases[at[0]].speaker_id
+            s = (dataset.speaker(sid).embedding if mapping is None
+                 else mapping[sid][1])
+            try:
+                frames = reconstruct(backbone, np.concatenate(toks),
+                                     np.concatenate(pns), s, steps,
+                                     np.concatenate([noise.redraw(m)
+                                                     for m in marks]))
+            except DivergenceError as e:
+                raise DivergenceError(
+                    f"utterances {bases[at[0]].id}..{bases[at[-1]].id}: "
+                    f"{e}", step=e.step) from e
+            ends = np.cumsum([len(t) for t in toks])[:-1]
+            for k, plan, f in zip(at, plans, np.split(frames, ends)):
+                yield from bases[i:k]
+                yield apply_edits(bases[k], plan, f)
+                i = k + 1
+        yield from bases[i:]
+
     out = Dataset(params=dataset.params, speakers=dataset.speakers,
-                  utterances=new_utts, pool=dataset.pool)
+                  utterances=assembled(), pool=dataset.pool)
+    return out, reports
+
+
+def anonymize_content(backbone: BackboneModel, dataset: Dataset,
+                      pool: ReplacementPool, gazetteer: dict,
+                      steps: int, rng: np.random.Generator,
+                      mapping: dict | None = None,
+                      p_asr: float = 0.0):
+    """``anonymize_content_stream`` with the edited utterances in a list."""
+    out, reports = anonymize_content_stream(backbone, dataset, pool,
+                                            gazetteer, steps, rng,
+                                            mapping=mapping, p_asr=p_asr)
+    out.utterances = list(out.utterances)
     return out, reports
 
 

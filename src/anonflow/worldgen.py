@@ -188,7 +188,7 @@ class PoolEntry:
 class Dataset:
     params: WorldParams
     speakers: list
-    utterances: list
+    utterances: list            # or a one-pass generator, for save_dataset
     pool: list = field(default_factory=list)
     # path -> sha256 of each file ``load_dataset`` read or verified, as read
     sha256: dict = field(default_factory=dict, compare=False, repr=False)
@@ -676,7 +676,8 @@ def save_dataset(dataset: Dataset, out_dir) -> dict:
     written, by its path in ``out_dir``, hashed from the bytes as they were
     written.  The files replace the old files only once all are written
     (see ``checkpoint.replacing``).  Floats are stored at 9 significant
-    digits."""
+    digits.  Each record list is read once, in order, so the utterances
+    may be a generator (``anonymize_stream``)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = dict(zip(ARRAY_FIELDS, ([dataset.params], dataset.speakers,
@@ -801,17 +802,44 @@ def _token_ids(where: str, key: str, ids, params: WorldParams) -> list:
     return ids
 
 
-def _load_speaker(where: str, d: dict, params: WorldParams) -> Speaker:
-    """One speaker row; its id must be a string and each PII lexicon entry
-    a list of token ids."""
+def _string_id(where: str, d: dict) -> str:
     if type(d["id"]) is not str:
         raise DataError(f"{where}: id must be a string, got {d['id']!r}")
+    return d["id"]
+
+
+def _gender(where: str, d: dict) -> str:
+    if d["gender"] not in ("male", "female"):
+        raise DataError(f"{where}: gender must be male or female, "
+                        f"got {d['gender']!r}")
+    return d["gender"]
+
+
+def _entity_spans(where: str, spans, n_tokens: int) -> list:
+    """``spans``, field entity_spans of a row, as (type, start, end)
+    tuples, if each is [type, start, end] with a type in PII_TYPES and
+    integers 0 <= start < end <= n_tokens."""
+    if not isinstance(spans, list):
+        raise DataError(f"{where}: entity_spans must be a list of spans")
+    for sp in spans:
+        if not (isinstance(sp, list) and len(sp) == 3 and sp[0] in PII_TYPES
+                and type(sp[1]) is int and type(sp[2]) is int
+                and 0 <= sp[1] < sp[2] <= n_tokens):
+            raise DataError(f"{where}: entity span {sp!r} is not [type, "
+                            f"start, end] with a type in {list(PII_TYPES)} "
+                            f"and 0 <= start < end <= {n_tokens}")
+    return [tuple(sp) for sp in spans]
+
+
+def _load_speaker(where: str, d: dict, params: WorldParams) -> Speaker:
+    """One speaker row; its id must be a string, its gender male or female
+    and each PII lexicon entry a list of token ids."""
     lexicon = d["pii_lexicon"]
     if not isinstance(lexicon, dict):
         raise DataError(f"{where}: pii_lexicon must be an object of token "
                         f"id lists")
     return Speaker(
-        id=d["id"], gender=d["gender"],
+        id=_string_id(where, d), gender=_gender(where, d),
         embedding=_float_array(where, d, "embedding", (params.D,)),
         base_pitch_hz=d["base_pitch_hz"],
         style=_float_array(where, d, "style", (params.V,)),
@@ -821,9 +849,10 @@ def _load_speaker(where: str, d: dict, params: WorldParams) -> Speaker:
 
 def _load_utterance(where: str, d: dict, params: WorldParams,
                     speaker_ids) -> Utterance:
-    """One utterance row of a speaker among ``speaker_ids``; tokens must be
-    ids in [0, V), the duration a finite number, and the per-frame arrays
-    must have T = len(tokens) * frames_per_token rows."""
+    """One utterance row of a speaker among ``speaker_ids``; the id must be
+    a string, the gender male or female, tokens ids in [0, V), each entity
+    span within the tokens, the duration a finite number, and the
+    per-frame arrays must have T = len(tokens) * frames_per_token rows."""
     fpt = d["frames_per_token"]
     if type(fpt) is not int or fpt < 1:
         raise DataError(f"{where}: frames_per_token must be a positive "
@@ -839,9 +868,9 @@ def _load_utterance(where: str, d: dict, params: WorldParams,
                         f"in speakers.jsonl")
     t = len(tokens) * fpt
     return Utterance(
-        id=d["id"], speaker_id=d["speaker_id"], gender=d["gender"],
-        duration_s=duration, tokens=tokens,
-        entity_spans=[tuple(sp) for sp in d["entity_spans"]],
+        id=_string_id(where, d), speaker_id=d["speaker_id"],
+        gender=_gender(where, d), duration_s=duration, tokens=tokens,
+        entity_spans=_entity_spans(where, d["entity_spans"], len(tokens)),
         f0_hz=_float_array(where, d, "f0_hz", (t,)),
         p_norm=_float_array(where, d, "p_norm", (t,)),
         frames=_float_array(where, d, "frames", (t, params.F)),

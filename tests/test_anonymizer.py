@@ -1,3 +1,6 @@
+import collections
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,11 +8,13 @@ import anonflow.anonymizer as anonymizer_mod
 import anonflow.backbone as backbone_mod
 from anonflow.anonymizer import (FRAME_STEPS, AnonymizerConfig,
                                  ObscurationInput, WeightStrategy, anonymize_dataset,
-                                 anonymize_speaker, encode,
+                                 anonymize_speaker, anonymize_stream,
+                                 draw_speakers, encode,
                                  load_anonymizer, load_mapping, obscure,
                                  save_anonymizer, save_mapping,
-                                 train_anonymizer)
-from anonflow.backbone import BackboneConfig, BackboneModel, reconstruct
+                                 solve_speakers, train_anonymizer)
+from anonflow.backbone import (BackboneConfig, BackboneModel, frame_runs,
+                               reconstruct)
 from anonflow.errors import ConfigError, DivergenceError, InputError
 from anonflow.nets import UShapedField
 from anonflow.worldgen import Dataset, generate_world, make_world_params
@@ -312,8 +317,103 @@ def _orders(world):
                                pool=world.pool)}
 
 
+def eager_reference(backbone, anonymizer, dataset, strategy, steps, rng):
+    """``anonymize_dataset`` as it was before it streamed: the walk keeps
+    every run's noise, and every run is solved before any frames are
+    returned.  Returns (frames per utterance, mapping)."""
+    embs = np.array([s.embedding for s in dataset.speakers])
+    row = {s.id: k for k, s in enumerate(dataset.speakers)}
+    utts = dataset.utterances
+    runs = frame_runs([u.speaker_id for u in utts],
+                      [u.n_frames for u in utts], anonymizer_mod.RUN_FRAMES)
+    first, ws, zs, noise = {}, [], [], []
+    for run in runs:
+        sid = utts[run[0]].speaker_id
+        if sid not in first:
+            first[sid] = len(first)
+            w, z = draw_speakers(strategy, rng, 1, embs.shape[1], pool=embs,
+                                 exclude=[row[sid]])
+            ws.append(w)
+            zs.append(z)
+        noise.append(rng.standard_normal(
+            (sum(utts[i].n_frames for i in run), dataset.params.F)))
+    draws = (None if strategy.kind == "pool" else np.reshape(ws, -1),
+             np.reshape(zs, (-1, embs.shape[1])))
+    s_anon, w = solve_speakers(anonymizer, embs[[row[sid] for sid in first]],
+                               draws, steps)
+    mapping = {sid: (None if w is None else float(w[i]), s_anon[i])
+               for sid, i in first.items()}
+    frames = []
+    for run, x0 in zip(runs, noise):
+        out = reconstruct(backbone,
+                          np.concatenate([utts[i].frame_tokens for i in run]),
+                          np.concatenate([utts[i].p_norm for i in run]),
+                          mapping[utts[run[0]].speaker_id][1], FRAME_STEPS,
+                          x0)
+        frames += np.split(out, np.cumsum([utts[i].n_frames
+                                           for i in run])[:-1])
+    return frames, mapping
+
+
 class TestFrameRuns:
     """anonymize_dataset makes one reconstruct per identity run."""
+
+    @pytest.mark.parametrize("cap", ["default", "cut"])
+    @pytest.mark.parametrize("strat", STRATEGIES, ids=lambda s: s.kind)
+    def test_stream_matches_eager_reference(self, trained, world,
+                                            frame_model, monkeypatch, strat,
+                                            cap):
+        # every draw is made before the stream is read, and the stream
+        # yields the eager frames bit for bit, in dataset order
+        if cap == "cut":
+            monkeypatch.setattr(anonymizer_mod, "RUN_FRAMES",
+                                max(u.n_frames for u in world.utterances))
+        model, _, _ = trained
+        for ds in _orders(world).values():
+            rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+            anon, mapping = anonymize_stream(frame_model, model, ds, strat, 8,
+                                             rng)
+            frames, ref_mapping = eager_reference(frame_model, model, ds,
+                                                  strat, 8, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert list(mapping) == list(ref_mapping)
+            for sid, (w, s_anon) in mapping.items():
+                assert w == ref_mapping[sid][0]
+                assert np.array_equal(s_anon, ref_mapping[sid][1])
+            got = list(anon.utterances)
+            assert [u.id for u in got] == [u.id for u in ds.utterances]
+            for u, orig, f in zip(got, ds.utterances, frames):
+                assert np.array_equal(u.frames, f)
+                assert u.tokens is orig.tokens and u.p_norm is orig.p_norm
+
+    def test_stream_holds_one_run(self, trained, monkeypatch):
+        # 32 utterances of 160-240 frames (1.2 MB of frames) in runs of at
+        # most 480 frames: draining the stream holds one run's noise,
+        # frames and ODE work arrays above the level at the call, under 8
+        # runs' frame bytes; the eager form held every run's frames
+        p = make_world_params(D=8, F=24, v_common=24, n_speakers=4, seed=3)
+        ds = generate_world(p, 4, 8, np.random.default_rng(3),
+                            duration_range=(40.0, 60.0))
+        backbone = BackboneModel(frame_dim=p.F, speaker_dim=p.D,
+                                 vocab_size=p.V,
+                                 config=BackboneConfig(content_dim=8,
+                                                       hidden=(16, 16)))
+        backbone.codebook.entries = backbone.f_sem(np.arange(p.V))
+        monkeypatch.setattr(anonymizer_mod, "RUN_FRAMES", 480)
+        run_bytes = 480 * p.F * 8
+        assert sum(u.frames.nbytes for u in ds.utterances) > 12 * run_bytes
+        model, _, _ = trained
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            anon, _ = anonymize_stream(backbone, model, ds,
+                                       WeightStrategy(kind="fixed", w=0.5),
+                                       4, np.random.default_rng(1))
+            collections.deque(anon.utterances, maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 8 * run_bytes
 
     @pytest.mark.parametrize("cap", ["default", "cut"])
     @pytest.mark.parametrize("strat", STRATEGIES, ids=lambda s: s.kind)

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import anonflow.anonymizer as anonymizer_mod
+import anonflow.worldgen as worldgen_mod
 from anonflow.checkpoint import load_checkpoint, save_checkpoint
 from anonflow.cli import (RADAR_DEFAULTS, RadarEntry, main, radar_normalize,
                           write_manifest)
-from anonflow.errors import ConfigError
+from anonflow.errors import ConfigError, DivergenceError
 from anonflow.worldgen import (CACHE_FILES, DATASET_FILES, load_dataset,
                                save_dataset, sha256_file)
 
@@ -200,6 +202,35 @@ class TestPipeline:
         err = capsys.readouterr().err.strip()
         assert err == (f"error: utterances {run[0]}..{run[-1]}: "
                        "non-finite state at step 0")
+
+
+def test_anonymize_divergence_mid_stream_keeps_previous_dataset(
+        pipeline, tmp_path, monkeypatch, capsys):
+    # the second run's frame solve diverges once the first run's rows are
+    # written (one row per write batch): exit 3, and every file of the
+    # previous anonymize run keeps its bytes, with no temporary file left
+    _, world, bb, an, _ = pipeline
+    out = _anonymized(world, bb, an, tmp_path / "o")
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    real, written = anonymizer_mod.reconstruct, []
+
+    def diverging(*args):
+        written.append((out / ".utterances.jsonl.tmp").stat().st_size)
+        if len(written) == 2:
+            raise DivergenceError("non-finite state at step 4", step=4)
+        return real(*args)
+
+    monkeypatch.setattr(worldgen_mod, "BATCH_VALUES", 1)
+    monkeypatch.setattr(anonymizer_mod, "reconstruct", diverging)
+    capsys.readouterr()
+    assert main(["anonymize", "--data", str(world),
+                 "--backbone", str(bb / "backbone"),
+                 "--anonymizer", str(an / "anonymizer"),
+                 "--seed", "3", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.strip().endswith(
+        ": non-finite state at step 4")
+    assert written[0] == 0 < written[1]
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
 
 def _anonymized(world, bb, an, out):
@@ -474,8 +505,9 @@ def _no_utterances(tmp, world, bb, an):
     return ["train-backbone", "--data", tmp / "w"], "no utterances"
 
 
-def _no_trials(mode):
-    """``build-trials`` on a world that has no candidate utterance for
+def _no_trials(mode, command="build-trials"):
+    """``build-trials``, or ``evaluate`` of the world against itself
+    without ``--trials``, on a world that has no candidate utterance for
     ``mode``: no utterance at all, or none with PII."""
     def case(tmp, world, bb, an):
         shutil.copytree(world, tmp / "w")
@@ -483,8 +515,10 @@ def _no_trials(mode):
         path.write_text("" if mode == "acoustic" else "".join(
             json.dumps({**json.loads(line), "entity_spans": []}) + "\n"
             for line in path.read_text().splitlines()))
-        return (["build-trials", "--data", tmp / "w", "--mode", mode],
-                f"{tmp / 'w'}: no {mode} trial")
+        anon = ["--anon", tmp / "w"] if command == "evaluate" else []
+        return ([command, "--data", tmp / "w", *anon, "--mode", mode],
+                f"{tmp / 'w'}: no {mode} trial can be built from this "
+                f"dataset")
     return case
 
 
@@ -836,6 +870,15 @@ def _argument(command, flag, value):
     (_no_trials("content"), 4),
     (_diverging("backbone"), 3),
     (_diverging("anonymizer"), 3),
+    (_no_trials("acoustic", "evaluate"), 4),
+    (_no_trials("content", "evaluate"), 4),
+    (_bad_utterance(lambda d: d.update(entity_spans=[5])), 4),
+    (_bad_utterance(lambda d: d.update(entity_spans="abc")), 4),
+    (_bad_utterance(lambda d: d.update(entity_spans=[["XYZ", 0, 1]])), 4),
+    (_bad_utterance(lambda d: d.update(entity_spans=[["PER", 0, 99]])), 4),
+    (_bad_speaker(lambda d: d.update(gender="robot")), 4),
+    (_bad_utterance(lambda d: d.update(gender="robot")), 4),
+    (_bad_utterance(lambda d: d.update(id=7)), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -896,7 +939,11 @@ def _argument(command, flag, value):
         "backbone-vocabulary-smaller-than-dataset",
         "train-backbone-no-utterances", "build-trials-no-acoustic-trial",
         "build-trials-no-content-trial", "train-backbone-diverges",
-        "train-anonymizer-diverges"])
+        "train-anonymizer-diverges", "evaluate-no-acoustic-trial",
+        "evaluate-no-content-trial", "entity-span-not-a-list",
+        "entity-spans-string", "entity-span-unknown-type",
+        "entity-span-past-tokens", "speaker-gender-unknown",
+        "utterance-gender-unknown", "utterance-id-integer"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline

@@ -1,14 +1,18 @@
+import collections
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import anonflow.backbone as backbone_mod
 from anonflow import content as content_mod
-from anonflow.backbone import (BackboneConfig, BackboneModel, reconstruct,
-                               train_backbone)
+from anonflow.backbone import (BackboneConfig, BackboneModel, frame_runs,
+                               reconstruct, train_backbone)
 from anonflow.content import (EditPlan, EntitySpan, ReplacementPool,
-                              anonymize_content, apply_edits, build_gazetteer,
-                              corrupt_tokens, detect_pii, match_replacement,
-                              span_inputs)
+                              anonymize_content, anonymize_content_stream,
+                              apply_edits, build_gazetteer, corrupt_tokens,
+                              detect_pii, match_replacement, span_inputs)
 from anonflow.errors import DivergenceError, InputError, UnmatchedEntityError
 from anonflow.worldgen import PoolEntry, generate_world, make_world_params
 
@@ -120,6 +124,111 @@ def edited_runs(ds, reports):
             else:
                 runs.append([uid])
     return runs
+
+
+def eager_reference(backbone, ds, pool, gaz, steps, rng, mapping=None,
+                    p_asr=0.0):
+    """``anonymize_content`` as it was before it streamed: the walk keeps
+    every edited utterance's span noise, and every run is solved and
+    assembled before any utterance is returned."""
+    reports, new_utts, edited = [], [], []
+    for u in ds.utterances:
+        observed = (corrupt_tokens(u.tokens, p_asr, ds.params.V, rng)
+                    if p_asr > 0 else list(u.tokens))
+        spans = detect_pii(observed, gaz)
+        edits, errors = [], []
+        for span in spans:
+            try:
+                edits.append((span, match_replacement(span, pool, rng)))
+            except UnmatchedEntityError as e:
+                errors.append({"span": [span.type, span.token_start,
+                                        span.token_end], "error": str(e)})
+        base = u if p_asr == 0 else replace(u, tokens=observed)
+        if edits:
+            plan = EditPlan(utterance_id=u.id, edits=edits)
+            toks, pn = span_inputs(base, plan)
+            edited.append((len(new_utts), plan, toks, pn, rng.standard_normal(
+                (len(toks), ds.params.F))))
+        new_utts.append(base)
+        reports.append({
+            "utterance_id": u.id,
+            "spans": [[sp.type, sp.token_start, sp.token_end] for sp in spans],
+            "replacements": [[sp.type, sp.token_start, repl]
+                             for sp, repl in edits],
+            "status": "ok" if not errors else "partial", "errors": errors})
+    for run in frame_runs([new_utts[e[0]].speaker_id for e in edited],
+                          [len(e[2]) for e in edited], content_mod.RUN_FRAMES):
+        at, plans, toks, pns, noise = zip(*(edited[j] for j in run))
+        sid = new_utts[at[0]].speaker_id
+        s = ds.speaker(sid).embedding if mapping is None else mapping[sid][1]
+        frames = reconstruct(backbone, np.concatenate(toks),
+                             np.concatenate(pns), s, steps,
+                             np.concatenate(noise))
+        ends = np.cumsum([len(t) for t in toks])[:-1]
+        for i, plan, f in zip(at, plans, np.split(frames, ends)):
+            new_utts[i] = apply_edits(new_utts[i], plan, f)
+    return new_utts, reports
+
+
+class TestStream:
+    @pytest.mark.parametrize("cap", ["default", "cut"])
+    @pytest.mark.parametrize("mapped,p_asr", [(False, 0.0), (True, 0.0),
+                                              (True, 0.3)],
+                             ids=["own", "mapped", "mapped-asr"])
+    def test_matches_eager_reference(self, world, backbone, monkeypatch,
+                                     mapped, p_asr, cap):
+        # every draw is made before the stream is read, and the stream
+        # yields the eager utterances bit for bit, in dataset order
+        _, ds = world
+        if cap == "cut":
+            monkeypatch.setattr(content_mod, "RUN_FRAMES", 10)
+        pool, gaz = ReplacementPool(ds.pool), build_gazetteer(ds)
+        draw = np.random.default_rng(8)
+        mapping = ({s.id: (0.5, draw.standard_normal(ds.params.D))
+                    for s in ds.speakers} if mapped else None)
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        out, reports = anonymize_content_stream(
+            backbone, ds, pool, gaz, 4, rng, mapping=mapping, p_asr=p_asr)
+        ref, ref_reports = eager_reference(backbone, ds, pool, gaz, 4,
+                                           ref_rng, mapping, p_asr)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert reports == ref_reports
+        got = list(out.utterances)
+        assert len(got) == len(ref) == len(ds.utterances)
+        for u, r in zip(got, ref):
+            assert (u.id, u.tokens, u.entity_spans) == \
+                (r.id, r.tokens, r.entity_spans)
+            for k in ("frames", "f0_hz", "p_norm"):
+                assert np.array_equal(getattr(u, k), getattr(r, k)), k
+
+    def test_holds_one_run(self, monkeypatch):
+        # 32 utterances of 160-240 frames (1.2 MB of frames), each with
+        # PII: draining the stream holds one run's span noise and frames
+        # and one assembled utterance above the level at the call, under 8
+        # runs' frame bytes; the eager form held every edited utterance
+        p = make_world_params(D=8, F=24, v_common=24, n_speakers=4, seed=3)
+        ds = generate_world(p, 4, 8, np.random.default_rng(3),
+                            duration_range=(40.0, 60.0), pii_frac=1.0)
+        monkeypatch.setattr(content_mod, "RUN_FRAMES", 480)
+        run_bytes = 480 * p.F * 8
+        assert sum(u.frames.nbytes for u in ds.utterances) > 12 * run_bytes
+        backbone = BackboneModel(frame_dim=p.F, speaker_dim=p.D,
+                                 vocab_size=p.V,
+                                 config=BackboneConfig(content_dim=8,
+                                                       hidden=(16, 16)))
+        backbone.codebook.entries = backbone.f_sem(np.arange(p.V))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out, reports = anonymize_content_stream(
+                backbone, ds, ReplacementPool(ds.pool), build_gazetteer(ds),
+                4, np.random.default_rng(1))
+            collections.deque(out.utterances, maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r["replacements"] for r in reports)
+        assert peak - base < 8 * run_bytes
 
 
 class TestApplyEdits:
