@@ -432,9 +432,12 @@ def _raise_bad_row(path, lines) -> None:
 def load_trials(path) -> Trials:
     """Read a trial file into columns: the rows are split in one pass, and
     each distinct label text is parsed once by ``int``.  A malformed file
-    is walked row by row only to name its first bad row."""
+    is walked row by row only to name its first bad row, and a file
+    without rows is a DataError too."""
     lines = utf8_text(path).splitlines()
-    cols = "\t".join(lines).split("\t") if lines else []
+    if not lines:
+        raise DataError(f"{path}: empty trial file, it holds no trial")
+    cols = "\t".join(lines).split("\t")
     labels = cols[2::3]
     try:
         value = {lab: int(lab) for lab in set(labels)}

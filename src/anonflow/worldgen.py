@@ -765,14 +765,22 @@ def _cached_rows(src: Path, digests: dict) -> dict:
 
 
 def _checked_rows(path: Path, rows, record):
-    """Yield ("path:line", dict) per row; a row without one of the fields
-    of the dataclass ``record`` names both."""
+    """Yield ("path:line", dict) per row of ``path``: each row must be a
+    JSON object whose keys are exactly the fields of the dataclass
+    ``record``, or an error names the row and the missing or unknown keys.
+    ``world.json`` holds one row, which errors name by the path alone."""
     names = [f.name for f in fields(record)]
+    keys = set(names)
     for n, d in enumerate(rows, start=1):
-        where = f"{path}:{n}"
-        missing = [k for k in names if k not in d]
-        if missing:
-            raise DataError(f"{where}: missing field(s) {', '.join(missing)}")
+        where = f"{path}" if record is WorldParams else f"{path}:{n}"
+        if not isinstance(d, dict):
+            raise DataError(f"{where}: not a JSON object")
+        if d.keys() != keys:
+            missing = [k for k in names if k not in d]
+            if missing:
+                raise DataError(f"{where}: missing key(s) {', '.join(missing)}")
+            raise DataError(f"{where}: unknown key(s) "
+                            f"{', '.join(sorted(d.keys() - keys))}")
         yield where, d
 
 
@@ -831,9 +839,31 @@ def _entity_spans(where: str, spans, n_tokens: int) -> list:
     return [tuple(sp) for sp in spans]
 
 
+def _finite(where: str, d: dict, key: str):
+    """Field ``key`` of a row, if it is a finite number."""
+    v = d[key]
+    # a NaN fails the comparison; an int past float range passes it
+    if type(v) not in (int, float) or not abs(v) < math.inf:
+        raise DataError(f"{where}: {key} must be a finite number, got {v!r}")
+    return v
+
+
+def _load_world(path: Path, rows) -> WorldParams:
+    """The world parameters of ``world.json`` at ``path``, from its checked
+    rows: it must hold exactly one, whose values ``WorldParams`` accepts."""
+    rows = list(rows)
+    if len(rows) != 1:
+        raise DataError(f"{path}: holds {len(rows)} rows, expected 1")
+    try:
+        return WorldParams(**rows[0][1])
+    except (TypeError, ValueError) as e:     # ConfigError is a ValueError
+        raise DataError(f"{path}: {e}") from e
+
+
 def _load_speaker(where: str, d: dict, params: WorldParams) -> Speaker:
-    """One speaker row; its id must be a string, its gender male or female
-    and each PII lexicon entry a list of token ids."""
+    """One speaker row; its id must be a string, its gender male or female,
+    its base pitch a finite number and each PII lexicon entry a list of
+    token ids."""
     lexicon = d["pii_lexicon"]
     if not isinstance(lexicon, dict):
         raise DataError(f"{where}: pii_lexicon must be an object of token "
@@ -841,7 +871,7 @@ def _load_speaker(where: str, d: dict, params: WorldParams) -> Speaker:
     return Speaker(
         id=_string_id(where, d), gender=_gender(where, d),
         embedding=_float_array(where, d, "embedding", (params.D,)),
-        base_pitch_hz=d["base_pitch_hz"],
+        base_pitch_hz=_finite(where, d, "base_pitch_hz"),
         style=_float_array(where, d, "style", (params.V,)),
         pii_lexicon={k: _token_ids(where, f"pii_lexicon.{k}", v, params)
                      for k, v in lexicon.items()})
@@ -858,18 +888,14 @@ def _load_utterance(where: str, d: dict, params: WorldParams,
         raise DataError(f"{where}: frames_per_token must be a positive "
                         f"integer, got {fpt!r}")
     tokens = _token_ids(where, "tokens", d["tokens"], params)
-    duration = d["duration_s"]
-    # a NaN fails the comparison; an int past float range passes it
-    if type(duration) not in (int, float) or not abs(duration) < math.inf:
-        raise DataError(f"{where}: duration_s must be a finite number, "
-                        f"got {duration!r}")
     if type(d["speaker_id"]) is not str or d["speaker_id"] not in speaker_ids:
         raise DataError(f"{where}: speaker_id {d['speaker_id']!r} is not "
                         f"in speakers.jsonl")
     t = len(tokens) * fpt
     return Utterance(
         id=_string_id(where, d), speaker_id=d["speaker_id"],
-        gender=_gender(where, d), duration_s=duration, tokens=tokens,
+        gender=_gender(where, d), duration_s=_finite(where, d, "duration_s"),
+        tokens=tokens,
         entity_spans=_entity_spans(where, d["entity_spans"], len(tokens)),
         f0_hz=_float_array(where, d, "f0_hz", (t,)),
         p_norm=_float_array(where, d, "p_norm", (t,)),
@@ -877,52 +903,36 @@ def _load_utterance(where: str, d: dict, params: WorldParams,
         frames_per_token=fpt)
 
 
+def _load_pool_entry(where: str, d: dict, params: WorldParams) -> PoolEntry:
+    """One replacement pool row; its type must be one of PII_TYPES and its
+    tokens a non-empty list of ids in [0, V): an empty entity would erase
+    the span it replaces."""
+    if d["type"] not in PII_TYPES:
+        raise DataError(f"{where}: type must be one of {list(PII_TYPES)}, "
+                        f"got {d['type']!r}")
+    if not _token_ids(where, "tokens", d["tokens"], params):
+        raise DataError(f"{where}: tokens must not be empty")
+    return PoolEntry(type=d["type"], tokens=d["tokens"])
+
+
 def load_params(in_dir) -> WorldParams:
-    """The world parameters of a dataset directory, from its world.json."""
+    """The world parameters of a dataset directory, from the text of its
+    world.json alone, read and checked as ``load_dataset`` reads it."""
     path = Path(in_dir) / "world.json"
-    return _parse_params(path, path.read_bytes())
-
-
-def _parse_params(path: Path, data: bytes) -> WorldParams:
-    """The world parameters of ``data``, the bytes of ``path``: the whole
-    file is one JSON document, so an indented one reads too."""
-    try:
-        d = json.loads(utf8_text(path, data))
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: not valid JSON: {e}") from e
-    return _params_of(path, d)
-
-
-def _params_of(path: Path, d) -> WorldParams:
-    """The world parameters of ``d``, the row of ``path``; a missing or
-    unknown key, or a value that ``WorldParams`` rejects, names the path."""
-    if not isinstance(d, dict):
-        raise DataError(f"{path}: not a JSON object")
-    names = {f.name for f in fields(WorldParams)}
-    missing = sorted(names - set(d))
-    if missing:
-        raise DataError(f"{path}: missing key(s) {', '.join(missing)}")
-    unknown = sorted(set(d) - names)
-    if unknown:
-        raise DataError(f"{path}: unknown key(s) {', '.join(unknown)}")
-    try:
-        return WorldParams(**d)
-    except (TypeError, ValueError) as e:     # ConfigError is a ValueError
-        raise DataError(f"{path}: {e}") from e
+    return _load_world(path, _checked_rows(
+        path, _parse_jsonl(path, path.read_bytes()), WorldParams))
 
 
 def load_dataset(in_dir) -> Dataset:
     """Read a dataset directory.  The rows of all four JSON files come
     from the array cache when its digests match the files, and are parsed
-    from the text otherwise; either way they get the same checks.  The
-    dataset's ``sha256`` holds the digest of each file read or verified,
-    each file hashed once."""
+    from the text otherwise, one JSON line per row.  Either way each row
+    goes through ``_checked_rows`` and then its record's loader, and
+    world.json must hold one row.  The dataset's ``sha256`` holds the
+    digest of each file read or verified, each file hashed once."""
     src = Path(in_dir)
     digests = {}
     cached = _cached_rows(src, digests)
-    world = src / "world.json"
-    params = (_params_of(world, cached["world.json"][0]) if cached
-              else _parse_params(world, _read(world, digests)))
 
     def rows(name, record):
         path = src / name
@@ -930,13 +940,13 @@ def load_dataset(in_dir) -> Dataset:
                              else _parse_jsonl(path, _read(path, digests)),
                              record)
 
+    params = _load_world(src / "world.json", rows("world.json", WorldParams))
     speakers = [_load_speaker(where, d, params)
                 for where, d in rows("speakers.jsonl", Speaker)]
     speaker_ids = {s.id for s in speakers}
     utterances = [_load_utterance(where, d, params, speaker_ids)
                   for where, d in rows("utterances.jsonl", Utterance)]
-    pool = [PoolEntry(type=d["type"],
-                      tokens=_token_ids(where, "tokens", d["tokens"], params))
+    pool = [_load_pool_entry(where, d, params)
             for where, d in rows("replacement_pool.jsonl", PoolEntry)]
     return Dataset(params=params, speakers=speakers, utterances=utterances,
                    pool=pool, sha256=digests)

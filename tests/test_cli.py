@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -14,8 +15,9 @@ from anonflow.checkpoint import load_checkpoint, save_checkpoint
 from anonflow.cli import (RADAR_DEFAULTS, RadarEntry, main, radar_normalize,
                           write_manifest)
 from anonflow.errors import ConfigError, DivergenceError
-from anonflow.worldgen import (CACHE_FILES, DATASET_FILES, load_dataset,
-                               save_dataset, sha256_file)
+from anonflow.worldgen import (ARRAY_FIELDS, CACHE_FILES, DATASET_FILES,
+                               PoolEntry, Speaker, Utterance, WorldParams,
+                               load_dataset, save_dataset, sha256_file)
 
 
 class TestRadar:
@@ -558,6 +560,12 @@ def _bad_trials(row, named):
     return case
 
 
+def _empty_trials(tmp, world, bb, an):
+    (tmp / "trials.tsv").write_text("")
+    return (["evaluate", "--data", world, "--anon", world,
+             "--trials", tmp / "trials.tsv"], "trials.tsv: empty trial file")
+
+
 def _config_document(doc):
     """A ``--config`` whose whole document is ``doc``."""
     def case(tmp, world, bb, an):
@@ -879,6 +887,12 @@ def _argument(command, flag, value):
     (_bad_speaker(lambda d: d.update(gender="robot")), 4),
     (_bad_utterance(lambda d: d.update(gender="robot")), 4),
     (_bad_utterance(lambda d: d.update(id=7)), 4),
+    (_empty_trials, 4),
+    (_bad_pool(lambda d: d.update(type="XYZ")), 4),
+    (_bad_pool(lambda d: d.update(type=["PER"])), 4),
+    (_bad_pool(lambda d: d.update(tokens=[])), 4),
+    (_bad_speaker(lambda d: d.update(base_pitch_hz="abc")), 4),
+    (_bad_speaker(lambda d: d.update(base_pitch_hz=math.inf)), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -943,7 +957,10 @@ def _argument(command, flag, value):
         "evaluate-no-content-trial", "entity-span-not-a-list",
         "entity-spans-string", "entity-span-unknown-type",
         "entity-span-past-tokens", "speaker-gender-unknown",
-        "utterance-gender-unknown", "utterance-id-integer"])
+        "utterance-gender-unknown", "utterance-id-integer",
+        "empty-trial-file", "pool-type-unknown", "pool-type-list",
+        "pool-tokens-empty", "speaker-base-pitch-string",
+        "speaker-base-pitch-inf"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline
@@ -952,6 +969,79 @@ def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
     assert main([str(a) for a in argv] + ["--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "\n" not in err and named in err
+
+
+@pytest.fixture(scope="module")
+def two_speaker_world(tmp_path_factory):
+    """A 2-speaker world and a backbone of two steps trained on it."""
+    root = tmp_path_factory.mktemp("two")
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps({
+        "world": {"D": 8, "F": 12, "v_common": 24, "n_speakers": 2,
+                  "utts_per_speaker": 3, "pii_frac": 0.5},
+        "backbone": {"content_dim": 8, "hidden": [16], "steps": 2,
+                     "batch": 16}}))
+    for argv in (["gen-world", "--out", root / "world"],
+                 ["train-backbone", "--data", root / "world",
+                  "--out", root / "bb"]):
+        assert main([str(a) for a in [*argv, "--config", cfg]]) == 0
+    return root / "world", root / "bb" / "backbone"
+
+
+# JSON texts that a field of a dataset row is set to, and that a whole row
+# is replaced by
+WRONG_VALUES = ("null", '"a"', "1.5", "-1", "0", "[]", "{}", "true", "1e30",
+                "[NaN]", "[[1]]", '["a"]')
+WRONG_ROWS = ("5", "null", "true", "[]", '"x"')
+RECORDS = dict(zip(ARRAY_FIELDS, (WorldParams, Speaker, Utterance,
+                                  PoolEntry)))
+
+
+def _row_cases():
+    """(file, case, new text of the file's first row, the exit codes
+    allowed, what an error must name) for each generated case of the
+    dataset input contract.  A wrong field value may exit 0 and may fail
+    in a row that refers to this one; a whole row or an unknown key exits
+    4 naming the row (world.json holds one row, named by the file)."""
+    for name, record in RECORDS.items():
+        row = name if name == "world.json" else f"{name}:1"
+        for f in dataclasses.fields(record):
+            for value in WRONG_VALUES:
+                yield (name, f"{f.name}={value}",
+                       lambda d, k=f.name, v=value: json.dumps(
+                           {**d, k: json.loads(v)}), (0, 4), name)
+        for text in WRONG_ROWS:
+            yield name, f"row {text}", lambda d, text=text: text, (4,), row
+        yield (name, "unknown key",
+               lambda d: json.dumps({**d, "unknown": 1}), (4,), row)
+
+
+def test_dataset_row_contract(two_speaker_world, tmp_path, capsys):
+    """Every field of the first row of each dataset file set to each of a
+    fixed set of wrong values, the whole row replaced, and a key added:
+    ``build-trials``, and ``seca`` for pool rows, exit as ``_row_cases``
+    allows, and on 4 print one ``error:`` line naming the file."""
+    world, backbone = two_speaker_world
+    data = tmp_path / "w"
+    shutil.copytree(world, data)
+    broken = []
+    for name, case, edit, codes, named in _row_cases():
+        text = (world / name).read_text()
+        first, rest = text.split("\n", 1)
+        (data / name).write_text(edit(json.loads(first)) + "\n" + rest)
+        commands = [["build-trials", "--data", data]]
+        if name == "replacement_pool.jsonl":
+            commands.append(["seca", "--data", data, "--backbone", backbone])
+        for argv in commands:
+            code = main([str(a) for a in argv]
+                        + ["--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err.strip()
+            if code not in codes or code == 4 and not (
+                    err.startswith("error: ") and "\n" not in err
+                    and named in err):
+                broken.append((name, case, argv[0], code, err))
+        (data / name).write_text(text)
+    assert not broken
 
 
 @pytest.mark.parametrize("mode", ["acoustic", "content"])

@@ -604,7 +604,8 @@ def test_trial_file_round_trip_and_labels(tmp_path):
     assert (tmp_path / "u.tsv").read_text() == \
         "s0\tu0\t1\ns1\tu1\t0\ns0\tu2\t1\ns1\tu3\t0\n"
     path.write_text("")
-    assert len(load_trials(path)) == 0
+    with pytest.raises(DataError, match=r"t\.tsv: empty trial file"):
+        load_trials(path)
 
 
 @pytest.mark.parametrize("rows,named", [

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import shutil
 import tempfile
 from pathlib import Path
 
@@ -384,12 +383,11 @@ def assert_same_dataset(a, b):
 
 def watch_text(m, seen):
     """Make the MonkeyPatch ``m`` call ``seen(path)`` before each text
-    decode of a dataset file, JSONL or ``world.json``."""
-    for name in ("_parse_jsonl", "_parse_params"):
-        def watched(path, data, parse=getattr(worldgen, name)):
-            seen(path)
-            return parse(path, data)
-        m.setattr(worldgen, name, watched)
+    decode of a dataset file."""
+    def watched(path, data, parse=worldgen._parse_jsonl):
+        seen(path)
+        return parse(path, data)
+    m.setattr(worldgen, "_parse_jsonl", watched)
 
 
 def refuse(path):
@@ -589,46 +587,14 @@ def test_world_params_from_cache_match_text(tmp_path):
     assert_same_dataset(hit, load_dataset(tmp_path))
 
 
-def indented_layout(d):
-    """Rewrite the dataset in ``d`` as it was written before ``world.json``
-    was a row: an ``indent=1`` world, pool rows that store their length,
-    and an array cache of the speaker and utterance rows alone."""
-    world = json.loads((d / "world.json").read_bytes())
-    (d / "world.json").write_text(json.dumps(world, indent=1) + "\n")
-    pool = d / "replacement_pool.jsonl"
-    pool.write_text("".join(
-        json.dumps({**row, "length": len(row["tokens"])}) + "\n"
-        for row in map(json.loads, pool.read_text().splitlines())))
-    doc = json.loads((d / "arrays.json").read_bytes())
-    n_world = sum(np.size(world[k]) for k in ARRAY_FIELDS["world.json"])
-    values = np.fromfile(d / "arrays.f64", "<f8")[n_world:]
-    values.tofile(d / "arrays.f64")
-    names = ("speakers.jsonl", "utterances.jsonl")
-    rows = json.dumps({k: doc["rows"][k] for k in names}).encode()
-    sums = {"arrays.f64": hashlib.sha256(values).hexdigest(),
-            **{k: doc["sha256"][k] for k in names},
-            "rows": hashlib.sha256(rows).hexdigest()}
-    (d / "arrays.json").write_bytes(worldgen._rows_head(sums) + rows
-                                    + b"}\n")
-
-
-def test_indented_world_layout_loads_from_text(tmp_path):
-    """A dataset in the layout before ``world.json`` was a row reads from
-    the text, as the same data, and a save writes it in today's layout."""
-    _, ds = small_world(seed=9)
-    save_dataset(ds, tmp_path / "new")
-    shutil.copytree(tmp_path / "new", tmp_path / "old")
-    indented_layout(tmp_path / "old")
-    parsed = []
-    with pytest.MonkeyPatch.context() as m:
-        watch_text(m, lambda p: parsed.append(p.name))
-        old = load_dataset(tmp_path / "old")
-    assert parsed == list(ARRAY_FIELDS)
-    assert_same_dataset(old, load_dataset(tmp_path / "new"))
-    save_dataset(old, tmp_path / "old")
-    for name in DATASET_FILES:
-        assert ((tmp_path / "old" / name).read_bytes()
-                == (tmp_path / "new" / name).read_bytes()), name
+def test_indented_world_json_is_rejected(tmp_path):
+    """``world.json`` is one JSON line: an indented one, as written before
+    it was a row, is not read."""
+    save_dataset(small_world(seed=9)[1], tmp_path)
+    world = tmp_path / "world.json"
+    world.write_text(json.dumps(json.loads(world.read_bytes()), indent=1))
+    with pytest.raises(DataError, match=r"world\.json:1: not valid JSON"):
+        load_dataset(tmp_path)
 
 
 @settings(max_examples=10, deadline=None)
