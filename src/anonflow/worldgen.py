@@ -910,9 +910,10 @@ def _load_pool_entry(where: str, d: dict, params: WorldParams) -> PoolEntry:
     if d["type"] not in PII_TYPES:
         raise DataError(f"{where}: type must be one of {list(PII_TYPES)}, "
                         f"got {d['type']!r}")
-    if not _token_ids(where, "tokens", d["tokens"], params):
+    tokens = _token_ids(where, "tokens", d["tokens"], params)
+    if not tokens:
         raise DataError(f"{where}: tokens must not be empty")
-    return PoolEntry(type=d["type"], tokens=d["tokens"])
+    return PoolEntry(type=d["type"], tokens=tokens)
 
 
 def load_params(in_dir) -> WorldParams:

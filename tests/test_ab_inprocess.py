@@ -35,7 +35,7 @@ def test_each_tree_is_imported_afresh(ab_inprocess):
 def test_compare_times_each_side(ab_inprocess):
     result = ab_inprocess.compare(
         {"base": ROOT / "src", "change": ROOT / "src"},
-        setup="x = 0.1 * work.name.count('-')",
+        setup="assert work.is_dir()\nx = 1.5",
         stmt="anonflow.worldgen._round9(x)", repeats=4)
     assert [len(result["samples_ms"][s]) for s in ("base", "change")] == [4, 4]
     assert result["base_ms"] > 0 and result["change_ms"] > 0
