@@ -27,20 +27,26 @@ def normalize_pitch(f0_hz) -> NormalizedPitch:
     frames are excluded from the median and set to 0.
     """
     f0 = np.asarray(f0_hz, dtype=float)
+    if not np.all(np.isfinite(f0)):
+        raise InputError("f0 values must be finite")
     if np.any(f0 < 0):
         raise InputError("f0 values must be >= 0 (0 denotes unvoiced)")
     voiced = f0 > 0
     if not np.any(voiced):
         raise EmptyVoicedError("contour has no voiced frames")
     s = 12.0 * np.log2(f0[voiced] / F_REF)
-    s -= np.median(s)
+    # the one or two central values of the sorted contour: subtracting a
+    # constant keeps the order, so they stay central after each centering,
+    # and their mean is np.median's, bit for bit
+    mid = np.sort(s)[(s.size - 1) // 2:s.size // 2 + 1]
     # one rounding of the median can leave the centered median a few ulps
     # off zero for even counts; iterate until it is exactly zero
-    for _ in range(4):
-        m = np.median(s)
+    for _ in range(5):
+        m = (mid[0] + mid[-1]) / 2
         if m == 0.0:
             break
         s -= m
+        mid -= m
     p_norm = np.zeros_like(f0)
     p_norm[voiced] = s
     return NormalizedPitch(p_norm=p_norm, voiced_mask=voiced)

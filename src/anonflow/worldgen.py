@@ -122,13 +122,14 @@ def make_world_params(D: int = 16, F: int = 24, v_common: int = 80,
     gender_means = 1.5 * rng.standard_normal((2, D))
     margin = 6.0 * noise_sigma * np.sqrt(F)
     if margin > 0:
-        # closest pair of columns, against 32 columns at a time: the whole
+        # closest pair of columns, 32 columns at a time against the columns
+        # from theirs onward, so each pair is summed once: the whole
         # (F, V, V) difference tensor is 8*F*V^2 bytes (76 MB at V = 628)
         d2min = np.inf
         for j in range(0, V, 32):
-            d2 = np.sum((A[:, :, None] - A[:, None, j:j + 32]) ** 2, axis=0)
+            d2 = np.sum((A[:, j:, None] - A[:, None, j:j + 32]) ** 2, axis=0)
             cols = np.arange(d2.shape[1])
-            d2[j + cols, cols] = np.inf
+            d2[cols, cols] = np.inf
             d2min = min(d2min, d2.min())
         dmin = np.sqrt(d2min)
         if dmin <= margin:
@@ -208,15 +209,6 @@ class Dataset:
         return out
 
 
-def synth_frames(params: WorldParams, frame_tokens, p_norm, s, rng) -> np.ndarray:
-    """Linear synthesis plus observation noise of sd ``noise_sigma``."""
-    frame_tokens = np.asarray(frame_tokens, dtype=int)
-    x = params.A[:, frame_tokens].T + np.outer(p_norm, params.B) + params.C @ np.asarray(s)
-    if params.noise_sigma > 0:
-        x = x + params.noise_sigma * rng.standard_normal(x.shape)
-    return x
-
-
 def sample_speaker_embedding(params: WorldParams, gender: str, rng) -> np.ndarray:
     """One draw from the speaker prior: gender mean + unit normal, normalized."""
     mean = params.gender_means[0 if gender == "male" else 1]
@@ -277,9 +269,11 @@ def generate_world(params: WorldParams, n_speakers: int, utts_per_speaker: int,
                                 pii_lexicon=lexicons[i]))
 
     utterances = []
-    uid = 0
     n_pii = max(1, round(pii_frac * utts_per_speaker))
-    for si, spk in enumerate(speakers):
+    for spk in speakers:
+        # the random draws, utterance by utterance, in the order that one
+        # synthesis per utterance takes them
+        utts, noise = [], []
         pii_slots = set(rng.choice(utts_per_speaker, size=n_pii, replace=False).tolist())
         for k in range(utts_per_speaker):
             duration = float(rng.uniform(*duration_range))
@@ -304,15 +298,28 @@ def generate_world(params: WorldParams, n_speakers: int, utts_per_speaker: int,
             f0 = np.zeros(t_frames)
             offs = rng.normal(0.0, PITCH_SD_SEMITONES, size=t_frames)
             f0[voiced] = spk.base_pitch_hz * 2.0 ** (offs[voiced] / 12.0)
-            p_norm = pitch_or_zeros(f0)
-            frame_tokens = np.repeat(tokens, FRAMES_PER_TOKEN)
-            frames = synth_frames(params, frame_tokens, p_norm, spk.embedding, rng)
-            utterances.append(Utterance(
-                id=f"utt{uid:05d}", speaker_id=spk.id, gender=spk.gender,
-                duration_s=duration, tokens=tokens, entity_spans=spans,
-                f0_hz=f0, p_norm=p_norm, frames=frames,
-                frames_per_token=FRAMES_PER_TOKEN))
-            uid += 1
+            if params.noise_sigma > 0:
+                noise.append(rng.standard_normal((t_frames, params.F)))
+            utts.append(Utterance(
+                id=f"utt{len(utterances) + k:05d}", speaker_id=spk.id,
+                gender=spk.gender, duration_s=duration, tokens=tokens,
+                entity_spans=spans, f0_hz=f0, p_norm=pitch_or_zeros(f0),
+                frames=None, frames_per_token=FRAMES_PER_TOKEN))
+        # the speaker's frames in one pass, row for row the sums that one
+        # synthesis per utterance takes; each utterance copies its rows, so
+        # the block is freed here (row views kept every block live until
+        # the dataset was dropped, and a later text parse in the same
+        # process then peaked about 14 MB higher)
+        frames = (params.A[:, np.concatenate([u.frame_tokens for u in utts])].T
+                  + np.outer(np.concatenate([u.p_norm for u in utts]), params.B)
+                  + params.C @ spk.embedding)
+        if noise:
+            frames += params.noise_sigma * np.concatenate(noise)
+        stop = 0
+        for u in utts:
+            start, stop = stop, stop + len(u.f0_hz)
+            u.frames = frames[start:stop].copy()
+        utterances += utts
     return Dataset(params=params, speakers=speakers, utterances=utterances, pool=pool)
 
 
@@ -863,11 +870,15 @@ def _load_world(path: Path, rows) -> WorldParams:
 def _load_speaker(where: str, d: dict, params: WorldParams) -> Speaker:
     """One speaker row; its id must be a string, its gender male or female,
     its base pitch a finite number and each PII lexicon entry a list of
-    token ids."""
+    token ids under one of PII_TYPES."""
     lexicon = d["pii_lexicon"]
     if not isinstance(lexicon, dict):
         raise DataError(f"{where}: pii_lexicon must be an object of token "
                         f"id lists")
+    for k in lexicon:
+        if k not in PII_TYPES:
+            raise DataError(f"{where}: pii_lexicon keys must be among "
+                            f"{list(PII_TYPES)}, got {k!r}")
     return Speaker(
         id=_string_id(where, d), gender=_gender(where, d),
         embedding=_float_array(where, d, "embedding", (params.D,)),

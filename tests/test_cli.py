@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import math
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import anonflow
 import anonflow.anonymizer as anonymizer_mod
 import anonflow.worldgen as worldgen_mod
 from anonflow.checkpoint import load_checkpoint, save_checkpoint
@@ -92,6 +95,20 @@ class TestPipeline:
         for name in ("world.json", "utterances.jsonl", "manifest.json"):
             assert (tmp_path / "x" / name).read_bytes() == \
                    (tmp_path / "y" / name).read_bytes()
+
+    def test_gen_world_leaves_numpy_ma_unimported(self, tmp_path,
+                                                  small_config):
+        # np.median imports numpy.ma, which then stays resident (about
+        # 1 MB); the pitch medians are read off one sort instead
+        src = str(Path(anonflow.__file__).parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from anonflow.cli import main; "
+                "rc = main(sys.argv[2:]); print(rc, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, src, "gen-world", "--config",
+             small_config, "--out", str(tmp_path / "w")],
+            capture_output=True, text=True)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
     def test_manifests_written(self, pipeline):
         _, world, bb, an, _ = pipeline
@@ -893,6 +910,8 @@ def _argument(command, flag, value):
     (_bad_pool(lambda d: d.update(tokens=[])), 4),
     (_bad_speaker(lambda d: d.update(base_pitch_hz="abc")), 4),
     (_bad_speaker(lambda d: d.update(base_pitch_hz=math.inf)), 4),
+    (_bad_speaker(lambda d: d["pii_lexicon"].update(
+        XYZ=d["pii_lexicon"].pop("PER"))), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -960,7 +979,7 @@ def _argument(command, flag, value):
         "utterance-gender-unknown", "utterance-id-integer",
         "empty-trial-file", "pool-type-unknown", "pool-type-list",
         "pool-tokens-empty", "speaker-base-pitch-string",
-        "speaker-base-pitch-inf"])
+        "speaker-base-pitch-inf", "speaker-lexicon-type-unknown"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline

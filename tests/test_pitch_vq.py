@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anonflow.errors import EmptyVoicedError, InputError
-from anonflow.pitch import normalize_pitch, pitch_or_zeros
+from anonflow.pitch import F_REF, normalize_pitch, pitch_or_zeros
 from anonflow.vq import (Codebook, QuantizeResult, codebook_grad, nearest,
                          quantize)
 
@@ -51,6 +51,69 @@ class TestNormalizePitch:
     def test_median_zero_property(self, f0):
         out = normalize_pitch(f0)
         assert np.median(out.p_norm) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_f0_rejected(self, bad):
+        with pytest.raises(InputError):
+            normalize_pitch([bad, 440.0, 220.0])
+
+
+def normalize_pitch_by_median(f0):
+    """Reference: np.median of the voiced semitones, subtracted once and
+    then until it reads exactly 0, at most four more times; the contour
+    and the number of re-centering passes that changed it."""
+    f0 = np.asarray(f0, dtype=float)
+    voiced = f0 > 0
+    s = 12.0 * np.log2(f0[voiced] / F_REF)
+    s -= np.median(s)
+    passes = 0
+    for _ in range(4):
+        m = np.median(s)
+        if m == 0.0:
+            break
+        s -= m
+        passes += 1
+    p_norm = np.zeros_like(f0)
+    p_norm[voiced] = s
+    return p_norm, passes
+
+
+class TestNormalizePitchReference:
+    """``normalize_pitch`` reads its medians off one sorted copy; it
+    matches the np.median form bit for bit."""
+
+    def assert_matches(self, f0):
+        ref, passes = normalize_pitch_by_median(f0)
+        assert normalize_pitch(f0).p_norm.tobytes() == ref.tobytes()
+        return passes
+
+    @pytest.mark.parametrize("f0", [
+        [440.0],                                  # a single voiced frame
+        [0.0, 0.0, 317.3, 0.0],
+        [250.0] * 5, [250.0] * 6,                 # constant contours
+        [220.0, 220.0, 440.0, 440.0],             # ties at the center
+        [220.0, 220.0, 220.0, 440.0, 440.0, 440.0, 0.0],
+        [100.0, 100.0, 100.0, 300.0, 300.0],
+        [131.0, 262.0, 0.0, 524.0, 97.5],         # odd voiced count
+        [131.0, 262.0, 0.0, 524.0, 97.5, 301.2],  # even voiced count
+    ])
+    def test_fixed_contours(self, f0):
+        self.assert_matches(f0)
+
+    def test_random_contours_and_recentering(self):
+        rng = np.random.default_rng(3)
+        passes = []
+        for _ in range(4000):
+            n = int(rng.integers(1, 60))
+            f0 = rng.uniform(80.0, 500.0, n)
+            f0[rng.random(n) < 0.2] = 0.0
+            if rng.random() < 0.3:      # ties: values drawn from a few
+                f0 = rng.choice([0.0, 110.0, 220.0, 233.08, 440.0], n)
+            f0[0] = f0[0] or 200.0
+            passes.append(self.assert_matches(f0))
+        # the sample reaches the re-centering passes
+        assert max(passes) >= 1
+        assert sum(p >= 1 for p in passes) >= 10
 
 
 class TestQuantize:

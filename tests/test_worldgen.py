@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -25,7 +26,7 @@ from anonflow.worldgen import (ARRAY_FIELDS, CACHE_FILES, DATASET_FILES,
                                oracle_extract_speakers, oracle_recover_tokens,
                                sample_speaker_embedding,
                                sample_speaker_embeddings, save_dataset,
-                               synth_frames, token_error_rate)
+                               token_error_rate)
 
 
 def recover_tokens_by_difference(frames, p_norm, s, params):
@@ -34,6 +35,87 @@ def recover_tokens_by_difference(frames, p_norm, s, params):
     resid = frames - np.outer(p_norm, params.B) - params.C @ s
     diff = resid[:, None, :] - params.A.T[None, :, :]
     return np.argmin(np.einsum("tvf,tvf->tv", diff, diff), axis=1)
+
+
+def synth_frames(params: WorldParams, frame_tokens, p_norm, s, rng) -> np.ndarray:
+    """Reference synthesis of one utterance: linear imprints plus
+    observation noise of sd ``noise_sigma``."""
+    frame_tokens = np.asarray(frame_tokens, dtype=int)
+    x = params.A[:, frame_tokens].T + np.outer(p_norm, params.B) + params.C @ np.asarray(s)
+    if params.noise_sigma > 0:
+        x = x + params.noise_sigma * rng.standard_normal(x.shape)
+    return x
+
+
+def median_pitch(f0):
+    """Reference pitch of a contour whose first frame is voiced: np.median
+    of the voiced semitones, subtracted until it reads exactly 0."""
+    voiced = f0 > 0
+    s = 12.0 * np.log2(f0[voiced] / 440.0)
+    s -= np.median(s)
+    for _ in range(4):
+        m = np.median(s)
+        if m == 0.0:
+            break
+        s -= m
+    p_norm = np.zeros_like(f0)
+    p_norm[voiced] = s
+    return p_norm
+
+
+def generate_world_per_utterance(params, n_speakers, utts_per_speaker, rng,
+                                 duration_range=(3.0, 18.0), pii_frac=0.3):
+    """Reference: ``generate_world`` with one ``synth_frames`` call per
+    utterance, its noise drawn after the utterance's pitch."""
+    lexicons, pool = worldgen._lexicon_layout(params, n_speakers)
+    speakers = []
+    for i in range(n_speakers):
+        gender = "male" if i % 2 == 0 else "female"
+        emb = sample_speaker_embedding(params, gender, rng)
+        base = rng.uniform(100.0, 140.0) if gender == "male" else rng.uniform(180.0, 240.0)
+        style = np.zeros(params.V)
+        style[:params.v_common] = rng.dirichlet(
+            np.full(params.v_common, worldgen.STYLE_ALPHA))
+        style[:params.v_common] /= style[:params.v_common].sum()
+        speakers.append(Speaker(id=f"spk{i:03d}", gender=gender, embedding=emb,
+                                base_pitch_hz=float(base), style=style,
+                                pii_lexicon=lexicons[i]))
+    utterances = []
+    n_pii = max(1, round(pii_frac * utts_per_speaker))
+    for spk in speakers:
+        pii_slots = set(rng.choice(utts_per_speaker, size=n_pii, replace=False).tolist())
+        for k in range(utts_per_speaker):
+            duration = float(rng.uniform(*duration_range))
+            n_tok = max(3, int(duration * worldgen.FRAME_RATE) // worldgen.FRAMES_PER_TOKEN)
+            t_frames = n_tok * worldgen.FRAMES_PER_TOKEN
+            probs = spk.style[:params.v_common]
+            tokens = rng.choice(params.v_common, size=n_tok, p=probs).astype(int).tolist()
+            spans = []
+            if k in pii_slots:
+                for _ in range(int(rng.integers(1, 3))):
+                    typ = PII_TYPES[int(rng.integers(len(PII_TYPES)))]
+                    length = int(rng.integers(1, worldgen.LEXICON_PER_TYPE + 1))
+                    start = int(rng.integers(0, n_tok - length + 1))
+                    if any(start < e and start + length > s for _, s, e in spans):
+                        continue
+                    tokens[start:start + length] = spk.pii_lexicon[typ][:length]
+                    spans.append((typ, start, start + length))
+                spans.sort(key=lambda sp: sp[1])
+            voiced = rng.random(t_frames) >= worldgen.UNVOICED_PROB
+            voiced[0] = True
+            f0 = np.zeros(t_frames)
+            offs = rng.normal(0.0, worldgen.PITCH_SD_SEMITONES, size=t_frames)
+            f0[voiced] = spk.base_pitch_hz * 2.0 ** (offs[voiced] / 12.0)
+            p_norm = median_pitch(f0)
+            frame_tokens = np.repeat(tokens, worldgen.FRAMES_PER_TOKEN)
+            frames = synth_frames(params, frame_tokens, p_norm, spk.embedding, rng)
+            utterances.append(Utterance(
+                id=f"utt{len(utterances):05d}", speaker_id=spk.id,
+                gender=spk.gender, duration_s=duration, tokens=tokens,
+                entity_spans=spans, f0_hz=f0, p_norm=p_norm, frames=frames,
+                frames_per_token=worldgen.FRAMES_PER_TOKEN))
+    return worldgen.Dataset(params=params, speakers=speakers,
+                            utterances=utterances, pool=pool)
 
 
 def small_params(noise_sigma=0.05, seed=0, n_speakers=4):
@@ -659,6 +741,74 @@ def test_world_config_generates_what_the_functions_do():
     ref = generate_world(params, 4, 3, np.random.default_rng(2),
                          duration_range=(6, 12), pii_frac=0.4)
     assert_same_dataset(cfg.generate(2), ref)
+
+
+@pytest.mark.parametrize("n_speakers,utts,noise_sigma,duration_range", [
+    (64, 12, 0.1, (6.0, 12.0)),     # the desk world
+    (64, 12, 0.0, (6.0, 12.0)),     # no noise is drawn
+    (2, 2, 0.1, (6.0, 12.0)),
+    (4, 3, 0.1, (1.0, 2.0)),        # every utterance at the 3-token floor
+])
+def test_generate_world_matches_per_utterance_synthesis(n_speakers, utts,
+                                                        noise_sigma,
+                                                        duration_range):
+    params = make_world_params(D=16, F=24, v_common=80, n_speakers=n_speakers,
+                               noise_sigma=noise_sigma, seed=1)
+    rngs = [np.random.default_rng(1) for _ in range(2)]
+    got = generate_world(params, n_speakers, utts, rngs[0],
+                         duration_range=duration_range, pii_frac=0.4)
+    ref = generate_world_per_utterance(params, n_speakers, utts, rngs[1],
+                                       duration_range=duration_range,
+                                       pii_frac=0.4)
+    assert_same_dataset(got, ref)
+    # the same draws, in the same order
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_generate_world_peak_is_its_output_plus_one_speaker():
+    """Frames are synthesized one speaker at a time: the traced peak of a
+    desk ``generate_world`` stays within what it returns plus a few
+    blocks the size of one speaker's frames (its noise, the gathered
+    content imprint, the pitch imprint, their sums and the utterances'
+    copies of their rows).  No utterance's frames are a view that keeps
+    a speaker's block alive."""
+    params = make_world_params(D=16, F=24, v_common=80, n_speakers=64,
+                               noise_sigma=0.1, seed=1)
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        level = tracemalloc.get_traced_memory()[0]
+        ds = generate_world(params, 64, 12, rng, duration_range=(6.0, 12.0),
+                            pii_frac=0.4)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = {}
+    for u in ds.utterances:
+        block[u.speaker_id] = block.get(u.speaker_id, 0) + u.frames.nbytes
+    assert peak - level <= current - level + 6 * max(block.values())
+    assert all(u.frames.flags.owndata for u in ds.utterances)
+
+
+@pytest.mark.parametrize("noise_sigma,fires", [(0.2, True), (0.05, False)])
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_desk_margin_check_matches_all_column_pairs(noise_sigma, fires, seed):
+    """The column check sums each pair once; every chunk against every
+    column gives the same closest pair, so the same rescaled A."""
+    p = make_world_params(D=16, F=24, v_common=80, n_speakers=64,
+                          noise_sigma=noise_sigma, seed=seed)
+    a = np.random.default_rng(seed).standard_normal((24, p.V))
+    d2min = np.inf
+    for j in range(0, p.V, 32):
+        d2 = np.sum((a[:, :, None] - a[:, None, j:j + 32]) ** 2, axis=0)
+        cols = np.arange(d2.shape[1])
+        d2[j + cols, cols] = np.inf
+        d2min = min(d2min, d2.min())
+    dmin, margin = np.sqrt(d2min), 6.0 * noise_sigma * np.sqrt(24)
+    assert (dmin <= margin) == fires
+    if fires:
+        a *= 1.05 * margin / dmin
+    assert p.A.tobytes() == a.tobytes()
 
 
 def test_failed_write_keeps_previous_files(tmp_path, monkeypatch):

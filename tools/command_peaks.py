@@ -10,8 +10,11 @@ with its strategy, seca with the anonymize mapping, and an ignorant
 evaluate of the anonymized world.  Each runs through ``anonflow.cli.main``
 with tracing started just before it and stopped just after, so its peak
 counts the memory that command allocated; command i gets seed --seed + i.
-The peaks print as one JSON object, in MB, by command; a command that
-fails ends the run with its exit code.
+The peaks print as one JSON object, in MB, by command.  A second JSON
+object gives, by command, the modules that command imported first: each
+package that was not in ``sys.modules`` before it and is after, without
+its submodules, so that a lazy import shows beside the peak it lifts.  A
+command that fails ends the run with its exit code.
 """
 
 from __future__ import annotations
@@ -38,9 +41,16 @@ def bench_config() -> tuple:
     return run.config(run.SETUP_STEPS), run.STRATEGY
 
 
-def command_peaks(work: Path, config: dict, strategy: str, seed: int) -> dict:
+def first_imports(before) -> list:
+    """The modules in ``sys.modules`` that are not in ``before``, sorted,
+    without those whose parent package is among them."""
+    new = sys.modules.keys() - before
+    return sorted(m for m in new if m.rpartition(".")[0] not in new)
+
+
+def command_peaks(work: Path, config: dict, strategy: str, seed: int) -> tuple:
     """Run the commands in ``work`` on ``config``; each one's traced peak
-    in MB, by command."""
+    in MB, and the modules it imported first, by command."""
     from anonflow import cli
 
     cfg = work / "config.json"
@@ -62,17 +72,19 @@ def command_peaks(work: Path, config: dict, strategy: str, seed: int) -> dict:
                      "--mapping", d["anon"] / "mapping.tsv",
                      "--attacker", "ignorant", "--out", d["eval"]),
     }
-    peaks = {}
+    peaks, imports = {}, {}
     for i, (name, argv) in enumerate(commands.items()):
+        before = set(sys.modules)
         tracemalloc.start()
         try:
             rc = cli.main([str(a) for a in argv] + ["--seed", str(seed + i)])
             peaks[name] = round(tracemalloc.get_traced_memory()[1] / 2 ** 20, 2)
         finally:
             tracemalloc.stop()
+        imports[name] = first_imports(before)
         if rc != 0:
             raise SystemExit(rc)
-    return peaks
+    return peaks, imports
 
 
 def main(argv=None) -> int:
@@ -82,8 +94,9 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     config, strategy = bench_config()
     with tempfile.TemporaryDirectory(prefix="command_peaks-") as work:
-        peaks = command_peaks(Path(work), config, strategy, args.seed)
+        peaks, imports = command_peaks(Path(work), config, strategy, args.seed)
     print(json.dumps(peaks))
+    print(json.dumps(imports))
     return 0
 
 
