@@ -15,7 +15,7 @@ state gives, bit for bit.  ``anonymize_stream`` draws one identity per
 speaker, when the speaker is first seen, solves them all in one batch, and
 voices all of the speaker's utterances with it; its utterances are a
 generator that solves one run of frames at a time, as the dataset writer
-reads them.  ``anonymize_dataset`` is the same stream in a list.
+reads them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .optim import AdamW, OneCycle
 
 from .backbone import (RUN_FRAMES, BackboneModel, NoiseReplay, frame_runs,
                        reconstruct)
-from .worldgen import Dataset
+from .worldgen import Dataset, stacked_frame_tokens
 
 FRAME_STEPS = 16    # Euler steps of anonymize_stream's frame-flow solves
 
@@ -67,7 +67,6 @@ class AnonymizerModel:
         self.field = UShapedField(config.level_dims, time_dim=config.time_dim,
                                   rng=np.random.default_rng(config.seed),
                                   dtype=np.float32)
-        self.dim = self.field.dim
         self.metadata = metadata or {}
 
     def tensors(self) -> dict:
@@ -118,23 +117,16 @@ def encode(model: AnonymizerModel, s_orig, steps: int) -> np.ndarray:
                      backward=True)
 
 
-@dataclass(frozen=True)
-class ObscurationInput:
-    z_orig: np.ndarray
-    z_rand: np.ndarray
-    w: float | np.ndarray          # scalar, or one weight per row
-
-    def __post_init__(self):
-        w = np.asarray(self.w)
-        if not np.all((-1.0 <= w) & (w <= 1.0)):
-            raise InputError(f"speaker weight must lie in [-1, 1], got {self.w}")
-
-
-def obscure(inp: ObscurationInput) -> np.ndarray:
-    """Variance-preserving blend of the encoded identity with fresh noise."""
-    w = inp.w if np.ndim(inp.w) == 0 else np.asarray(inp.w)[:, None]
+def obscure(z_orig, z_rand, w) -> np.ndarray:
+    """Variance-preserving blend of the encoded identity with fresh noise;
+    ``w`` is a scalar, or one weight per row, each in [-1, 1]."""
+    weights = np.asarray(w)
+    if not np.all((-1.0 <= weights) & (weights <= 1.0)):
+        raise InputError(f"speaker weight must lie in [-1, 1], got {w}")
+    if weights.ndim:
+        w = weights[:, None]
     denom = np.sqrt((1.0 - w) ** 2 + w**2)
-    return ((1.0 - w) * np.asarray(inp.z_rand) + w * np.asarray(inp.z_orig)) / denom
+    return ((1.0 - w) * np.asarray(z_rand) + w * np.asarray(z_orig)) / denom
 
 
 def generate(model: AnonymizerModel, z_anon, steps: int) -> np.ndarray:
@@ -219,7 +211,7 @@ def solve_speakers(model, s_orig, draws: tuple, steps: int):
     if w is None:
         return z, None
     z_orig = encode(model, s_orig, steps)
-    z_anon = obscure(ObscurationInput(z_orig=z_orig, z_rand=z, w=w))
+    z_anon = obscure(z_orig, z, w)
     return generate(model, z_anon, steps), w
 
 
@@ -303,7 +295,7 @@ def anonymize_stream(backbone: BackboneModel, anonymizer,
             try:
                 out = reconstruct(
                     backbone,
-                    np.concatenate([utts[i].frame_tokens for i in run]),
+                    stacked_frame_tokens([utts[i] for i in run]),
                     np.concatenate([utts[i].p_norm for i in run]),
                     mapping[utts[run[0]].speaker_id][1], FRAME_STEPS,
                     noise.redraw(mark))
@@ -317,16 +309,6 @@ def anonymize_stream(backbone: BackboneModel, anonymizer,
 
     anon = Dataset(params=dataset.params, speakers=dataset.speakers,
                    utterances=voiced(), pool=dataset.pool)
-    return anon, mapping
-
-
-def anonymize_dataset(backbone: BackboneModel, anonymizer,
-                      dataset: Dataset, strategy: WeightStrategy,
-                      steps: int, rng: np.random.Generator):
-    """``anonymize_stream`` with the anonymized utterances in a list."""
-    anon, mapping = anonymize_stream(backbone, anonymizer, dataset, strategy,
-                                     steps, rng)
-    anon.utterances = list(anon.utterances)
     return anon, mapping
 
 

@@ -191,9 +191,12 @@ def load_model(prefix, config_cls, build, keys: tuple = ()):
 
     The sidecar must hold a ``config`` object that ``config_section``
     accepts for ``config_cls``, each of ``keys`` as a positive integer,
-    and the values the config's own range checks accept; ``build(meta,
-    config)`` makes the model, and the checkpoint must hold each of its
-    tensors at its shape.  A missing sidecar is a ConfigError; a
+    and the values the config's own range checks accept.  Each size it
+    gives (``keys`` and the config's tensor sizes) is a dimension of some
+    tensor, or part of one, so none may pass the largest dimension in the
+    checkpoint; this is checked before ``build(meta, config)`` makes (and
+    allocates) the model.  The checkpoint must then hold each of the
+    model's tensors at its shape.  A missing sidecar is a ConfigError; a
     malformed sidecar or checkpoint is a DataError naming the file.
     """
     path = Path(prefix).with_suffix(".json")
@@ -215,9 +218,21 @@ def load_model(prefix, config_cls, build, keys: tuple = ()):
         config = config_cls(**sec)
     except ConfigError as e:
         raise DataError(f"{path}: {e}") from e
-    model = build(meta, config)
     ckpt = path.with_suffix(".ckpt")
     tensors = load_checkpoint(ckpt)
+    largest = max((max(t.shape, default=1) for t in tensors.values()),
+                  default=0)
+    sizes = {k: meta[k] for k in keys}
+    for k in ("content_dim", "hidden", "time_dim", "codebook_size",
+              "level_dims"):
+        if hasattr(config, k):
+            v = getattr(config, k)
+            sizes[f"config.{k}"] = max(v) if isinstance(v, tuple) else v
+    for k, size in sizes.items():
+        if size > largest:
+            raise DataError(f"{path}: {k} = {size} is larger than every "
+                            f"tensor dimension in {ckpt.name} ({largest})")
+    model = build(meta, config)
     for name, t in model.tensors().items():
         if name not in tensors:
             raise DataError(f"{ckpt}: missing tensor {name}")

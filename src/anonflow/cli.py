@@ -357,21 +357,24 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, data=True):
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", default=None)
         if data:
             p.add_argument("--data", required=True,
                            help="dataset directory from gen-world")
 
+    # only the three commands that read a config section take --config
     p = sub.add_parser("gen-world", help="generate a synthetic speaker world")
     common(p, data=False)
+    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_gen_world)
 
     p = sub.add_parser("train-backbone", help="train frame reconstruction")
     common(p)
+    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_train_backbone)
 
     p = sub.add_parser("train-anonymizer", help="train the identity flow")
     common(p)
+    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_train_anonymizer)
 
     p = sub.add_parser("anonymize", help="re-voice a dataset")

@@ -35,10 +35,6 @@ class StateError(RuntimeError):
     """An operation was called in the wrong order (e.g. backward before forward)."""
 
 
-class EmptyVoicedError(InputError):
-    """A pitch contour contains no voiced frames."""
-
-
 class UnmatchedEntityError(InputError):
     """No replacement of the required entity type exists in the pool.
 

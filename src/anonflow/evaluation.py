@@ -375,9 +375,10 @@ def utility_probes(dataset_anon: Dataset, mapping, embeddings: dict) -> tuple:
     not; so is, before it, the first whose recovered tokens do not match
     its frame count.
 
-    Each utterance's rate and cosine equal those of ``token_error_rate``
-    and ``cosine_score`` bit for bit: the cosines are taken over columns
-    as in ``score_trials``, and the rates are means of integer mismatch
+    Each utterance's rate is the fraction of its frames whose recovered
+    token differs from the aligned reference, and its cosine equals
+    ``cosine_score``'s bit for bit: the cosines are taken over columns as
+    in ``score_trials``, and the rates are means of integer mismatch
     counts, per block of utterances of one frame count."""
     params = dataset_anon.params
     utts = dataset_anon.utterances

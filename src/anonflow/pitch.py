@@ -2,29 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import EmptyVoicedError, InputError
+from .errors import InputError
 
 F_REF = 440.0   # Hz; semitones are counted from it before median-centering
 
 
-@dataclass(frozen=True)
-class NormalizedPitch:
-    """Median-centered semitone contour; unvoiced frames are exactly 0."""
-
-    p_norm: np.ndarray
-    voiced_mask: np.ndarray
-
-
-def normalize_pitch(f0_hz) -> NormalizedPitch:
+def normalize_pitch(f0_hz) -> np.ndarray:
     """Convert an F0 contour (Hz, 0 = unvoiced) to median-centered semitones.
 
     Voiced frames map to 12*log2(f0/F_REF) minus the median over voiced
     frames (even counts use the mean of the two central values); unvoiced
-    frames are excluded from the median and set to 0.
+    frames are excluded from the median and set to exactly 0.  A contour
+    without a voiced frame is an InputError.
     """
     f0 = np.asarray(f0_hz, dtype=float)
     if not np.all(np.isfinite(f0)):
@@ -33,7 +24,7 @@ def normalize_pitch(f0_hz) -> NormalizedPitch:
         raise InputError("f0 values must be >= 0 (0 denotes unvoiced)")
     voiced = f0 > 0
     if not np.any(voiced):
-        raise EmptyVoicedError("contour has no voiced frames")
+        raise InputError("contour has no voiced frames")
     s = 12.0 * np.log2(f0[voiced] / F_REF)
     # the one or two central values of the sorted contour: subtracting a
     # constant keeps the order, so they stay central after each centering,
@@ -49,12 +40,4 @@ def normalize_pitch(f0_hz) -> NormalizedPitch:
         mid -= m
     p_norm = np.zeros_like(f0)
     p_norm[voiced] = s
-    return NormalizedPitch(p_norm=p_norm, voiced_mask=voiced)
-
-
-def pitch_or_zeros(f0_hz) -> np.ndarray:
-    """normalize_pitch with the caller-side fallback: all-unvoiced -> zeros."""
-    try:
-        return normalize_pitch(f0_hz).p_norm
-    except EmptyVoicedError:
-        return np.zeros(len(np.atleast_1d(f0_hz)))
+    return p_norm

@@ -29,7 +29,7 @@ import numpy as np
 from .checkpoint import (AT_LEAST_1, EVEN_AT_LEAST_2, NON_NEGATIVE,
                          check_ranges, replacing, utf8_text)
 from .errors import ConfigError, DataError, InputError
-from .pitch import pitch_or_zeros
+from .pitch import normalize_pitch
 from .vq import nearest
 
 PII_TYPES = ("PER", "LOC", "ORG", "MISC")
@@ -166,11 +166,6 @@ class Utterance:
         return self.frames.shape[0]
 
     @property
-    def frame_tokens(self) -> np.ndarray:
-        """Token id of each frame under the exact alignment."""
-        return np.repeat(np.asarray(self.tokens, dtype=int), self.frames_per_token)
-
-    @property
     def has_pii(self) -> bool:
         return len(self.entity_spans) > 0
 
@@ -303,14 +298,14 @@ def generate_world(params: WorldParams, n_speakers: int, utts_per_speaker: int,
             utts.append(Utterance(
                 id=f"utt{len(utterances) + k:05d}", speaker_id=spk.id,
                 gender=spk.gender, duration_s=duration, tokens=tokens,
-                entity_spans=spans, f0_hz=f0, p_norm=pitch_or_zeros(f0),
+                entity_spans=spans, f0_hz=f0, p_norm=normalize_pitch(f0),
                 frames=None, frames_per_token=FRAMES_PER_TOKEN))
         # the speaker's frames in one pass, row for row the sums that one
         # synthesis per utterance takes; each utterance copies its rows, so
         # the block is freed here (row views kept every block live until
         # the dataset was dropped, and a later text parse in the same
         # process then peaked about 14 MB higher)
-        frames = (params.A[:, np.concatenate([u.frame_tokens for u in utts])].T
+        frames = (params.A[:, stacked_frame_tokens(utts)].T
                   + np.outer(np.concatenate([u.p_norm for u in utts]), params.B)
                   + params.C @ spk.embedding)
         if noise:
@@ -372,7 +367,8 @@ def frame_count_groups(utts) -> list:
 
 
 def stacked_frame_tokens(utts) -> np.ndarray:
-    """The ``frame_tokens`` of ``utts``, concatenated."""
+    """The token id of each frame of ``utts`` under the exact alignment
+    (each token repeated ``frames_per_token`` times), concatenated."""
     tokens = [u.tokens for u in utts]
     flat = np.fromiter(itertools.chain.from_iterable(tokens), dtype=int)
     return np.repeat(flat, np.repeat([u.frames_per_token for u in utts],
@@ -424,14 +420,6 @@ def check_frame_count(recovered: np.ndarray, n_frames: int) -> None:
     if recovered.shape != (n_frames,):
         raise InputError(f"frame count mismatch: {recovered.shape} vs "
                          f"{(n_frames,)}")
-
-
-def token_error_rate(recovered_frame_tokens, reference_tokens, frames_per_token: int) -> float:
-    """Fraction of frames whose recovered token differs from the aligned reference."""
-    ref = np.repeat(np.asarray(reference_tokens, dtype=int), frames_per_token)
-    rec = np.asarray(recovered_frame_tokens, dtype=int)
-    check_frame_count(rec, ref.size)
-    return float(np.mean(rec != ref))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ import pytest
 import anonflow.anonymizer as anonymizer_mod
 import anonflow.backbone as backbone_mod
 from anonflow.anonymizer import (FRAME_STEPS, AnonymizerConfig,
-                                 ObscurationInput, WeightStrategy, anonymize_dataset,
-                                 anonymize_speaker, anonymize_stream,
-                                 draw_speakers, encode,
+                                 WeightStrategy, anonymize_speaker,
+                                 anonymize_stream, draw_speakers, encode,
                                  load_anonymizer, load_mapping, obscure,
                                  save_anonymizer, save_mapping,
                                  solve_speakers, train_anonymizer)
@@ -17,7 +16,10 @@ from anonflow.backbone import (BackboneConfig, BackboneModel, frame_runs,
                                reconstruct)
 from anonflow.errors import ConfigError, DivergenceError, InputError
 from anonflow.nets import UShapedField
-from anonflow.worldgen import Dataset, generate_world, make_world_params
+from anonflow.worldgen import (Dataset, generate_world, make_world_params,
+                               stacked_frame_tokens)
+
+from helpers import anonymized
 
 
 def small_config(steps=300):
@@ -29,13 +31,13 @@ class TestObscure:
     def test_w1_returns_original_bit_exact(self):
         rng = np.random.default_rng(0)
         z_o, z_r = rng.standard_normal(8), rng.standard_normal(8)
-        out = obscure(ObscurationInput(z_orig=z_o, z_rand=z_r, w=1.0))
+        out = obscure(z_o, z_r, 1.0)
         assert np.array_equal(out, z_o)
 
     def test_w0_returns_noise_bit_exact(self):
         rng = np.random.default_rng(1)
         z_o, z_r = rng.standard_normal(8), rng.standard_normal(8)
-        out = obscure(ObscurationInput(z_orig=z_o, z_rand=z_r, w=0.0))
+        out = obscure(z_o, z_r, 0.0)
         assert np.array_equal(out, z_r)
 
     @pytest.mark.parametrize("w", [-1.0, -0.5, 0.0, 0.5, 1.0])
@@ -44,25 +46,23 @@ class TestObscure:
         n = 100_000
         z_o = rng.standard_normal((n, 4))
         z_r = rng.standard_normal((n, 4))
-        out = obscure(ObscurationInput(z_orig=z_o, z_rand=z_r, w=w))
+        out = obscure(z_o, z_r, w)
         var = out.var(axis=0)
         assert np.all(var > 0.98) and np.all(var < 1.02)
 
     def test_weight_out_of_range_rejected(self):
         with pytest.raises(InputError):
-            ObscurationInput(z_orig=np.zeros(2), z_rand=np.zeros(2), w=1.5)
+            obscure(np.zeros(2), np.zeros(2), 1.5)
         with pytest.raises(InputError):
-            ObscurationInput(z_orig=np.zeros((2, 2)), z_rand=np.zeros((2, 2)),
-                             w=np.array([0.5, -1.5]))
+            obscure(np.zeros((2, 2)), np.zeros((2, 2)), np.array([0.5, -1.5]))
 
     def test_per_row_weights_match_scalar_blend(self):
         rng = np.random.default_rng(5)
         z_o, z_r = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
         w = np.array([-0.5, 0.25, 1.0])
-        out = obscure(ObscurationInput(z_orig=z_o, z_rand=z_r, w=w))
+        out = obscure(z_o, z_r, w)
         for i in range(3):
-            assert np.array_equal(out[i], obscure(ObscurationInput(
-                z_orig=z_o[i], z_rand=z_r[i], w=float(w[i]))))
+            assert np.array_equal(out[i], obscure(z_o[i], z_r[i], float(w[i])))
 
 
 class TestStrategy:
@@ -244,8 +244,8 @@ class TestPipeline:
         model, _, _ = trained
         steps = 8
         strat = WeightStrategy(kind="range", a=-1.0, b=1.0)
-        _, mapping = anonymize_dataset(None, model, world, strat, steps,
-                                       np.random.default_rng(3))
+        _, mapping = anonymized(None, model, world, strat, steps,
+                                np.random.default_rng(3))
         assert sorted(mapping) == sorted(s.id for s in world.speakers)
         for u, s in zip(world.utterances, voiced_ids(world.utterances)):
             assert np.array_equal(s, mapping[u.speaker_id][1])
@@ -303,7 +303,7 @@ def per_utterance_reference(backbone, anonymizer, dataset, strategy, steps,
                                           rng, steps, pool=embs, exclude=[k])
             voice[u.speaker_id] = s_anon[0]
         noise = rng.standard_normal((u.n_frames, dataset.params.F))
-        frames.append(reconstruct(backbone, u.frame_tokens, u.p_norm,
+        frames.append(reconstruct(backbone, stacked_frame_tokens([u]), u.p_norm,
                                   voice[u.speaker_id], FRAME_STEPS, noise))
     return frames, voice
 
@@ -318,7 +318,7 @@ def _orders(world):
 
 
 def eager_reference(backbone, anonymizer, dataset, strategy, steps, rng):
-    """``anonymize_dataset`` as it was before it streamed: the walk keeps
+    """``anonymize_stream`` as it was before it streamed: the walk keeps
     every run's noise, and every run is solved before any frames are
     returned.  Returns (frames per utterance, mapping)."""
     embs = np.array([s.embedding for s in dataset.speakers])
@@ -346,7 +346,7 @@ def eager_reference(backbone, anonymizer, dataset, strategy, steps, rng):
     frames = []
     for run, x0 in zip(runs, noise):
         out = reconstruct(backbone,
-                          np.concatenate([utts[i].frame_tokens for i in run]),
+                          stacked_frame_tokens([utts[i] for i in run]),
                           np.concatenate([utts[i].p_norm for i in run]),
                           mapping[utts[run[0]].speaker_id][1], FRAME_STEPS,
                           x0)
@@ -356,7 +356,7 @@ def eager_reference(backbone, anonymizer, dataset, strategy, steps, rng):
 
 
 class TestFrameRuns:
-    """anonymize_dataset makes one reconstruct per identity run."""
+    """anonymize_stream makes one reconstruct per identity run."""
 
     @pytest.mark.parametrize("cap", ["default", "cut"])
     @pytest.mark.parametrize("strat", STRATEGIES, ids=lambda s: s.kind)
@@ -435,8 +435,8 @@ class TestFrameRuns:
         steps = 8
         for ds in _orders(world).values():
             rows.clear()
-            anon, mapping = anonymize_dataset(frame_model, model, ds, strat,
-                                              steps, np.random.default_rng(3))
+            anon, mapping = anonymized(frame_model, model, ds, strat, steps,
+                                       np.random.default_rng(3))
             if cap == "cut":
                 assert max(rows) <= max_rows
                 assert len(rows) > len(mapping)
@@ -453,8 +453,8 @@ class TestFrameRuns:
         strat = WeightStrategy(kind="range", a=-1.0, b=1.0)
         steps = 8
         for ds in _orders(world).values():
-            anon, _ = anonymize_dataset(frame_model, model, ds, strat, steps,
-                                        np.random.default_rng(3))
+            anon, _ = anonymized(frame_model, model, ds, strat, steps,
+                                 np.random.default_rng(3))
             ref, _ = per_utterance_reference(frame_model, model, ds, strat,
                                              steps, np.random.default_rng(3))
             for u, f in zip(anon.utterances, ref):
@@ -470,9 +470,9 @@ class TestFrameRuns:
         model, _, _ = trained
         steps = 8
         with pytest.raises(DivergenceError) as ei:
-            anonymize_dataset(frame_model, model, world,
-                              WeightStrategy(kind="fixed", w=0.5), steps,
-                              np.random.default_rng(3))
+            anonymized(frame_model, model, world,
+                       WeightStrategy(kind="fixed", w=0.5), steps,
+                       np.random.default_rng(3))
         first, last = world.utterances[0].id, world.utterances[2].id
         assert f"utterances {first}..{last}:" in str(ei.value)
         assert ei.value.step == 3
@@ -493,9 +493,9 @@ class TestFrameRuns:
         seen = list(dict.fromkeys(u.speaker_id for u in ds.utterances))
         named = next(u for u in ds.utterances if u.speaker_id == seen[2])
         with pytest.raises(DivergenceError) as ei:
-            anonymize_dataset(frame_model, model, ds,
-                              WeightStrategy(kind="fixed", w=0.5), 8,
-                              np.random.default_rng(3))
+            anonymized(frame_model, model, ds,
+                       WeightStrategy(kind="fixed", w=0.5), 8,
+                       np.random.default_rng(3))
         assert str(ei.value) == f"utterance {named.id}: non-finite state at step 5"
         assert ei.value.step == 5
 

@@ -14,6 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import anonflow
 import anonflow.anonymizer as anonymizer_mod
 import anonflow.worldgen as worldgen_mod
+from anonflow.anonymizer import AnonymizerConfig
+from anonflow.backbone import _SHAPE_KEYS, BackboneConfig
 from anonflow.checkpoint import load_checkpoint, save_checkpoint
 from anonflow.cli import (RADAR_DEFAULTS, RadarEntry, main, radar_normalize,
                           write_manifest)
@@ -912,6 +914,12 @@ def _argument(command, flag, value):
     (_bad_speaker(lambda d: d.update(base_pitch_hz=math.inf)), 4),
     (_bad_speaker(lambda d: d["pii_lexicon"].update(
         XYZ=d["pii_lexicon"].pop("PER"))), 4),
+    # sizes whose byte count overflows: numpy refuses them before it
+    # allocates anything, so the unchecked load ends in a ValueError
+    (_model_copy("backbone", lambda d: d.update(vocab_size=2**62),
+                 named=": vocab_size"), 4),
+    (_model_copy("anonymizer", lambda d: d["config"].update(time_dim=2**62),
+                 named=": config.time_dim"), 4),
 ], ids=["short-mapping-row", "truncated-ckpt", "bad-jsonl-line",
         "unknown-backbone-key", "unknown-anonymizer-key", "unknown-world-key",
         "non-numeric-config-value", "two-column-trial", "non-integer-label",
@@ -979,7 +987,8 @@ def _argument(command, flag, value):
         "utterance-gender-unknown", "utterance-id-integer",
         "empty-trial-file", "pool-type-unknown", "pool-type-list",
         "pool-tokens-empty", "speaker-base-pitch-string",
-        "speaker-base-pitch-inf", "speaker-lexicon-type-unknown"])
+        "speaker-base-pitch-inf", "speaker-lexicon-type-unknown",
+        "backbone-json-vocab-size-2-62", "anonymizer-json-time-dim-2-62"])
 def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
                                       code):
     _, world, bb, an, _ = pipeline
@@ -992,19 +1001,23 @@ def test_malformed_artifact_exit_code(pipeline, tmp_path, capsys, make_case,
 
 @pytest.fixture(scope="module")
 def two_speaker_world(tmp_path_factory):
-    """A 2-speaker world and a backbone of two steps trained on it."""
+    """A 2-speaker world, and a backbone and an anonymizer of two steps
+    trained on it."""
     root = tmp_path_factory.mktemp("two")
     cfg = root / "config.json"
     cfg.write_text(json.dumps({
         "world": {"D": 8, "F": 12, "v_common": 24, "n_speakers": 2,
                   "utts_per_speaker": 3, "pii_frac": 0.5},
         "backbone": {"content_dim": 8, "hidden": [16], "steps": 2,
-                     "batch": 16}}))
+                     "batch": 16},
+        "anonymizer": {"steps": 2, "batch": 8, "n_embeddings": 16}}))
     for argv in (["gen-world", "--out", root / "world"],
                  ["train-backbone", "--data", root / "world",
-                  "--out", root / "bb"]):
+                  "--out", root / "bb"],
+                 ["train-anonymizer", "--data", root / "world",
+                  "--out", root / "an"]):
         assert main([str(a) for a in [*argv, "--config", cfg]]) == 0
-    return root / "world", root / "bb" / "backbone"
+    return root / "world", root / "bb" / "backbone", root / "an" / "anonymizer"
 
 
 # JSON texts that a field of a dataset row is set to, and that a whole row
@@ -1040,7 +1053,7 @@ def test_dataset_row_contract(two_speaker_world, tmp_path, capsys):
     fixed set of wrong values, the whole row replaced, and a key added:
     ``build-trials``, and ``seca`` for pool rows, exit as ``_row_cases``
     allows, and on 4 print one ``error:`` line naming the file."""
-    world, backbone = two_speaker_world
+    world, backbone, _ = two_speaker_world
     data = tmp_path / "w"
     shutil.copytree(world, data)
     broken = []
@@ -1061,6 +1074,66 @@ def test_dataset_row_contract(two_speaker_world, tmp_path, capsys):
                 broken.append((name, case, argv[0], code, err))
         (data / name).write_text(text)
     assert not broken
+
+
+def _sidecar_cases():
+    """(model, key, value) for each generated case of the sidecar
+    contract: each config field of both models, and each of the
+    backbone's shape keys, set to each of ``WRONG_VALUES`` and to 2**62,
+    a size whose byte count overflows before numpy allocates."""
+    models = {"backbone": (BackboneConfig, _SHAPE_KEYS),
+              "anonymizer": (AnonymizerConfig, ())}
+    for name, (config_cls, shape_keys) in models.items():
+        keys = [*shape_keys, *(f"config.{f.name}"
+                               for f in dataclasses.fields(config_cls))]
+        for key in keys:
+            for value in (*map(json.loads, WRONG_VALUES), 2**62):
+                yield name, key, value
+
+
+def test_sidecar_contract(two_speaker_world, tmp_path, capsys):
+    """Each value of ``_sidecar_cases`` in a copy of its model's sidecar:
+    ``seca`` loads the backbone, ``evaluate --attacker ignorant
+    --anonymizer`` the anonymizer; each exits 0 or 4, and on 4 prints one
+    ``error:`` line naming the sidecar."""
+    world, backbone, anonymizer = two_speaker_world
+    models = {"backbone": backbone, "anonymizer": anonymizer}
+    for name, model in models.items():
+        shutil.copy(model.with_suffix(".ckpt"), tmp_path / f"{name}.ckpt")
+    commands = {
+        "backbone": ["seca", "--data", world, "--backbone", tmp_path / "backbone"],
+        "anonymizer": ["evaluate", "--data", world, "--anon", world,
+                       "--attacker", "ignorant",
+                       "--anonymizer", tmp_path / "anonymizer"]}
+    broken = []
+    for name, key, value in _sidecar_cases():
+        meta = json.loads(models[name].with_suffix(".json").read_text())
+        section, _, field = key.rpartition(".")
+        (meta[section] if section else meta)[field] = value
+        (tmp_path / f"{name}.json").write_text(json.dumps(meta))
+        code = main([str(a) for a in commands[name]]
+                    + ["--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err.strip()
+        if code not in (0, 4) or code == 4 and not (
+                err.startswith("error: ") and "\n" not in err
+                and f"{name}.json" in err):
+            broken.append((name, key, value, code, err))
+    assert not broken
+
+
+@pytest.mark.parametrize("command", ["anonymize", "seca", "build-trials",
+                                     "evaluate"])
+def test_config_rejected_where_unread(pipeline, tmp_path, capsys, command):
+    """Only gen-world and the two trainers read a config section; the
+    other commands have no --config, and argparse exits 2 on it."""
+    _, world, bb, an, cfg = pipeline
+    argv = _command(command, world, bb, an) + ["--config", cfg,
+                                               "--out", tmp_path / "o"]
+    with pytest.raises(SystemExit) as ei:
+        main([str(a) for a in argv])
+    assert ei.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("mode", ["acoustic", "content"])

@@ -10,7 +10,19 @@ command_peaks = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(command_peaks)
 
 
-def test_each_command_reports_a_peak(tmp_path):
+def test_each_command_reports_a_peak(tmp_path, monkeypatch):
+    events = []
+
+    def record(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            events.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, call)
+
+    record(command_peaks.gc, "collect")
+    record(command_peaks.tracemalloc, "start")
     config, strategy = command_peaks.bench_config()
     assert config["world"]["n_speakers"] == 64      # the benchmark's world
     config["world"].update(n_speakers=2, utts_per_speaker=2, v_common=16)
@@ -22,6 +34,10 @@ def test_each_command_reports_a_peak(tmp_path):
                            "anonymize", "seca", "evaluate"]
     assert all(0 < mb < 50 for mb in peaks.values())
     assert list(imports) == list(peaks)
+    # each command's tracing starts right after a collection
+    starts = [i for i, e in enumerate(events) if e == "start"]
+    assert len(starts) == len(peaks)
+    assert all(i > 0 and events[i - 1] == "collect" for i in starts)
     for names in imports.values():
         assert names == sorted(names) and set(names) <= set(sys.modules)
     assert (tmp_path / "eval" / "report.json").is_file()

@@ -15,8 +15,9 @@ from anonflow.evaluation import (DURATION_WINDOW, Trials, acoustic_embeddings,
                                  score_trials, utility_probes)
 from anonflow.worldgen import (WorldConfig, generate_world, make_world_params,
                                oracle_extract_speaker, oracle_recover_tokens,
-                               sample_speaker_embeddings, sha256_file,
-                               token_error_rate)
+                               sample_speaker_embeddings, sha256_file)
+
+from helpers import token_error_rate
 
 
 def table(rows):

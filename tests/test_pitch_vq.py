@@ -2,38 +2,34 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from anonflow.errors import EmptyVoicedError, InputError
-from anonflow.pitch import F_REF, normalize_pitch, pitch_or_zeros
+from anonflow.errors import InputError
+from anonflow.pitch import F_REF, normalize_pitch
 from anonflow.vq import (Codebook, QuantizeResult, codebook_grad, nearest,
                          quantize)
 
 
 class TestNormalizePitch:
     def test_reference_pitch_all_zero(self):
-        np_out = normalize_pitch([440.0, 440.0, 440.0])
-        assert np.array_equal(np_out.p_norm, [0, 0, 0])
+        assert np.array_equal(normalize_pitch([440.0, 440.0, 440.0]),
+                              [0, 0, 0])
 
     def test_octave_arithmetic(self):
         out = normalize_pitch([220.0, 440.0, 880.0])
-        assert np.allclose(out.p_norm, [-12, 0, 12])
-        assert np.array_equal(out.p_norm, [-12, 0, 12])
+        assert np.allclose(out, [-12, 0, 12])
+        assert np.array_equal(out, [-12, 0, 12])
 
     def test_unvoiced_masking_rule(self):
         # voiced semitones [0, 12, 12], median 12; unvoiced third frame -> 0
         out = normalize_pitch([440.0, 880.0, 0.0, 880.0])
-        assert np.allclose(out.p_norm, [-12, 0, 0, 0])
-        assert list(out.voiced_mask) == [True, True, False, True]
+        assert np.allclose(out, [-12, 0, 0, 0])
 
     def test_all_unvoiced_rejected(self):
-        with pytest.raises(EmptyVoicedError):
+        with pytest.raises(InputError, match="contour has no voiced frames"):
             normalize_pitch([0.0, 0.0])
 
     def test_negative_f0_rejected(self):
         with pytest.raises(InputError):
             normalize_pitch([-1.0, 440.0])
-
-    def test_pitch_or_zeros_fallback(self):
-        assert np.array_equal(pitch_or_zeros([0.0, 0.0, 0.0]), [0, 0, 0])
 
     def test_voiced_median_exactly_zero_random(self):
         rng = np.random.default_rng(0)
@@ -43,14 +39,13 @@ class TestNormalizePitch:
             f0[rng.random(n) < 0.3] = 0.0
             if not np.any(f0 > 0):
                 f0[0] = 200.0
-            out = normalize_pitch(f0)
-            assert np.median(out.p_norm[out.voiced_mask]) == 0.0
-            assert np.all(out.p_norm[~out.voiced_mask] == 0.0)
+            out, voiced = normalize_pitch(f0), f0 > 0
+            assert np.median(out[voiced]) == 0.0
+            assert np.all(out[~voiced] == 0.0)
 
     @given(st.lists(st.floats(50, 1000), min_size=1, max_size=20))
     def test_median_zero_property(self, f0):
-        out = normalize_pitch(f0)
-        assert np.median(out.p_norm) == 0.0
+        assert np.median(normalize_pitch(f0)) == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_f0_rejected(self, bad):
@@ -84,7 +79,7 @@ class TestNormalizePitchReference:
 
     def assert_matches(self, f0):
         ref, passes = normalize_pitch_by_median(f0)
-        assert normalize_pitch(f0).p_norm.tobytes() == ref.tobytes()
+        assert normalize_pitch(f0).tobytes() == ref.tobytes()
         return passes
 
     @pytest.mark.parametrize("f0", [

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from anonflow import worldgen
 from anonflow.anonymizer import (AnonymizerConfig, AnonymizerModel,
-                                 WeightStrategy, anonymize_dataset)
+                                 WeightStrategy)
 from anonflow.backbone import BackboneConfig, BackboneModel
 from anonflow.content import (ReplacementPool, anonymize_content,
                               build_gazetteer)
@@ -26,7 +26,9 @@ from anonflow.worldgen import (ARRAY_FIELDS, CACHE_FILES, DATASET_FILES,
                                oracle_extract_speakers, oracle_recover_tokens,
                                sample_speaker_embedding,
                                sample_speaker_embeddings, save_dataset,
-                               token_error_rate)
+                               stacked_frame_tokens)
+
+from helpers import anonymized, token_error_rate
 
 
 def recover_tokens_by_difference(frames, p_norm, s, params):
@@ -218,7 +220,7 @@ class TestGenerateWorld:
         _, ds = small_world()
         for u in ds.utterances:
             assert u.n_frames == len(u.tokens) * u.frames_per_token
-            assert u.frame_tokens.shape[0] == u.n_frames
+            assert stacked_frame_tokens([u]).shape[0] == u.n_frames
             assert u.duration_s > 0
 
     def test_determinism_byte_identical_files(self, tmp_path):
@@ -908,7 +910,8 @@ def extract_speaker_reference(u, params):
     """The per-utterance formula that ``oracle_extract_speakers`` batches."""
     if u.n_frames == 0:
         raise InputError("utterance has no frames")
-    resid = (u.frames - params.A[:, u.frame_tokens].T
+    frame_tokens = np.repeat(u.tokens, u.frames_per_token)
+    resid = (u.frames - params.A[:, frame_tokens].T
              - np.outer(u.p_norm, params.B))
     return params.c_pinv @ resid.mean(axis=0)
 
@@ -934,9 +937,8 @@ def desk_datasets():
     backbone.codebook.entries = backbone.f_sem(np.arange(p.V))
     anonymizer = AnonymizerModel(AnonymizerConfig())
     rng = np.random.default_rng(2)
-    anon, mapping = anonymize_dataset(backbone, anonymizer, ds,
-                                      WeightStrategy(kind="fixed", w=0.5), 4,
-                                      rng)
+    anon, mapping = anonymized(backbone, anonymizer, ds,
+                               WeightStrategy(kind="fixed", w=0.5), 4, rng)
     red, _ = anonymize_content(backbone, anon, ReplacementPool(anon.pool),
                                build_gazetteer(anon), 4, rng, mapping=mapping)
     return {"world": ds, "anonymized": anon, "redacted": red}

@@ -9,7 +9,9 @@ from that file): gen-world, train-backbone, train-anonymizer, anonymize
 with its strategy, seca with the anonymize mapping, and an ignorant
 evaluate of the anonymized world.  Each runs through ``anonflow.cli.main``
 with tracing started just before it and stopped just after, so its peak
-counts the memory that command allocated; command i gets seed --seed + i.
+counts the memory that command allocated; a garbage collection before
+each start keeps the previous commands' collector timing out of the
+peak.  Command i gets seed --seed + i.
 The peaks print as one JSON object, in MB, by command.  A second JSON
 object gives, by command, the modules that command imported first: each
 package that was not in ``sys.modules`` before it and is after, without
@@ -20,6 +22,7 @@ command that fails ends the run with its exit code.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import sys
@@ -75,6 +78,7 @@ def command_peaks(work: Path, config: dict, strategy: str, seed: int) -> tuple:
     peaks, imports = {}, {}
     for i, (name, argv) in enumerate(commands.items()):
         before = set(sys.modules)
+        gc.collect()
         tracemalloc.start()
         try:
             rc = cli.main([str(a) for a in argv] + ["--seed", str(seed + i)])
