@@ -62,7 +62,7 @@ class AnonymizerConfig:
 
 
 class AnonymizerModel:
-    def __init__(self, config: AnonymizerConfig, metadata: dict | None = None):
+    def __init__(self, config: AnonymizerConfig, metadata: dict | None):
         self.config = config
         self.field = UShapedField(config.level_dims, time_dim=config.time_dim,
                                   rng=np.random.default_rng(config.seed),
@@ -179,20 +179,19 @@ class WeightStrategy:
 
 
 def draw_speakers(strategy: WeightStrategy, rng: np.random.Generator,
-                  n: int, dim: int, *, pool=None, exclude=None) -> tuple:
+                  n: int, dim: int, *, pool, exclude) -> tuple:
     """The randomness of ``anonymize_speaker`` for ``n`` rows of width
     ``dim``, drawn row by row: ``(w (n,), z_rand (n, dim))``, each row's
     ``w`` before its ``z_rand``, or for the pool strategy ``(None, the
     (n, D) drawn pool rows)``, row i uniform over the rows of ``pool``
-    other than ``exclude[i]`` (over all rows when ``exclude`` is None).
+    other than ``exclude[i]``.
     """
     if strategy.kind == "pool":
-        size = 0 if pool is None else len(pool) - (exclude is not None)
+        size = len(pool) - 1
         if size < 1:
             raise InputError("pool strategy requires a non-empty embedding pool")
         rows = [int(rng.integers(size)) for _ in range(n)]
-        if exclude is not None:
-            rows = [j + (j >= k) for j, k in zip(rows, exclude)]
+        rows = [j + (j >= k) for j, k in zip(rows, exclude)]
         return None, np.asarray(pool, dtype=float)[rows]
     w = np.empty(n)
     z_rand = np.empty((n, dim))
@@ -216,15 +215,15 @@ def solve_speakers(model, s_orig, draws: tuple, steps: int):
 
 
 def anonymize_speaker(model, s_orig, strategy: WeightStrategy,
-                      rng: np.random.Generator, steps: int, *,
-                      pool=None, exclude=None):
+                      rng: np.random.Generator, steps: int, *, pool,
+                      exclude):
     """Encode-obscure-generate (or pool draw) for an (N, D) embedding batch,
     each ODE in ``steps`` Euler steps: ``draw_speakers``, then
     ``solve_speakers``.
 
     Returns (s_anon (N, D), w (N,)); w is None for the pool strategy, which
     draws row i uniformly from the rows of ``pool`` other than
-    ``exclude[i]`` (from all rows when ``exclude`` is None).
+    ``exclude[i]``.
     """
     s_orig = np.asarray(s_orig, dtype=float)
     if s_orig.ndim != 2:
@@ -326,8 +325,9 @@ def save_mapping(mapping: dict, path) -> None:
 def load_mapping(path, dataset: Dataset) -> dict:
     """Read ``save_mapping``'s TSV for the dataset it voices: one row for
     each speaker with an utterance, with an identity of D values.  A second
-    row for the same speaker, or a weight or identity value that is not
-    finite, is a DataError."""
+    row for the same speaker, a weight that is not finite, or an identity
+    value that is not finite as float32, the dtype the frame field casts
+    it to, is a DataError."""
     dim = dataset.params.D
     out = {}
     for n, line in enumerate(utf8_text(path).splitlines(), start=1):
@@ -339,8 +339,9 @@ def load_mapping(path, dataset: Dataset) -> dict:
             raise DataError(f"{path}:{n}: bad mapping row: {e}") from e
         if sid in out:
             raise DataError(f"{path}:{n}: second row for speaker {sid}")
-        if not np.all(np.isfinite(s_anon)) or (w is not None
-                                                and not np.isfinite(w)):
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(s_anon.astype(np.float32)).all()
+        if not finite or (w is not None and not np.isfinite(w)):
             raise DataError(f"{path}:{n}: non-finite value for speaker {sid}")
         if len(s_anon) != dim:
             raise DataError(f"{path}:{n}: identity of {sid} has "

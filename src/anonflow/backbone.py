@@ -73,7 +73,7 @@ class BackboneModel:
         return self.noisy(self.token_embed[np.asarray(frame_tokens, dtype=int)],
                           rng)
 
-    def noisy(self, f, rng=None) -> np.ndarray:
+    def noisy(self, f, rng) -> np.ndarray:
         """``f`` plus f_sem noise drawn from ``rng``, as a new array; ``f``
         itself without a generator or with the noise switched off."""
         if rng is not None and self.config.f_sem_noise > 0:

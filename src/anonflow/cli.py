@@ -261,6 +261,21 @@ def _built_trials(ds, args, rng):
     return trials
 
 
+def _loaded_trials(args, ds_orig, ds_anon):
+    """``load_trials`` of ``args.trials``; a row that names a speaker
+    ``ds_orig`` lacks, or an utterance ``ds_anon`` lacks, is a DataError
+    naming the file and the first such row."""
+    trials = load_trials(args.trials)
+    for kind, ids, known in (
+            ("speaker", trials.enroll, {s.id for s in ds_orig.speakers}),
+            ("utterance", trials.test, {u.id for u in ds_anon.utterances})):
+        if not known.issuperset(ids):
+            n = next(n for n, i in enumerate(ids) if i not in known)
+            raise DataError(f"{args.trials}:{n + 1}: unknown {kind} "
+                            f"{ids[n]!r}")
+    return trials
+
+
 def cmd_build_trials(args) -> int:
     ds = load_dataset(args.data)
     trials = _built_trials(ds, args, np.random.default_rng(args.seed))
@@ -289,7 +304,7 @@ def cmd_evaluate(args) -> int:
     ds_anon = load_dataset(args.anon)
     mapping = load_mapping(args.mapping, ds_anon) if args.mapping else None
     rng = np.random.default_rng(args.seed)
-    trials = (load_trials(args.trials) if args.trials
+    trials = (_loaded_trials(args, ds_orig, ds_anon) if args.trials
               else _built_trials(ds_orig, args, rng))
     report = run_attack(ds_orig, ds_anon, mapping, attacker, args.mode, rng,
                         anonymizer=anonymizer, strategy=strategy,

@@ -191,8 +191,7 @@ def corrupt_tokens(tokens, p_asr: float, vocab_size: int,
 def anonymize_content_stream(backbone: BackboneModel, dataset: Dataset,
                              pool: ReplacementPool, gazetteer: dict,
                              steps: int, rng: np.random.Generator,
-                             mapping: dict | None = None,
-                             p_asr: float = 0.0):
+                             mapping: dict | None, p_asr: float):
     """detect -> match -> plan -> apply over every utterance.
 
     The edits are voiced with each speaker's pseudo-identity from
@@ -279,8 +278,7 @@ def anonymize_content_stream(backbone: BackboneModel, dataset: Dataset,
 def anonymize_content(backbone: BackboneModel, dataset: Dataset,
                       pool: ReplacementPool, gazetteer: dict,
                       steps: int, rng: np.random.Generator,
-                      mapping: dict | None = None,
-                      p_asr: float = 0.0):
+                      mapping: dict | None, p_asr: float):
     """``anonymize_content_stream`` with the edited utterances in a list."""
     out, reports = anonymize_content_stream(backbone, dataset, pool,
                                             gazetteer, steps, rng,

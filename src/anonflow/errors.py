@@ -24,7 +24,7 @@ class DivergenceError(RuntimeError):
     row that went non-finite at that step.
     """
 
-    def __init__(self, message: str, step: int | None = None,
+    def __init__(self, message: str, step: int | None,
                  row: int | None = None):
         super().__init__(message)
         self.step = step

@@ -12,9 +12,8 @@ import numpy as np
 from .anonymizer import WeightStrategy, anonymize_speaker
 from .checkpoint import replace_text, utf8_text
 from .errors import DataError, InputError
-from .worldgen import (Dataset, check_frame_count, frame_count_groups,
-                       oracle_extract_speakers, oracle_recover_tokens,
-                       stacked_frame_tokens)
+from .worldgen import (Dataset, frame_count_groups, oracle_extract_speakers,
+                       oracle_recover_tokens, stacked_frame_tokens)
 # unused here, but perfbench/test_perfbench.py IMPORT_SITES lists it
 from .worldgen import oracle_extract_speaker  # noqa: F401
 
@@ -298,8 +297,8 @@ class EvalReport:
 
 def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
                attacker: str, mode: str, rng: np.random.Generator,
-               anonymizer=None, strategy: WeightStrategy | None = None,
-               steps: int = 16, trials: Trials | None = None) -> EvalReport:
+               anonymizer, strategy: WeightStrategy | None, steps: int,
+               trials: Trials) -> EvalReport:
     """Score a trial list under one attacker model.
 
     ignorant: enrollment from original-domain embeddings, test on the
@@ -310,8 +309,6 @@ def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
     """
     if attacker not in ("ignorant", "lazy_informed"):
         raise InputError(f"unknown attacker {attacker!r}")
-    if trials is None:
-        trials = build_trials(dataset_orig, mode, rng)
     if not trials:
         raise InputError("empty trial list")
     vocab = dataset_orig.params.V
@@ -372,8 +369,7 @@ def utility_probes(dataset_anon: Dataset, mapping, embeddings: dict) -> tuple:
     ``embeddings`` holds each anonymized utterance's extracted speaker by
     id, as ``acoustic_embeddings`` gives them.  The first utterance whose
     extracted speaker is not finite is a DataError, used in a trial or
-    not; so is, before it, the first whose recovered tokens do not match
-    its frame count.
+    not.
 
     Each utterance's rate is the fraction of its frames whose recovered
     token differs from the aligned reference, and its cosine equals
@@ -385,15 +381,11 @@ def utility_probes(dataset_anon: Dataset, mapping, embeddings: dict) -> tuple:
     s_anon = np.array([mapping[u.speaker_id][1] for u in utts], dtype=float)
     embs = np.array([embeddings[u.id] for u in utts], dtype=float)
     bad = np.flatnonzero(~np.isfinite(embs).all(axis=1))
-    stop = bad[0] if bad.size else len(utts)
-    recovered = []
-    for u, s in zip(utts[:stop], s_anon):
-        rec = oracle_recover_tokens(u.frames, u.p_norm, s, params)
-        check_frame_count(rec, len(u.tokens) * u.frames_per_token)
-        recovered.append(rec)
     if bad.size:
         raise DataError(f"embedding of anonymized utterance "
-                        f"{utts[stop].id!r} is not finite")
+                        f"{utts[bad[0]].id!r} is not finite")
+    recovered = [oracle_recover_tokens(u.frames, u.p_norm, s, params)
+                 for u, s in zip(utts, s_anon)]
     ters = np.empty(len(utts))
     for t, rows in frame_count_groups(utts):
         group = [utts[i] for i in rows]

@@ -37,20 +37,18 @@ def _frequencies(dim: int) -> np.ndarray:
 
 
 def time_embed(t, dim: int) -> np.ndarray:
-    """Sinusoidal embedding of times in [0, 1].
+    """Sinusoidal embedding of the (B,) times ``t`` in [0, 1], as (B, dim).
 
-    Frequencies are log-spaced from 1 to 1e4 over dim/2 values; output
-    interleaves (sin(t*w_k), cos(t*w_k)).  ``t`` may be scalar or (B,).
+    Frequencies are log-spaced from 1 to 1e4 over dim/2 values; each row
+    interleaves (sin(t*w_k), cos(t*w_k)).
     """
     if dim % 2 != 0 or dim < 2:
         raise InputError(f"embedding dim must be even and >= 2, got {dim}")
-    scalar = np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    arg = t[:, None] * _frequencies(dim)[None, :]
-    out = np.empty((t.shape[0], dim))
+    arg = np.asarray(t, dtype=float)[:, None] * _frequencies(dim)[None, :]
+    out = np.empty((arg.shape[0], dim))
     out[:, 0::2] = np.sin(arg)
     out[:, 1::2] = np.cos(arg)
-    return out[0] if scalar else out
+    return out
 
 
 def _init_linear(rng, n_out, n_in, dtype):
@@ -75,7 +73,7 @@ class UShapedField:
     residual path on the (time-shifted) input.
     """
 
-    def __init__(self, level_dims, time_dim: int = 16, rng=None, dtype=np.float32):
+    def __init__(self, level_dims, time_dim: int, rng, dtype):
         dims = list(level_dims)
         if not u_shaped(dims):
             raise InputError("level_dims must be palindromic with a single "
@@ -86,7 +84,6 @@ class UShapedField:
         self.dim = dims[0]
         self.time_dim = time_dim
         self.dtype = dtype
-        rng = rng if rng is not None else np.random.default_rng(0)
         p = {}
         p["time_proj.W"], p["time_proj.b"] = _init_linear(rng, dims[0], time_dim, dtype)
         for i in range(1, len(dims)):
@@ -98,13 +95,13 @@ class UShapedField:
             p[f"blk{i}.b2"] = np.zeros(dims[i], dtype=dtype)
         self.params = p
 
-    def forward(self, x, t, cond=None):
+    def forward(self, x, t, cond):
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise InputError(f"expected (B, {self.dim}) input, got {x.shape}")
         p = self.params
         n = len(self.level_dims)
-        emb = time_embed(np.asarray(t, dtype=float), self.time_dim).astype(self.dtype)
+        emb = time_embed(t, self.time_dim).astype(self.dtype)
         h = [x + emb @ p["time_proj.W"].T + p["time_proj.b"]]
         cache = {"emb": emb, "a": [None], "q": [None]}
         for i in range(1, n):
@@ -200,8 +197,8 @@ class ConditionedField:
     output is ``tanh(z) * (1 + scale) + shift``.
     """
 
-    def __init__(self, dim, local_dim, cond_dim, hidden, time_dim: int = 16,
-                 rng=None, dtype=np.float32):
+    def __init__(self, dim, local_dim, cond_dim, hidden, time_dim: int, rng,
+                 dtype):
         if time_dim % 2 != 0:
             raise InputError("time_dim must be even")
         self.dim = dim
@@ -210,7 +207,6 @@ class ConditionedField:
         self.hidden = list(hidden)
         self.time_dim = time_dim
         self.dtype = dtype
-        rng = rng if rng is not None else np.random.default_rng(0)
         cdim = cond_dim + time_dim
         p = {}
         prev = dim + local_dim
@@ -237,7 +233,7 @@ class ConditionedField:
             raise InputError(f"expected (B, {self.dim}) input, got {x.shape}")
         b = x.shape[0]
         local, glob = self._split_cond(cond, b, b)
-        emb = time_embed(np.asarray(t, dtype=float), self.time_dim).astype(self.dtype)
+        emb = time_embed(t, self.time_dim).astype(self.dtype)
         c = np.concatenate([glob, emb], axis=1)
         h = np.concatenate([x, local], axis=1)
         p = self.params

@@ -61,8 +61,7 @@ class AdamW:
     update, so the result is bit-identical to updating each tensor in turn.
     """
 
-    def __init__(self, params: dict, schedule: OneCycle,
-                 weight_decay: float = 0.01):
+    def __init__(self, params: dict, schedule: OneCycle, weight_decay: float):
         self.params = params
         self.schedule = schedule
         self.weight_decay = weight_decay

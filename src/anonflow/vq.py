@@ -38,11 +38,14 @@ def nearest(rows, centers) -> np.ndarray:
     """Index of each row's nearest center (ties -> lowest index).
 
     Distances up to a per-row constant come from one GEMM, ||c||^2 - 2 r.c.
-    Rows whose two best candidates are within rounding of each other are
-    ranked again by exact difference-based distances, so every row gets
-    the index the direct (N, K, E) form gives, ties included.  The
-    second-best distance is the row minimum with the best entry set to
-    inf; a second copy of the best value stays, as in a partition.
+    An entry whose GEMM distance lies more than the rounding bound ``tol``
+    above a row's best is not that row's exact nearest.  So a row whose
+    second-best entry lies within ``tol`` of its best is ranked again by
+    exact difference-based distances to the entries in that band, the best
+    included, and every row gets the index the direct (N, K, E) form
+    gives, ties included.  The second-best distance is the row minimum
+    with the best entry set to inf; a second copy of the best value stays,
+    as in a partition.
     """
     c2 = np.einsum("ke,ke->k", centers, centers)
     d2 = rows @ centers.T
@@ -55,8 +58,19 @@ def nearest(rows, centers) -> np.ndarray:
     tol = 1e-9 * (np.einsum("ne,ne->n", rows, rows) + c2.max())
     close = np.flatnonzero(d2.min(axis=1) - first <= tol)
     if close.size:
-        diff = rows[close, None, :] - centers[None, :, :]
-        best[close] = np.argmin(np.einsum("nke,nke->nk", diff, diff), axis=1)
+        band = d2[close] - first[close, None] <= tol[close, None]
+        band[np.arange(close.size), best[close]] = True
+        r, k = np.nonzero(band)
+        # the direct form's difference tensor follows the centers' layout,
+        # and einsum sums each distance in that memory order: over E
+        # innermost, or over E outermost when the entries' axis has the
+        # smaller stride (a transposed view, as the token oracle's A.T)
+        by_entry = abs(centers.strides[0]) < abs(centers.strides[1])
+        diff = np.subtract(rows[close[r]], centers[k],
+                           order="F" if by_entry else "C")
+        exact = np.full(band.shape, np.inf)
+        exact[r, k] = np.einsum("pe,pe->p", diff, diff)
+        best[close] = np.argmin(exact, axis=1)
     return best
 
 

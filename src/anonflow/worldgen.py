@@ -103,9 +103,8 @@ class WorldParams:
         return self._c_pinv
 
 
-def make_world_params(D: int = 16, F: int = 24, v_common: int = 80,
-                      n_speakers: int = 10, noise_sigma: float = 0.05,
-                      seed: int = 0) -> WorldParams:
+def make_world_params(D: int, F: int, v_common: int, n_speakers: int,
+                      noise_sigma: float, seed: int) -> WorldParams:
     """Draw imprint matrices sized for the given vocabulary layout.
 
     A's columns are rescaled if needed so their minimum pairwise distance
@@ -241,8 +240,8 @@ def _lexicon_layout(params: WorldParams, n_speakers: int):
 
 
 def generate_world(params: WorldParams, n_speakers: int, utts_per_speaker: int,
-                   rng: np.random.Generator, duration_range=(3.0, 18.0),
-                   pii_frac: float = 0.3) -> Dataset:
+                   rng: np.random.Generator, duration_range,
+                   pii_frac: float) -> Dataset:
     """Generate a gender-balanced dataset from the linear world model."""
     if n_speakers % 2 != 0:
         raise InputError("n_speakers must be even for gender balance")
@@ -413,13 +412,6 @@ def oracle_recover_tokens(frames, p_norm, s, params: WorldParams) -> np.ndarray:
     frames = np.asarray(frames, dtype=float)
     resid = frames - np.outer(np.asarray(p_norm), params.B) - params.C @ np.asarray(s)
     return nearest(resid, params.A.T)
-
-
-def check_frame_count(recovered: np.ndarray, n_frames: int) -> None:
-    """InputError unless ``recovered`` holds one token per frame."""
-    if recovered.shape != (n_frames,):
-        raise InputError(f"frame count mismatch: {recovered.shape} vs "
-                         f"{(n_frames,)}")
 
 
 # ---------------------------------------------------------------------------

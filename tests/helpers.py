@@ -5,7 +5,7 @@ reference that ``evaluation.utility_probes`` is checked against."""
 import numpy as np
 
 from anonflow.anonymizer import anonymize_stream
-from anonflow.worldgen import check_frame_count
+from anonflow.errors import InputError
 
 
 def anonymized(backbone, anonymizer, dataset, strategy, steps, rng):
@@ -22,5 +22,6 @@ def token_error_rate(recovered_frame_tokens, reference_tokens,
     reference."""
     ref = np.repeat(np.asarray(reference_tokens, dtype=int), frames_per_token)
     rec = np.asarray(recovered_frame_tokens, dtype=int)
-    check_frame_count(rec, ref.size)
+    if rec.shape != ref.shape:
+        raise InputError(f"frame count mismatch: {rec.shape} vs {ref.shape}")
     return float(np.mean(rec != ref))

@@ -7,12 +7,15 @@ grid) are trained once per session at pinned seeds.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anonflow
 from anonflow.anonymizer import (AnonymizerConfig, WeightStrategy, encode,
                                  generate, obscure, train_anonymizer)
 from anonflow.backbone import BackboneConfig, train_backbone
@@ -89,7 +92,8 @@ def attack_grid(desk_world, desk_backbone, desk_anonymizer, desk_trials):
             backbone, anonymizer, ds, strat, steps,
             np.random.default_rng(201))
         rep_ig = run_attack(ds, anon, mapping, "ignorant", "acoustic",
-                            np.random.default_rng(1), trials=desk_trials)
+                            np.random.default_rng(1), anonymizer=None,
+                            strategy=None, steps=16, trials=desk_trials)
         rep_la = run_attack(ds, anon, None, "lazy_informed", "acoustic",
                             np.random.default_rng(2), anonymizer=anonymizer,
                             strategy=strat, steps=steps, trials=desk_trials)
@@ -182,9 +186,9 @@ def test_criterion_03_gradient_fidelity():
         tgt = rng.standard_normal((3, 6))
 
         def loss():
-            return float(np.mean((field.forward(x, t)[0] - tgt) ** 2))
+            return float(np.mean((field.forward(x, t, None)[0] - tgt) ** 2))
 
-        y, cache = field.forward(x, t)
+        y, cache = field.forward(x, t, None)
         grads = field.backward(cache, 2 * (y - tgt) / y.size)
         worst = max(worst, check(field, x, t, None, grads, loss))
     for k in range(8):
@@ -257,12 +261,14 @@ def test_criterion_08_ablation_direction(desk_world, desk_backbone,
     steps = 16
     identity_map = {s.id: (1.0, s.embedding) for s in ds.speakers}
     eer_id = run_attack(ds, ds, identity_map, "ignorant", "acoustic",
-                        np.random.default_rng(1), trials=desk_trials).a_eer
+                        np.random.default_rng(1), anonymizer=None,
+                        strategy=None, steps=16, trials=desk_trials).a_eer
     anon_p, map_p = anonymized(backbone, anonymizer, ds,
                                WeightStrategy(kind="pool"), steps,
                                np.random.default_rng(300))
     eer_pool = run_attack(ds, anon_p, map_p, "ignorant", "acoustic",
-                          np.random.default_rng(1), trials=desk_trials).a_eer
+                          np.random.default_rng(1), anonymizer=None,
+                          strategy=None, steps=16, trials=desk_trials).a_eer
     eer_f0 = attack_grid[0.0]["ig"]
     assert eer_pool - eer_id >= 40.0, (eer_pool, eer_id)
     assert eer_f0 - eer_id >= 40.0, (eer_f0, eer_id)
@@ -291,7 +297,8 @@ def test_criterion_09_content_anonymization(desk_world, desk_backbone):
     pool = ReplacementPool(ds.pool)
     steps = 16
     edited, reports = anonymize_content(backbone, ds, pool, gaz, steps,
-                                        np.random.default_rng(400))
+                                        np.random.default_rng(400),
+                                        mapping=None, p_asr=0.0)
     assert all(r["status"] == "ok" for r in reports)
 
     # locality: frames outside every edited span are bit-identical
@@ -341,9 +348,11 @@ def test_criterion_09_content_anonymization(desk_world, desk_backbone):
     # C-EER rises once the speaker-exclusive PII tokens are replaced
     trials = build_trials(ds, "content", np.random.default_rng(500))
     before = run_attack(ds, ds, None, "ignorant", "content",
-                        np.random.default_rng(3), trials=trials).c_eer
+                        np.random.default_rng(3), anonymizer=None,
+                        strategy=None, steps=16, trials=trials).c_eer
     after = run_attack(ds, edited, None, "ignorant", "content",
-                       np.random.default_rng(3), trials=trials).c_eer
+                       np.random.default_rng(3), anonymizer=None,
+                       strategy=None, steps=16, trials=trials).c_eer
     assert after > before, (before, after)
 
     # recognizer-corruption knob degrades transcript/frame agreement
@@ -359,7 +368,8 @@ def test_criterion_09_content_anonymization(desk_world, desk_backbone):
         return float(np.mean(errs))
 
     corrupted, _ = anonymize_content(backbone, ds, pool, gaz, steps,
-                                     np.random.default_rng(400), p_asr=0.05)
+                                     np.random.default_rng(400),
+                                     mapping=None, p_asr=0.05)
     clean_ter = pii_ter(edited)
     corrupt_ter = pii_ter(corrupted)
     assert corrupt_ter > clean_ter, (clean_ter, corrupt_ter)
@@ -404,11 +414,17 @@ def test_criterion_12_end_to_end_reproducibility(tmp_path):
         "anonymizer": {"steps": 400, "batch": 64, "n_embeddings": 400},
     }))
 
+    # the subprocesses do not get pytest's ``pythonpath`` setting, so they
+    # are given the directory of the package under test
+    paths = [str(Path(anonflow.__file__).parents[1]),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
     def run(root):
         def cli(*argv):
             proc = subprocess.run(
                 [sys.executable, "-m", "anonflow.cli", *argv],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
         w, bb, an = root / "world", root / "bb", root / "an"
         cli("gen-world", "--config", str(cfg), "--seed", "1", "--out", str(w))

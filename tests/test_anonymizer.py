@@ -118,7 +118,7 @@ class TestTraining:
                                       (8, 4, 2, 4, 8)])
     def test_level_dims_the_field_takes_accepted(self, dims):
         assert AnonymizerConfig(level_dims=dims).level_dims == dims
-        UShapedField(dims)
+        UShapedField(dims, 16, np.random.default_rng(0), np.float32)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ConfigError):
@@ -159,8 +159,10 @@ class TestTraining:
 
 @pytest.fixture(scope="module")
 def world():
-    p = make_world_params(D=8, F=12, v_common=24, n_speakers=4, seed=0)
-    return generate_world(p, 4, 3, np.random.default_rng(0))
+    p = make_world_params(D=8, F=12, v_common=24, n_speakers=4, seed=0,
+                          noise_sigma=0.05)
+    return generate_world(p, 4, 3, np.random.default_rng(0),
+                          duration_range=(3.0, 18.0), pii_frac=0.3)
 
 
 @pytest.fixture
@@ -202,13 +204,14 @@ class TestPipeline:
         steps = 64
         strat = WeightStrategy(kind="fixed", w=1.0)
         s_anon, w = anonymize_speaker(model, emb[:10], strat,
-                                      np.random.default_rng(0), steps)
+                                      np.random.default_rng(0), steps,
+                                      pool=emb[:10], exclude=range(10))
         assert np.all(w == 1.0)
         coss = np.sum(s_anon * emb[:10], axis=1) / (
             np.linalg.norm(s_anon, axis=1) * np.linalg.norm(emb[:10], axis=1))
         assert np.mean(coss) > 0.8   # loose: short training run
 
-    @pytest.mark.parametrize("exclude", [None, [2, 0, 1, 2, 0]])
+    @pytest.mark.parametrize("exclude", [[0, 0, 0, 0, 0], [2, 0, 1, 2, 0]])
     @pytest.mark.parametrize("strat", STRATEGIES, ids=lambda s: s.kind)
     def test_batch_matches_one_row_calls(self, trained, strat, exclude):
         model, _, emb = trained
@@ -219,16 +222,14 @@ class TestPipeline:
                                      pool=pool, exclude=exclude)
         rng = np.random.default_rng(3)
         rows = [anonymize_speaker(model, batch[i:i + 1], strat, rng, steps,
-                                  pool=pool,
-                                  exclude=None if exclude is None else exclude[i:i + 1])
+                                  pool=pool, exclude=exclude[i:i + 1])
                 for i in range(5)]
         assert s_b.shape == (5, 8)
         if strat.kind == "pool":
             assert w_b is None and all(w is None for _, w in rows)
             assert np.array_equal(s_b, np.concatenate([s for s, _ in rows]))
             picks = [int(np.flatnonzero((pool == r).all(axis=1))[0]) for r in s_b]
-            if exclude is not None:
-                assert all(j != k for j, k in zip(picks, exclude))
+            assert all(j != k for j, k in zip(picks, exclude))
         else:
             assert np.array_equal(w_b, np.concatenate([w for _, w in rows]))
             assert np.array_equal(s_b, np.concatenate([s for s, _ in rows]))
@@ -238,7 +239,8 @@ class TestPipeline:
         steps = 8
         with pytest.raises(InputError):
             anonymize_speaker(model, emb[0], WeightStrategy(kind="fixed"),
-                              np.random.default_rng(0), steps)
+                              np.random.default_rng(0), steps, pool=emb,
+                              exclude=[0])
 
     def test_per_speaker_memoization(self, trained, world, voiced_ids):
         model, _, _ = trained
@@ -256,18 +258,21 @@ class TestPipeline:
         model, _, emb = trained
         steps = 8
         strat = WeightStrategy(kind="pool")
-        pool = [emb[1], emb[2]]
-        s_anon, w = anonymize_speaker(model, emb[:1], strat,
-                                      np.random.default_rng(0), steps, pool=pool)
-        assert w is None
-        assert any(np.array_equal(s_anon[0], p) for p in pool)
+        pool = [emb[0], emb[1], emb[2]]
+        for seed in range(8):     # the own row 0 is never drawn
+            s_anon, w = anonymize_speaker(model, emb[:1], strat,
+                                          np.random.default_rng(seed), steps,
+                                          pool=pool, exclude=[0])
+            assert w is None
+            assert any(np.array_equal(s_anon[0], p) for p in pool[1:])
 
     def test_pool_requires_pool(self, trained):
         model, _, emb = trained
         steps = 8
         with pytest.raises(InputError):
             anonymize_speaker(model, emb[:1], WeightStrategy(kind="pool"),
-                              np.random.default_rng(0), steps, pool=[])
+                              np.random.default_rng(0), steps, pool=[],
+                              exclude=[0])
         with pytest.raises(InputError):   # excluding the only row leaves none
             anonymize_speaker(model, emb[:1], WeightStrategy(kind="pool"),
                               np.random.default_rng(0), steps, pool=emb[:1],
@@ -391,9 +396,10 @@ class TestFrameRuns:
         # most 480 frames: draining the stream holds one run's noise,
         # frames and ODE work arrays above the level at the call, under 8
         # runs' frame bytes; the eager form held every run's frames
-        p = make_world_params(D=8, F=24, v_common=24, n_speakers=4, seed=3)
+        p = make_world_params(D=8, F=24, v_common=24, n_speakers=4, seed=3,
+                              noise_sigma=0.05)
         ds = generate_world(p, 4, 8, np.random.default_rng(3),
-                            duration_range=(40.0, 60.0))
+                            duration_range=(40.0, 60.0), pii_frac=0.3)
         backbone = BackboneModel(frame_dim=p.F, speaker_dim=p.D,
                                  vocab_size=p.V,
                                  config=BackboneConfig(content_dim=8,

@@ -16,7 +16,7 @@ def tiny_world():
     p = make_world_params(D=8, F=12, v_common=24, n_speakers=4,
                           noise_sigma=0.05, seed=3)
     ds = generate_world(p, 4, 3, np.random.default_rng(3),
-                        duration_range=(4.0, 8.0))
+                        duration_range=(4.0, 8.0), pii_frac=0.3)
     return p, ds
 
 
@@ -140,7 +140,7 @@ class TestFrameGather:
         p = make_world_params(D=8, F=24, v_common=24, n_speakers=4,
                               noise_sigma=0.05, seed=3)
         ds = generate_world(p, 4, 8, np.random.default_rng(3),
-                            duration_range=(40.0, 60.0))
+                            duration_range=(40.0, 60.0), pii_frac=0.3)
         frame_bytes = sum(u.frames.nbytes for u in ds.utterances)
         config = BackboneConfig(content_dim=8, hidden=(24, 24),
                                 codebook_size=p.V + 8, steps=3, batch=64)
@@ -239,4 +239,4 @@ def test_f_sem_noise_only_with_rng(tiny_world, tiny_config):
     assert not np.array_equal(clean, noisy)
     # the training step's clean gather plus noise: the same draws and bits
     assert np.array_equal(model.noisy(clean, np.random.default_rng(0)), noisy)
-    assert model.noisy(clean) is clean
+    assert model.noisy(clean, None) is clean

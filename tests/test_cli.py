@@ -1076,6 +1076,83 @@ def test_dataset_row_contract(two_speaker_world, tmp_path, capsys):
     assert not broken
 
 
+# the values of the tab-separated files' columns: ``WRONG_VALUES`` as
+# text, and two magnitudes that float64 holds and float32 does not
+WRONG_COLUMNS = (*WRONG_VALUES, "1e300", "-1e300")
+
+
+def _tsv_cases(first, identity):
+    """(case, new text of a tab-separated file's first row ``first``) for
+    each generated case of its contract: each column set to each of
+    ``WRONG_COLUMNS``, a column left out and one added.  With
+    ``identity``, the mapping's identity column (the last) also has its
+    first comma-separated value set to each."""
+    cols = first.split("\t")
+    for i in range(len(cols)):
+        for value in WRONG_COLUMNS:
+            yield f"column {i}={value}", "\t".join(
+                [*cols[:i], value, *cols[i + 1:]])
+    if identity:
+        rest = cols[-1].split(",")[1:]
+        for value in WRONG_COLUMNS:
+            yield f"identity[0]={value}", "\t".join(
+                [*cols[:-1], ",".join([value, *rest])])
+    yield "missing column", "\t".join(cols[:-1])
+    yield "extra column", "\t".join([*cols, cols[-1]])
+
+
+def _tsv_contract(commands, path, identity, tmp_path, capsys):
+    """Run each of ``commands`` on each ``_tsv_cases`` edit of the first row
+    of ``path``; the (case, command, code, error) of each run that does
+    not exit 0, or 4 with one ``error:`` line naming the file."""
+    text = path.read_text()
+    first, rest = text.split("\n", 1)
+    broken = []
+    for case, row in _tsv_cases(first, identity):
+        path.write_text(row + "\n" + rest)
+        for argv in commands:
+            code = main([str(a) for a in argv]
+                        + ["--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err.strip()
+            if code not in (0, 4) or code == 4 and not (
+                    err.startswith("error: ") and "\n" not in err
+                    and path.name in err):
+                broken.append((case, argv[0], code, err))
+    path.write_text(text)
+    return broken
+
+
+def test_mapping_contract(two_speaker_world, tmp_path, capsys):
+    """Each ``_tsv_cases`` edit of the first row of an ``anonymize``
+    mapping.tsv, given to ``seca --mapping`` and ``evaluate --mapping``:
+    each exits 0 or 4, and on 4 prints one ``error:`` line naming the
+    file."""
+    world, backbone, anonymizer = two_speaker_world
+    anon = tmp_path / "anon"
+    assert main([str(a) for a in ["anonymize", "--data", world, "--backbone",
+                                  backbone, "--anonymizer", anonymizer,
+                                  "--out", anon]]) == 0
+    mapping = anon / "mapping.tsv"
+    commands = [["seca", "--data", world, "--backbone", backbone,
+                 "--mapping", mapping],
+                ["evaluate", "--data", world, "--anon", anon,
+                 "--mapping", mapping]]
+    assert _tsv_contract(commands, mapping, True, tmp_path, capsys) == []
+
+
+def test_trial_file_contract(two_speaker_world, tmp_path, capsys):
+    """Each ``_tsv_cases`` edit of the first row of a ``build-trials``
+    trials.tsv, given to ``evaluate --trials``: each exits 0 or 4, and on
+    4 prints one ``error:`` line naming the file."""
+    world, _, _ = two_speaker_world
+    assert main(["build-trials", "--data", str(world),
+                 "--out", str(tmp_path / "t")]) == 0
+    trials = tmp_path / "t" / "trials.tsv"
+    commands = [["evaluate", "--data", world, "--anon", world,
+                 "--trials", trials]]
+    assert _tsv_contract(commands, trials, False, tmp_path, capsys) == []
+
+
 def _sidecar_cases():
     """(model, key, value) for each generated case of the sidecar
     contract: each config field of both models, and each of the

@@ -206,7 +206,8 @@ class TestStream:
         # PII: draining the stream holds one run's span noise and frames
         # and one assembled utterance above the level at the call, under 8
         # runs' frame bytes; the eager form held every edited utterance
-        p = make_world_params(D=8, F=24, v_common=24, n_speakers=4, seed=3)
+        p = make_world_params(D=8, F=24, v_common=24, n_speakers=4, seed=3,
+                              noise_sigma=0.05)
         ds = generate_world(p, 4, 8, np.random.default_rng(3),
                             duration_range=(40.0, 60.0), pii_frac=1.0)
         monkeypatch.setattr(content_mod, "RUN_FRAMES", 480)
@@ -222,7 +223,7 @@ class TestStream:
             base = tracemalloc.get_traced_memory()[0]
             out, reports = anonymize_content_stream(
                 backbone, ds, ReplacementPool(ds.pool), build_gazetteer(ds),
-                4, np.random.default_rng(1))
+                4, np.random.default_rng(1), mapping=None, p_asr=0.0)
             collections.deque(out.utterances, maxlen=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -333,7 +334,8 @@ class TestPipeline:
         pool = ReplacementPool(ds.pool)
         steps = 6
         out, reports = anonymize_content(backbone, ds, pool, gaz, steps,
-                                         np.random.default_rng(3))
+                                         np.random.default_rng(3),
+                                         mapping=None, p_asr=0.0)
         assert len(out.utterances) == len(ds.utterances)
         by_id = {u.id: u for u in out.utterances}
         for r in reports:
@@ -362,7 +364,7 @@ class TestPipeline:
         _, reports = anonymize_content(backbone, ds, ReplacementPool(ds.pool),
                                        build_gazetteer(ds), 4,
                                        np.random.default_rng(3),
-                                       mapping=mapping)
+                                       mapping=mapping, p_asr=0.0)
         speaker_of = {u.id: u.speaker_id for u in ds.utterances}
         runs = edited_runs(ds, reports)
         assert runs and len(voiced) == len(runs)
@@ -386,13 +388,15 @@ class TestPipeline:
 
         monkeypatch.setattr(content_mod, "reconstruct", counted)
         out, reports = anonymize_content(backbone, ds, pool, gaz, 4,
-                                         np.random.default_rng(3))
+                                         np.random.default_rng(3),
+                                         mapping=None, p_asr=0.0)
         runs = edited_runs(ds, reports)
         assert len(calls) == len(runs) < sum(map(len, runs))
         calls.clear()
         monkeypatch.setattr(content_mod, "RUN_FRAMES", 1)
         ref, ref_reports = anonymize_content(backbone, ds, pool, gaz, 4,
-                                             np.random.default_rng(3))
+                                             np.random.default_rng(3),
+                                             mapping=None, p_asr=0.0)
         assert ref_reports == reports
         assert len(calls) == sum(map(len, runs))
         by_id = {u.id: u for u in ref.utterances}
@@ -426,7 +430,8 @@ class TestPipeline:
         if cap == "cut":
             monkeypatch.setattr(content_mod, "RUN_FRAMES", 10)
         out, reports = anonymize_content(backbone, ds, pool, gaz, 4,
-                                         np.random.default_rng(3))
+                                         np.random.default_rng(3),
+                                         mapping=None, p_asr=0.0)
         assert all(r["status"] == "ok" for r in reports)
         if cap == "cut":
             assert max(rows) <= 10 < sum(rows)
@@ -447,7 +452,8 @@ class TestPipeline:
         _, ds = world
         pool, gaz = ReplacementPool(ds.pool), build_gazetteer(ds)
         _, reports = anonymize_content(backbone, ds, pool, gaz, 4,
-                                       np.random.default_rng(3))
+                                       np.random.default_rng(3),
+                                       mapping=None, p_asr=0.0)
         first = edited_runs(ds, reports)[0]
         assert len(first) > 1
 
@@ -457,7 +463,8 @@ class TestPipeline:
         monkeypatch.setattr(backbone_mod, "integrate", diverge)
         with pytest.raises(DivergenceError) as ei:
             anonymize_content(backbone, ds, pool, gaz, 4,
-                              np.random.default_rng(3))
+                              np.random.default_rng(3),
+                              mapping=None, p_asr=0.0)
         assert str(ei.value) == (f"utterances {first[0]}..{first[-1]}: "
                                  "non-finite state at step 2")
         assert ei.value.step == 2
@@ -473,7 +480,8 @@ class TestPipeline:
             sp[0] == "PER" for u in ds.utterances for sp in u.entity_spans)
         assert has_per
         out, reports = anonymize_content(backbone, ds, thin, gaz, steps,
-                                         np.random.default_rng(0))
+                                         np.random.default_rng(0),
+                                         mapping=None, p_asr=0.0)
         assert any(r["status"] == "partial" for r in reports)
 
     def test_p_asr_changes_transcripts(self, world, backbone):
@@ -482,7 +490,8 @@ class TestPipeline:
         pool = ReplacementPool(ds.pool)
         steps = 4
         out, _ = anonymize_content(backbone, ds, pool, gaz, steps,
-                                   np.random.default_rng(5), p_asr=0.3)
+                                   np.random.default_rng(5),
+                                   mapping=None, p_asr=0.3)
         changed = sum(
             a.tokens != b.tokens
             for a, b in zip(out.utterances, ds.utterances))

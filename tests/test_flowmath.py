@@ -185,7 +185,7 @@ def _drawn_field(hidden, scale=0.5, seed=0):
     """A float32 ConditionedField with every weight drawn non-zero."""
     rng = np.random.default_rng(seed)
     f = ConditionedField(dim=4, local_dim=3, cond_dim=5, hidden=hidden,
-                         time_dim=8, rng=rng)
+                         time_dim=8, rng=rng, dtype=np.float32)
     for k, v in f.params.items():
         f.params[k] = (scale * rng.standard_normal(v.shape)).astype(np.float32)
     return f

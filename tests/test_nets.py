@@ -8,21 +8,21 @@ from anonflow.nets import (ConditionedField, UShapedField, _frequencies,
 
 class TestTimeEmbed:
     def test_t0_dim4(self):
-        assert np.allclose(time_embed(0.0, 4), [0, 1, 0, 1])
+        assert np.allclose(time_embed(np.zeros(1), 4), [[0, 1, 0, 1]])
 
     def test_t0_alternating(self):
         for dim in (2, 6, 16):
-            e = time_embed(0.0, dim)
-            assert np.allclose(e[0::2], 0)
-            assert np.allclose(e[1::2], 1)
+            e = time_embed(np.zeros(1), dim)
+            assert np.allclose(e[:, 0::2], 0)
+            assert np.allclose(e[:, 1::2], 1)
 
     def test_single_frequency(self):
-        e = time_embed(0.5, 2)
-        assert np.allclose(e, [np.sin(0.5), np.cos(0.5)], atol=1e-12)
+        e = time_embed(np.array([0.5]), 2)
+        assert np.allclose(e, [[np.sin(0.5), np.cos(0.5)]], atol=1e-12)
 
     def test_odd_dim_rejected(self):
         with pytest.raises(InputError):
-            time_embed(0.5, 3)
+            time_embed(np.array([0.5]), 3)
 
     def test_batched(self):
         e = time_embed(np.array([0.0, 0.5]), 4)
@@ -35,7 +35,7 @@ class TestTimeEmbed:
             ref = np.empty((t.size, dim))
             ref[:, 0::2], ref[:, 1::2] = np.sin(arg), np.cos(arg)
             assert np.array_equal(time_embed(t, dim), ref)
-            assert np.array_equal(time_embed(t[3], dim), ref[3])
+            assert np.array_equal(time_embed(t[3:4], dim), ref[3:4])
 
     def test_cached_frequencies_read_only(self):
         omegas = _frequencies(16)
@@ -85,53 +85,61 @@ def _randomize(field, rng, scale=0.3):
 class TestUShapedField:
     def test_palindrome_required(self):
         with pytest.raises(InputError):
-            UShapedField([8, 4, 8, 4])
+            UShapedField([8, 4, 8, 4], 16, np.random.default_rng(0),
+                         np.float32)
 
     def test_single_minimum_required(self):
         with pytest.raises(InputError):
-            UShapedField([8, 4, 4, 8])
+            UShapedField([8, 4, 4, 8], 16, np.random.default_rng(0),
+                         np.float32)
 
     def test_output_dim_matches_input(self):
-        f = UShapedField([8, 4, 2, 4, 8], rng=np.random.default_rng(0))
+        f = UShapedField([8, 4, 2, 4, 8], rng=np.random.default_rng(0),
+                         time_dim=16, dtype=np.float32)
         x = np.random.default_rng(1).standard_normal((3, 8))
-        y, _ = f.forward(x, np.full(3, 0.3))
+        y, _ = f.forward(x, np.full(3, 0.3), None)
         assert y.shape == (3, 8)
 
     def test_determinism(self):
-        f = UShapedField([6, 2, 6], rng=np.random.default_rng(0))
+        f = UShapedField([6, 2, 6], rng=np.random.default_rng(0),
+                         time_dim=16, dtype=np.float32)
         x = np.random.default_rng(1).standard_normal((2, 6))
         t = np.array([0.1, 0.9])
-        y1, _ = f.forward(x, t)
-        y2, _ = f.forward(x, t)
+        y1, _ = f.forward(x, t, None)
+        y2, _ = f.forward(x, t, None)
         assert np.array_equal(y1, y2)
 
     def test_hand_computed_residual_path(self):
         # one-level field [2, 2] with W = I, b = 0, zeroed time proj and block:
         # h0 = x; out = (I h0 + 0) + skip(h0) = 2x
-        f = UShapedField([2, 2], time_dim=4, dtype=np.float64)
+        f = UShapedField([2, 2], time_dim=4, dtype=np.float64,
+                         rng=np.random.default_rng(0))
         for k in f.params:
             f.params[k][:] = 0.0
         f.params["lin1.W"][:] = np.eye(2)
         x = np.array([[1.5, -0.5]])
-        y, _ = f.forward(x, np.array([0.7]))
+        y, _ = f.forward(x, np.array([0.7]), None)
         assert np.allclose(y, 2 * x)
 
     def test_dim_mismatch_rejected(self):
-        f = UShapedField([4, 2, 4])
+        f = UShapedField([4, 2, 4], 16, np.random.default_rng(0),
+                         np.float32)
         with pytest.raises(InputError):
-            f.forward(np.zeros((1, 5)), np.zeros(1))
+            f.forward(np.zeros((1, 5)), np.zeros(1), None)
         with pytest.raises(InputError):
-            f.forward(np.zeros(4), 0.5)
+            f.forward(np.zeros(4), 0.5, None)
 
     def test_backward_before_forward_rejected(self):
-        f = UShapedField([4, 2, 4])
+        f = UShapedField([4, 2, 4], 16, np.random.default_rng(0),
+                         np.float32)
         with pytest.raises(StateError):
             f.backward(None, np.zeros((1, 4)))
 
     def test_zero_upstream_zero_grads(self):
-        f = UShapedField([4, 2, 4], dtype=np.float64)
+        f = UShapedField([4, 2, 4], dtype=np.float64,
+                         time_dim=16, rng=np.random.default_rng(0))
         x = np.random.default_rng(0).standard_normal((2, 4))
-        _, cache = f.forward(x, np.array([0.2, 0.8]))
+        _, cache = f.forward(x, np.array([0.2, 0.8]), None)
         g = f.backward(cache, np.zeros((2, 4)))
         assert all(np.all(v == 0) for v in g.values())
 
@@ -288,7 +296,7 @@ class TestConditionedVelocity:
         v = f.velocity((local, glob), 2, times)
         p = f.params
         for k, t in enumerate(times):
-            emb = time_embed(float(t), 6).astype(np.float32)
+            emb = time_embed(np.array([t]), 6)[0].astype(np.float32)
             z = x @ p["lay1.W"][:, :5].T
             z += local.astype(np.float32) @ p["lay1.W"][:, 5:].T + p["lay1.b"]
             for j, w in ((1, 7), (2, 6)):
@@ -310,7 +318,7 @@ class TestUShapedVelocity:
 
     def _field(self, dims=(6, 4, 2, 4, 6), seed=0):
         rng = np.random.default_rng(seed)
-        f = UShapedField(dims, time_dim=8, rng=rng)
+        f = UShapedField(dims, time_dim=8, rng=rng, dtype=np.float32)
         for k, v in f.params.items():   # non-zero block outputs
             f.params[k] = (0.5 * rng.standard_normal(v.shape)).astype(v.dtype)
         return f
@@ -325,8 +333,9 @@ class TestUShapedVelocity:
         v = f.velocity(None, b, times)
         for k, t in enumerate(times):
             got = v(x, k)
-            ref = np.concatenate([f.forward(x[i:i + 1], np.full(1, t))[0]
-                                  for i in range(b)])
+            ref = np.concatenate([
+                f.forward(x[i:i + 1], np.full(1, t), None)[0]
+                for i in range(b)])
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
         assert not np.array_equal(v(x, 0), v(x, 1))
 

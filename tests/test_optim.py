@@ -124,7 +124,7 @@ class TestAdamW:
 
     def test_nonfinite_gradient_rejected(self):
         p = {"w": np.array([1.0])}
-        opt = AdamW(p, schedule=ConstantRate(0.1))
+        opt = AdamW(p, schedule=ConstantRate(0.1), weight_decay=0.01)
         with pytest.raises(DivergenceError):
             opt.step({"w": np.array([np.nan])})
 
@@ -140,7 +140,7 @@ class TestAdamW:
 
     def test_moments_match_param_shape(self):
         p = {"a": np.zeros((3, 2)), "b": np.zeros(5)}
-        opt = AdamW(p, schedule=ConstantRate(0.01))
+        opt = AdamW(p, schedule=ConstantRate(0.01), weight_decay=0.01)
         assert opt.m["a"].shape == (3, 2)
         assert opt.v["b"].shape == (5,)
 
@@ -170,7 +170,7 @@ class TestFlatBuffers:
         p = mixed_params(np.random.default_rng(0))
         before = {k: v.copy() for k, v in p.items()}
         originals = dict(p)
-        opt = AdamW(p, ConstantRate(0.01))
+        opt = AdamW(p, ConstantRate(0.01), weight_decay=0.01)
         assert list(p) == list(before) == list(opt.m) == list(opt.v)
         f32, f64 = p["w1"].base, p["cb"].base
         for k, v in p.items():
@@ -184,7 +184,7 @@ class TestFlatBuffers:
 
     def test_nonfinite_gradient_names_key_and_changes_nothing(self):
         p = mixed_params(np.random.default_rng(1))
-        opt = AdamW(p, ConstantRate(0.01))
+        opt = AdamW(p, ConstantRate(0.01), weight_decay=0.01)
         grads = {k: np.ones_like(v) for k, v in p.items()}
         opt.step(grads)
         before = {k: v.copy() for k, v in p.items()}
@@ -202,7 +202,7 @@ class TestFlatBuffers:
 
     def test_shape_mismatch_rejected_and_changes_nothing(self):
         p = mixed_params(np.random.default_rng(2))
-        opt = AdamW(p, ConstantRate(0.01))
+        opt = AdamW(p, ConstantRate(0.01), weight_decay=0.01)
         before = {k: v.copy() for k, v in p.items()}
         grads = {k: np.ones_like(v) for k, v in p.items()}
         grads["b1"] = np.ones((2, 2), dtype=np.float32)   # same size, new shape
@@ -214,7 +214,7 @@ class TestFlatBuffers:
         # w1 (float32 buffer) is misshapen, cb (float64 buffer) non-finite:
         # w1 comes first, as in the per-tensor order
         p = mixed_params(np.random.default_rng(3))
-        opt = AdamW(p, ConstantRate(0.01))
+        opt = AdamW(p, ConstantRate(0.01), weight_decay=0.01)
         grads = {k: np.ones_like(v) for k, v in p.items()}
         grads["w1"] = np.ones((4, 3), dtype=np.float32)
         grads["cb"] = np.full((5, 2), np.nan)
@@ -227,7 +227,7 @@ def small_world():
     p = make_world_params(D=8, F=12, v_common=24, n_speakers=4,
                           noise_sigma=0.05, seed=5)
     return generate_world(p, 4, 3, np.random.default_rng(5),
-                          duration_range=(4.0, 8.0))
+                          duration_range=(4.0, 8.0), pii_frac=0.3)
 
 
 class TestTrainersMatchReference:

@@ -309,6 +309,41 @@ class TestNearest:
         got = assert_matches_reference(centers[pick], centers)
         assert got.tolist() == pick.tolist()
 
+    @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-9])
+    def test_planted_near_duplicates_match_reference(self, gap):
+        """Entries planted ``gap`` from a point along unit axes, two
+        around one point and three around another, in scattered slots:
+        the points themselves are equidistant from their two or three
+        entries, and rows at, between and near the entries, and at the
+        midpoint of each entry and its nearest other entry, are ranked as
+        the direct form ranks them, for the centers and for a transposed
+        view of them, as the token oracle passes its A.T."""
+        rng = np.random.default_rng(14)
+        base = rng.standard_normal((40, 16)) * rng.uniform(0.5, 3.0, (40, 1))
+        pair, triple = base[5], base[9]
+        planted = np.array([pair + gap * np.eye(16)[0],
+                            pair + gap * np.eye(16)[1],
+                            triple + gap * np.eye(16)[2],
+                            triple + gap * np.eye(16)[3],
+                            triple + gap * np.eye(16)[4]])
+        centers = np.delete(base, [5, 9], axis=0)
+        for slot, entry in zip((31, 2, 17, 0, 24), planted):
+            centers = np.insert(centers, slot, entry, axis=0)
+        rows = np.concatenate([
+            np.stack([pair, triple]),
+            planted,
+            0.5 * (planted[:-1] + planted[1:]),
+            planted[rng.integers(5, size=200)]
+            + rng.choice([1e-13, 1e-10, 1e-6], (200, 1))
+            * rng.standard_normal((200, 16)),
+            base[rng.integers(40, size=50)]])
+        d2 = np.sum((centers[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        np.fill_diagonal(d2, np.inf)
+        rows = np.concatenate(
+            [rows, 0.5 * (centers + centers[np.argmin(d2, axis=1)])])
+        assert_matches_reference(rows, centers)
+        assert_matches_reference(rows, np.ascontiguousarray(centers.T).T)
+
     def test_200_noisy_training_batches_match_reference(self):
         rng = np.random.default_rng(12)
         embed = rng.standard_normal((628, 16))

@@ -125,9 +125,11 @@ def small_params(noise_sigma=0.05, seed=0, n_speakers=4):
                              noise_sigma=noise_sigma, seed=seed)
 
 
-def small_world(noise_sigma=0.05, seed=0, n_speakers=4, utts=4, **kw):
+def small_world(noise_sigma=0.05, seed=0, n_speakers=4, utts=4,
+                duration_range=(3.0, 18.0)):
     p = small_params(noise_sigma=noise_sigma, seed=seed, n_speakers=n_speakers)
-    return p, generate_world(p, n_speakers, utts, np.random.default_rng(seed), **kw)
+    return p, generate_world(p, n_speakers, utts, np.random.default_rng(seed),
+                             duration_range=duration_range, pii_frac=0.3)
 
 
 class TestWorldParams:
@@ -146,7 +148,8 @@ class TestWorldParams:
                         gender_means=np.zeros((2, 8)), seed=0, v_common=24)
 
     def test_margin_enforced(self):
-        p = make_world_params(D=8, F=12, v_common=24, n_speakers=4, noise_sigma=0.4)
+        p = make_world_params(D=8, F=12, v_common=24, n_speakers=4, noise_sigma=0.4,
+                              seed=0)
         d2 = np.sum((p.A[:, :, None] - p.A[:, None, :]) ** 2, axis=0)
         np.fill_diagonal(d2, np.inf)
         assert np.sqrt(d2.min()) > 6 * 0.4 * np.sqrt(12)
@@ -176,8 +179,10 @@ class TestWorldParams:
 
 class TestGenerateWorld:
     def test_counts_and_gender_split(self):
-        p = make_world_params(D=16, F=24, v_common=64, n_speakers=10)
-        ds = generate_world(p, 10, 10, np.random.default_rng(1))
+        p = make_world_params(D=16, F=24, v_common=64, n_speakers=10,
+                              noise_sigma=0.05, seed=0)
+        ds = generate_world(p, 10, 10, np.random.default_rng(1),
+                            duration_range=(3.0, 18.0), pii_frac=0.3)
         assert len(ds.utterances) == 100
         males = [s for s in ds.speakers if s.gender == "male"]
         assert len(males) == 5
@@ -185,12 +190,14 @@ class TestGenerateWorld:
     def test_odd_speakers_rejected(self):
         p = small_params()
         with pytest.raises(InputError):
-            generate_world(p, 3, 4, np.random.default_rng(0))
+            generate_world(p, 3, 4, np.random.default_rng(0),
+                           duration_range=(3.0, 18.0), pii_frac=0.3)
 
     def test_single_utt_rejected(self):
         p = small_params()
         with pytest.raises(InputError):
-            generate_world(p, 4, 1, np.random.default_rng(0))
+            generate_world(p, 4, 1, np.random.default_rng(0),
+                           duration_range=(3.0, 18.0), pii_frac=0.3)
 
     def test_style_is_simplex(self):
         _, ds = small_world()
@@ -262,7 +269,7 @@ class TestOracles:
                               noise_sigma=0.1, seed=2)
         # 48-52 s at 4 frames per second: 192-208 frames per utterance
         ds = generate_world(p, 4, 2, np.random.default_rng(2),
-                            duration_range=(48.0, 52.0))
+                            duration_range=(48.0, 52.0), pii_frac=0.3)
         assert all(u.n_frames >= 192 for u in ds.utterances)
         for u in ds.utterances:
             s = ds.speaker(u.speaker_id).embedding
@@ -352,7 +359,8 @@ def test_speaker_prior_unit_norm():
 
 @pytest.mark.parametrize("D,n", [(8, 1001), (16, 10_000), (3, 7), (16, 0)])
 def test_speaker_prior_batch_matches_per_row_draws(D, n):
-    p = make_world_params(D=D, F=D + 4, v_common=24, n_speakers=4, seed=D)
+    p = make_world_params(D=D, F=D + 4, v_common=24, n_speakers=4, seed=D,
+                          noise_sigma=0.05)
     loop_rng, batch_rng = np.random.default_rng(5), np.random.default_rng(5)
     rows = [sample_speaker_embedding(p, ("male", "female")[i % 2], loop_rng)
             for i in range(n)]
@@ -935,12 +943,13 @@ def desk_datasets():
                              config=BackboneConfig(content_dim=8,
                                                    hidden=(16, 16)))
     backbone.codebook.entries = backbone.f_sem(np.arange(p.V))
-    anonymizer = AnonymizerModel(AnonymizerConfig())
+    anonymizer = AnonymizerModel(AnonymizerConfig(), metadata=None)
     rng = np.random.default_rng(2)
     anon, mapping = anonymized(backbone, anonymizer, ds,
                                WeightStrategy(kind="fixed", w=0.5), 4, rng)
     red, _ = anonymize_content(backbone, anon, ReplacementPool(anon.pool),
-                               build_gazetteer(anon), 4, rng, mapping=mapping)
+                               build_gazetteer(anon), 4, rng, mapping=mapping,
+                               p_asr=0.0)
     return {"world": ds, "anonymized": anon, "redacted": red}
 
 
