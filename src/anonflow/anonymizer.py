@@ -80,13 +80,12 @@ class AnonymizerModel:
 
 def train_anonymizer(embeddings, config: AnonymizerConfig,
                      rng: np.random.Generator):
-    """Flow-matching training on a set of speaker embeddings.
+    """Flow-matching training on an (N, D) set of speaker embeddings, N at
+    least 2 as ``anonymizer.n_embeddings`` asks.
 
     Returns (model, loss_trace).
     """
     emb = np.asarray(embeddings, dtype=float)
-    if emb.ndim != 2 or emb.shape[0] < 2:
-        raise InputError("need at least 2 embeddings of shape (N, D)")
     if emb.shape[1] != config.level_dims[0]:
         raise ConfigError(f"embedding dim {emb.shape[1]} != field dim "
                           f"{config.level_dims[0]}")
@@ -119,10 +118,9 @@ def encode(model: AnonymizerModel, s_orig, steps: int) -> np.ndarray:
 
 def obscure(z_orig, z_rand, w) -> np.ndarray:
     """Variance-preserving blend of the encoded identity with fresh noise;
-    ``w`` is a scalar, or one weight per row, each in [-1, 1]."""
+    ``w`` is a scalar, or one weight per row, each in [-1, 1] as
+    ``WeightStrategy`` draws them."""
     weights = np.asarray(w)
-    if not np.all((-1.0 <= weights) & (weights <= 1.0)):
-        raise InputError(f"speaker weight must lie in [-1, 1], got {w}")
     if weights.ndim:
         w = weights[:, None]
     denom = np.sqrt((1.0 - w) ** 2 + w**2)
@@ -155,11 +153,10 @@ class WeightStrategy:
             raise InputError("range must satisfy -1 <= a < b <= 1")
 
     def draw_w(self, rng) -> float:
+        """The weight of a fixed or range strategy."""
         if self.kind == "fixed":
             return self.w
-        if self.kind == "range":
-            return float(rng.uniform(self.a, self.b))
-        raise InputError("pool strategy has no speaker weight")
+        return float(rng.uniform(self.a, self.b))
 
     @classmethod
     def parse(cls, text: str) -> "WeightStrategy":

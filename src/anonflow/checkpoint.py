@@ -101,8 +101,8 @@ def config_section(doc, section: str, defaults: dict, path, error) -> dict:
         raise error(f"{path}: {section} must be a JSON object")
     unknown = sorted(set(sec) - set(defaults))
     if unknown:
-        raise error(f"{path}: unknown key(s) in {section}: "
-                    f"{', '.join(unknown)}")
+        raise error(f"{path}: unknown key(s) "
+                    f"{', '.join(f'{section}.{k}' for k in unknown)}")
     for key, value in sec.items():
         if not fits(value, defaults[key]):
             raise error(f"{path}: {section}.{key} = {value!r} does not have "

@@ -149,11 +149,18 @@ def cmd_gen_world(args) -> int:
     return 0
 
 
+def _trainer_keys(config_cls) -> dict:
+    """The ``--config`` keys of a trainer's section and their defaults:
+    the fields of ``config_cls`` but ``seed``, which ``--seed`` sets."""
+    return {k: v for k, v in asdict(config_cls()).items() if k != "seed"}
+
+
 def cmd_train_backbone(args) -> int:
     ds = load_dataset(args.data)
-    cfg_dict = _load_config(args.config, "backbone", asdict(BackboneConfig()))
+    cfg_dict = _load_config(args.config, "backbone",
+                            _trainer_keys(BackboneConfig))
     cfg_dict.setdefault("codebook_size", ds.params.V + 64)
-    config = BackboneConfig(**{**cfg_dict, "seed": args.seed})
+    config = BackboneConfig(**cfg_dict, seed=args.seed)
     model, trace = train_backbone(ds, config, np.random.default_rng(args.seed))
     out = _outdir(args)
     save_backbone(model, out / "backbone")
@@ -168,14 +175,14 @@ def cmd_train_backbone(args) -> int:
 
 def cmd_train_anonymizer(args) -> int:
     params = load_params(args.data)
-    defaults = {**asdict(AnonymizerConfig()), "n_embeddings": 10_000}
+    defaults = {**_trainer_keys(AnonymizerConfig), "n_embeddings": 10_000}
     cfg_dict = _load_config(args.config, "anonymizer", defaults)
     n_embeddings = cfg_dict.pop("n_embeddings", defaults["n_embeddings"])
     if n_embeddings < 2:
         raise ConfigError(f"anonymizer.n_embeddings must be >= 2, "
                           f"got {n_embeddings!r}")
     cfg_dict.setdefault("level_dims", _level_dims_for(params.D))
-    config = AnonymizerConfig(**{**cfg_dict, "seed": args.seed})
+    config = AnonymizerConfig(**cfg_dict, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     emb = sample_speaker_embeddings(params, n_embeddings, rng)
     model, _ = train_anonymizer(emb, config, rng)
@@ -261,14 +268,24 @@ def _built_trials(ds, args, rng):
     return trials
 
 
-def _loaded_trials(args, ds_orig, ds_anon):
-    """``load_trials`` of ``args.trials``; a row that names a speaker
-    ``ds_orig`` lacks, or an utterance ``ds_anon`` lacks, is a DataError
-    naming the file and the first such row."""
+def _scored_trials(args, ds_orig, ds_anon, rng):
+    """The trials ``evaluate`` scores: ``load_trials`` of ``args.trials``,
+    or else ``_built_trials`` of ``ds_orig``.  A trial whose speaker
+    ``ds_orig`` lacks, or whose utterance ``ds_anon`` lacks, is a DataError
+    naming the first such id and the file and row it came from, or for
+    built trials ``args.anon`` and the ``args.data`` they were built from."""
+    utts = {u.id for u in ds_anon.utterances}
+    if not args.trials:
+        trials = _built_trials(ds_orig, args, rng)
+        if not utts.issuperset(trials.test):
+            u = next(u for u in trials.test if u not in utts)
+            raise DataError(f"{args.anon}: no utterance {u!r}, which a "
+                            f"trial built from {args.data} tests")
+        return trials
     trials = load_trials(args.trials)
     for kind, ids, known in (
             ("speaker", trials.enroll, {s.id for s in ds_orig.speakers}),
-            ("utterance", trials.test, {u.id for u in ds_anon.utterances})):
+            ("utterance", trials.test, utts)):
         if not known.issuperset(ids):
             n = next(n for n, i in enumerate(ids) if i not in known)
             raise DataError(f"{args.trials}:{n + 1}: unknown {kind} "
@@ -304,8 +321,7 @@ def cmd_evaluate(args) -> int:
     ds_anon = load_dataset(args.anon)
     mapping = load_mapping(args.mapping, ds_anon) if args.mapping else None
     rng = np.random.default_rng(args.seed)
-    trials = (_loaded_trials(args, ds_orig, ds_anon) if args.trials
-              else _built_trials(ds_orig, args, rng))
+    trials = _scored_trials(args, ds_orig, ds_anon, rng)
     report = run_attack(ds_orig, ds_anon, mapping, attacker, args.mode, rng,
                         anonymizer=anonymizer, strategy=strategy,
                         steps=args.steps, trials=trials)

@@ -45,10 +45,9 @@ def build_trials(dataset: Dataset, mode: str, rng: np.random.Generator) -> Trial
     Acoustic mode keeps utterances with duration in ``DURATION_WINDOW``;
     content mode keeps PII-bearing utterances.  Negative sourcing falls
     back to any different speaker when the requested gender has no other
-    speaker.  Without a candidate utterance the list is empty.
+    speaker.  Without a candidate utterance the list is empty.  ``mode`` is
+    one of the two, as ``--mode``'s choices allow.
     """
-    if mode not in ("acoustic", "content"):
-        raise InputError(f"unknown trial mode {mode!r}")
     if mode == "acoustic":
         lo, hi = DURATION_WINDOW
         cands = [u for u in dataset.utterances if lo <= u.duration_s <= hi]
@@ -305,12 +304,8 @@ def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
     anonymized side.  lazy_informed: enrollment re-anonymized with the same
     strategy (identity ODEs of ``steps`` steps) under fresh randomness,
     then enrolled.  The utility probes run in acoustic mode when a
-    ``mapping`` is given.
+    ``mapping`` is given.  ``cmd_evaluate`` checks every argument.
     """
-    if attacker not in ("ignorant", "lazy_informed"):
-        raise InputError(f"unknown attacker {attacker!r}")
-    if not trials:
-        raise InputError("empty trial list")
     vocab = dataset_orig.params.V
 
     if mode == "acoustic":
@@ -323,9 +318,6 @@ def run_attack(dataset_orig: Dataset, dataset_anon: Dataset, mapping,
                 enroll_embs[sid] = enrollment_embedding(
                     [orig_utt_embs[u.id] for u in utts])
         else:
-            if anonymizer is None or strategy is None:
-                raise InputError("lazy_informed needs the anonymization "
-                                 "system (model + strategy)")
             # each enrollment utterance is re-anonymized independently;
             # by_speaker() follows the speaker order, so speaker k's own
             # embedding is pool row k

@@ -42,7 +42,8 @@ def integrate(field, x_init: np.ndarray, steps: int, cond=None, *,
               backward: bool = False) -> np.ndarray:
     """Explicit Euler integration of the field's velocity in ``steps``
     equal steps from t = 0 to 1, or from t = 1 to 0 if ``backward``, from
-    the (B, d) batch ``x_init``.
+    the (B, d) batch ``x_init``; ``steps`` is at least 1, as the
+    ``--steps`` check and ``FRAME_STEPS`` keep it.
 
     The step times are computed once, by repeated ``t += h``; the field's
     ``velocity(cond, B, times)`` sets up the solve and gives ``f(x, k)``,
@@ -52,8 +53,6 @@ def integrate(field, x_init: np.ndarray, steps: int, cond=None, *,
     only a sum that is not finite (some value is, or the sum overflowed) is
     followed by the row scan.
     """
-    if steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
     x = np.array(x_init, dtype=float)
     if x.ndim != 2:
         raise InputError(f"expected a (B, d) batch, got shape {x.shape}")

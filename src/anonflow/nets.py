@@ -40,10 +40,9 @@ def time_embed(t, dim: int) -> np.ndarray:
     """Sinusoidal embedding of the (B,) times ``t`` in [0, 1], as (B, dim).
 
     Frequencies are log-spaced from 1 to 1e4 over dim/2 values; each row
-    interleaves (sin(t*w_k), cos(t*w_k)).
+    interleaves (sin(t*w_k), cos(t*w_k)); ``dim`` is even and at least 2,
+    as the configs' ``time_dim`` rule asks.
     """
-    if dim % 2 != 0 or dim < 2:
-        raise InputError(f"embedding dim must be even and >= 2, got {dim}")
     arg = np.asarray(t, dtype=float)[:, None] * _frequencies(dim)[None, :]
     out = np.empty((arg.shape[0], dim))
     out[:, 0::2] = np.sin(arg)
@@ -65,9 +64,10 @@ def u_shaped(level_dims) -> bool:
 class UShapedField:
     """Symmetric U-shaped MLP field over fixed-dimension vectors.
 
-    ``level_dims`` must be palindromic with a single minimum at the center,
-    e.g. [16, 8, 4, 2, 4, 8, 16].  Each level transition is a linear map
-    followed by tanh (the last one stays linear) and a residual MLP block;
+    ``level_dims`` is palindromic with a single minimum at the center, as
+    ``AnonymizerConfig`` requires, e.g. [16, 8, 4, 2, 4, 8, 16].  Each level
+    transition is a linear map followed by tanh (the last one stays
+    linear) and a residual MLP block;
     decoder levels additionally receive the mirrored encoder activation as
     an additive skip.  The final skip from level 0 makes the output a
     residual path on the (time-shifted) input.
@@ -75,11 +75,6 @@ class UShapedField:
 
     def __init__(self, level_dims, time_dim: int, rng, dtype):
         dims = list(level_dims)
-        if not u_shaped(dims):
-            raise InputError("level_dims must be palindromic with a single "
-                             f"minimum at the center, got {dims}")
-        if time_dim % 2 != 0:
-            raise InputError("time_dim must be even")
         self.level_dims = dims
         self.dim = dims[0]
         self.time_dim = time_dim
@@ -199,8 +194,6 @@ class ConditionedField:
 
     def __init__(self, dim, local_dim, cond_dim, hidden, time_dim: int, rng,
                  dtype):
-        if time_dim % 2 != 0:
-            raise InputError("time_dim must be even")
         self.dim = dim
         self.local_dim = local_dim
         self.cond_dim = cond_dim

@@ -20,22 +20,15 @@ class OneCycle:
 
     Cosine warmup from peak/DIV_FACTOR to peak over the first
     pct_start * total steps, then cosine anneal down to
-    peak/FINAL_DIV_FACTOR; continuous at the junction.
+    peak/FINAL_DIV_FACTOR; continuous at the junction.  The configs'
+    rules and ``AdamW.lr``'s clamp keep every argument in range.
     """
 
     total_steps: int
     peak_lr: float
     pct_start: float = 0.1
 
-    def __post_init__(self):
-        if not (0.0 < self.pct_start < 1.0):
-            raise InputError(f"pct_start must be in (0, 1), got {self.pct_start}")
-        if self.total_steps < 1:
-            raise InputError("total_steps must be >= 1")
-
     def lr(self, step: int) -> float:
-        if not (0 <= step <= self.total_steps):
-            raise InputError(f"step {step} outside [0, {self.total_steps}]")
         warm = self.pct_start * self.total_steps
         lo = self.peak_lr / DIV_FACTOR
         fin = self.peak_lr / FINAL_DIV_FACTOR

@@ -16,15 +16,8 @@ from .errors import InputError
 
 @dataclass
 class Codebook:
-    entries: np.ndarray  # (K, E)
+    entries: np.ndarray  # (K, E) floats, K >= 2 as codebook_size asks
     beta: float = 0.25
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.ndim != 2 or self.entries.shape[0] < 2:
-            raise InputError("codebook needs at least 2 entries of shape (K, E)")
-        if not np.all(np.isfinite(self.entries)):
-            raise InputError("codebook entries must be finite")
 
 
 @dataclass(frozen=True)

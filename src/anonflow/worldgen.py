@@ -242,11 +242,9 @@ def _lexicon_layout(params: WorldParams, n_speakers: int):
 def generate_world(params: WorldParams, n_speakers: int, utts_per_speaker: int,
                    rng: np.random.Generator, duration_range,
                    pii_frac: float) -> Dataset:
-    """Generate a gender-balanced dataset from the linear world model."""
-    if n_speakers % 2 != 0:
-        raise InputError("n_speakers must be even for gender balance")
-    if utts_per_speaker < 2:
-        raise InputError("need at least 2 utterances per speaker")
+    """Generate a gender-balanced dataset from the linear world model;
+    ``WorldConfig`` keeps ``n_speakers`` even and ``utts_per_speaker`` at
+    least 2."""
     lexicons, pool = _lexicon_layout(params, n_speakers)
 
     speakers = []

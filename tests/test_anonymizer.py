@@ -1,4 +1,5 @@
 import collections
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,10 +15,11 @@ from anonflow.anonymizer import (FRAME_STEPS, AnonymizerConfig,
                                  solve_speakers, train_anonymizer)
 from anonflow.backbone import (BackboneConfig, BackboneModel, frame_runs,
                                reconstruct)
+from anonflow.cli import main
 from anonflow.errors import ConfigError, DivergenceError, InputError
 from anonflow.nets import UShapedField
 from anonflow.worldgen import (Dataset, generate_world, make_world_params,
-                               stacked_frame_tokens)
+                               save_dataset, stacked_frame_tokens)
 
 from helpers import anonymized
 
@@ -51,10 +53,11 @@ class TestObscure:
         assert np.all(var > 0.98) and np.all(var < 1.02)
 
     def test_weight_out_of_range_rejected(self):
-        with pytest.raises(InputError):
-            obscure(np.zeros(2), np.zeros(2), 1.5)
-        with pytest.raises(InputError):
-            obscure(np.zeros((2, 2)), np.zeros((2, 2)), np.array([0.5, -1.5]))
+        # obscure's weights come from a WeightStrategy, which owns the range
+        for text in ("fixed:1.5", "fixed:-1.5", "range:0.5:1.5",
+                     "range:-1.5:0.5"):
+            with pytest.raises(ConfigError, match=f"bad strategy '{text}'"):
+                WeightStrategy.parse(text)
 
     def test_per_row_weights_match_scalar_blend(self):
         rng = np.random.default_rng(5)
@@ -125,10 +128,15 @@ class TestTraining:
             train_anonymizer(np.zeros((4, 5)), small_config(),
                              np.random.default_rng(0))
 
-    def test_too_few_embeddings_rejected(self):
-        with pytest.raises(InputError):
-            train_anonymizer(np.zeros((1, 8)), small_config(),
-                             np.random.default_rng(0))
+    def test_too_few_embeddings_rejected(self, world, tmp_path, capsys):
+        # train-anonymizer's n_embeddings check owns the rule
+        save_dataset(world, tmp_path / "w")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"anonymizer": {"n_embeddings": 1}}))
+        assert main(["train-anonymizer", "--data", str(tmp_path / "w"),
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: anonymizer.n_embeddings must be >= 2, got 1\n")
 
     @pytest.mark.parametrize("spoil,message,step", [
         ("loss", "anonymizer: non-finite loss at step 2", 2),

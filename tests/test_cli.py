@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import json
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,16 +15,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import anonflow
 import anonflow.anonymizer as anonymizer_mod
+import anonflow.backbone as backbone_mod
 import anonflow.worldgen as worldgen_mod
-from anonflow.anonymizer import AnonymizerConfig
+from anonflow.anonymizer import AnonymizerConfig, WeightStrategy
 from anonflow.backbone import _SHAPE_KEYS, BackboneConfig
 from anonflow.checkpoint import load_checkpoint, save_checkpoint
-from anonflow.cli import (RADAR_DEFAULTS, RadarEntry, main, radar_normalize,
-                          write_manifest)
+from anonflow.cli import (ARG_RANGES, RADAR_DEFAULTS, RadarEntry,
+                          build_parser, main, radar_normalize, write_manifest)
 from anonflow.errors import ConfigError, DivergenceError
+from anonflow.evaluation import build_trials
 from anonflow.worldgen import (ARRAY_FIELDS, CACHE_FILES, DATASET_FILES,
-                               PoolEntry, Speaker, Utterance, WorldParams,
-                               load_dataset, save_dataset, sha256_file)
+                               PoolEntry, Speaker, Utterance, WorldConfig,
+                               WorldParams, load_dataset, save_dataset,
+                               sha256_file)
 
 
 class TestRadar:
@@ -1198,6 +1203,234 @@ def test_sidecar_contract(two_speaker_world, tmp_path, capsys):
     assert not broken
 
 
+def _rules_of(config_cls, module) -> dict:
+    """The ``check_ranges`` table that ``config_cls`` checks itself
+    against on construction."""
+    seen = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "check_ranges",
+                   lambda section, config, ranges: seen.update(ranges))
+        config_cls()
+    return seen
+
+
+AFTER_1 = math.nextafter(1.0, 2.0)
+# rule key -> (values just outside its rule, a value just inside it)
+BOUNDARY = {
+    "D": ([0], 1), "F": ([0], 1), "v_common": ([0], 1),
+    "n_speakers": ([0, 1, 3], 2), "utts_per_speaker": ([1], 2),
+    "noise_sigma": ([-5e-324, math.inf, math.nan], 0.0),
+    "pii_frac": ([-5e-324, AFTER_1, math.nan], 1.0),
+    "duration_range": ([[0.0, 1.0], [1.0, 0.5], [1.0],
+                        [1.0, math.nextafter(600.0, 601.0)], [1.0, 2.0, 3.0]],
+                       [5e-324, 600.0]),
+    "content_dim": ([0], 1), "hidden": ([[], [0], [16, 0]], [1]),
+    "codebook_size": ([1], 2),
+    "beta": ([-5e-324, math.inf, math.nan], 0.0),
+    "lam": ([-5e-324, math.inf, math.nan], 0.0),
+    "f_sem_noise": ([-5e-324, math.inf, math.nan], 0.0),
+    "level_dims": ([[], [0], [8, 4], [8, 4, 8, 4], [8, 4, 4, 8]], [8, 4, 8]),
+    "time_dim": ([0, 1, 3], 2), "steps": ([0], 1), "batch": ([0], 1),
+    "peak_lr": ([0.0, math.inf, math.nan], 5e-324),
+    "pct_start": ([0.0, 1.0], 5e-324),
+    "weight_decay": ([-5e-324, math.inf, math.nan], 0.0),
+    "seed": ([-1], 0), "p_asr": ([-5e-324, AFTER_1, math.nan], 1.0),
+    "n_embeddings": ([1], 2),
+}
+# the rule tables: (section, or None for the flags) -> {key: (test, rule)}
+RULES = {"world": _rules_of(WorldConfig, worldgen_mod),
+         "backbone": _rules_of(BackboneConfig, backbone_mod),
+         "anonymizer": _rules_of(AnonymizerConfig, anonymizer_mod),
+         None: ARG_RANGES}
+# WeightStrategy.parse: texts just outside its rules, and just inside
+STRATEGIES = (["fixed:" + repr(AFTER_1), "fixed:-" + repr(AFTER_1),
+               "fixed:nan", "range:-" + repr(AFTER_1) + ":1",
+               "range:-1:" + repr(AFTER_1), "range:0.5:0.5", "range:0.5:0.4",
+               "range:nan:1", "fixed", "fixed:0:1", "pool:0", "gauss:1"],
+              ["fixed:1", "fixed:-1", "range:-1:1",
+               "range:0.5:" + repr(math.nextafter(0.5, 1.0)), "pool"])
+
+
+def test_boundary_values_straddle_each_rule():
+    """Every rule of the tables has ``BOUNDARY`` values, which its own
+    test rejects just outside it and accepts just inside it."""
+    for table in RULES.values():
+        for key, (ok, rule) in table.items():
+            outside, inside = BOUNDARY[key]
+            assert ok(inside) and not any(map(ok, outside)), (key, rule)
+    for text in STRATEGIES[1]:
+        WeightStrategy.parse(text)
+
+
+def _flag_commands(dest) -> list:
+    """argv of each command that takes the flag ``dest``, its required
+    flags given placeholders: each flag is checked before a command reads
+    anything."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [[name, *(x for a in p._actions if a.required and a.dest != "out"
+                     for x in (a.option_strings[0], "x"))]
+            for name, p in sub.choices.items()
+            if any(a.dest == dest for a in p._actions)]
+
+
+def _boundary_cases():
+    """(case, argv but --out, what the error must name) for each value
+    just outside each rule of ``RULES`` and ``WeightStrategy.parse``: a
+    config key in the section of the command that reads it (``--data``
+    filled in by the test), a flag on each command that takes it.  A
+    trainer's ``seed`` is left to ``--seed``, which sets it."""
+    readers = {"world": ["gen-world"], "backbone": ["train-backbone"],
+               "anonymizer": ["train-anonymizer"]}
+    for section, table in RULES.items():
+        keys = [k for k in table if section is None or k != "seed"]
+        if section == "anonymizer":
+            keys.append("n_embeddings")   # train-anonymizer's own rule
+        for key in keys:
+            for value in BOUNDARY[key][0]:
+                if section is None:
+                    flag = "--" + key.replace("_", "-")
+                    for argv in _flag_commands(key):
+                        yield (f"{argv[0]} {flag}={value!r}",
+                               [*argv, f"{flag}={value!r}"], flag)
+                else:
+                    yield (f"{section}.{key}={value!r}",
+                           [*readers[section], "--config",
+                            {section: {key: value}}], f"{section}.{key}")
+    for text in STRATEGIES[0]:
+        for argv in _flag_commands("strategy"):
+            yield f"{argv[0]} --strategy={text}", [*argv, "--strategy", text], \
+                repr(text)
+
+
+def test_boundary_rules_exit_2_naming_the_key(two_speaker_world, tmp_path,
+                                              capsys):
+    """Each ``_boundary_cases`` value exits 2 with one ``error:`` line
+    naming its ``<section>.<key>`` or flag, at the rule's one owner: the
+    config dataclass, the argument check or ``WeightStrategy.parse``."""
+    world, _, _ = two_speaker_world
+    cfg = tmp_path / "config.json"
+    broken, seen = [], set()
+    for case, argv, named in _boundary_cases():
+        if isinstance(argv[-1], dict):
+            cfg.write_text(json.dumps(argv[-1]))
+            argv = argv[:-1] + [cfg] + (
+                ["--data", world] if argv[0] != "gen-world" else [])
+        code = main([str(a) for a in argv] + ["--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        seen.add(named)
+        if code != 2 or not (err.startswith("error: ")
+                             and err.count("\n") == 1 and named in err):
+            broken.append((case, code, err))
+    assert not broken
+    assert not (tmp_path / "o").exists()
+    assert {"world.pii_frac", "backbone.hidden", "anonymizer.level_dims",
+            "anonymizer.n_embeddings", "--seed", "--steps", "--p-asr",
+            "'gauss:1'"} <= seen
+
+
+def test_built_trials_missing_from_anon_name_both_datasets(
+        pipeline, two_speaker_world, tmp_path, capsys):
+    """evaluate without --trials builds its trials from --data and scores
+    them on --anon: an --anon without one of their utterances exits 4
+    naming --anon, the utterance and the --data they were built from."""
+    _, world, _, _, _ = pipeline
+    small, _, _ = two_speaker_world
+    trials = build_trials(load_dataset(world), "acoustic",
+                          np.random.default_rng(0))
+    have = {u.id for u in load_dataset(small).utterances}
+    missing = next(u for u in trials.test if u not in have)
+    capsys.readouterr()
+    assert main(["evaluate", "--data", str(world), "--anon", str(small),
+                 "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == (
+        f"error: {small}: no utterance {missing!r}, which a trial built "
+        f"from {world} tests\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section", ["backbone", "anonymizer"])
+def test_trainer_seed_is_not_a_config_key(pipeline, tmp_path, capsys,
+                                          section):
+    """``--seed`` alone seeds a trainer: a ``seed`` in its ``--config``
+    section is an unknown key (exit 2), and the sidecar records
+    ``--seed``."""
+    _, world, bb, an, _ = pipeline
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({section: {"seed": -5}}))
+    capsys.readouterr()
+    assert main([f"train-{section}", "--data", str(world), "--config",
+                 str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: unknown key(s) {section}.seed\n")
+    sidecar = {"backbone": bb, "anonymizer": an}[section] / f"{section}.json"
+    assert json.loads(sidecar.read_text())["config"]["seed"] == 1
+
+
+def _ckpt_cases(data: bytes):
+    """(case, bytes) for a checkpoint ``data``: the file cut at each
+    length up to the end of its first tensor, and the file with each byte
+    of its header and of the first tensor's header flipped."""
+    (nlen,) = struct.unpack_from("<I", data, 16)
+    (rank,) = struct.unpack_from("<I", data, 20 + nlen)
+    head = 24 + nlen + 4 * rank
+    first = head + 4 * math.prod(struct.unpack_from(f"<{rank}I", data,
+                                                    24 + nlen))
+    for n in range(first + 1):
+        yield f"cut at {n}", data[:n]
+    for i in range(head):
+        yield f"byte {i} flipped", data[:i] + bytes([data[i] ^ 0xff]) + \
+            data[i + 1:]
+
+
+@pytest.fixture(scope="module")
+def tiny_models(two_speaker_world, tmp_path_factory):
+    """A backbone and an anonymizer of one step on the 2-speaker world,
+    each with a first tensor of a few values."""
+    world, _, _ = two_speaker_world
+    root = tmp_path_factory.mktemp("tiny")
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps({
+        "backbone": {"content_dim": 1, "hidden": [2], "codebook_size": 2,
+                     "steps": 1, "batch": 1},
+        "anonymizer": {"level_dims": [8, 2, 8], "time_dim": 2, "steps": 1,
+                       "batch": 1, "n_embeddings": 2}}))
+    for name in ("backbone", "anonymizer"):
+        assert main([f"train-{name}", "--data", str(world), "--config",
+                     str(cfg), "--out", str(root / name)]) == 0
+    return world, root / "backbone" / "backbone", \
+        root / "anonymizer" / "anonymizer"
+
+
+def test_checkpoint_byte_contract(tiny_models, tmp_path, capsys):
+    """Each ``_ckpt_cases`` edit of a model's .ckpt, loaded by the command
+    that reads that model (``seca`` the backbone, ``evaluate --anonymizer``
+    the anonymizer): each exits 0 or 4, and on 4 prints one ``error:``
+    line naming the .ckpt."""
+    world, backbone, anonymizer = tiny_models
+    models = {"backbone": backbone, "anonymizer": anonymizer}
+    commands = {
+        "backbone": ["seca", "--data", world, "--backbone", tmp_path / "backbone"],
+        "anonymizer": ["evaluate", "--data", world, "--anon", world,
+                       "--anonymizer", tmp_path / "anonymizer",
+                       "--strategy", "fixed:0"]}
+    broken, runs = [], 0
+    for name, model in models.items():
+        shutil.copy(model.with_suffix(".json"), tmp_path / f"{name}.json")
+        for case, data in _ckpt_cases(model.with_suffix(".ckpt").read_bytes()):
+            (tmp_path / f"{name}.ckpt").write_bytes(data)
+            code = main([str(a) for a in commands[name]]
+                        + ["--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            runs += 1
+            if code not in (0, 4) or code == 4 and not (
+                    err.startswith("error: ") and err.count("\n") == 1
+                    and f"{name}.ckpt" in err):
+                broken.append((name, case, code, err))
+    assert not broken
+    assert runs > 150
+
+
 @pytest.mark.parametrize("command", ["anonymize", "seca", "build-trials",
                                      "evaluate"])
 def test_config_rejected_where_unread(pipeline, tmp_path, capsys, command):
@@ -1349,7 +1582,8 @@ def _sizes(lo, hi):
 
 
 # config key -> values of its type, in range and out of it; bounded above so
-# that every accepted value still makes a small, fast run
+# that every accepted value still makes a small, fast run.  A trainer's
+# ``seed`` is not a config key: ``--seed`` sets it
 CONFIG_KEYS = {
     "world": {"D": st.integers(-2, 12), "F": st.integers(-2, 16),
               "v_common": st.integers(-2, 40), "n_speakers": st.integers(-2, 6),
@@ -1363,11 +1597,11 @@ CONFIG_KEYS = {
                  "lam": st.floats(), "steps": st.integers(-2, 20),
                  "batch": st.integers(-2, 300), "peak_lr": st.floats(),
                  "pct_start": st.floats(), "weight_decay": st.floats(),
-                 "f_sem_noise": st.floats(), "seed": st.integers(-2, 9)},
+                 "f_sem_noise": st.floats()},
     "anonymizer": {"level_dims": _sizes(-1, 10), "time_dim": st.integers(-2, 12),
                    "steps": st.integers(-2, 20), "batch": st.integers(-2, 300),
                    "peak_lr": st.floats(), "pct_start": st.floats(),
-                   "weight_decay": st.floats(), "seed": st.integers(-2, 9),
+                   "weight_decay": st.floats(),
                    "n_embeddings": st.integers(-2, 300)},
 }
 # the rest of each section: a small, fast run on the pipeline's world

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anonflow import evaluation
+from anonflow.cli import main
 from anonflow.errors import DataError, InputError
 from anonflow.evaluation import (DURATION_WINDOW, Trials, acoustic_embeddings,
                                  build_trials, compute_eer,
@@ -461,15 +462,25 @@ class TestAttack:
         assert rep.a_eer is not None
         assert rep.token_error_rate is None and rep.secs_proxy is None
 
-    def test_unknown_attacker_rejected(self, world):
-        _, ds = world
-        with pytest.raises(InputError):
-            attack(ds, None, "semi_informed")
+    # cmd_evaluate and --attacker's choices own these rules; run_attack
+    # takes what they let through
+    def test_unknown_attacker_rejected(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["evaluate", "--data", "x", "--anon", "x", "--out", "o",
+                  "--attacker", "semi_informed"])
+        assert ei.value.code == 2
+        assert "invalid choice: 'semi_informed'" in capsys.readouterr().err
 
-    def test_lazy_requires_model(self, world):
-        _, ds = world
-        with pytest.raises(InputError):
-            attack(ds, None, "lazy_informed")
+    def test_lazy_requires_model(self, tmp_path, capsys):
+        for attacker in ("lazy", "lazy_informed"):
+            for system in ([], ["--strategy", "fixed:0"],
+                           ["--anonymizer", "a"]):
+                assert main(["evaluate", "--data", "x", "--anon", "x",
+                             "--out", str(tmp_path), "--attacker", attacker,
+                             *system]) == 2
+                assert capsys.readouterr().err == (
+                    "error: lazy attacker needs --anonymizer and "
+                    "--strategy\n")
 
 
 def utility_probes_reference(ds, mapping, embeddings):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anonflow.cli import main
 from anonflow.errors import DivergenceError, InputError
 from anonflow.flowmath import cfm_loss, integrate
 from anonflow.nets import ConditionedField
@@ -81,9 +82,16 @@ class TestIntegrate:
         assert np.allclose(out, 2 * xb)
 
     @pytest.mark.parametrize("steps", [0, -1])
-    def test_rejects_steps_below_one(self, steps):
-        with pytest.raises(InputError, match="steps must be >= 1"):
-            integrate(Field(lambda x, t, _: x), np.ones((1, 2)), steps)
+    def test_rejects_steps_below_one(self, tmp_path, capsys, steps):
+        # every solve's steps come from --steps or FRAME_STEPS; the check
+        # of --steps, made before a command reads anything, owns the rule
+        for argv in (["anonymize", "--backbone", "b", "--anonymizer", "a"],
+                     ["seca", "--backbone", "b"],
+                     ["evaluate", "--anon", "x"]):
+            assert main([*argv, "--data", "x", "--out", str(tmp_path),
+                         "--steps", str(steps)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: --steps must be >= 1, got {steps}\n")
 
     @pytest.mark.parametrize("x_init", [np.ones(2), np.ones((1, 2, 1))])
     def test_rejects_state_that_is_not_a_batch(self, x_init):

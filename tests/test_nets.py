@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from anonflow.errors import InputError, StateError
+from anonflow.anonymizer import AnonymizerConfig
+from anonflow.backbone import BackboneConfig
+from anonflow.errors import ConfigError, InputError, StateError
 from anonflow.nets import (ConditionedField, UShapedField, _frequencies,
                            time_embed)
 
@@ -21,8 +23,13 @@ class TestTimeEmbed:
         assert np.allclose(e, [[np.sin(0.5), np.cos(0.5)]], atol=1e-12)
 
     def test_odd_dim_rejected(self):
-        with pytest.raises(InputError):
-            time_embed(np.array([0.5]), 3)
+        # every field's time_dim comes from a trainer config, which owns
+        # the rule; time_embed itself does not check it again
+        for config in (BackboneConfig, AnonymizerConfig):
+            for dim in (3, 0):
+                with pytest.raises(ConfigError,
+                                   match=r"\.time_dim must be even"):
+                    config(time_dim=dim)
 
     def test_batched(self):
         e = time_embed(np.array([0.0, 0.5]), 4)
@@ -83,15 +90,15 @@ def _randomize(field, rng, scale=0.3):
 
 
 class TestUShapedField:
+    # AnonymizerConfig, which sizes every UShapedField the program makes,
+    # owns the level_dims rule
     def test_palindrome_required(self):
-        with pytest.raises(InputError):
-            UShapedField([8, 4, 8, 4], 16, np.random.default_rng(0),
-                         np.float32)
+        with pytest.raises(ConfigError, match="anonymizer.level_dims"):
+            AnonymizerConfig(level_dims=[8, 4, 8, 4])
 
     def test_single_minimum_required(self):
-        with pytest.raises(InputError):
-            UShapedField([8, 4, 4, 8], 16, np.random.default_rng(0),
-                         np.float32)
+        with pytest.raises(ConfigError, match="anonymizer.level_dims"):
+            AnonymizerConfig(level_dims=[8, 4, 4, 8])
 
     def test_output_dim_matches_input(self):
         f = UShapedField([8, 4, 2, 4, 8], rng=np.random.default_rng(0),

@@ -5,7 +5,7 @@ import anonflow.anonymizer as anonymizer_mod
 import anonflow.backbone as backbone_mod
 from anonflow.anonymizer import AnonymizerConfig, train_anonymizer
 from anonflow.backbone import BackboneConfig, train_backbone
-from anonflow.errors import DivergenceError, InputError
+from anonflow.errors import ConfigError, DivergenceError, InputError
 from anonflow.optim import AdamW, OneCycle
 from anonflow.worldgen import generate_world, make_world_params
 
@@ -79,13 +79,20 @@ class TestOneCycle:
     def test_end_is_peak_over_final_div(self):
         assert OneCycle(1000, 0.5).lr(1000) == pytest.approx(0.5 / 1e4)
 
-    def test_step_beyond_total_rejected(self):
-        with pytest.raises(InputError):
-            OneCycle(1000, 0.1).lr(1001)
-
     def test_bad_pct_start_rejected(self):
-        with pytest.raises(InputError):
-            OneCycle(100, 0.1, pct_start=1.0)
+        # the trainers' configs, which build every schedule, own the rule
+        for config in (BackboneConfig, AnonymizerConfig):
+            for pct in (0.0, 1.0):
+                with pytest.raises(ConfigError, match=r"\.pct_start must be"):
+                    config(pct_start=pct)
+
+    def test_rate_past_the_total_stays_at_the_end(self):
+        # AdamW asks its schedule for steps in [0, total_steps] only
+        sched = OneCycle(3, 0.1)
+        opt = AdamW({"w": np.ones(2)}, sched, weight_decay=0.0)
+        for _ in range(5):
+            opt.step({"w": np.ones(2)})
+        assert opt.lr == sched.lr(3)
 
     def test_continuity(self):
         total, peak, pct = 500, 0.2, 0.1

@@ -187,17 +187,16 @@ class TestGenerateWorld:
         males = [s for s in ds.speakers if s.gender == "male"]
         assert len(males) == 5
 
+    # WorldConfig, which makes every world the program generates, owns
+    # the speaker and utterance counts
     def test_odd_speakers_rejected(self):
-        p = small_params()
-        with pytest.raises(InputError):
-            generate_world(p, 3, 4, np.random.default_rng(0),
-                           duration_range=(3.0, 18.0), pii_frac=0.3)
+        with pytest.raises(ConfigError, match="world.n_speakers must be even"):
+            WorldConfig(n_speakers=3)
 
     def test_single_utt_rejected(self):
-        p = small_params()
-        with pytest.raises(InputError):
-            generate_world(p, 4, 1, np.random.default_rng(0),
-                           duration_range=(3.0, 18.0), pii_frac=0.3)
+        with pytest.raises(ConfigError,
+                           match="world.utts_per_speaker must be >= 2"):
+            WorldConfig(utts_per_speaker=1)
 
     def test_style_is_simplex(self):
         _, ds = small_world()
