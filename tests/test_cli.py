@@ -1254,6 +1254,9 @@ STRATEGIES = (["fixed:" + repr(AFTER_1), "fixed:-" + repr(AFTER_1),
 def test_boundary_values_straddle_each_rule():
     """Every rule of the tables has ``BOUNDARY`` values, which its own
     test rejects just outside it and accepts just inside it."""
+    # a rule dropped from its table leaves a BOUNDARY entry unused
+    assert set(BOUNDARY) == {k for table in RULES.values()
+                             for k in table} | {"n_embeddings"}
     for table in RULES.values():
         for key, (ok, rule) in table.items():
             outside, inside = BOUNDARY[key]
@@ -1275,32 +1278,32 @@ def _flag_commands(dest) -> list:
 
 
 def _boundary_cases():
-    """(case, argv but --out, what the error must name) for each value
-    just outside each rule of ``RULES`` and ``WeightStrategy.parse``: a
-    config key in the section of the command that reads it (``--data``
-    filled in by the test), a flag on each command that takes it.  A
-    trainer's ``seed`` is left to ``--seed``, which sets it."""
-    readers = {"world": ["gen-world"], "backbone": ["train-backbone"],
-               "anonymizer": ["train-anonymizer"]}
+    """(case, make) for each value just outside each rule of ``RULES``
+    and ``WeightStrategy.parse``; ``make(tmp, world, bb, an)`` gives the
+    argv but --out and what the error must name, as for
+    ``test_malformed_artifact_exit_code``.  A config key goes in the
+    section of the command that reads it, a flag on each command that
+    takes it.  A trainer's ``seed`` is left to ``--seed``, which sets it."""
     for section, table in RULES.items():
         keys = [k for k in table if section is None or k != "seed"]
         if section == "anonymizer":
             keys.append("n_embeddings")   # train-anonymizer's own rule
         for key in keys:
             for value in BOUNDARY[key][0]:
-                if section is None:
-                    flag = "--" + key.replace("_", "-")
-                    for argv in _flag_commands(key):
-                        yield (f"{argv[0]} {flag}={value!r}",
-                               [*argv, f"{flag}={value!r}"], flag)
-                else:
+                if section is not None:
                     yield (f"{section}.{key}={value!r}",
-                           [*readers[section], "--config",
-                            {section: {key: value}}], f"{section}.{key}")
+                           _config_value(section, key, value))
+                    continue
+                flag = "--" + key.replace("_", "-")
+                for argv in _flag_commands(key):
+                    yield (f"{argv[0]} {flag}={value!r}",
+                           lambda *_, a=[*argv, f"{flag}={value!r}"], n=flag:
+                           (a, n))
     for text in STRATEGIES[0]:
         for argv in _flag_commands("strategy"):
-            yield f"{argv[0]} --strategy={text}", [*argv, "--strategy", text], \
-                repr(text)
+            yield (f"{argv[0]} --strategy={text}",
+                   lambda *_, a=[*argv, f"--strategy={text}"], n=repr(text):
+                   (a, n))
 
 
 def test_boundary_rules_exit_2_naming_the_key(two_speaker_world, tmp_path,
@@ -1309,13 +1312,9 @@ def test_boundary_rules_exit_2_naming_the_key(two_speaker_world, tmp_path,
     naming its ``<section>.<key>`` or flag, at the rule's one owner: the
     config dataclass, the argument check or ``WeightStrategy.parse``."""
     world, _, _ = two_speaker_world
-    cfg = tmp_path / "config.json"
     broken, seen = [], set()
-    for case, argv, named in _boundary_cases():
-        if isinstance(argv[-1], dict):
-            cfg.write_text(json.dumps(argv[-1]))
-            argv = argv[:-1] + [cfg] + (
-                ["--data", world] if argv[0] != "gen-world" else [])
+    for case, make in _boundary_cases():
+        argv, named = make(tmp_path, world, None, None)
         code = main([str(a) for a in argv] + ["--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         seen.add(named)

@@ -471,6 +471,13 @@ class TestAttack:
         assert ei.value.code == 2
         assert "invalid choice: 'semi_informed'" in capsys.readouterr().err
 
+    def test_unknown_mode_rejected(self, capsys):
+        for argv in (["build-trials"], ["evaluate", "--anon", "x"]):
+            with pytest.raises(SystemExit) as ei:
+                main([*argv, "--data", "x", "--out", "o", "--mode", "text"])
+            assert ei.value.code == 2
+            assert "invalid choice: 'text'" in capsys.readouterr().err
+
     def test_lazy_requires_model(self, tmp_path, capsys):
         for attacker in ("lazy", "lazy_informed"):
             for system in ([], ["--strategy", "fixed:0"],
