@@ -161,7 +161,8 @@ class WeightStrategy:
     @classmethod
     def parse(cls, text: str) -> "WeightStrategy":
         """Parse 'fixed:W', 'range:A:B' or 'pool'; anything else, a number
-        that does not parse or one out of range is a ConfigError."""
+        that does not parse or one out of range is a ConfigError naming
+        ``--strategy``."""
         parts = text.split(":")
         try:
             if parts[0] == "fixed" and len(parts) == 2:
@@ -171,8 +172,8 @@ class WeightStrategy:
             if parts[0] == "pool" and len(parts) == 1:
                 return cls(kind="pool")
         except ValueError as e:
-            raise ConfigError(f"bad strategy {text!r}: {e}") from e
-        raise ConfigError(f"cannot parse strategy {text!r}")
+            raise ConfigError(f"--strategy: bad strategy {text!r}: {e}") from e
+        raise ConfigError(f"--strategy: cannot parse strategy {text!r}")
 
 
 def draw_speakers(strategy: WeightStrategy, rng: np.random.Generator,

@@ -2,20 +2,23 @@
 replacement matching, and generative re-synthesis of the edited spans.
 
 The recognizer is a gazetteer lookup (token -> entity type); maximal runs
-of consecutive same-type hits form one span.  Replacements are drawn from
-a shared pool, matching entity type and token count, and the affected
-frames are regenerated by the backbone, one solve per run of a speaker's
-edited utterances, while everything outside the spans is left
-bit-identical.  ``anonymize_content_stream`` makes every random draw
-first and then yields the utterances from a generator that solves one
-run at a time, as the dataset writer reads them; ``anonymize_content``
-is the same stream in a list.
+of consecutive same-type hits form one span, so the spans come sorted,
+disjoint and within the tokens, and the edits are planned from them as
+they come, with the entity types the dataset loader checked against
+``PII_TYPES``.  Replacements are drawn from a shared pool, matching entity
+type and token count, and the affected frames are regenerated by the
+backbone, one solve per run of a speaker's edited utterances, while
+everything outside the spans is left bit-identical.
+``anonymize_content_stream`` makes every random draw first and then
+yields the utterances from a generator that solves one run at a time, as
+the dataset writer reads them; ``anonymize_content`` is the same stream in
+a list.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .backbone import (RUN_FRAMES, BackboneModel, NoiseReplay, frame_runs,
                        reconstruct)
 from .checkpoint import replace_text
 from .errors import DivergenceError, InputError, UnmatchedEntityError
-from .worldgen import PII_TYPES, Dataset, PoolEntry, Utterance
+from .worldgen import Dataset, PoolEntry, Utterance
 
 
 @dataclass(frozen=True)
@@ -32,12 +35,6 @@ class EntitySpan:
     token_start: int
     token_end: int              # half-open
     source_text: tuple = ()
-
-    def __post_init__(self):
-        if self.type not in PII_TYPES:
-            raise InputError(f"unknown entity type {self.type!r}")
-        if not self.token_start < self.token_end:
-            raise InputError("span must satisfy token_start < token_end")
 
     @property
     def length(self) -> int:
@@ -49,29 +46,14 @@ class ReplacementPool:
 
     def __init__(self, entries):
         self._by_type_len = {}
-        self._by_type = {}
         for e in entries:
             self._by_type_len.setdefault((e.type, e.length), []).append(e)
-            self._by_type.setdefault(e.type, []).append(e)
 
     def candidates(self, typ: str, length: int):
         return self._by_type_len.get((typ, length), [])
 
     def lengths_for(self, typ: str):
-        return sorted({e.length for e in self._by_type.get(typ, [])})
-
-
-@dataclass
-class EditPlan:
-    utterance_id: str
-    edits: list = field(default_factory=list)  # (EntitySpan, replacement tokens)
-
-    def __post_init__(self):
-        spans = sorted((s for s, _ in self.edits), key=lambda s: s.token_start)
-        for a, b in zip(spans, spans[1:]):
-            if a.token_end > b.token_start:
-                raise InputError("edit spans must be non-overlapping")
-        self.edits = sorted(self.edits, key=lambda e: e[0].token_start)
+        return sorted(n for t, n in self._by_type_len if t == typ)
 
 
 def detect_pii(tokens, gazetteer: dict) -> list:
@@ -117,10 +99,7 @@ def match_replacement(span: EntitySpan, pool: ReplacementPool,
 def _span_pitch(utt: Utterance, span: EntitySpan, repl) -> tuple:
     """(p_norm, f0_hz) of the frames that replace ``span`` with ``repl``:
     the span's own slice for an equal-length replacement, else the slice
-    resampled to the new length.  A span outside the utterance is an
-    InputError."""
-    if not (0 <= span.token_start < span.token_end <= len(utt.tokens)):
-        raise InputError(f"span {span} outside utterance bounds")
+    resampled to the new length."""
     fpt = utt.frames_per_token
     src = slice(span.token_start * fpt, span.token_end * fpt)
     src_pn, src_f0 = utt.p_norm[src], utt.f0_hz[src]
@@ -131,16 +110,17 @@ def _span_pitch(utt: Utterance, span: EntitySpan, repl) -> tuple:
             np.interp(pos, np.arange(len(src_f0)), src_f0))
 
 
-def span_inputs(utt: Utterance, plan: EditPlan) -> tuple:
+def span_inputs(utt: Utterance, edits) -> tuple:
     """The frame tokens and normalized pitch of the frames that replace
-    the plan's spans, spans in order: the inputs of the frame-flow solve
-    whose output ``apply_edits`` takes.  The plan must have an edit."""
-    toks = [np.repeat(repl, utt.frames_per_token) for _, repl in plan.edits]
-    pn = [_span_pitch(utt, span, repl)[0] for span, repl in plan.edits]
+    the spans of ``edits``, (span, replacement tokens) pairs in span order:
+    the inputs of the frame-flow solve whose output ``apply_edits`` takes.
+    There must be an edit."""
+    toks = [np.repeat(repl, utt.frames_per_token) for _, repl in edits]
+    pn = [_span_pitch(utt, span, repl)[0] for span, repl in edits]
     return np.concatenate(toks), np.concatenate(pn)
 
 
-def apply_edits(utt: Utterance, plan: EditPlan, frames) -> Utterance:
+def apply_edits(utt: Utterance, edits, frames) -> Utterance:
     """Replace tokens and splice in ``frames``, the regenerated frames of
     all spans in span order (a solve over ``span_inputs``).
 
@@ -150,7 +130,7 @@ def apply_edits(utt: Utterance, plan: EditPlan, frames) -> Utterance:
     """
     fpt = utt.frames_per_token
     tokens = list(utt.tokens)
-    ends = np.cumsum([len(repl) * fpt for _, repl in plan.edits], dtype=int)
+    ends = np.cumsum([len(repl) * fpt for _, repl in edits], dtype=int)
     frames = np.asarray(frames, dtype=float)
     want = (int(ends[-1]) if len(ends) else 0, utt.frames.shape[1])
     if frames.shape != want:
@@ -158,7 +138,7 @@ def apply_edits(utt: Utterance, plan: EditPlan, frames) -> Utterance:
     out_tokens, out_frames, out_f0, out_pn, new_spans = [], [], [], [], []
     cursor = 0
     offset = 0  # token-index shift accumulated from length-mismatched edits
-    for (span, repl), gen in zip(plan.edits, np.split(frames, ends[:-1])):
+    for (span, repl), gen in zip(edits, np.split(frames, ends[:-1])):
         new_pn, new_f0 = _span_pitch(utt, span, repl)
         keep = slice(cursor * fpt, span.token_start * fpt)
         out_tokens += tokens[cursor:span.token_start] + list(repl)
@@ -216,7 +196,7 @@ def anonymize_content_stream(backbone: BackboneModel, dataset: Dataset,
     """
     reports = []
     bases = []      # each utterance as observed, before its edits
-    edited = []     # (index in bases, plan, frame tokens, p_norm, noise mark)
+    edited = []     # (index in bases, edits, frame tokens, p_norm, noise mark)
     noise = NoiseReplay(rng)
     for u in dataset.utterances:
         observed = (corrupt_tokens(u.tokens, p_asr, dataset.params.V, rng)
@@ -232,9 +212,8 @@ def anonymize_content_stream(backbone: BackboneModel, dataset: Dataset,
                                         span.token_end], "error": str(e)})
         base = u if p_asr == 0 else replace(u, tokens=observed)
         if edits:
-            plan = EditPlan(utterance_id=u.id, edits=edits)
-            toks, pn = span_inputs(base, plan)
-            edited.append((len(bases), plan, toks, pn,
+            toks, pn = span_inputs(base, edits)
+            edited.append((len(bases), edits, toks, pn,
                            noise.skip((len(toks), dataset.params.F))))
         bases.append(base)
         reports.append({
@@ -250,7 +229,7 @@ def anonymize_content_stream(backbone: BackboneModel, dataset: Dataset,
         i = 0                       # the next utterance to yield
         for run in frame_runs([bases[e[0]].speaker_id for e in edited],
                               [len(e[2]) for e in edited], RUN_FRAMES):
-            at, plans, toks, pns, marks = zip(*(edited[j] for j in run))
+            at, edit_lists, toks, pns, marks = zip(*(edited[j] for j in run))
             sid = bases[at[0]].speaker_id
             s = (dataset.speaker(sid).embedding if mapping is None
                  else mapping[sid][1])
@@ -264,9 +243,9 @@ def anonymize_content_stream(backbone: BackboneModel, dataset: Dataset,
                     f"utterances {bases[at[0]].id}..{bases[at[-1]].id}: "
                     f"{e}", step=e.step) from e
             ends = np.cumsum([len(t) for t in toks])[:-1]
-            for k, plan, f in zip(at, plans, np.split(frames, ends)):
+            for k, e, f in zip(at, edit_lists, np.split(frames, ends)):
                 yield from bases[i:k]
-                yield apply_edits(bases[k], plan, f)
+                yield apply_edits(bases[k], e, f)
                 i = k + 1
         yield from bases[i:]
 

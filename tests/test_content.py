@@ -4,17 +4,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import anonflow.backbone as backbone_mod
 from anonflow import content as content_mod
 from anonflow.backbone import (BackboneConfig, BackboneModel, frame_runs,
                                reconstruct, train_backbone)
-from anonflow.content import (EditPlan, EntitySpan, ReplacementPool,
+from anonflow.content import (EntitySpan, ReplacementPool,
                               anonymize_content, anonymize_content_stream,
                               apply_edits, build_gazetteer, corrupt_tokens,
                               detect_pii, match_replacement, span_inputs)
 from anonflow.errors import DivergenceError, InputError, UnmatchedEntityError
-from anonflow.worldgen import PoolEntry, generate_world, make_world_params
+from anonflow.worldgen import (PII_TYPES, PoolEntry, generate_world,
+                               make_world_params)
 
 
 @pytest.fixture(scope="module")
@@ -50,11 +52,39 @@ class TestDetect:
     def test_no_hits_no_spans(self):
         assert detect_pii([1, 2, 3], {10: "PER"}) == []
 
-    def test_span_validation(self):
-        with pytest.raises(InputError):
-            EntitySpan(type="PER", token_start=3, token_end=3)
-        with pytest.raises(InputError):
-            EntitySpan(type="XXX", token_start=0, token_end=1)
+    # the planner takes these spans as they come: sorted, disjoint, within
+    # the tokens, and maximal, so a span's neighbours are not its type
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 11), max_size=24),
+           st.dictionaries(st.integers(0, 11), st.sampled_from(PII_TYPES)))
+    def test_spans_are_ordered_maximal_runs(self, tokens, gaz):
+        spans = detect_pii(tokens, gaz)
+        for a, b in zip(spans, spans[1:]):
+            assert a.token_end <= b.token_start
+        covered = set()
+        for sp in spans:
+            a, b = sp.token_start, sp.token_end
+            assert 0 <= a < b <= len(tokens)
+            assert sp.source_text == tuple(tokens[a:b])
+            assert {gaz.get(t) for t in sp.source_text} == {sp.type}
+            assert a == 0 or gaz.get(tokens[a - 1]) != sp.type
+            assert b == len(tokens) or gaz.get(tokens[b]) != sp.type
+            covered.update(range(a, b))
+        assert covered == {i for i, t in enumerate(tokens) if t in gaz}
+
+    @pytest.mark.parametrize("p_asr", [0.0, 0.3])
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_stream_replacements_in_span_order(self, world, backbone, p_asr,
+                                               seed):
+        # the reports are whole before any span is solved
+        _, ds = world
+        _, reports = anonymize_content_stream(
+            backbone, ds, ReplacementPool(ds.pool), build_gazetteer(ds), 4,
+            np.random.default_rng(seed), mapping=None, p_asr=p_asr)
+        for r in reports:
+            starts = [start for _, start, _ in r["replacements"]]
+            assert starts == sorted(set(starts))
 
 
 class TestMatch:
@@ -96,13 +126,13 @@ class TestMatch:
             match_replacement(span, self.pool(), np.random.default_rng(0))
 
 
-def edit_one(backbone, utt, plan, s, steps, rng):
+def edit_one(backbone, utt, edits, s, steps, rng):
     """One utterance's edits in a solve of its own: its span noise is drawn
     from ``rng``, then its spans are regenerated and spliced in."""
-    toks, pn = span_inputs(utt, plan)
+    toks, pn = span_inputs(utt, edits)
     noise = rng.standard_normal((len(toks), backbone.frame_dim))
-    return apply_edits(utt, plan, reconstruct(backbone, toks, pn, s, steps,
-                                              noise))
+    return apply_edits(utt, edits, reconstruct(backbone, toks, pn, s, steps,
+                                               noise))
 
 
 def span_frames(utt):
@@ -145,9 +175,8 @@ def eager_reference(backbone, ds, pool, gaz, steps, rng, mapping=None,
                                         span.token_end], "error": str(e)})
         base = u if p_asr == 0 else replace(u, tokens=observed)
         if edits:
-            plan = EditPlan(utterance_id=u.id, edits=edits)
-            toks, pn = span_inputs(base, plan)
-            edited.append((len(new_utts), plan, toks, pn, rng.standard_normal(
+            toks, pn = span_inputs(base, edits)
+            edited.append((len(new_utts), edits, toks, pn, rng.standard_normal(
                 (len(toks), ds.params.F))))
         new_utts.append(base)
         reports.append({
@@ -158,15 +187,15 @@ def eager_reference(backbone, ds, pool, gaz, steps, rng, mapping=None,
             "status": "ok" if not errors else "partial", "errors": errors})
     for run in frame_runs([new_utts[e[0]].speaker_id for e in edited],
                           [len(e[2]) for e in edited], content_mod.RUN_FRAMES):
-        at, plans, toks, pns, noise = zip(*(edited[j] for j in run))
+        at, edit_lists, toks, pns, noise = zip(*(edited[j] for j in run))
         sid = new_utts[at[0]].speaker_id
         s = ds.speaker(sid).embedding if mapping is None else mapping[sid][1]
         frames = reconstruct(backbone, np.concatenate(toks),
                              np.concatenate(pns), s, steps,
                              np.concatenate(noise))
         ends = np.cumsum([len(t) for t in toks])[:-1]
-        for i, plan, f in zip(at, plans, np.split(frames, ends)):
-            new_utts[i] = apply_edits(new_utts[i], plan, f)
+        for i, e, f in zip(at, edit_lists, np.split(frames, ends)):
+            new_utts[i] = apply_edits(new_utts[i], e, f)
     return new_utts, reports
 
 
@@ -247,7 +276,7 @@ class TestApplyEdits:
             pytest.skip("no equal-length replacement drawn for this utterance")
         s_emb = ds.speaker(utt.speaker_id).embedding
         steps = 6
-        out = edit_one(backbone, utt, EditPlan(utt.id, edits), s_emb, steps,
+        out = edit_one(backbone, utt, edits, s_emb, steps,
                        np.random.default_rng(2))
         fpt = utt.frames_per_token
         mask = np.ones(utt.n_frames, dtype=bool)
@@ -264,8 +293,8 @@ class TestApplyEdits:
         repl = [5, 6]   # one token replaced by two
         s_emb = ds.speaker(utt.speaker_id).embedding
         steps = 4
-        out = edit_one(backbone, utt, EditPlan(utt.id, [(span, repl)]),
-                       s_emb, steps, np.random.default_rng(0))
+        out = edit_one(backbone, utt, [(span, repl)], s_emb, steps,
+                       np.random.default_rng(0))
         assert len(out.tokens) == len(utt.tokens) + 1
         assert out.n_frames == utt.n_frames + utt.frames_per_token
         assert out.tokens[1:3] == [5, 6]
@@ -281,13 +310,13 @@ class TestApplyEdits:
                             source_text=(utt.tokens[1],)),
                  EntitySpan(type="LOC", token_start=3, token_end=5,
                             source_text=tuple(utt.tokens[3:5]))]
-        plan = EditPlan(utt.id, [(spans[0], [5, 6]), (spans[1], [7, 8])])
+        edits = [(spans[0], [5, 6]), (spans[1], [7, 8])]
         fpt = utt.frames_per_token
-        toks, pn = span_inputs(utt, plan)
+        toks, pn = span_inputs(utt, edits)
         assert np.array_equal(toks, np.repeat([5, 6, 7, 8], fpt))
         assert np.array_equal(pn[2 * fpt:], utt.p_norm[3 * fpt:5 * fpt])
         gen = np.arange(4 * fpt * ds.params.F, dtype=float).reshape(4 * fpt, -1)
-        out = apply_edits(utt, plan, gen)
+        out = apply_edits(utt, edits, gen)
         assert out.entity_spans == [("PER", 1, 3), ("LOC", 4, 6)]
         assert np.array_equal(out.frames[fpt:3 * fpt], gen[:2 * fpt])
         assert np.array_equal(out.frames[4 * fpt:6 * fpt], gen[2 * fpt:])
@@ -296,13 +325,7 @@ class TestApplyEdits:
                               utt.frames[2 * fpt:3 * fpt])
         assert np.array_equal(out.frames[6 * fpt:], utt.frames[5 * fpt:])
         with pytest.raises(InputError):
-            apply_edits(utt, plan, gen[1:])
-
-    def test_overlapping_edits_rejected(self):
-        a = EntitySpan(type="PER", token_start=0, token_end=2)
-        b = EntitySpan(type="PER", token_start=1, token_end=3)
-        with pytest.raises(InputError):
-            EditPlan("u", [(a, [1, 1]), (b, [2, 2])])
+            apply_edits(utt, edits, gen[1:])
 
 
 class TestCorrupt:

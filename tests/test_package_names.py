@@ -12,6 +12,9 @@ at least one call in those same modules: a call that leaves the
 parameter out.  A call is matched by the callee's name, and a
 constructor by its class name; a call through ``*args`` or ``**kwargs``
 counts as passing every argument.
+
+Each field of a dataclass in ``src/anonflow`` must be read by name in the
+package: an attribute of that name loaded somewhere in its modules.
 """
 
 import ast
@@ -31,6 +34,9 @@ DEFAULTS_EXEMPT = {
     # perfbench/test_perfbench.py raises the error without a span, to check
     # that the tracer records it
     ("UnmatchedEntityError", "span"),
+}
+FIELDS_EXEMPT = {
+    ("WeightStrategy", "scope"),   # perfbench/spans.py reads it
 }
 
 
@@ -166,3 +172,45 @@ def test_a_default_every_call_overrides_is_flagged(tmp_path):
         "Box(2).get(**{})\n")
     assert unused_defaults([mod], [mod]) == [
         "mod.py:1 f(b)", "mod.py:1 f(c)", "mod.py:6 Box(v)", "mod.py:9 get(k)"]
+
+
+def fields(tree):
+    """(class name, field, node) of each annotated name in the body of
+    each ``@dataclass`` class of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and "dataclass" in {
+                callee(d) if isinstance(d, ast.Call) else getattr(d, "id", 0)
+                for d in node.decorator_list}:
+            for item in node.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    yield node.name, item.target.id, item
+
+
+def unread_fields(package) -> list:
+    """The dataclass fields of the ``package`` files that no attribute
+    load in them reads, as ``file:line Class.field``."""
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in package}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return [f"{p.name}:{node.lineno} {cls}.{name}"
+            for p in package for cls, name, node in fields(trees[p])
+            if name not in read and (cls, name) not in FIELDS_EXEMPT]
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    assert unread_fields(PACKAGE) == []
+
+
+def test_a_field_only_written_is_flagged(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Box:\n    v: int\n"
+        "    w: int = 0\n\n\n"
+        "@dataclass\nclass Tag:\n    name: str\n    note: str = ''\n\n"
+        "    def label(self):\n        return self.name\n\n\n"
+        "class Plain:\n    u: int = 0\n\n\n"
+        "b = Box(v=1, w=2)\nt = Tag('x')\nt.note = b.v\n")
+    assert unread_fields([mod]) == ["mod.py:7 Box.w", "mod.py:13 Tag.note"]
